@@ -14,7 +14,6 @@ from .field import (
     Q,
     RatFunc,
     ZERO,
-    arith,
     evaluate,
     monomial,
     pq_int,
@@ -35,7 +34,6 @@ __all__ = [
     "monomial",
     "q_int",
     "pq_int",
-    "arith",
     "specialize_p1",
     "substitute",
     "evaluate",

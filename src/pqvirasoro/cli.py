@@ -23,7 +23,7 @@ import argparse
 import json
 import sys
 
-from .field import RatFunc, ZERO, ONE, P, Q, monomial
+from .field import RatFunc, ZERO, P, Q
 from .freealg import (
     AlgebraElement,
     DEFAULT_CONFIG,
@@ -32,12 +32,12 @@ from .freealg import (
     T,
     TINV,
     C,
-    basis_decompose,
+    bracket_coeff,
     bracket_env,
+    central_coeff,
     make_rng,
     normalize,
     random_word,
-    relation_elements,
     RELATION_NAMES,
     t_word,
     to_json_dict,
@@ -268,21 +268,26 @@ def _word_latex(word):
     return " ".join(parts)
 
 
-def element_latex(x):
+def _slots_latex(slots):
+    return " \\otimes ".join(_word_latex(w) for w in slots)
+
+
+def element_latex(x, key_latex=_word_latex):
+    """LaTeX for an element, or for a tensor with key_latex=_slots_latex."""
     if x.is_zero():
         return "0"
     pieces = []
-    for word, coeff in x.sorted_terms():
+    for key, coeff in x.sorted_terms():
         cstr = coeff.latex()
-        body = _word_latex(word)
+        body = key_latex(key)
         sign = "+"
         if cstr.startswith("-"):
             sign = "-"
             cstr = cstr[1:]
-        if cstr == "1" and word:
-            term = body
-        elif not word:
+        if body == "1":
             term = cstr
+        elif cstr == "1":
+            term = body
         else:
             term = f"{cstr}\\, {body}"
         if not pieces:
@@ -299,14 +304,6 @@ def _emit(lines, out_path):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _record(**fields):
-    return json.dumps(fields)
-
-
-def _residual_field(res):
-    return str(res)
 
 
 def _variant_names(args):
@@ -335,7 +332,7 @@ class _Report:
     """Collects records and tracks the gated pass/fail outcome."""
 
     def __init__(self, gate_variants=False, variants=()):
-        self.lines = []
+        self.records = []
         self.failed = False
         self.gate_variants = gate_variants
         self.variants = list(variants)
@@ -349,10 +346,21 @@ class _Report:
         fields["status"] = "ok" if ok else "fail"
         fields["gated"] = gated
         if not ok and residual is not None:
-            fields["residual"] = _residual_field(residual)
-        self.lines.append(json.dumps(fields))
+            fields["residual"] = str(residual)
+        self.records.append(fields)
         if not ok and gated:
             self.failed = True
+
+    def summary_lines(self, suites):
+        """One line per suite: its record count and the checks that failed."""
+        lines = []
+        for suite in suites:
+            records = [r for r in self.records if r["suite"] == suite]
+            failures = [r for r in records if r["status"] == "fail"]
+            checks = sorted({r["check"] for r in failures})
+            summary = f"{len(failures)} failing ({', '.join(checks)})" if failures else "all ok"
+            lines.append(f"{suite:11s} {len(records):5d} records  {summary}")
+        return lines
 
 
 def _suite_fock(report, window, dim):
@@ -479,7 +487,9 @@ def _cmd_verify(args):
             _suite_hopf(report, args.range, cfg)
         elif suite == "confluence":
             _suite_confluence(report, args.seed, args.words, cfg.rewrite)
-    _emit(report.lines, args.out)
+    _emit([json.dumps(r) for r in report.records], args.out)
+    for line in report.summary_lines(suites):
+        print(line, file=sys.stderr)
     return 1 if report.failed else 0
 
 
@@ -490,36 +500,17 @@ def _structure_constants_lines(window, fmt):
     lines = ["\\begin{align*}"]
     for r in records:
         lhs = f"\\big[L_{{{r['n']}}},L_{{{r['m']}}}\\big]"
-        coeff_l = homlie._u(r["m"]) - homlie._u(r["n"])
+        coeff_l = bracket_coeff(r["n"], r["m"])
         terms = []
         if not coeff_l.is_zero():
             terms.append(f"\\left({coeff_l.latex()}\\right)L_{{{r['n'] + r['m']}}}")
         if r["coeff_C"] != "0":
-            cc = homlie.central_g(r["n"])
+            cc = central_coeff(r["n"])
             terms.append(f"\\left({cc.latex()}\\right)C")
         rhs = " + ".join(terms) if terms else "0"
         lines.append(f"  {lhs} &= {rhs} \\\\")
     lines.append("\\end{align*}")
     return lines
-
-
-def _tensor_latex(t):
-    if t.is_zero():
-        return "0"
-    pieces = []
-    for slots, coeff in t.sorted_terms():
-        body = " \\otimes ".join(_word_latex(w) for w in slots)
-        cstr = coeff.latex()
-        sign = "+"
-        if cstr.startswith("-"):
-            sign = "-"
-            cstr = cstr[1:]
-        term = body if cstr == "1" else f"{cstr}\\, {body}"
-        if not pieces:
-            pieces.append(term if sign == "+" else "-" + term)
-        else:
-            pieces.append(f" {sign} {term}")
-    return "".join(pieces)
 
 
 def _hopf_maps_lines(window, fmt, cfg):
@@ -539,7 +530,8 @@ def _hopf_maps_lines(window, fmt, cfg):
     lines = ["\\begin{align*}"]
     for name, g in gens:
         gl = element_latex(normalize(g, cfg.rewrite))
-        lines.append(f"  \\Delta({gl}) &= {_tensor_latex(hopfmod.coproduct(g, cfg))} \\\\")
+        delta = element_latex(hopfmod.coproduct(g, cfg), _slots_latex)
+        lines.append(f"  \\Delta({gl}) &= {delta} \\\\")
         lines.append(f"  \\epsilon({gl}) &= {hopfmod.counit(g).latex()} \\\\")
         lines.append(f"  S({gl}) &= {element_latex(hopfmod.antipode(g, cfg))} \\\\")
     lines.append("\\end{align*}")

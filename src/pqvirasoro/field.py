@@ -11,8 +11,13 @@ integer contents of num and den are coprime, and den has a positive leading
 coefficient in graded-lex order with p > q.  Because the form is unique,
 equality is plain structural comparison and hashing is well defined.
 
-All values are immutable; every function here is pure, so instances can be
-shared freely between threads or worker processes.
+All values are immutable; every function here except ``accumulate`` (which
+adds into the caller's dict) is pure, so instances can be shared freely
+between threads or worker processes.
+
+``LinComb`` is the sparse linear combination over this field that every
+element type of the package (words, tensors, Hom-Lie elements, Fock
+matrices) is built on.
 """
 
 from __future__ import annotations
@@ -31,7 +36,9 @@ __all__ = [
     "monomial",
     "q_int",
     "pq_int",
-    "arith",
+    "pq_ladder",
+    "accumulate",
+    "LinComb",
     "specialize_p1",
     "substitute",
     "evaluate",
@@ -805,21 +812,144 @@ def pq_int(n):
     return (P ** n - Q ** n) / (P - Q)
 
 
-_ARITH = {
-    "add": RatFunc.__add__,
-    "sub": RatFunc.__sub__,
-    "mul": RatFunc.__mul__,
-    "div": RatFunc.__truediv__,
-}
+@lru_cache(maxsize=None)
+def pq_ladder(k):
+    """[k]_{p,q} / p^k: the two-parameter lowering coefficient, and the
+    building block of every structure constant of the bracket."""
+    return pq_int(k) * monomial(1, -k, 0)
 
 
-def arith(x, y, op):
-    """Field operation dispatch: op in {'add', 'sub', 'mul', 'div'}."""
-    try:
-        f = _ARITH[op]
-    except KeyError:
-        raise ValueError("unknown field operation %r" % (op,)) from None
-    return f(x, y)
+# ---------------------------------------------------------------------------
+# sparse linear combinations over Q(p,q)
+# ---------------------------------------------------------------------------
+
+
+def accumulate(store, key, coeff):
+    """Add coeff to store[key], dropping the entry when the sum is zero."""
+    old = store.get(key)
+    if old is not None:
+        coeff = old + coeff
+    if coeff:
+        store[key] = coeff
+    elif old is not None:
+        del store[key]
+
+
+class LinComb:
+    """Finite Q(p,q)-linear combination, as a map from basis keys to nonzero
+    coefficients.
+
+    shape is None or a value that two combinations must share to be added
+    or equal (a tensor arity, a matrix dimension).  Subclasses give the
+    order of their keys (``_sort_key``), how a key renders (``_key_str``),
+    when a coefficient is parenthesized in front of a key (``_paren``, by
+    default when it holds one of the characters ``_PAREN_CHARS``), and
+    whatever product they have.
+    """
+
+    __slots__ = ("terms", "shape")
+
+    def __init__(self, terms=None, shape=None):
+        clean = {}
+        if terms:
+            for key, c in terms.items():
+                if isinstance(c, int):
+                    c = RatFunc(c)
+                if c:
+                    clean[key] = c
+        self.terms = clean
+        self.shape = shape
+
+    @classmethod
+    def from_clean(cls, terms, shape=None):
+        """Wrap a term map that has no zero coefficients, without copying it."""
+        self = object.__new__(cls)
+        self.terms = terms
+        self.shape = shape
+        return self
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    def is_zero(self):
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        if self.shape != other.shape:
+            raise ValueError("shape mismatch: %r and %r" % (self.shape, other.shape))
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            accumulate(out, key, c)
+        return self.from_clean(out, self.shape)
+
+    def __neg__(self):
+        return self.from_clean({key: -c for key, c in self.terms.items()}, self.shape)
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def scale(self, coeff):
+        if isinstance(coeff, int):
+            coeff = RatFunc(coeff)
+        if not coeff:
+            return self.from_clean({}, self.shape)
+        return self.from_clean({key: coeff * c for key, c in self.terms.items()},
+                               self.shape)
+
+    def __rmul__(self, coeff):
+        if isinstance(coeff, (int, RatFunc)):
+            return self.scale(coeff)
+        return NotImplemented
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.shape == other.shape and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.shape, frozenset(self.terms.items())))
+
+    @staticmethod
+    def _sort_key(key):
+        return key
+
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda kv: self._sort_key(kv[0]))
+
+    def _paren(self, cs, coeff):
+        """Whether the sign-stripped coefficient text cs needs parentheses."""
+        return any(ch in cs for ch in self._PAREN_CHARS)
+
+    def __str__(self):
+        pieces = []
+        for key, coeff in self.sorted_terms():
+            ks = self._key_str(key)
+            cs = str(coeff)
+            neg = cs.startswith("-")
+            if neg:
+                cs = cs[1:]
+            if cs == "1":
+                body = ks
+            else:
+                if self._paren(cs, coeff):
+                    cs = "(%s)" % cs
+                body = cs if ks == "1" else "%s*%s" % (cs, ks)
+            if not pieces:
+                pieces.append("-" + body if neg else body)
+            else:
+                pieces.append((" - " if neg else " + ") + body)
+        return "".join(pieces) or "0"
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, self)
 
 
 # ---------------------------------------------------------------------------

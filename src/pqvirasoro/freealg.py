@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .field import ONE, P, Q, RatFunc, ZERO, monomial, pq_int
+from .field import ONE, ZERO, LinComb, accumulate, monomial, pq_ladder
 
 __all__ = [
     "T",
@@ -114,24 +114,17 @@ def word_str(word):
     return " ".join(parts)
 
 
-class AlgebraElement:
+class AlgebraElement(LinComb):
     """Finite Q(p,q)-linear combination of words, as a term map."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+    _sort_key = staticmethod(word_sort_key)
+    _key_str = staticmethod(word_str)
 
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for w, c in terms.items():
-                if isinstance(c, int):
-                    c = RatFunc(c)
-                if not c.is_zero():
-                    clean[w] = c
-        self.terms = clean
-
-    @classmethod
-    def zero(cls):
-        return cls()
+    @staticmethod
+    def _paren(cs, coeff):
+        # only polynomials of several terms are wrapped, so p/q*L(1) stays bare
+        return coeff.den == {(0, 0): 1} and len(coeff.num) > 1
 
     @classmethod
     def unit(cls):
@@ -145,108 +138,18 @@ class AlgebraElement:
     def from_letters(cls, *letters):
         return cls({tuple(letters): ONE})
 
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, ZERO) + c
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
-        res = AlgebraElement.__new__(AlgebraElement)
-        res.terms = out
-        return res
-
-    def __sub__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        res = AlgebraElement.__new__(AlgebraElement)
-        res.terms = {w: -c for w, c in self.terms.items()}
-        return res
-
     def __mul__(self, other):
         # word concatenation, extended bilinearly; no rewriting happens here
-        if isinstance(other, AlgebraElement):
-            out = {}
-            for w1, c1 in self.terms.items():
-                for w2, c2 in other.terms.items():
-                    w = w1 + w2
-                    s = out.get(w, ZERO) + c1 * c2
-                    if s.is_zero():
-                        out.pop(w, None)
-                    else:
-                        out[w] = s
-            res = AlgebraElement.__new__(AlgebraElement)
-            res.terms = out
-            return res
-        if isinstance(other, (int, RatFunc)):
-            return self._scaled(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, RatFunc)):
-            return self._scaled(other)
-        return NotImplemented
-
-    def _scaled(self, c):
-        if isinstance(c, int):
-            c = RatFunc(c)
-        if c.is_zero():
-            return AlgebraElement()
-        res = AlgebraElement.__new__(AlgebraElement)
-        res.terms = {w: c * v for w, v in self.terms.items()}
-        return res
-
-    def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
+            return self.__rmul__(other)
+        out = {}
+        for w1, c1 in self.terms.items():
+            for w2, c2 in other.terms.items():
+                accumulate(out, w1 + w2, c1 * c2)
+        return AlgebraElement.from_clean(out)
 
     def coefficient(self, word):
         return self.terms.get(tuple(word), ZERO)
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: word_sort_key(kv[0]))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for w, c in self.sorted_terms():
-            ws = word_str(w)
-            cs = str(c)
-            neg = cs.startswith("-")
-            if neg:
-                cs = cs[1:]
-            if cs == "1":
-                body = ws
-            else:
-                if c.den == {(0, 0): 1} and len(c.num) > 1:
-                    cs = "(%s)" % cs
-                body = "%s*%s" % (cs, ws) if ws != "1" else cs
-            if not parts:
-                parts.append("-" + body if neg else body)
-            else:
-                parts.append((" - " if neg else " + ") + body)
-        return "".join(parts)
-
-    def __repr__(self):
-        return "AlgebraElement(%s)" % self
 
 
 # ---------------------------------------------------------------------------
@@ -255,15 +158,9 @@ class AlgebraElement:
 
 
 @lru_cache(maxsize=None)
-def _u(k):
-    # [k]_{p,q} / p^k, the ladder building block of the bracket
-    return pq_int(k) * monomial(1, -k, 0)
-
-
-@lru_cache(maxsize=None)
 def bracket_coeff(n, m):
     """Coefficient of L(n+m) in the environment bracket of L(n), L(m)."""
-    return _u(m) - _u(n)
+    return pq_ladder(m) - pq_ladder(n)
 
 
 @lru_cache(maxsize=None)
@@ -271,7 +168,7 @@ def central_coeff(n):
     """Coefficient of C in the environment bracket of L(n), L(-n)."""
     ratio_n = monomial(1, -n, n)  # (q/p)^n
     return (monomial(1, n, -n) / (6 * (ONE + ratio_n))) \
-        * _u(n - 1) * _u(n) * _u(n + 1)
+        * pq_ladder(n - 1) * pq_ladder(n) * pq_ladder(n + 1)
 
 
 def bracket_env(n, m):
@@ -373,14 +270,6 @@ def rewrite_once(word, strategy="leftmost", cfg=DEFAULT_CONFIG):
     return out
 
 
-def _accumulate(store, word, coeff):
-    s = store.get(word, ZERO) + coeff
-    if s.is_zero():
-        store.pop(word, None)
-    else:
-        store[word] = s
-
-
 def _neg_measure(word):
     return tuple(-v for v in measure(word))
 
@@ -406,15 +295,15 @@ def normalize(x, cfg=DEFAULT_CONFIG, strategy="leftmost"):
             continue
         i = find_redex(word, strategy)
         if i is None:
-            _accumulate(result, word, coeff)
+            accumulate(result, word, coeff)
             continue
         for c2, repl in _branches(word[i], word[i + 1], cfg.r5_variant):
             w2 = word[:i] + repl + word[i + 2:]
             fresh = w2 not in coeffs
-            _accumulate(coeffs, w2, coeff * c2)
+            accumulate(coeffs, w2, coeff * c2)
             if fresh and w2 in coeffs:
                 heapq.heappush(heap, (_neg_measure(w2), w2))
-    return AlgebraElement(result)
+    return AlgebraElement.from_clean(result)
 
 
 def multiply(x, y, cfg=DEFAULT_CONFIG):

@@ -16,49 +16,42 @@ the twisted Jacobi identity
     [alpha(x), [y, z]] + [alpha(y), [z, x]] + [alpha(z), [x, y]] = 0,
 
 but the plain Jacobi identity fails, and the twist is deliberately not
-a bracket homomorphism. Everything here is computed independently of
-the word-rewriting layer so the two can cross-check each other.
+a bracket homomorphism. The structure constants are the ones of the
+rewriting layer (``freealg.bracket_coeff`` and ``freealg.central_coeff``),
+so they are not checked against a second copy here. Their independent
+checks are the Fock realization in ``oscillator`` and the twisted Jacobi
+identity, whose central triples test g(n).
 """
 
-from functools import lru_cache
+from .field import ZERO, ONE, LinComb, accumulate, monomial
+from .freealg import C, L, bracket_coeff, central_coeff, word_sort_key, word_str
 
-from .field import RatFunc, ZERO, ONE, monomial, pq_int
-
-
-@lru_cache(maxsize=None)
-def _u(k):
-    """[k] / p^k as an exact rational function."""
-    return pq_int(k) * monomial(1, -k, 0)
+central_g = central_coeff  # the central weight g(n) above
 
 
-@lru_cache(maxsize=None)
-def central_g(n):
-    """Central weight g(n) of the bracket; g(-n) = -g(n) and g(0) = 0."""
-    lead = monomial(1, n, -n) / ((ONE + monomial(1, -n, n)) * 6)
-    return lead * _u(n - 1) * _u(n) * _u(n + 1)
+class HomLieElement(LinComb):
+    """A finite linear combination of the L_n plus a multiple of C.
 
+    The term map is keyed by the letters L(n) and C of the rewriting layer.
+    """
 
-class HomLieElement:
-    """A finite linear combination of the L_n plus a multiple of C."""
-
-    __slots__ = ("l", "c")
+    __slots__ = ()
+    _PAREN_CHARS = "+-/ *"
 
     def __init__(self, l=None, c=ZERO):
-        if isinstance(c, int):
-            c = RatFunc.from_int(c)
-        clean = {}
-        if l:
-            for n, coeff in l.items():
-                if isinstance(coeff, int):
-                    coeff = RatFunc.from_int(coeff)
-                if not coeff.is_zero():
-                    clean[n] = coeff
-        self.l = clean
-        self.c = c
+        terms = {L(n): coeff for n, coeff in l.items()} if l else {}
+        terms[C] = c
+        super().__init__(terms)
 
-    @classmethod
-    def zero(cls):
-        return cls()
+    @property
+    def l(self):
+        """The L part, as a map n -> coefficient."""
+        return {n: coeff for (sym, n), coeff in self.terms.items() if sym == "L"}
+
+    @property
+    def c(self):
+        """The coefficient of C."""
+        return self.terms.get(C, ZERO)
 
     @classmethod
     def lgen(cls, n, coeff=ONE):
@@ -68,99 +61,39 @@ class HomLieElement:
     def cgen(cls, coeff=ONE):
         return cls(c=coeff)
 
-    def is_zero(self):
-        return not self.l and self.c.is_zero()
+    @staticmethod
+    def _sort_key(letter):
+        return word_sort_key((letter,))
 
-    def __eq__(self, other):
-        if not isinstance(other, HomLieElement):
-            return NotImplemented
-        return self.l == other.l and self.c == other.c
-
-    def __hash__(self):
-        return hash((frozenset(self.l.items()), self.c))
-
-    def __add__(self, other):
-        if not isinstance(other, HomLieElement):
-            return NotImplemented
-        out = dict(self.l)
-        for n, coeff in other.l.items():
-            out[n] = out[n] + coeff if n in out else coeff
-        return HomLieElement(out, self.c + other.c)
-
-    def __neg__(self):
-        return HomLieElement({n: -v for n, v in self.l.items()}, -self.c)
-
-    def __sub__(self, other):
-        if not isinstance(other, HomLieElement):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, coeff):
-        if isinstance(coeff, int):
-            coeff = RatFunc.from_int(coeff)
-        if coeff.is_zero():
-            return HomLieElement.zero()
-        return HomLieElement({n: coeff * v for n, v in self.l.items()}, coeff * self.c)
-
-    def __rmul__(self, coeff):
-        if isinstance(coeff, (int, RatFunc)):
-            return self.scale(coeff)
-        return NotImplemented
-
-    def __str__(self):
-        parts = []
-        for n in sorted(self.l):
-            parts.append((f"L({n})", self.l[n]))
-        if not self.c.is_zero():
-            parts.append(("C", self.c))
-        if not parts:
-            return "0"
-        pieces = []
-        for name, coeff in parts:
-            cstr = str(coeff)
-            sign = " + "
-            if cstr.startswith("-"):
-                sign = " - "
-                cstr = cstr[1:]
-            if cstr == "1":
-                body = name
-            elif any(ch in cstr for ch in "+-/ ") or "*" in cstr:
-                body = f"({cstr})*{name}"
-            else:
-                body = f"{cstr}*{name}"
-            if not pieces:
-                pieces.append(body if sign == " + " else "-" + body)
-            else:
-                pieces.append(sign + body)
-        return "".join(pieces)
-
-    def __repr__(self):
-        return f"HomLieElement({self})"
+    @staticmethod
+    def _key_str(letter):
+        return word_str((letter,))
 
 
 def vbracket(x, y):
     """Bilinear bracket; C is central, so only L-L pairs contribute."""
-    l_out = {}
-    c_out = ZERO
-    for n, cx in x.l.items():
-        for m, cy in y.l.items():
+    out = {}
+    for (sx, n), cx in x.terms.items():
+        if sx != "L":
+            continue
+        for (sy, m), cy in y.terms.items():
+            if sy != "L":
+                continue
             w = cx * cy
-            coeff = _u(m) - _u(n)
-            if not coeff.is_zero():
-                s = m + n
-                add = w * coeff
-                l_out[s] = l_out[s] + add if s in l_out else add
+            coeff = bracket_coeff(n, m)
+            if coeff:
+                accumulate(out, L(n + m), w * coeff)
             if m + n == 0:
-                c_out = c_out + w * central_g(n)
-    return HomLieElement(l_out, c_out)
+                accumulate(out, C, w * central_coeff(n))
+    return HomLieElement.from_clean(out)
 
 
 def alpha(x):
     """The twist map: L_n goes to (1 + (q/p)^n) L_n, C is fixed."""
-    return HomLieElement(
-        {n: coeff * (ONE + monomial(1, -n, n)) for n, coeff in x.l.items()},
-        x.c,
-    )
+    return HomLieElement.from_clean({
+        (sym, n): coeff * (ONE + monomial(1, -n, n)) if sym == "L" else coeff
+        for (sym, n), coeff in x.terms.items()
+    })
 
 
 def skew_residual(n, m):
@@ -203,8 +136,8 @@ def structure_constant_records(window):
     records = []
     for n in range(-window, window + 1):
         for m in range(-window, window + 1):
-            coeff_l = _u(m) - _u(n)
-            coeff_c = central_g(n) if m + n == 0 else ZERO
+            coeff_l = bracket_coeff(n, m)
+            coeff_c = central_coeff(n) if m + n == 0 else ZERO
             records.append(
                 {
                     "n": n,

@@ -21,7 +21,7 @@ the C-commutation relation can be explored as well.
 
 from dataclasses import dataclass, field as dc_field
 
-from .field import RatFunc, ZERO, ONE
+from .field import ZERO, ONE, LinComb, accumulate
 from .freealg import (
     AlgebraElement,
     DEFAULT_CONFIG,
@@ -54,25 +54,22 @@ class HopfConfig:
 DEFAULT_HOPF = HopfConfig()
 
 
-class TensorElement:
+class TensorElement(LinComb):
     """Linear combination of slot tuples of words (arity 2 or 3)."""
 
-    __slots__ = ("arity", "terms")
+    __slots__ = ()
+    _PAREN_CHARS = "+-/ "
 
     def __init__(self, arity, terms=None):
         if arity not in (2, 3):
             raise ValueError("tensor arity must be 2 or 3")
-        self.arity = arity
-        clean = {}
-        if terms:
-            for slots, coeff in terms.items():
-                if isinstance(coeff, int):
-                    coeff = RatFunc.from_int(coeff)
-                if len(slots) != arity:
-                    raise ValueError("slot tuple length does not match arity")
-                if not coeff.is_zero():
-                    clean[slots] = coeff
-        self.terms = clean
+        if terms and any(len(slots) != arity for slots in terms):
+            raise ValueError("slot tuple length does not match arity")
+        super().__init__(terms, arity)
+
+    @property
+    def arity(self):
+        return self.shape
 
     @classmethod
     def zero(cls, arity=2):
@@ -82,69 +79,13 @@ class TensorElement:
     def unit(cls, arity=2):
         return cls(arity, {((),) * arity: ONE})
 
-    def is_zero(self):
-        return not self.terms
+    @staticmethod
+    def _sort_key(slots):
+        return tuple(word_sort_key(w) for w in slots)
 
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self.arity == other.arity and self.terms == other.terms
-
-    def __add__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        if self.arity != other.arity:
-            raise ValueError("arity mismatch")
-        out = dict(self.terms)
-        for slots, coeff in other.terms.items():
-            out[slots] = out[slots] + coeff if slots in out else coeff
-        return TensorElement(self.arity, out)
-
-    def __neg__(self):
-        return TensorElement(self.arity, {s: -c for s, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, coeff):
-        if isinstance(coeff, int):
-            coeff = RatFunc.from_int(coeff)
-        if coeff.is_zero():
-            return TensorElement(self.arity)
-        return TensorElement(self.arity, {s: coeff * c for s, c in self.terms.items()})
-
-    def sorted_terms(self):
-        return sorted(
-            self.terms.items(),
-            key=lambda item: tuple(word_sort_key(w) for w in item[0]),
-        )
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        for slots, coeff in self.sorted_terms():
-            body = "(x)".join(word_str(w) for w in slots)
-            cstr = str(coeff)
-            sign = " + "
-            if cstr.startswith("-"):
-                sign = " - "
-                cstr = cstr[1:]
-            if cstr != "1":
-                if any(ch in cstr for ch in "+-/ "):
-                    body = f"({cstr})*{body}"
-                else:
-                    body = f"{cstr}*{body}"
-            if not pieces:
-                pieces.append(body if sign == " + " else "-" + body)
-            else:
-                pieces.append(sign + body)
-        return "".join(pieces)
-
-    def __repr__(self):
-        return f"TensorElement({self})"
+    @staticmethod
+    def _key_str(slots):
+        return "(x)".join(word_str(w) for w in slots)
 
 
 def tensor_normalize(t, cfg=DEFAULT_HOPF):
@@ -161,8 +102,8 @@ def tensor_normalize(t, cfg=DEFAULT_HOPF):
                 for w, cw in slot_terms.items()
             ]
         for done, c in stack:
-            out[done] = out[done] + c if done in out else c
-    return TensorElement(t.arity, out)
+            accumulate(out, done, c)
+    return TensorElement.from_clean(out, t.arity)
 
 
 def tensor_multiply(x, y, cfg=DEFAULT_HOPF):
@@ -172,10 +113,8 @@ def tensor_multiply(x, y, cfg=DEFAULT_HOPF):
     raw = {}
     for s1, c1 in x.terms.items():
         for s2, c2 in y.terms.items():
-            slots = tuple(a + b for a, b in zip(s1, s2))
-            c = c1 * c2
-            raw[slots] = raw[slots] + c if slots in raw else c
-    return tensor_normalize(TensorElement(x.arity, raw), cfg)
+            accumulate(raw, tuple(a + b for a, b in zip(s1, s2)), c1 * c2)
+    return tensor_normalize(TensorElement.from_clean(raw, x.arity), cfg)
 
 
 def _letter_coproduct(letter, cfg):
@@ -201,13 +140,11 @@ def coproduct(x, cfg=DEFAULT_HOPF):
             grown = {}
             for (a, b), c in partial.items():
                 for (u, v), d in step.items():
-                    slots = (a + u, b + v)
-                    w = c * d
-                    grown[slots] = grown[slots] + w if slots in grown else w
+                    accumulate(grown, (a + u, b + v), c * d)
             partial = grown
         for slots, c in partial.items():
-            out[slots] = out[slots] + c if slots in out else c
-    return tensor_normalize(TensorElement(2, out), cfg)
+            accumulate(out, slots, c)
+    return tensor_normalize(TensorElement.from_clean(out, 2), cfg)
 
 
 def counit(x):
@@ -239,17 +176,15 @@ def antipode(x, cfg=DEFAULT_HOPF):
                 letters.extend(t_word(-n))
                 letters.append(("L", n))
                 letters.extend(t_word(-n))
-        key = tuple(letters)
-        add = coeff if sign > 0 else -coeff
-        out[key] = out[key] + add if key in out else add
-    return normalize(AlgebraElement(out), cfg.rewrite)
+        accumulate(out, tuple(letters), coeff if sign > 0 else -coeff)
+    return normalize(AlgebraElement.from_clean(out), cfg.rewrite)
 
 
 def tau_swap(t):
     """Exchange the two slots of an arity-2 tensor."""
     if t.arity != 2:
         raise ValueError("slot swap is defined for arity 2")
-    return TensorElement(2, {(b, a): c for (a, b), c in t.terms.items()})
+    return TensorElement.from_clean({(b, a): c for (a, b), c in t.terms.items()}, 2)
 
 
 def cocommutativity_residual(x, cfg=DEFAULT_HOPF):
@@ -270,14 +205,10 @@ def check_coassoc(x, cfg=DEFAULT_HOPF):
     right = {}
     for (w1, w2), c in d.terms.items():
         for (u, v), c2 in coproduct(AlgebraElement.from_word(w1), cfg).terms.items():
-            slots = (u, v, w2)
-            w = c * c2
-            left[slots] = left[slots] + w if slots in left else w
+            accumulate(left, (u, v, w2), c * c2)
         for (u, v), c2 in coproduct(AlgebraElement.from_word(w2), cfg).terms.items():
-            slots = (w1, u, v)
-            w = c * c2
-            right[slots] = right[slots] + w if slots in right else w
-    res = TensorElement(3, left) - TensorElement(3, right)
+            accumulate(right, (w1, u, v), c * c2)
+    res = TensorElement.from_clean(left, 3) - TensorElement.from_clean(right, 3)
     return tensor_normalize(res, cfg)
 
 

@@ -11,7 +11,9 @@ relation of the chosen mode together with lam_0 = 0:
 
 The generators L_n = (a+)^(n+1) a (n >= -1) then give matrices on
 which the deformed Virasoro relations can be checked by exact
-arithmetic, entirely independently of the symbolic rewriting engine.
+arithmetic. The matrices are built independently of the symbolic
+rewriting engine, so checking its structure constants on them is an
+independent test of those constants.
 Truncation spoils the top edge of the matrix, so identities are only
 asserted on guarded columns that no intermediate state can push past
 the cutoff.
@@ -19,32 +21,35 @@ the cutoff.
 
 from dataclasses import dataclass
 
-from .field import RatFunc, ZERO, ONE, P, Q, monomial, q_int, pq_int
+from .field import (
+    RatFunc, ZERO, ONE, P, Q, LinComb, accumulate, monomial, pq_int, pq_ladder, q_int,
+)
+from .freealg import bracket_coeff
 
 MODES = ("classical", "one_param", "two_param")
 
 
-class FockOperator:
+class FockOperator(LinComb):
     """Sparse N x N matrix of exact rational-function entries.
 
     entries maps (row, col) to a nonzero RatFunc; the operator sends
     basis column |k> to sum_i entries[(i, k)] |i>.
     """
 
-    __slots__ = ("dim", "entries")
+    __slots__ = ()
 
     def __init__(self, dim, entries=None):
         if not isinstance(dim, int) or dim < 1:
             raise ValueError("dimension must be a positive integer")
-        self.dim = dim
-        clean = {}
-        if entries:
-            for pos, val in entries.items():
-                if isinstance(val, int):
-                    val = RatFunc.from_int(val)
-                if not val.is_zero():
-                    clean[pos] = val
-        self.entries = clean
+        super().__init__(entries, dim)
+
+    @property
+    def dim(self):
+        return self.shape
+
+    @property
+    def entries(self):
+        return self.terms
 
     @classmethod
     def zero(cls, dim):
@@ -54,62 +59,20 @@ class FockOperator:
     def identity(cls, dim):
         return cls(dim, {(k, k): ONE for k in range(dim)})
 
-    def __eq__(self, other):
-        if not isinstance(other, FockOperator):
-            return NotImplemented
-        return self.dim == other.dim and self.entries == other.entries
-
-    def __hash__(self):
-        return hash((self.dim, frozenset(self.entries.items())))
-
-    def __add__(self, other):
-        if not isinstance(other, FockOperator):
-            return NotImplemented
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        out = dict(self.entries)
-        for pos, val in other.entries.items():
-            out[pos] = out[pos] + val if pos in out else val
-        return FockOperator(self.dim, out)
-
-    def __neg__(self):
-        return FockOperator(self.dim, {pos: -val for pos, val in self.entries.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, FockOperator):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, c):
-        if isinstance(c, int):
-            c = RatFunc.from_int(c)
-        if c.is_zero():
-            return FockOperator.zero(self.dim)
-        return FockOperator(self.dim, {pos: c * val for pos, val in self.entries.items()})
-
     def __mul__(self, other):
         """Matrix product with another operator, or scaling by a coefficient."""
-        if isinstance(other, FockOperator):
-            if self.dim != other.dim:
-                raise ValueError("dimension mismatch")
-            by_row = {}
-            for (k, j), val in other.entries.items():
-                by_row.setdefault(k, []).append((j, val))
-            out = {}
-            for (i, k), u in self.entries.items():
-                for j, v in by_row.get(k, ()):
-                    w = u * v
-                    pos = (i, j)
-                    out[pos] = out[pos] + w if pos in out else w
-            return FockOperator(self.dim, out)
-        if isinstance(other, (int, RatFunc)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, RatFunc)):
-            return self.scale(other)
-        return NotImplemented
+        if not isinstance(other, FockOperator):
+            return self.__rmul__(other)
+        if self.shape != other.shape:
+            raise ValueError("dimension mismatch")
+        by_row = {}
+        for (k, j), val in other.terms.items():
+            by_row.setdefault(k, []).append((j, val))
+        out = {}
+        for (i, k), u in self.terms.items():
+            for j, v in by_row.get(k, ()):
+                accumulate(out, (i, j), u * v)
+        return FockOperator.from_clean(out, self.shape)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -125,34 +88,25 @@ class FockOperator:
 
     def column(self, k):
         """The image of |k> as a map row -> coefficient."""
-        return {i: val for (i, j), val in self.entries.items() if j == k}
+        return {i: val for (i, j), val in self.terms.items() if j == k}
 
     def restrict(self, cols):
         """Keep only the columns in cols, zeroing the rest."""
         keep = set(cols)
-        return FockOperator(self.dim, {pos: val for pos, val in self.entries.items() if pos[1] in keep})
+        return FockOperator.from_clean(
+            {pos: val for pos, val in self.terms.items() if pos[1] in keep}, self.shape)
 
     def is_zero_on(self, cols):
         keep = set(cols)
-        return not any(pos[1] in keep for pos in self.entries)
-
-    def is_zero(self):
-        return not self.entries
-
-    def map_entries(self, fn):
-        """Apply fn to every entry (for specializing p or q)."""
-        return FockOperator(self.dim, {pos: fn(val) for pos, val in self.entries.items()})
+        return not any(pos[1] in keep for pos in self.terms)
 
     def __str__(self):
-        if not self.entries:
+        if not self.terms:
             return "0"
-        parts = []
-        for (i, j) in sorted(self.entries):
-            parts.append(f"({i},{j}): {self.entries[(i, j)]}")
-        return "{" + ", ".join(parts) + "}"
+        return "{%s}" % ", ".join(f"({i},{j}): {val}" for (i, j), val in self.sorted_terms())
 
     def __repr__(self):
-        return f"FockOperator(dim={self.dim}, nnz={len(self.entries)})"
+        return f"FockOperator(dim={self.dim}, nnz={len(self.terms)})"
 
 
 def lowering_coeff(k, mode):
@@ -164,7 +118,7 @@ def lowering_coeff(k, mode):
     if mode == "one_param":
         return q_int(k)
     if mode == "two_param":
-        return pq_int(k) * monomial(1, -k, 0)
+        return pq_ladder(k)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -253,11 +207,6 @@ def deformed_commutator(A, B, alpha, beta):
     return A * B * alpha - B * A * beta
 
 
-def _u(k):
-    """[k] / p^k, the coefficient weight of the two-parameter bracket."""
-    return pq_int(k) * monomial(1, -k, 0)
-
-
 def bracket_weights(n, m, mode):
     """Coefficients (alpha, beta, gamma) of the mode's bracket relation.
 
@@ -268,7 +217,7 @@ def bracket_weights(n, m, mode):
     if mode == "one_param":
         return Q ** n, Q ** m, q_int(m) - q_int(n)
     if mode == "two_param":
-        return monomial(1, -n, n), monomial(1, -m, m), _u(m) - _u(n)
+        return monomial(1, -n, n), monomial(1, -m, m), bracket_coeff(n, m)
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -1,0 +1,70 @@
+"""Pinned renderings and pinned command-line outputs.
+
+Verification records, tables and normal forms are compared byte for byte
+across changes, so the exact text of every element type is part of the
+interface.  A change that means to alter these bytes records the digests
+again, and says so.
+"""
+
+import hashlib
+
+import pytest
+
+from pqvirasoro.cli import main
+from pqvirasoro.field import P, Q
+from pqvirasoro.freealg import AlgebraElement, C, L, T
+from pqvirasoro.homlie import HomLieElement
+from pqvirasoro.hopf import TensorElement
+from pqvirasoro.oscillator import FockOperator
+
+
+def test_rendering_of_coefficient_shapes():
+    # each type has its own rule for parenthesizing a coefficient; -(p + q)
+    # renders with doubled parentheses in all three term renderers
+    a, b, c, d = P / Q, 3 * P ** 2 * Q, -(P + Q), (P + Q) / Q
+    assert str(AlgebraElement({(L(1),): c, (L(2),): a, (T, L(3)): b, (): d})) == (
+        "3*p^2*q*T L(3) - ((p + q))*L(1) + p/q*L(2) + ((p + q)/q)")
+    assert str(AlgebraElement({(L(1),): a, (): c})) == "p/q*L(1) - ((p + q))"
+    tensor = TensorElement(2, {((L(1),), ()): c, ((), (L(1),)): a,
+                               ((C,), (T,)): b, ((), ()): d})
+    assert str(tensor) == (
+        "-((p + q))*L(1)(x)1 + 3*p^2*q*C(x)T + (p/q)*1(x)L(1) + ((p + q)/q)*1(x)1")
+    assert str(HomLieElement({-1: c, 0: a, 2: b}, d)) == (
+        "-((p + q))*L(-1) + (p/q)*L(0) + (3*p^2*q)*L(2) + ((p + q)/q)*C")
+    assert str(HomLieElement({5: d}, c)) == "((p + q)/q)*L(5) - ((p + q))*C"
+    fock = FockOperator(3, {(0, 1): a, (1, 2): b, (0, 0): c, (2, 1): d})
+    assert str(fock) == "{(0,0): -(p + q), (0,1): p/q, (1,2): 3*p^2*q, (2,1): (p + q)/q}"
+
+
+GOLDEN = [
+    (["verify", "--suite", "all", "--range", "2", "--dim", "8", "--words", "20",
+      "--seed", "0"], 1,
+     "2ef77a0d054698c57c684e81e1b57837ffe2fd4eed3657e07d7d58cb18c466bb"),
+    (["table", "--kind", "structure_constants", "--range", "2", "--format", "json"], 0,
+     "689d0619fe3325f8c8d93a8493b341ad1595d851386dc6dbf14316d508fd0df3"),
+    (["table", "--kind", "structure_constants", "--range", "2", "--format", "latex"], 0,
+     "767a8800d2ae2b4ae24b8cd6fdaad3b4432cd15ceb4b67a921b7f0f8feff46e2"),
+    (["table", "--kind", "hopf_maps", "--range", "2", "--format", "json"], 0,
+     "29c12063a5291cbc922705ea486304d031a4444177cf99c4505e3fc2e9baf48a"),
+    (["table", "--kind", "hopf_maps", "--range", "2", "--format", "latex"], 0,
+     "4dcb167c30db7f9fcf207011f1669efc795945081e5352f39519769b84f8354d"),
+    (["fock", "--dim", "8", "--range", "3", "--format", "csv"], 0,
+     "df6076abd5b9f52f6b43e831d76e29dc9066bd9aaea420fc3bfd80a4e7c58bb2"),
+]
+
+VERIFY_SUMMARY = """\
+fock           47 records  all ok
+homlie         37 records  all ok
+hopf          607 records  36 failing (antipode, antipode_preserves_R4)
+confluence      6 records  6 failing (strategy_agreement, summary)
+"""
+
+
+@pytest.mark.parametrize("argv, code, digest", GOLDEN,
+                         ids=[" ".join(argv) for argv, _, _ in GOLDEN])
+def test_cli_output_matches_recorded_digest(capsys, argv, code, digest):
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    # verify reports one summary line per suite on stderr, off the record stream
+    assert err == (VERIFY_SUMMARY if argv[0] == "verify" else "")
