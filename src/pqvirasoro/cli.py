@@ -246,57 +246,6 @@ def render_element(x):
     return str(x)
 
 
-def _word_latex(word):
-    if not word:
-        return "1"
-    runs = []
-    for letter in word:
-        if runs and runs[-1][0] == letter:
-            runs[-1][1] += 1
-        else:
-            runs.append([letter, 1])
-    parts = []
-    for (sym, n), count in runs:
-        if sym == "T":
-            exp = n * count
-            parts.append("\\mathcal{T}" if exp == 1 else f"\\mathcal{{T}}^{{{exp}}}")
-        elif sym == "C":
-            parts.append("C" if count == 1 else f"C^{{{count}}}")
-        else:
-            base = f"L_{{{n}}}"
-            parts.append(base if count == 1 else f"{base}^{{{count}}}")
-    return " ".join(parts)
-
-
-def _slots_latex(slots):
-    return " \\otimes ".join(_word_latex(w) for w in slots)
-
-
-def element_latex(x, key_latex=_word_latex):
-    """LaTeX for an element, or for a tensor with key_latex=_slots_latex."""
-    if x.is_zero():
-        return "0"
-    pieces = []
-    for key, coeff in x.sorted_terms():
-        cstr = coeff.latex()
-        body = key_latex(key)
-        sign = "+"
-        if cstr.startswith("-"):
-            sign = "-"
-            cstr = cstr[1:]
-        if body == "1":
-            term = cstr
-        elif cstr == "1":
-            term = body
-        else:
-            term = f"{cstr}\\, {body}"
-        if not pieces:
-            pieces.append(term if sign == "+" else "-" + term)
-        else:
-            pieces.append(f" {sign} {term}")
-    return "".join(pieces)
-
-
 def _emit(lines, out_path):
     text = "\n".join(lines) + "\n"
     if out_path:
@@ -411,31 +360,25 @@ def _suite_homlie(report, window):
     )
 
 
+def _hopf_axioms(report, x, label, cfg):
+    """The coassociativity, counit and antipode records of x, in that order."""
+    res = hopfmod.check_coassoc(x, cfg)
+    report.add("hopf", "coassoc", res.is_zero(), res, x=label)
+    for check, fn in (("counit", hopfmod.check_counit), ("antipode", hopfmod.check_antipode)):
+        r1, r2 = fn(x, cfg)
+        report.add("hopf", check, r1.is_zero() and r2.is_zero(),
+                   r1 if not r1.is_zero() else r2, x=label)
+
+
 def _suite_hopf(report, window, cfg):
     gens = hopfmod.generators(window)
     for name, g in gens:
-        res = hopfmod.check_coassoc(g, cfg)
-        report.add("hopf", "coassoc", res.is_zero(), res, x=name)
-        r1, r2 = hopfmod.check_counit(g, cfg)
-        report.add("hopf", "counit", r1.is_zero() and r2.is_zero(),
-                   r1 if not r1.is_zero() else r2, x=name)
-        a1, a2 = hopfmod.check_antipode(g, cfg)
-        report.add("hopf", "antipode", a1.is_zero() and a2.is_zero(),
-                   a1 if not a1.is_zero() else a2, x=name)
+        _hopf_axioms(report, g, name, cfg)
         res = hopfmod.cocommutativity_residual(g, cfg)
         report.add("hopf", "cocommutative", res.is_zero(), res, x=name)
     for name1, g1 in gens:
         for name2, g2 in gens:
-            x = g1 * g2
-            label = f"{name1}*{name2}"
-            res = hopfmod.check_coassoc(x, cfg)
-            report.add("hopf", "coassoc", res.is_zero(), res, x=label)
-            r1, r2 = hopfmod.check_counit(x, cfg)
-            report.add("hopf", "counit", r1.is_zero() and r2.is_zero(),
-                       r1 if not r1.is_zero() else r2, x=label)
-            a1, a2 = hopfmod.check_antipode(x, cfg)
-            report.add("hopf", "antipode", a1.is_zero() and a2.is_zero(),
-                       a1 if not a1.is_zero() else a2, x=label)
+            _hopf_axioms(report, g1 * g2, f"{name1}*{name2}", cfg)
     for mapname in ("delta", "antipode", "counit"):
         for rel in RELATION_NAMES:
             for n in range(-window, window + 1):
@@ -499,16 +442,17 @@ def _structure_constants_lines(window, fmt):
         return [json.dumps(r) for r in records]
     lines = ["\\begin{align*}"]
     for r in records:
-        lhs = f"\\big[L_{{{r['n']}}},L_{{{r['m']}}}\\big]"
-        coeff_l = bracket_coeff(r["n"], r["m"])
+        n, m = r["n"], r["m"]
+        ln, lm, lnm = (word_str((L(k),), latex=True) for k in (n, m, n + m))
+        coeff_l = bracket_coeff(n, m)
         terms = []
         if not coeff_l.is_zero():
-            terms.append(f"\\left({coeff_l.latex()}\\right)L_{{{r['n'] + r['m']}}}")
+            terms.append(f"\\left({coeff_l.latex()}\\right){lnm}")
         if r["coeff_C"] != "0":
-            cc = central_coeff(r["n"])
+            cc = central_coeff(n)
             terms.append(f"\\left({cc.latex()}\\right)C")
         rhs = " + ".join(terms) if terms else "0"
-        lines.append(f"  {lhs} &= {rhs} \\\\")
+        lines.append(f"  \\big[{ln},{lm}\\big] &= {rhs} \\\\")
     lines.append("\\end{align*}")
     return lines
 
@@ -529,11 +473,10 @@ def _hopf_maps_lines(window, fmt, cfg):
         return [json.dumps(r) for r in rows]
     lines = ["\\begin{align*}"]
     for name, g in gens:
-        gl = element_latex(normalize(g, cfg.rewrite))
-        delta = element_latex(hopfmod.coproduct(g, cfg), _slots_latex)
-        lines.append(f"  \\Delta({gl}) &= {delta} \\\\")
+        gl = normalize(g, cfg.rewrite).latex()
+        lines.append(f"  \\Delta({gl}) &= {hopfmod.coproduct(g, cfg).latex()} \\\\")
         lines.append(f"  \\epsilon({gl}) &= {hopfmod.counit(g).latex()} \\\\")
-        lines.append(f"  S({gl}) &= {element_latex(hopfmod.antipode(g, cfg))} \\\\")
+        lines.append(f"  S({gl}) &= {hopfmod.antipode(g, cfg).latex()} \\\\")
     lines.append("\\end{align*}")
     return lines
 
@@ -548,39 +491,28 @@ def _cmd_table(args):
     return 0
 
 
-def _cmd_normalize(args):
-    x = parse_expression(args.expr)
-    cfg = _rewrite_config(args)
-    nf = normalize(x, cfg)
+def _emit_element(args, x, name, **fields):
+    """Write x as text, as LaTeX, or as a JSON object of fields, x under
+    name, and its term map."""
     if args.format == "json":
-        payload = {
-            "input": args.expr,
-            "normal_form": render_element(nf),
-            "terms": to_json_dict(nf),
-        }
-        _emit([json.dumps(payload)], args.out)
+        fields[name] = render_element(x)
+        fields["terms"] = to_json_dict(x)
+        line = json.dumps(fields)
     elif args.format == "latex":
-        _emit([element_latex(nf)], args.out)
+        line = x.latex()
     else:
-        _emit([render_element(nf)], args.out)
+        line = render_element(x)
+    _emit([line], args.out)
     return 0
+
+
+def _cmd_normalize(args):
+    nf = normalize(parse_expression(args.expr), _rewrite_config(args))
+    return _emit_element(args, nf, "normal_form", input=args.expr)
 
 
 def _cmd_bracket(args):
-    elem = bracket_env(args.n, args.m)
-    if args.format == "json":
-        payload = {
-            "n": args.n,
-            "m": args.m,
-            "element": render_element(elem),
-            "terms": to_json_dict(elem),
-        }
-        _emit([json.dumps(payload)], args.out)
-    elif args.format == "latex":
-        _emit([element_latex(elem)], args.out)
-    else:
-        _emit([render_element(elem)], args.out)
-    return 0
+    return _emit_element(args, bracket_env(args.n, args.m), "element", n=args.n, m=args.m)
 
 
 def _cmd_fock(args):
@@ -665,10 +597,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ExpressionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ExpressionError is one too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -118,6 +118,7 @@ def _p_min_exps(f):
 
 
 def _p_content(f):
+    # gcd of the integer coefficients; the univariate helpers use it as well
     c = 0
     for v in f.values():
         c = _int_gcd(c, v)
@@ -213,19 +214,10 @@ def _u_sub(F, G):
     return out
 
 
-def _u_content(F):
-    c = 0
-    for v in F.values():
-        c = _int_gcd(c, v)
-        if c == 1:
-            break
-    return c
-
-
 def _u_primitive(F):
     if not F:
         return {}
-    c = _u_content(F)
+    c = _p_content(F)
     if c == 1:
         return dict(F)
     return {e: v // c for e, v in F.items()}
@@ -262,8 +254,8 @@ def _u_gcd(F, G):
         return _u_sign(G)
     if not G:
         return _u_sign(F)
-    cf = _u_content(F)
-    cg = _u_content(G)
+    cf = _p_content(F)
+    cg = _p_content(G)
     c = _int_gcd(cf, cg)
     A = {e: v // cf for e, v in F.items()}
     B = {e: v // cg for e, v in G.items()}
@@ -369,18 +361,6 @@ def _p_gcd_core(f, g):
         H = _u_gcd(F, G)
         d = _u_deg(H)
         return {(i, d - i): c for i, c in H.items()}
-    fp = max(i for i, _ in f)
-    gp = max(i for i, _ in g)
-    if fp == 0 and gp == 0:
-        H = _u_gcd({j: c for (_, j), c in f.items()},
-                   {j: c for (_, j), c in g.items()})
-        return {(0, j): c for j, c in H.items()}
-    fq = max(j for _, j in f)
-    gq = max(j for _, j in g)
-    if fq == 0 and gq == 0:
-        H = _u_gcd({i: c for (i, _), c in f.items()},
-                   {i: c for (i, _), c in g.items()})
-        return {(i, 0): c for i, c in H.items()}
     F = _rec_from(f)
     G = _rec_from(g)
     cf = _rec_content_p(F)
@@ -737,7 +717,7 @@ class RatFunc:
         den = _p_shift(self.den, max(-a, 0), max(-b, 0))
         return num, den
 
-    def __str__(self):
+    def _render(self, latex):
         if not self.num:
             return "0"
         num, den = self._display_parts()
@@ -745,32 +725,25 @@ class RatFunc:
         if _p_lead_coeff(num) < 0:
             sign = "-"
             num = _p_neg(num)
-        ns = _poly_str(num)
+        ns = _poly_str(num, latex)
         if den == _ONE_P:
             if sign and len(num) > 1:
-                return "-(%s)" % ns
+                return ("-\\left(%s\\right)" if latex else "-(%s)") % ns
             return sign + ns
+        ds = _poly_str(den, latex)
+        if latex:
+            return "%s\\frac{%s}{%s}" % (sign, ns, ds)
         if len(num) > 1:
             ns = "(%s)" % ns
-        ds = _poly_str(den)
         if not _den_is_atomic(den):
             ds = "(%s)" % ds
         return "%s%s/%s" % (sign, ns, ds)
 
+    def __str__(self):
+        return self._render(False)
+
     def latex(self):
-        if not self.num:
-            return "0"
-        num, den = self._display_parts()
-        sign = ""
-        if _p_lead_coeff(num) < 0:
-            sign = "-"
-            num = _p_neg(num)
-        ns = _poly_str(num, latex=True)
-        if den == _ONE_P:
-            if sign and len(num) > 1:
-                return "-\\left(%s\\right)" % ns
-            return sign + ns
-        return "%s\\frac{%s}{%s}" % (sign, ns, _poly_str(den, latex=True))
+        return self._render(True)
 
     def __repr__(self):
         return "RatFunc(%s)" % self
@@ -841,10 +814,10 @@ class LinComb:
 
     shape is None or a value that two combinations must share to be added
     or equal (a tensor arity, a matrix dimension).  Subclasses give the
-    order of their keys (``_sort_key``), how a key renders (``_key_str``),
-    when a coefficient is parenthesized in front of a key (``_paren``, by
-    default when it holds one of the characters ``_PAREN_CHARS``), and
-    whatever product they have.
+    order of their keys (``_sort_key``), how a key renders as text or LaTeX
+    (``_key_str(key, latex)``), when a text coefficient is parenthesized in
+    front of a key (``_paren``, by default when it holds one of the
+    characters ``_PAREN_CHARS``), and whatever product they have.
     """
 
     __slots__ = ("terms", "shape")
@@ -928,25 +901,32 @@ class LinComb:
         """Whether the sign-stripped coefficient text cs needs parentheses."""
         return any(ch in cs for ch in self._PAREN_CHARS)
 
-    def __str__(self):
+    def _render(self, latex):
+        product = "%s\\, %s" if latex else "%s*%s"
         pieces = []
         for key, coeff in self.sorted_terms():
-            ks = self._key_str(key)
-            cs = str(coeff)
+            ks = self._key_str(key, latex)
+            cs = coeff._render(latex)
             neg = cs.startswith("-")
             if neg:
                 cs = cs[1:]
             if cs == "1":
                 body = ks
             else:
-                if self._paren(cs, coeff):
+                if not latex and self._paren(cs, coeff):
                     cs = "(%s)" % cs
-                body = cs if ks == "1" else "%s*%s" % (cs, ks)
+                body = cs if ks == "1" else product % (cs, ks)
             if not pieces:
                 pieces.append("-" + body if neg else body)
             else:
                 pieces.append((" - " if neg else " + ") + body)
         return "".join(pieces) or "0"
+
+    def __str__(self):
+        return self._render(False)
+
+    def latex(self):
+        return self._render(True)
 
     def __repr__(self):
         return "%s(%s)" % (type(self).__name__, self)

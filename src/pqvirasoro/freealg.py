@@ -89,10 +89,16 @@ def word_sort_key(word):
     return (-len(word), tuple(_letter_key(a) for a in word))
 
 
-def word_str(word):
-    """Render a word, merging runs of equal letters into powers."""
+# (T, L(n), power) notation: text first, then LaTeX
+_NOTATION = (("T", "L(%d)", "^%d"), ("\\mathcal{T}", "L_{%d}", "^{%d}"))
+
+
+def word_str(word, latex=False):
+    """Render a word as text or LaTeX, merging runs of equal letters into
+    powers (a run of T^-1 becomes a negative power of T)."""
     if not word:
         return "1"
+    t_sym, l_fmt, power = _NOTATION[latex]
     parts = []
     i = 0
     n = len(word)
@@ -103,13 +109,12 @@ def word_str(word):
         tag, idx = word[i]
         count = j - i
         if tag == "T":
-            e = idx * count
-            parts.append("T" if e == 1 else "T^%d" % e)
+            base, count = t_sym, idx * count
         elif tag == "L":
-            base = "L(%d)" % idx
-            parts.append(base if count == 1 else base + "^%d" % count)
+            base = l_fmt % idx
         else:
-            parts.append("C" if count == 1 else "C^%d" % count)
+            base = "C"
+        parts.append(base if count == 1 else base + power % count)
         i = j
     return " ".join(parts)
 
@@ -131,7 +136,7 @@ class AlgebraElement(LinComb):
         return cls({(): ONE})
 
     @classmethod
-    def from_word(cls, word, coeff=1):
+    def from_word(cls, word, coeff=ONE):
         return cls({tuple(word): coeff})
 
     @classmethod

@@ -66,8 +66,8 @@ class HomLieElement(LinComb):
         return word_sort_key((letter,))
 
     @staticmethod
-    def _key_str(letter):
-        return word_str((letter,))
+    def _key_str(letter, latex=False):
+        return word_str((letter,), latex)
 
 
 def vbracket(x, y):

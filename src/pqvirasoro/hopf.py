@@ -84,8 +84,8 @@ class TensorElement(LinComb):
         return tuple(word_sort_key(w) for w in slots)
 
     @staticmethod
-    def _key_str(slots):
-        return "(x)".join(word_str(w) for w in slots)
+    def _key_str(slots, latex=False):
+        return (" \\otimes " if latex else "(x)").join(word_str(w, latex) for w in slots)
 
 
 def tensor_normalize(t, cfg=DEFAULT_HOPF):
@@ -147,11 +147,15 @@ def coproduct(x, cfg=DEFAULT_HOPF):
     return tensor_normalize(TensorElement.from_clean(out, 2), cfg)
 
 
+def _is_t_power(word):
+    return all(sym == "T" for sym, _ in word)
+
+
 def counit(x):
     """Sum of the coefficients of the pure T-power words."""
     total = ZERO
     for word, coeff in x.terms.items():
-        if all(sym == "T" for sym, _ in word):
+        if _is_t_power(word):
             total = total + coeff
     return total
 
@@ -214,20 +218,18 @@ def check_coassoc(x, cfg=DEFAULT_HOPF):
 
 def check_counit(x, cfg=DEFAULT_HOPF):
     """Both counit-axiom residuals, m((id (x) eps) delta(x)) - x first."""
-    d = coproduct(x, cfg)
-    keep_first = AlgebraElement.zero()
-    keep_second = AlgebraElement.zero()
-    for (w1, w2), c in d.terms.items():
-        e2 = counit(AlgebraElement.from_word(w2))
-        if not e2.is_zero():
-            keep_first = keep_first + AlgebraElement({w1: c * e2})
-        e1 = counit(AlgebraElement.from_word(w1))
-        if not e1.is_zero():
-            keep_second = keep_second + AlgebraElement({w2: c * e1})
+    # the counit of a single word is 1 on T-powers and 0 on everything else
+    keep_first = {}
+    keep_second = {}
+    for (w1, w2), c in coproduct(x, cfg).terms.items():
+        if _is_t_power(w2):
+            accumulate(keep_first, w1, c)
+        if _is_t_power(w1):
+            accumulate(keep_second, w2, c)
     base = normalize(x, cfg.rewrite)
     return (
-        normalize(keep_first, cfg.rewrite) - base,
-        normalize(keep_second, cfg.rewrite) - base,
+        normalize(AlgebraElement.from_clean(keep_first), cfg.rewrite) - base,
+        normalize(AlgebraElement.from_clean(keep_second), cfg.rewrite) - base,
     )
 
 

@@ -52,6 +52,20 @@ def test_canonical_form_identifies_equal_fractions():
     assert (P ** 3 - Q ** 3) / (P - Q) == P * P + P * Q + Q * Q
 
 
+def test_canonical_form_of_one_variable_fractions():
+    # (q + 1)(q + 2) / ((1 - q)(q + 2)): the common factor goes, and the sign
+    # moves to the numerator so the denominator leads positively
+    x = RatFunc({(0, 2): 1, (0, 1): 3, (0, 0): 2}, {(0, 2): -1, (0, 1): -1, (0, 0): 2})
+    assert (x.shift, x.num, x.den) == ((0, 0), {(0, 1): -1, (0, 0): -1},
+                                       {(0, 1): 1, (0, 0): -1})
+    assert str(x) == "-(q + 1)/(q - 1)"
+    # 2p(p - 1)(p + 1) / (-4(p + 1)(p - 2)): the factor p moves to the shift
+    y = RatFunc({(3, 0): 2, (1, 0): -2}, {(2, 0): -4, (1, 0): 4, (0, 0): 8})
+    assert (y.shift, y.num, y.den) == ((1, 0), {(1, 0): -1, (0, 0): 1},
+                                       {(1, 0): 2, (0, 0): -4})
+    assert str(y) == "-(p^2 - p)/(2*p - 4)"
+
+
 def test_zero_and_one_predicates():
     assert ZERO.is_zero() and not ZERO.is_one()
     assert ONE.is_one() and not ONE.is_zero()

@@ -36,6 +36,8 @@ def test_rendering_of_coefficient_shapes():
     assert str(fock) == "{(0,0): -(p + q), (0,1): p/q, (1,2): 3*p^2*q, (2,1): (p + q)/q}"
 
 
+NF_EXPR = "(p + q)/q L(1)^2 - (p + q) L(2) C^2 + p/(p-q) T^-2 L(-1)"
+
 GOLDEN = [
     (["verify", "--suite", "all", "--range", "2", "--dim", "8", "--words", "20",
       "--seed", "0"], 1,
@@ -50,6 +52,19 @@ GOLDEN = [
      "4dcb167c30db7f9fcf207011f1669efc795945081e5352f39519769b84f8354d"),
     (["fock", "--dim", "8", "--range", "3", "--format", "csv"], 0,
      "df6076abd5b9f52f6b43e831d76e29dc9066bd9aaea420fc3bfd80a4e7c58bb2"),
+    # a \frac coefficient, a negated multi-term polynomial, T, L and C powers
+    (["normalize", NF_EXPR, "--format", "text"], 0,
+     "9bdd5e89f4eaa176ebd77e7aa38dcbec5de27543df6b6a8aa26826adc937240a"),
+    (["normalize", NF_EXPR, "--format", "json"], 0,
+     "9d28eaefd76871fbdfdfd97456cc43dd866c9f1312c74565b7141228b020d130"),
+    (["normalize", NF_EXPR, "--format", "latex"], 0,
+     "71b741802a0b45e1512e3a693c329541fad7eded961ec6dd240e05485acdec13"),
+    (["bracket", "2", "-2", "--format", "text"], 0,
+     "16ed7e4a3f89ff2a17cf46a5b3c9e08300855934ad50a8bd18a161e69b96e1f1"),
+    (["bracket", "2", "-2", "--format", "json"], 0,
+     "1fc6a8cf43b4cb284789ca2c1ea96e4d790e09e735cef4b1dad18318c0d9676d"),
+    (["bracket", "2", "-2", "--format", "latex"], 0,
+     "eec07a357740ef17549cd3466aed531872c8cc8ccdd04291e311f4e32ee95ae5"),
 ]
 
 VERIFY_SUMMARY = """\
