@@ -1011,14 +1011,5 @@ def specialize_p1(x):
 
 def evaluate(x, p, q):
     """Exact numeric value at a nonzero rational point (p, q)."""
-    pv, qv = Fraction(p), Fraction(q)
-    if pv == 0 or qv == 0:
-        raise ValueError("cannot evaluate at zero parameter values")
-    den = sum((Fraction(c) * pv ** i * qv ** j for (i, j), c in x.den.items()),
-              Fraction(0))
-    if den == 0:
-        raise PoleError("denominator vanishes at p = %s, q = %s" % (pv, qv))
-    num = sum((Fraction(c) * pv ** i * qv ** j for (i, j), c in x.num.items()),
-              Fraction(0))
-    a, b = x.shift
-    return pv ** a * qv ** b * num / den
+    v = substitute(x, Fraction(p), Fraction(q))
+    return Fraction(v.num.get((0, 0), 0), v.den[(0, 0)])

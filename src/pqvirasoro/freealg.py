@@ -12,9 +12,11 @@ The oriented rules, applied to adjacent letter pairs:
                  + p^n q^{-n} * bracket_env(n, m)      (n > m)
 
 where bracket_env(n, m) carries the L(n+m) term and, when m == -n, the
-central C term.  Every rule strictly decreases a lexicographic measure
-(see ``measure``), so reduction terminates; the suite checks empirically
-that it is confluent as well.
+central C term.  Every rule either shortens the word or swaps one adjacent
+pair that is out of the normal-form letter order, so it strictly lowers the
+measure (length, disorder) and reduction terminates (see ``measure``).  The
+system is not confluent: the two strategies reduce some words to different
+normal forms, and the confluence suite counts those words.
 
 Elements are immutable in spirit: all operations return fresh values.
 """
@@ -23,8 +25,10 @@ from __future__ import annotations
 
 import heapq
 import random
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 
 from .field import ONE, ZERO, LinComb, accumulate, monomial, pq_ladder
 
@@ -269,45 +273,47 @@ def rewrite_once(word, strategy="leftmost", cfg=DEFAULT_CONFIG):
     i = find_redex(word, strategy)
     if i is None:
         return None
-    out = []
-    for coeff, repl in _branches(word[i], word[i + 1], cfg.r5_variant):
-        out.append((coeff, word[:i] + repl + word[i + 2:]))
-    return out
-
-
-def _neg_measure(word):
-    return tuple(-v for v in measure(word))
+    return [(coeff, word[:i] + repl + word[i + 2:])
+            for coeff, repl in _branches(word[i], word[i + 1], cfg.r5_variant)]
 
 
 def normalize(x, cfg=DEFAULT_CONFIG, strategy="leftmost"):
-    """Rewrite x to its unique normal form.
+    """Rewrite x to the normal form the strategy reaches.
 
-    Words are processed in decreasing order of the termination measure.
-    Every rewrite strictly decreases the measure, so by the time a word is
-    popped all contributions to its coefficient have been accumulated and
-    each distinct word is reduced exactly once.
+    The system is not confluent, so the normal form can depend on the
+    strategy.  Words are popped in decreasing order of ``measure``, which
+    every rewrite lowers, so by the time a word is popped all contributions
+    to its coefficient have been accumulated and each distinct word is
+    reduced exactly once.  A branch of the same length swaps one adjacent
+    pair, so its key is its parent's with one pair fewer.
     """
     if isinstance(x, tuple):
         x = AlgebraElement.from_word(x)
     coeffs = dict(x.terms)
-    heap = [(_neg_measure(word), word) for word in coeffs]
+    heap = []
+    for word in coeffs:
+        length, disorder = measure(word)
+        heap.append((-length, -disorder, word))
     heapq.heapify(heap)
     result = {}
     while heap:
-        _, word = heapq.heappop(heap)
+        neg_len, neg_disorder, word = heapq.heappop(heap)
         coeff = coeffs.pop(word, None)
         if coeff is None:
             continue
-        i = find_redex(word, strategy)
-        if i is None:
+        step = rewrite_once(word, strategy, cfg)
+        if step is None:
             accumulate(result, word, coeff)
             continue
-        for c2, repl in _branches(word[i], word[i + 1], cfg.r5_variant):
-            w2 = word[:i] + repl + word[i + 2:]
+        for c2, w2 in step:
             fresh = w2 not in coeffs
             accumulate(coeffs, w2, coeff * c2)
             if fresh and w2 in coeffs:
-                heapq.heappush(heap, (_neg_measure(w2), w2))
+                if len(w2) == -neg_len:
+                    heapq.heappush(heap, (neg_len, neg_disorder + 1, w2))
+                else:
+                    length, disorder = measure(w2)
+                    heapq.heappush(heap, (-length, -disorder, w2))
     return AlgebraElement.from_clean(result)
 
 
@@ -322,40 +328,20 @@ def equals(x, y, cfg=DEFAULT_CONFIG):
 
 
 def measure(word):
-    """Termination measure, strictly decreasing under every rewrite rule.
+    """Termination measure (length, disorder), lowered by every rewrite rule.
 
-    Components (lexicographic): number of L letters; number of L-index
-    inversions; displacement sum (for each T letter the count of L/C
-    letters to its left, plus for each C letter the count of L letters to
-    its right); number of T letters.
+    disorder is the number of letter pairs out of the normal-form order of
+    ``word_sort_key`` (T, then T^-1, then L(n) by increasing n, then C).
+    Every rule either shortens the word or swaps one adjacent out-of-order
+    pair, which lowers the disorder by exactly one.
     """
-    l_count = 0
-    inversions = 0
-    displacement = 0
-    t_count = 0
-    l_indices = []
-    lc_seen = 0  # L or C letters so far
-    l_after = [0] * (len(word) + 1)
-    acc = 0
-    for k in range(len(word) - 1, -1, -1):
-        l_after[k] = acc
-        if word[k][0] == "L":
-            acc += 1
-    for k, (tag, idx) in enumerate(word):
-        if tag == "L":
-            for prev in l_indices:
-                if prev > idx:
-                    inversions += 1
-            l_indices.append(idx)
-            l_count += 1
-            lc_seen += 1
-        elif tag == "T":
-            displacement += lc_seen
-            t_count += 1
-        else:
-            displacement += l_after[k]
-            lc_seen += 1
-    return (l_count, inversions, displacement, t_count)
+    disorder = 0
+    seen = []  # letter keys so far, sorted
+    for letter in word:
+        key = _letter_key(letter)
+        disorder += len(seen) - bisect_right(seen, key)
+        insort(seen, key)
+    return (len(word), disorder)
 
 
 def random_word(rng, max_len=12, index_range=(-6, 6)):
@@ -401,37 +387,22 @@ class NormalWord:
     @classmethod
     def from_word(cls, word):
         """Parse a letter tuple that is already in normal form."""
-        i = 0
-        n = len(word)
-        t_exp = 0
-        while i < n and word[i][0] == "T":
-            t_exp += word[i][1]
-            i += 1
-        if i != abs(t_exp):
-            raise ValueError("word is not normal: mixed T signs")
-        l_part = []
-        while i < n and word[i][0] == "L":
-            idx = word[i][1]
-            k = 0
-            while i < n and word[i] == ("L", idx):
-                k += 1
-                i += 1
-            if l_part and l_part[-1][0] >= idx:
-                raise ValueError("word is not normal: L indices not increasing")
-            l_part.append((idx, k))
-        c_exp = 0
-        while i < n and word[i][0] == "C":
-            c_exp += 1
-            i += 1
-        if i != n:
+        if find_redex(word) is not None:
             raise ValueError("word is not normal: %s" % word_str(word))
+        t_exp = c_exp = 0
+        l_part = []
+        for (tag, idx), run in groupby(word):
+            count = len(tuple(run))
+            if tag == "T":
+                t_exp = idx * count
+            elif tag == "L":
+                l_part.append((idx, count))
+            else:
+                c_exp = count
         return cls(t_exp, tuple(l_part), c_exp)
 
     def word(self):
-        w = t_word(self.t_exp)
-        for n, k in self.l_part:
-            w += (L(n),) * k
-        return w + (C,) * self.c_exp
+        return self.t_factor() + self.lc_factor()
 
     def t_factor(self):
         """The T^d tensor factor of the grouplike/enveloping factorization."""

@@ -226,6 +226,29 @@ def test_measure_strictly_decreases_on_every_branch(word):
         assert measure(new_word) < m0
 
 
+def _out_of_order(a, b):
+    return word_sort_key((a,)) > word_sort_key((b,))
+
+
+@given(letters_strategy())
+def test_measure_is_length_and_disorder(word):
+    disorder = sum(_out_of_order(word[i], word[j])
+                   for i in range(len(word)) for j in range(i + 1, len(word)))
+    assert measure(word) == (len(word), disorder)
+    # normalize keys a same-length branch as its parent's key minus one pair
+    for _, new_word in rewrite_once(word) or ():
+        if len(new_word) == len(word):
+            assert measure(new_word)[1] == disorder - 1
+
+
+def test_redex_pairs_are_the_out_of_order_pairs_and_t_tinv():
+    letters = [T, TINV, C] + [L(n) for n in range(-3, 4)]
+    for a in letters:
+        for b in letters:
+            is_redex = find_redex((a, b)) == 0
+            assert is_redex == (_out_of_order(a, b) or (a, b) == (T, TINV)), (a, b)
+
+
 @given(letters_strategy(max_len=5, lo=-3, hi=3))
 def test_reduction_terminates_via_bounded_walk(word):
     """Walk the full branching reduction with a visited set."""
@@ -305,6 +328,9 @@ def test_normal_word_rejects_disorder():
         NormalWord.from_word((L(1), L(0)))
     with pytest.raises(ValueError):
         NormalWord.from_word((L(1), T))
+    for word in [(T, TINV), (C, L(0)), (L(0), C, T)]:
+        with pytest.raises(ValueError):
+            NormalWord.from_word(word)
     with pytest.raises(ValueError):
         NormalWord(0, ((2, 1), (1, 1)), 0)
     with pytest.raises(ValueError):
