@@ -32,9 +32,7 @@ from .freealg import (
     T,
     TINV,
     C,
-    bracket_coeff,
     bracket_env,
-    central_coeff,
     make_rng,
     normalize,
     random_word,
@@ -443,15 +441,10 @@ def _structure_constants_lines(window, fmt):
     lines = ["\\begin{align*}"]
     for r in records:
         n, m = r["n"], r["m"]
-        ln, lm, lnm = (word_str((L(k),), latex=True) for k in (n, m, n + m))
-        coeff_l = bracket_coeff(n, m)
-        terms = []
-        if not coeff_l.is_zero():
-            terms.append(f"\\left({coeff_l.latex()}\\right){lnm}")
-        if r["coeff_C"] != "0":
-            cc = central_coeff(n)
-            terms.append(f"\\left({cc.latex()}\\right)C")
-        rhs = " + ".join(terms) if terms else "0"
+        ln, lm = (word_str((L(k),), latex=True) for k in (n, m))
+        terms = [f"\\left({c.latex()}\\right){word_str(w, latex=True)}"
+                 for w, c in bracket_env(n, m).terms.items()]
+        rhs = " + ".join(terms) or "0"
         lines.append(f"  \\big[{ln},{lm}\\big] &= {rhs} \\\\")
     lines.append("\\end{align*}")
     return lines

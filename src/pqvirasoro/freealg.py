@@ -12,11 +12,14 @@ The oriented rules, applied to adjacent letter pairs:
                  + p^n q^{-n} * bracket_env(n, m)      (n > m)
 
 where bracket_env(n, m) carries the L(n+m) term and, when m == -n, the
-central C term.  Every rule either shortens the word or swaps one adjacent
-pair that is out of the normal-form letter order, so it strictly lowers the
-measure (length, disorder) and reduction terminates (see ``measure``).  The
-system is not confluent: the two strategies reduce some words to different
-normal forms, and the confluence suite counts those words.
+central C term.  Each rule is a defining relation of ``relation_elements``
+solved for its out-of-order word: R1, R2(n, s), R3(0, s), R5(n) and
+R4(n, m), in the order above, so the eq811 form of R5 is written only
+there.  Every rule either shortens the word or swaps one adjacent pair
+that is out of the normal-form letter order, so it strictly lowers the
+measure (length, disorder) and reduction terminates (see ``measure``).
+The system is not confluent: the two strategies reduce some words to
+different normal forms, and the confluence suite counts those words.
 
 Elements are immutable in spirit: all operations return fresh values.
 """
@@ -180,6 +183,7 @@ def central_coeff(n):
         * pq_ladder(n - 1) * pq_ladder(n) * pq_ladder(n + 1)
 
 
+@lru_cache(maxsize=None)
 def bracket_env(n, m):
     """Environment bracket of L(n) and L(m) as a normalized element:
     bracket_coeff(n,m) * L(n+m) plus, when m == -n, central_coeff(n) * C.
@@ -213,15 +217,10 @@ class RewriteConfig:
 DEFAULT_CONFIG = RewriteConfig()
 
 
+@lru_cache(maxsize=None)
 def _is_redex(a, b):
-    ta = a[0]
-    tb = b[0]
-    if ta == "T":
-        return tb == "T" and a[1] == -b[1]
-    if ta == "L":
-        return tb == "T" or (tb == "L" and a[1] > b[1])
-    # ta == "C"
-    return tb in ("T", "L")
+    # out of the normal-form letter order, or the T T^-1 pair that R1 cancels
+    return _letter_key(a) > _letter_key(b) or (a, b) == (T, TINV)
 
 
 def find_redex(word, strategy="leftmost"):
@@ -241,31 +240,23 @@ def find_redex(word, strategy="leftmost"):
 
 @lru_cache(maxsize=None)
 def _branches(a, b, variant):
-    """Replacement terms for the adjacent pair (a, b): ((coeff, letters), ...)."""
-    ta, ia = a
-    tb, ib = b
+    """Replacement terms for the redex (a, b): ((coeff, letters), ...).
+
+    The defining relation that contains the word (a, b), solved for it.
+    """
+    (ta, ia), (tb, ib) = a, b
     if ta == "T":
-        return ((ONE, ()),)
-    if ta == "L" and tb == "T":
-        return ((monomial(1, -ib * (ia + 1), ib * (ia + 1)), (b, a)),)
-    if ta == "C" and tb == "T":
-        return ((monomial(1, -ib, ib), (b, a)),)
-    if ta == "C" and tb == "L":
-        if variant == "eq811":
-            return ((monomial(1, 0, ib), (b, a)),)
-        return ((monomial(1, -ib, ib), (b, a)),)
-    # L(n) L(m) with n > m
-    n, m = ia, ib
-    out = [(monomial(1, n - m, m - n), (b, a))]
-    weight = monomial(1, n, -n)
-    mid = weight * bracket_coeff(n, m)
-    if not mid.is_zero():
-        out.append((mid, (L(n + m),)))
-    if n + m == 0:
-        cc = weight * central_coeff(n)
-        if not cc.is_zero():
-            out.append((cc, (C,)))
-    return tuple(out)
+        name, n, m = "R1", 0, 1
+    elif tb == "T":
+        name, n, m = ("R2", ia, ib) if ta == "L" else ("R3", 0, ib)
+    elif ta == "C":
+        name, n, m = "R5", ib, 0
+    else:
+        name, n, m = "R4", ia, ib
+    for rel in relation_elements(name, n, m, RewriteConfig(variant)):
+        if (a, b) in rel.terms:
+            scale = -rel.terms[(a, b)].inverse()  # -1 / lead
+            return tuple((c * scale, w) for w, c in rel.terms.items() if w != (a, b))
 
 
 def rewrite_once(word, strategy="leftmost", cfg=DEFAULT_CONFIG):

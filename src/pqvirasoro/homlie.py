@@ -16,15 +16,15 @@ the twisted Jacobi identity
     [alpha(x), [y, z]] + [alpha(y), [z, x]] + [alpha(z), [x, y]] = 0,
 
 but the plain Jacobi identity fails, and the twist is deliberately not
-a bracket homomorphism. The structure constants are the ones of the
-rewriting layer (``freealg.bracket_coeff`` and ``freealg.central_coeff``),
-so they are not checked against a second copy here. Their independent
+a bracket homomorphism. The structure constants are read from the
+rewriting layer's ``freealg.bracket_env``, the one table of them, so they
+are not checked against a second copy here. Their independent
 checks are the Fock realization in ``oscillator`` and the twisted Jacobi
 identity, whose central triples test g(n).
 """
 
 from .field import ZERO, ONE, LinComb, accumulate, monomial
-from .freealg import C, L, bracket_coeff, central_coeff, word_sort_key, word_str
+from .freealg import C, L, bracket_env, central_coeff, word_sort_key, word_str
 
 central_g = central_coeff  # the central weight g(n) above
 
@@ -80,11 +80,8 @@ def vbracket(x, y):
             if sy != "L":
                 continue
             w = cx * cy
-            coeff = bracket_coeff(n, m)
-            if coeff:
-                accumulate(out, L(n + m), w * coeff)
-            if m + n == 0:
-                accumulate(out, C, w * central_coeff(n))
+            for (letter,), coeff in bracket_env(n, m).terms.items():
+                accumulate(out, letter, w * coeff)
     return HomLieElement.from_clean(out)
 
 
@@ -136,14 +133,13 @@ def structure_constant_records(window):
     records = []
     for n in range(-window, window + 1):
         for m in range(-window, window + 1):
-            coeff_l = bracket_coeff(n, m)
-            coeff_c = central_coeff(n) if m + n == 0 else ZERO
+            env = bracket_env(n, m)
             records.append(
                 {
                     "n": n,
                     "m": m,
-                    "coeff_L": str(coeff_l),
-                    "coeff_C": str(coeff_c),
+                    "coeff_L": str(env.coefficient((L(n + m),))),
+                    "coeff_C": str(env.coefficient((C,))),
                 }
             )
     return records

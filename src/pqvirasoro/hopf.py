@@ -123,9 +123,9 @@ def _letter_coproduct(letter, cfg):
         w = (letter,)
         return {(w, w): ONE}
     if sym == "C":
-        if cfg.delta_c == "printed":
-            return {(((("C", 0),)), ()): ONE, ((), (("T", 1),)): ONE}
-        return {((("C", 0),), ()): ONE, ((), (("C", 0),)): ONE}
+        # the printed coproduct has 1 (x) T where the corrected one has 1 (x) C
+        right = T if cfg.delta_c == "printed" else C
+        return {((C,), ()): ONE, ((), (right,)): ONE}
     tn = t_word(n)
     return {((letter,), tn): ONE, (tn, (letter,)): ONE}
 
@@ -160,9 +160,6 @@ def counit(x):
     return total
 
 
-_ANTIPODE_SIGNS = {"T": 1, "C": -1, "L": -1}
-
-
 def antipode(x, cfg=DEFAULT_HOPF):
     """Anti-homomorphic extension of the generator antipodes."""
     out = {}
@@ -171,15 +168,14 @@ def antipode(x, cfg=DEFAULT_HOPF):
         letters = []
         for sym, n in reversed(word):
             if sym == "T":
-                letters.append(("T", -n))
+                letters.extend(t_word(-n))
             elif sym == "C":
                 sign = -sign
-                letters.append(("C", 0))
+                letters.append(C)
             else:
                 sign = -sign
-                letters.extend(t_word(-n))
-                letters.append(("L", n))
-                letters.extend(t_word(-n))
+                tn = t_word(-n)
+                letters.extend(tn + (L(n),) + tn)
         accumulate(out, tuple(letters), coeff if sign > 0 else -coeff)
     return normalize(AlgebraElement.from_clean(out), cfg.rewrite)
 

@@ -249,6 +249,46 @@ def test_redex_pairs_are_the_out_of_order_pairs_and_t_tinv():
             assert is_redex == (_out_of_order(a, b) or (a, b) == (T, TINV)), (a, b)
 
 
+def _hand_written_rule(a, b, variant):
+    """The rewrite rule for the redex (a, b), written out coefficient by
+    coefficient, as a reference independent of relation_elements."""
+    (ta, ia), (tb, ib) = a, b
+    if ta == "T":  # T T^-1 or T^-1 T
+        return {(): ONE}
+    if ta == "L" and tb == "T":
+        return {(b, a): monomial(1, -ib * (ia + 1), ib * (ia + 1))}
+    if ta == "C" and tb == "T":
+        return {(b, a): monomial(1, -ib, ib)}
+    if ta == "C":  # C L(n)
+        if variant == "eq811":
+            return {(b, a): monomial(1, 0, ib)}
+        return {(b, a): monomial(1, -ib, ib)}
+    n, m = ia, ib  # L(n) L(m) with n > m
+    weight = monomial(1, n, -n)
+    rule = {(b, a): monomial(1, n - m, m - n), (L(n + m),): weight * bracket_coeff(n, m)}
+    if n + m == 0:
+        rule[(C,)] = weight * central_coeff(n)
+    return {w: c for w, c in rule.items() if c}
+
+
+@pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, EQ811], ids=["standard", "eq811"])
+def test_rewrite_rules_match_hand_written_coefficients(cfg):
+    idx = range(-4, 5)
+    pairs = [(T, TINV), (TINV, T), (C, T), (C, TINV)]
+    pairs += [(L(n), t) for n in idx for t in (T, TINV)]
+    pairs += [(C, L(n)) for n in idx]
+    pairs += [(L(n), L(m)) for n in idx for m in idx if n > m]
+    # the families cover every redex pair over these letters
+    letters = [T, TINV, C] + [L(n) for n in idx]
+    assert set(pairs) == {(a, b) for a in letters for b in letters
+                          if find_redex((a, b)) == 0}
+    for a, b in pairs:
+        step = rewrite_once((a, b), cfg=cfg)
+        rule = {w: c for c, w in step}
+        assert len(rule) == len(step)
+        assert rule == _hand_written_rule(a, b, cfg.r5_variant), (a, b)
+
+
 @given(letters_strategy(max_len=5, lo=-3, hi=3))
 def test_reduction_terminates_via_bounded_walk(word):
     """Walk the full branching reduction with a visited set."""
@@ -296,6 +336,25 @@ def test_sorting_witness_strategies_disagree():
     from pqvirasoro.field import substitute
     for word, coeff in (a - b).terms.items():
         assert substitute(coeff, p=1, q=1) == 0
+
+
+def test_strategy_disagreements_collapse_the_relation_ideal():
+    """Both normal forms of T L(n) L(m) T^-1 equal it modulo the relations, so
+    their difference lies in the relation ideal: a nonzero multiple of L(n+m),
+    or for n + m = 0 a nonzero combination of L(0) and C."""
+    central = []
+    for n in range(-4, 5):
+        for m in range(-4, n):
+            x = elem(T, L(n), L(m), TINV)
+            diff = normalize(x, strategy="leftmost") - normalize(x, strategy="rightmost")
+            assert not diff.is_zero(), (n, m)
+            if n + m:
+                assert set(diff.terms) == {(L(n + m),)}, (n, m)
+            else:
+                assert set(diff.terms) <= {(L(0),), (C,)}, (n, m)
+                central.append(set(diff.terms))
+    # (1, -1) leaves L(0) alone and (2, -2) involves C, so the ideal holds both
+    assert central == [{(L(0),)}] + [{(L(0),), (C,)}] * 3
 
 
 def test_normalized_product_not_associative():

@@ -37,6 +37,7 @@ def test_rendering_of_coefficient_shapes():
 
 
 NF_EXPR = "(p + q)/q L(1)^2 - (p + q) L(2) C^2 + p/(p-q) T^-2 L(-1)"
+EQ811_EXPR = "C^2 L(2) L(-1) T"
 
 GOLDEN = [
     (["verify", "--suite", "all", "--range", "2", "--dim", "8", "--words", "20",
@@ -59,6 +60,13 @@ GOLDEN = [
      "9d28eaefd76871fbdfdfd97456cc43dd866c9f1312c74565b7141228b020d130"),
     (["normalize", NF_EXPR, "--format", "latex"], 0,
      "71b741802a0b45e1512e3a693c329541fad7eded961ec6dd240e05485acdec13"),
+    # the eq811 form of the C L(n) rule: q^4/p^2 here, q^4/p^4 by default
+    (["normalize", EQ811_EXPR, "--variant", "r5-8.11", "--format", "text"], 0,
+     "bc4d89aac8c7fad99bc8d4b7b4f47efa2f3eb90ebe94052eedab5569ef413c40"),
+    (["normalize", EQ811_EXPR, "--variant", "r5-8.11", "--format", "json"], 0,
+     "5c3eef7f20dd8858d6d05df387ebe1a0a9bf60425b889bfec64d4a0271653ee4"),
+    (["normalize", EQ811_EXPR, "--variant", "r5-8.11", "--format", "latex"], 0,
+     "d2344a0535fd89461fa16a30f4015e7d3ed6205f965d265182ac19daad297b4f"),
     (["bracket", "2", "-2", "--format", "text"], 0,
      "16ed7e4a3f89ff2a17cf46a5b3c9e08300855934ad50a8bd18a161e69b96e1f1"),
     (["bracket", "2", "-2", "--format", "json"], 0,
