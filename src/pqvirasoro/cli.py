@@ -210,7 +210,7 @@ class _Parser:
     def atom(self):
         kind, val, pos = self.next()
         if kind == "int":
-            return _scalar(RatFunc.from_int(val))
+            return _scalar(RatFunc(val))
         if kind == "(":
             value = self.expr()
             self.expect(")")
@@ -527,6 +527,14 @@ def _cmd_fock(args):
     return 0
 
 
+def count(text):
+    """argparse type of --range and --words: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="pqvirasoro",
@@ -554,10 +562,10 @@ def build_parser():
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=["fock", "homlie", "hopf", "confluence", "all"],
                    default="all")
-    p.add_argument("--range", type=int, default=6, help="index window half-width")
+    p.add_argument("--range", type=count, default=6, help="index window half-width")
     p.add_argument("--dim", type=int, default=20, help="Fock truncation dimension")
     p.add_argument("--seed", type=int, default=0, help="seed for random words")
-    p.add_argument("--words", type=int, default=500, help="random words for the confluence suite")
+    p.add_argument("--words", type=count, default=500, help="random words for the confluence suite")
     p.add_argument("--variant", choices=["r5-8.11"], default=None)
     p.add_argument("--strict-typos", action="store_true",
                    help="use the printed form of the coproduct of C")
@@ -569,14 +577,14 @@ def build_parser():
     p = sub.add_parser("table", help="export structure constants or Hopf maps")
     p.add_argument("--kind", choices=["structure_constants", "hopf_maps"],
                    default="structure_constants")
-    p.add_argument("--range", type=int, default=3)
+    p.add_argument("--range", type=count, default=3)
     common(p, fmt_choices=("json", "latex"))
     p.add_argument("--strict-typos", action="store_true")
     p.set_defaults(fn=_cmd_table)
 
     p = sub.add_parser("fock", help="dump truncated oscillator matrices")
     p.add_argument("--dim", type=int, default=8)
-    p.add_argument("--range", type=int, default=3)
+    p.add_argument("--range", type=count, default=3)
     p.add_argument("--mode", choices=list(osc.MODES), default="two_param")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", default=None)

@@ -525,10 +525,6 @@ class RatFunc:
         return self
 
     @classmethod
-    def from_int(cls, c):
-        return cls(c)
-
-    @classmethod
     def from_fraction(cls, fr):
         return cls(fr.numerator, fr.denominator)
 
@@ -937,36 +933,6 @@ class LinComb:
 # ---------------------------------------------------------------------------
 
 
-def _sub_poly(poly, pv, qv):
-    out = {}
-    for (i, j), c in poly.items():
-        f = Fraction(c)
-        ki, kj = i, j
-        if pv is not None:
-            f *= pv ** i
-            ki = 0
-        if qv is not None:
-            f *= qv ** j
-            kj = 0
-        k = (ki, kj)
-        s = out.get(k, Fraction(0)) + f
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
-def _clear_denoms(fpoly):
-    if not fpoly:
-        return {}, 1
-    lcm = 1
-    for v in fpoly.values():
-        d = v.denominator
-        lcm = lcm // _int_gcd(lcm, d) * d
-    return {m: int(v * lcm) for m, v in fpoly.items()}, lcm
-
-
 def substitute(x, p=None, q=None):
     """Substitute exact rational values for p and/or q.
 
@@ -975,33 +941,19 @@ def substitute(x, p=None, q=None):
     """
     if p is None and q is None:
         return x
-    pv = None if p is None else Fraction(p)
-    qv = None if q is None else Fraction(q)
-    if pv == 0 or qv == 0:
+    point = [(name, Fraction(v)) for name, v in (("p", p), ("q", q)) if v is not None]
+    if any(v == 0 for _, v in point):
         raise ValueError("cannot substitute zero for an invertible parameter")
-    num_f = _sub_poly(x.num, pv, qv)
-    den_f = _sub_poly(x.den, pv, qv)
-    if not den_f:
-        where = []
-        if pv is not None:
-            where.append("p = %s" % pv)
-        if qv is not None:
-            where.append("q = %s" % qv)
-        raise PoleError("denominator vanishes at " + ", ".join(where))
-    if not num_f:
-        return ZERO
-    nn, ln = _clear_denoms(num_f)
-    nd, ld = _clear_denoms(den_f)
-    a, b = x.shift
-    extra = Fraction(1)
-    if pv is not None:
-        extra *= pv ** a
-        a = 0
-    if qv is not None:
-        extra *= qv ** b
-        b = 0
-    extra *= Fraction(ld, ln)
-    return RatFunc(nn, nd, (a, b)) * RatFunc(extra.numerator, extra.denominator)
+    pv = P if p is None else RatFunc.from_fraction(Fraction(p))
+    qv = Q if q is None else RatFunc.from_fraction(Fraction(q))
+
+    def at(poly):
+        return sum((c * pv ** i * qv ** j for (i, j), c in poly.items()), ZERO)
+
+    den = at(x.den)
+    if not den:
+        raise PoleError("denominator vanishes at " + ", ".join("%s = %s" % nv for nv in point))
+    return at(x.num) / den * pv ** x.shift[0] * qv ** x.shift[1]
 
 
 def specialize_p1(x):

@@ -9,6 +9,9 @@ relation of the chosen mode together with lam_0 = 0:
     one_param:  a a+ - q a+ a = 1        lam_k = (q^k - 1)/(q - 1)
     two_param:  p a a+ - q a+ a = 1      lam_k = (p^k - q^k)/((p - q) p^k)
 
+The classical and one-parameter modes are the two-parameter oscillator
+at (p, q) = (1, 1) and at p = 1, so each constant below is written once,
+in its two-parameter form, and substituted exactly at the mode's point.
 The generators L_n = (a+)^(n+1) a (n >= -1) then give matrices on
 which the deformed Virasoro relations can be checked by exact
 arithmetic. The matrices are built independently of the symbolic
@@ -21,12 +24,19 @@ the cutoff.
 
 from dataclasses import dataclass
 
-from .field import (
-    RatFunc, ZERO, ONE, P, Q, LinComb, accumulate, monomial, pq_int, pq_ladder, q_int,
-)
+from .field import ZERO, ONE, P, Q, LinComb, accumulate, monomial, pq_int, pq_ladder, substitute
 from .freealg import bracket_coeff
 
-MODES = ("classical", "one_param", "two_param")
+# the point (p, q) of each mode, None leaving a parameter free
+_POINTS = {"classical": (1, 1), "one_param": (1, None), "two_param": (None, None)}
+MODES = tuple(_POINTS)
+
+
+def _at_mode(mode, *values):
+    """The two-parameter values, substituted at the mode's point."""
+    if mode not in _POINTS:
+        raise ValueError(f"unknown mode {mode!r}")
+    return tuple(substitute(v, *_POINTS[mode]) for v in values)
 
 
 class FockOperator(LinComb):
@@ -111,15 +121,7 @@ class FockOperator(LinComb):
 
 def lowering_coeff(k, mode):
     """Closed form for lam_k in the given mode."""
-    if k == 0:
-        return ZERO
-    if mode == "classical":
-        return RatFunc.from_int(k)
-    if mode == "one_param":
-        return q_int(k)
-    if mode == "two_param":
-        return pq_ladder(k)
-    raise ValueError(f"unknown mode {mode!r}")
+    return _at_mode(mode, pq_ladder(k))[0]
 
 
 def lowering_coeff_iterative(k, mode):
@@ -210,15 +212,10 @@ def deformed_commutator(A, B, alpha, beta):
 def bracket_weights(n, m, mode):
     """Coefficients (alpha, beta, gamma) of the mode's bracket relation.
 
-    The relation checked is alpha L_n L_m - beta L_m L_n = gamma L_{m+n}.
+    The relation checked is alpha L_n L_m - beta L_m L_n = gamma L_{m+n};
+    in two-parameter form alpha = (q/p)^n and beta = (q/p)^m.
     """
-    if mode == "classical":
-        return ONE, ONE, RatFunc.from_int(m - n)
-    if mode == "one_param":
-        return Q ** n, Q ** m, q_int(m) - q_int(n)
-    if mode == "two_param":
-        return monomial(1, -n, n), monomial(1, -m, m), bracket_coeff(n, m)
-    raise ValueError(f"unknown mode {mode!r}")
+    return _at_mode(mode, monomial(1, -n, n), monomial(1, -m, m), bracket_coeff(n, m))
 
 
 def verify_bracket(n, m, osc, guard=None):
@@ -247,10 +244,10 @@ def word_image(word, osc):
     ("C", 0) to the zero matrix (the realization is centerless).
     T has no Fock image, so words containing it are rejected.
     """
+    if any(sym == "T" for sym, _ in word):
+        raise ValueError("T has no Fock image")
     out = FockOperator.identity(osc.dim)
     for sym, n in word:
-        if sym == "T":
-            raise ValueError("T has no Fock image")
         if sym == "C":
             return FockOperator.zero(osc.dim)
         out = out * make_L(n, osc)
@@ -267,13 +264,7 @@ def element_image(x, osc):
 
 def power_weights(n, mode):
     """Coefficients (alpha, beta, gamma) with alpha a (a+)^n - beta (a+)^n a = gamma (a+)^(n-1)."""
-    if mode == "classical":
-        return ONE, ONE, RatFunc.from_int(n)
-    if mode == "one_param":
-        return ONE, Q ** n, q_int(n)
-    if mode == "two_param":
-        return P ** n, Q ** n, pq_int(n)
-    raise ValueError(f"unknown mode {mode!r}")
+    return _at_mode(mode, P ** n, Q ** n, pq_int(n))
 
 
 def verify_power_commutator(n, osc, guard=None):

@@ -221,6 +221,24 @@ def test_verify_strict_typos_gated_on_request(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("args", [
+    ["verify", "--suite", "confluence", "--words", "-3"],
+    ["verify", "--suite", "homlie", "--range", "-2"],
+    ["table", "--range", "-1"],
+    ["fock", "--range", "-1"],
+])
+def test_negative_counts_rejected_at_parsing(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be nonnegative, got -" in err
+    with pytest.raises(SystemExit) as exc:
+        main(args[:-1] + ["two"])
+    assert exc.value.code == 2
+    assert "invalid count value: 'two'" in capsys.readouterr().err
+
+
 def test_verify_output_is_deterministic(tmp_path):
     _, first = run(["verify", "--suite", "homlie", "--range", "2"], tmp_path, "a.jsonl")
     _, second = run(["verify", "--suite", "homlie", "--range", "2"], tmp_path, "b.jsonl")

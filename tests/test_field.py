@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pqvirasoro.field import (
@@ -76,13 +76,13 @@ def test_zero_and_one_predicates():
 
 def test_monomials():
     m = monomial(3, 2, -1)
-    assert m == RatFunc.from_int(3) * P * P / Q
+    assert m == RatFunc(3) * P * P / Q
     assert m.is_monomial()
     assert not (P + Q).is_monomial()
 
 
 def test_from_fraction():
-    assert RatFunc.from_fraction(Fraction(3, 4)) * RatFunc.from_int(4) == RatFunc.from_int(3)
+    assert RatFunc.from_fraction(Fraction(3, 4)) * RatFunc(4) == RatFunc(3)
 
 
 def test_integer_powers():
@@ -134,7 +134,7 @@ def test_specialize_p1_degenerates_to_one_parameter():
 
 def test_substitute_exact_values():
     x = (P ** 2 - Q ** 2) / (P - Q)
-    assert substitute(x, p=2, q=3) == RatFunc.from_int(5)
+    assert substitute(x, p=2, q=3) == RatFunc(5)
     assert substitute(x, p=Fraction(1, 2)) == Fraction(1, 2) + Q
 
 
@@ -152,6 +152,47 @@ def test_substitute_zero_rejected():
 def test_evaluate():
     assert evaluate((P + Q) / (P * Q), 2, 3) == Fraction(5, 6)
     assert evaluate(pq_int(4), 2, 3) == Fraction(2 ** 4 - 3 ** 4, 2 - 3)
+
+
+polys = st.dictionaries(st.tuples(ints(0, 3), ints(0, 3)), ints(-3, 3).filter(bool),
+                        min_size=1, max_size=4)
+points = st.sampled_from([Fraction(v) for v in (1, -1, 2, -2, 3)]
+                         + [Fraction(1, 2), Fraction(-2, 3), Fraction(3, 2)])
+
+
+@given(polys, polys, st.tuples(ints(-3, 3), ints(-3, 3)), points, points,
+       st.sampled_from(("p", "q", "pq")))
+@example({(0, 0): 1}, {(1, 0): 1, (0, 1): -1}, (0, 0), Fraction(2), Fraction(2), "pq")
+@example({(1, 0): 1, (0, 1): -1}, {(2, 0): 1, (0, 2): -1}, (0, 0), Fraction(2), Fraction(2), "pq")
+@example({(0, 1): 1}, {(1, 0): 1, (0, 0): -2}, (1, -1), Fraction(2), Fraction(1), "p")
+@example({(1, 0): 2}, {(0, 2): 1, (0, 0): -4}, (0, 2), Fraction(1), Fraction(-2), "q")
+def test_substitute_and_evaluate_agree_with_sympy(num, den, shift, pv, qv, which):
+    """Differential check: values, and poles exactly where sympy's reduced
+    denominator vanishes at the point."""
+    sympy = pytest.importorskip("sympy")
+    ps, qs = sympy.symbols("p q")
+
+    def sym(shift, num, den):
+        poly = [sum(c * ps ** i * qs ** j for (i, j), c in f.items()) for f in (num, den)]
+        return ps ** shift[0] * qs ** shift[1] * poly[0] / poly[1]
+
+    expected = sympy.cancel(sym(shift, num, den))
+    kw = {name: v for name, v in (("p", pv), ("q", qv)) if name in which}
+    at = {ps if name == "p" else qs: sympy.Rational(v.numerator, v.denominator)
+          for name, v in kw.items()}
+    x = RatFunc(num, den, shift)
+    if sympy.expand(sympy.fraction(expected)[1].subs(at)) == 0:
+        with pytest.raises(PoleError, match="denominator vanishes at"):
+            substitute(x, **kw)
+        if which == "pq":
+            with pytest.raises(PoleError):
+                evaluate(x, pv, qv)
+        return
+    value = substitute(x, **kw)
+    assert sympy.cancel(sym(value.shift, value.num, value.den) - expected.subs(at)) == 0
+    if which == "pq":
+        r = expected.subs(at)
+        assert evaluate(x, pv, qv) == Fraction(int(r.p), int(r.q))
 
 
 @given(ratfuncs(), ratfuncs(), ratfuncs())

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pqvirasoro.field import ONE, P, Q, ZERO, monomial, pq_int, q_int
-from pqvirasoro.freealg import AlgebraElement, L, normalize
+from pqvirasoro.field import ONE, P, Q, RatFunc, ZERO, monomial, pq_int, pq_ladder, q_int
+from pqvirasoro.freealg import AlgebraElement, L, bracket_coeff, normalize
 from pqvirasoro.oscillator import (
     FockOperator,
     GuardSpec,
@@ -39,6 +39,36 @@ def test_lowering_coeff_matches_recurrence_oracle():
     for mode in MODES:
         for k in range(31):
             assert lowering_coeff(k, mode) == lowering_coeff_iterative(k, mode)
+
+
+def test_mode_constants_match_hand_written_forms():
+    """The per-mode constants as they were once written out by hand, kept
+    as the reference for their derivation from the two-parameter ones."""
+    lowering = {
+        "classical": lambda k: RatFunc(k),
+        "one_param": q_int,
+        "two_param": pq_ladder,
+    }
+    bracket = {
+        "classical": lambda n, m: (ONE, ONE, RatFunc(m - n)),
+        "one_param": lambda n, m: (Q ** n, Q ** m, q_int(m) - q_int(n)),
+        "two_param": lambda n, m: (monomial(1, -n, n), monomial(1, -m, m), bracket_coeff(n, m)),
+    }
+    power = {
+        "classical": lambda n: (ONE, ONE, RatFunc(n)),
+        "one_param": lambda n: (ONE, Q ** n, q_int(n)),
+        "two_param": lambda n: (P ** n, Q ** n, pq_int(n)),
+    }
+    for mode in MODES:
+        for k in range(31):
+            assert lowering_coeff(k, mode) == lowering[mode](k), (mode, k)
+        for n in range(-1, 9):
+            assert power_weights(n, mode) == power[mode](n), (mode, n)
+            for m in range(-1, 9):
+                assert bracket_weights(n, m, mode) == bracket[mode](n, m), (mode, n, m)
+    for fn, args in ((lowering_coeff, (3,)), (bracket_weights, (1, 2)), (power_weights, (3,))):
+        with pytest.raises(ValueError, match="unknown mode 'quantum'"):
+            fn(*args, "quantum")
 
 
 def test_ladder_matrix_shape():
@@ -111,6 +141,14 @@ def test_word_image_rules():
     assert word_image((), osc) == FockOperator.identity(6)
     with pytest.raises(ValueError):
         word_image((("T", 1),), osc)
+
+
+def test_word_image_rejects_t_after_c():
+    # C maps to zero, but T has no image wherever it stands in the word
+    osc = make_oscillator(6, "two_param")
+    for word in ((("C", 0), ("T", 1)), (("L", 1), ("C", 0), ("T", -1))):
+        with pytest.raises(ValueError, match="T has no Fock image"):
+            word_image(word, osc)
 
 
 def test_element_image_is_linear():
