@@ -21,6 +21,13 @@ measure (length, disorder) and reduction terminates (see ``measure``).
 The system is not confluent: the two strategies reduce some words to
 different normal forms, and the confluence suite counts those words.
 
+Each word's reduction is fixed by the word, the strategy and the R5
+variant, and normalization is linear, so ``normalize`` may take the
+normal form of each word of an element from a memo and add them up.  The
+memo is module-level state shared by every caller in the process: it is
+bounded by _MEMO_MAX_TERMS terms in all (least recently used words go
+first) and stores no normal form of more than _MEMO_ENTRY_MAX_TERMS terms.
+
 Elements are immutable in spirit: all operations return fresh values.
 """
 
@@ -29,9 +36,10 @@ from __future__ import annotations
 import heapq
 import random
 from bisect import bisect_right, insort
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
+from itertools import chain, groupby
 
 from .field import ONE, ZERO, LinComb, accumulate, monomial, pq_ladder
 
@@ -268,19 +276,28 @@ def rewrite_once(word, strategy="leftmost", cfg=DEFAULT_CONFIG):
             for coeff, repl in _branches(word[i], word[i + 1], cfg.r5_variant)]
 
 
-def normalize(x, cfg=DEFAULT_CONFIG, strategy="leftmost"):
-    """Rewrite x to the normal form the strategy reaches.
+# Bounds of the normal-form memo of ``normalize``: the terms stored in all
+# entries together, and the terms of one entry (a larger normal form is
+# returned but not stored).
+_MEMO_MAX_TERMS = 3072
+_MEMO_ENTRY_MAX_TERMS = 8
 
-    The system is not confluent, so the normal form can depend on the
-    strategy.  Words are popped in decreasing order of ``measure``, which
-    every rewrite lowers, so by the time a word is popped all contributions
-    to its coefficient have been accumulated and each distinct word is
-    reduced exactly once.  A branch of the same length swaps one adjacent
-    pair, so its key is its parent's with one pair fewer.
+# (word, r5_variant, strategy) -> normal form of the word as a flat tuple
+# (w1, c1, w2, c2, ...), which saves a pair tuple per term; least recently
+# used first
+_memo = OrderedDict()
+_memo_terms = 0
+
+
+def _reduce(coeffs, cfg, strategy):
+    """Heap reduction of the word -> coefficient map coeffs (consumed).
+
+    Words are popped in decreasing order of ``measure``, which every
+    rewrite lowers, so by the time a word is popped all contributions to
+    its coefficient have been accumulated and each distinct word is reduced
+    exactly once.  A branch of the same length swaps one adjacent pair, so
+    its key is its parent's with one pair fewer.
     """
-    if isinstance(x, tuple):
-        x = AlgebraElement.from_word(x)
-    coeffs = dict(x.terms)
     heap = []
     for word in coeffs:
         length, disorder = measure(word)
@@ -305,6 +322,55 @@ def normalize(x, cfg=DEFAULT_CONFIG, strategy="leftmost"):
                 else:
                     length, disorder = measure(w2)
                     heapq.heappush(heap, (-length, -disorder, w2))
+    return result
+
+
+def _normal_form(word, cfg, strategy):
+    """(word, coefficient) pairs of the normal form of one word.
+
+    A normal word is returned as it is and not stored.  Any other word is
+    taken from the memo, or reduced and then stored if its normal form has
+    at most _MEMO_ENTRY_MAX_TERMS terms, evicting the least recently used
+    words until the memo holds at most _MEMO_MAX_TERMS terms.
+    """
+    global _memo_terms
+    if find_redex(word, strategy) is None:
+        return ((word, ONE),)
+    key = (word, cfg.r5_variant, strategy)
+    flat = _memo.get(key)
+    if flat is not None:
+        _memo.move_to_end(key)
+        it = iter(flat)
+        return zip(it, it)
+    nf = _reduce({word: ONE}, cfg, strategy)
+    if len(nf) <= _MEMO_ENTRY_MAX_TERMS:
+        while _memo_terms + len(nf) > _MEMO_MAX_TERMS:
+            _memo_terms -= len(_memo.popitem(last=False)[1]) // 2
+        _memo[key] = tuple(chain.from_iterable(nf.items()))
+        _memo_terms += len(nf)
+    return nf.items()
+
+
+def normalize(x, cfg=DEFAULT_CONFIG, strategy="leftmost"):
+    """Rewrite x to the normal form the strategy reaches.
+
+    The system is not confluent, so the normal form can depend on the
+    strategy.  Each word is reduced by a fixed sequence of rewrite steps,
+    chosen by the word, the strategy and the rule table of cfg.r5_variant
+    alone, so the reduction is a linear map and the normal form of x is
+    the sum of c * NF(w) over its terms, the same value in Q(p, q) as
+    reducing all of x at once.  Each word is reduced on its own, and NF(w)
+    of a word that is not normal is kept in a module-level memo shared by
+    all callers, keyed by (word, variant, strategy).  The memo holds at
+    most _MEMO_MAX_TERMS terms in all, evicting the least recently used
+    word first, and no normal form of more than _MEMO_ENTRY_MAX_TERMS
+    terms.  A normal word is its own normal form and is not stored.
+    """
+    terms = ((x, ONE),) if isinstance(x, tuple) else x.terms.items()
+    result = {}
+    for word, coeff in terms:
+        for w, c in _normal_form(word, cfg, strategy):
+            accumulate(result, w, c if coeff is ONE else coeff * c)
     return AlgebraElement.from_clean(result)
 
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pqvirasoro import freealg
 from pqvirasoro.field import ONE, P, Q, ZERO, monomial, pq_int
 from pqvirasoro.freealg import (
     AlgebraElement,
@@ -308,6 +309,106 @@ def test_reduction_terminates_via_bounded_walk(word):
         for _, w2 in branch:
             assert measure(w2) < measure(w)
             stack.append(w2)
+
+
+# ---------------------------------------------------------------------------
+# the per-word normal-form memo of normalize
+
+SETTINGS = [(cfg, strategy) for cfg in (DEFAULT_CONFIG, EQ811)
+            for strategy in ("leftmost", "rightmost")]
+COEFFS = (ONE, -ONE, P, -P / Q, monomial(2, 1, -1), (P + Q) / Q)
+
+
+def clear_memo():
+    freealg._memo.clear()
+    freealg._memo_terms = 0
+
+
+def memo_consistent():
+    stored = sum(len(flat) // 2 for flat in freealg._memo.values())
+    return stored == freealg._memo_terms <= freealg._MEMO_MAX_TERMS
+
+
+@st.composite
+def memo_elements(draw):
+    """1-4 terms over T, T^-1, C, L(-4..4) of up to 8 letters, plus at times
+    a multiple of a defining relation, whose normal forms cancel."""
+    terms = draw(st.lists(st.tuples(letters_strategy(max_len=8), st.sampled_from(COEFFS)),
+                          min_size=1, max_size=4))
+    x = AlgebraElement(dict(terms))
+    relation = draw(st.one_of(st.none(), st.tuples(
+        st.sampled_from(("R1", "R2", "R3", "R4")), st.integers(-3, 3),
+        st.sampled_from((-1, 1)), st.sampled_from(COEFFS))))
+    if relation is not None:
+        name, n, m, coeff = relation
+        x = x + coeff * relation_elements(name, n, m)[0]
+    return x
+
+
+@given(memo_elements())
+def test_memo_gives_the_heap_reduction_of_the_whole_element(x):
+    def each_setting():
+        return [normalize(x, cfg, strategy).terms for cfg, strategy in SETTINGS]
+
+    expected = [freealg._reduce(dict(x.terms), cfg, strategy) for cfg, strategy in SETTINGS]
+    clear_memo()
+    cold = each_setting()
+    warm = each_setting()
+    assert cold == expected and warm == expected
+    for terms in warm:
+        terms.clear()
+    after_mutation = each_setting()
+    clear_memo()
+    cleared = each_setting()
+    assert after_mutation == expected and cleared == expected
+    assert memo_consistent()
+
+
+def test_memo_bound_evicts_least_recently_used(monkeypatch):
+    monkeypatch.setattr(freealg, "_MEMO_MAX_TERMS", 40)
+    clear_memo()
+    rng = make_rng(3)
+    for _ in range(300):
+        normalize(random_word(rng, max_len=6, index_range=(-3, 3)))
+        assert memo_consistent()
+    oldest, second = list(freealg._memo)[:2]
+    normalize(oldest[0], RewriteConfig(oldest[1]), oldest[2])
+    while second in freealg._memo:
+        normalize(random_word(rng, max_len=6, index_range=(-3, 3)))
+    assert oldest in freealg._memo
+    clear_memo()
+
+
+def test_memo_stores_no_large_normal_form():
+    word = (L(3), L(2), L(1), L(-1), L(-2))
+    expected = freealg._reduce({word: ONE}, DEFAULT_CONFIG, "leftmost")
+    assert len(expected) > freealg._MEMO_ENTRY_MAX_TERMS
+    clear_memo()
+    assert normalize(word).terms == expected
+    assert normalize(AlgebraElement.from_word(word, P)) == P * AlgebraElement(expected)
+    assert not freealg._memo and freealg._memo_terms == 0
+
+
+def test_memo_stores_each_word_of_an_element():
+    x = elem(L(2), L(1)) + elem(C, L(1)) + elem(L(1), C)
+    clear_memo()
+    normalize(x)
+    assert set(freealg._memo) == {((L(2), L(1)), "standard", "leftmost"),
+                                  ((C, L(1)), "standard", "leftmost")}
+    assert memo_consistent()
+    clear_memo()
+
+
+def test_normal_words_normalize_to_themselves_without_storing():
+    from test_acceptance import enumerate_normal_words
+
+    words = [nw.word() for nw in enumerate_normal_words()]
+    assert len(words) == 825
+    clear_memo()
+    for word in words:
+        for cfg, strategy in SETTINGS:
+            assert normalize(word, cfg, strategy).terms == {word: ONE}
+    assert not freealg._memo and freealg._memo_terms == 0
 
 
 # ---------------------------------------------------------------------------
