@@ -54,6 +54,9 @@ class ExpressionError(ValueError):
 
 _SYMBOLS = set("+-*/^()")
 
+# largest |k| accepted in x^k: the power of a word is a word k times as long
+_MAX_EXPONENT = 4096
+
 
 def _tokenize(src):
     tokens = []
@@ -187,6 +190,8 @@ class _Parser:
     def _power(self, value):
         kind, _, pos = self.peek()
         k = self._signed_int()
+        if abs(k) > _MAX_EXPONENT:
+            raise ExpressionError(f"exponent {k} is out of range: |k| <= {_MAX_EXPONENT}", pos)
         s = _as_scalar(value)
         if s is not None:
             return _scalar(s ** k)

@@ -11,6 +11,20 @@ integer contents of num and den are coprime, and den has a positive leading
 coefficient in graded-lex order with p > q.  Because the form is unique,
 equality is plain structural comparison and hashing is well defined.
 
+A value whose num and den are both homogeneous is kept in graded form: num
+and den are dense integer tuples (c_0, ..., c_d) that mean the sum of
+c_i p^i q^(d-i).  The canonical conditions then read c_0 != 0 and c_d != 0
+for both, and c_d > 0 for den; the degree of each is the tuple's length
+minus one.  Products of graded values are univariate convolutions, their
+GCD is a univariate one in p/q, and their terms come out in graded-lex
+order without a sort.  Every coefficient the rewriting system makes is
+graded, since its relations are homogeneous once deg p = deg q = 1,
+deg L(n) = -1, deg C = 1 and deg T = 0.  Any other value keeps num and den
+as sparse dicts {(i, j): c}.  The form is a function of the value: every
+result, of arithmetic or of the constructor, is graded exactly when it is
+homogeneous, so equal values share one representation.  ``num`` and
+``den`` read as dicts in both forms.
+
 All values are immutable; every function here except ``accumulate`` (which
 adds into the caller's dict) is pure, so instances can be shared freely
 between threads or worker processes.
@@ -49,11 +63,172 @@ class PoleError(ValueError):
     """Raised when a substitution point hits a zero of the denominator."""
 
 
+def _content(coeffs):
+    # gcd of integer coefficients
+    c = 0
+    for v in coeffs:
+        c = _int_gcd(c, v)
+        if c == 1:
+            break
+    return c
+
+
+# ---------------------------------------------------------------------------
+# dense univariate integer polynomials (c_0, ..., c_d): the num and den of a
+# graded value (c_i is the coefficient of p^i q^(d-i)), and the coefficients
+# in Z[q] of the bivariate GCD below (c_j is the coefficient of q^j)
+# ---------------------------------------------------------------------------
+
+_ONE_T = (1,)
+
+
+def _u_trim(F):
+    # drop zero top coefficients, so that F[-1] leads
+    n = len(F)
+    while n and not F[n - 1]:
+        n -= 1
+    return tuple(F[:n])
+
+
+def _u_neg(F):
+    return tuple([-c for c in F])
+
+
+def _u_scale(F, c):
+    return F if c == 1 else tuple([c * v for v in F])
+
+
+def _u_exquo(F, c):
+    return F if c == 1 else tuple([v // c for v in F])
+
+
+def _u_mul(F, G):
+    if not F or not G:
+        return ()
+    if len(F) < len(G):
+        F, G = G, F
+    if len(G) == 1:
+        return _u_scale(F, G[0])
+    out = [0] * (len(F) + len(G) - 1)
+    for j, g in enumerate(G):
+        if g:
+            for i, f in enumerate(F, j):
+                out[i] += f * g
+    return tuple(out)
+
+
+def _u_sub(F, G):
+    out = list(F)
+    if len(out) < len(G):
+        out.extend([0] * (len(G) - len(out)))
+    for i, g in enumerate(G):
+        out[i] -= g
+    return _u_trim(out)
+
+
+def _u_primitive(F):
+    return _u_exquo(F, _content(F)) if F else ()
+
+
+def _u_sign(F):
+    return _u_neg(F) if F and F[-1] < 0 else F
+
+
+def _u_pseudo_rem(F, G):
+    dG = len(G) - 1
+    lcG = G[-1]
+    R = list(F)
+    while len(R) > dG:
+        lcR = R.pop()
+        R = [c * lcG for c in R]
+        for k, c in enumerate(G[:-1], len(R) - dG):
+            R[k] -= lcR * c
+        while R and not R[-1]:
+            R.pop()
+    return tuple(R)
+
+
+def _u_gcd(F, G):
+    """GCD in Z[x] (primitive PRS), leading coefficient positive."""
+    if not F:
+        return _u_sign(G)
+    if not G:
+        return _u_sign(F)
+    cf = _content(F)
+    cg = _content(G)
+    c = _int_gcd(cf, cg)
+    if len(F) == 1 or len(G) == 1:
+        return (c,)
+    A = _u_exquo(F, cf)
+    B = _u_exquo(G, cg)
+    if len(A) < len(B):
+        A, B = B, A
+    while B:
+        A, B = B, _u_primitive(_u_pseudo_rem(A, B))
+    return _u_scale(_u_sign(_u_primitive(A)), c)
+
+
+def _u_divexact(F, D):
+    if D == _ONE_T:
+        return F
+    dD = len(D) - 1
+    lcD = D[-1]
+    R = list(F)
+    out = [0] * max(len(F) - dD, 0)
+    for e in range(len(out) - 1, -1, -1):
+        q, r = divmod(R[e + dD], lcD)
+        if r:
+            raise ValueError("inexact univariate division")
+        if q:
+            out[e] = q
+            for k, c in enumerate(D, e):
+                R[k] -= q * c
+    if any(R[:dD]):
+        raise ValueError("inexact univariate division")
+    return tuple(out)
+
+
+# the graded reading: F of length d + 1 is homogeneous of degree d
+
+
+def _h_add(F, at_f, G, at_g):
+    # p^i q^j F + p^k q^l G for at_f = (i, j) and at_g = (k, l), of one degree
+    i, j = at_f
+    out = [0] * (i + len(F) + j)
+    out[i:i + len(F)] = F
+    for k, c in enumerate(G, at_g[0]):
+        out[k] += c
+    return tuple(out) if any(out) else ()
+
+
+def _h_strip(F):
+    # (F0, i, j) with F = p^i q^j F0 and F0 divisible by neither p nor q
+    i = 0
+    while not F[i]:
+        i += 1
+    k = len(F)
+    while not F[k - 1]:
+        k -= 1
+    if i == 0 and k == len(F):
+        return F, 0, 0
+    return F[i:k], i, len(F) - k
+
+
+def _h_dict(F):
+    d = len(F) - 1
+    return {(i, d - i): c for i, c in enumerate(F) if c}
+
+
+def _h_terms(F, i0, j0):
+    # ((i, j), c) in graded-lex order, p > q, of p^i0 q^j0 F
+    d = len(F) - 1
+    return [((i + i0, d - i + j0), F[i]) for i in range(d, -1, -1) if F[i]]
+
+
 # ---------------------------------------------------------------------------
 # sparse integer polynomials in p and q: {(i, j): c} with c != 0
 # ---------------------------------------------------------------------------
 
-_ZERO_P: dict = {}
 _ONE_P = {(0, 0): 1}
 
 
@@ -62,9 +237,13 @@ def _grlex(mono):
     return (mono[0] + mono[1], mono[0])
 
 
-def _p_add(f, g):
-    out = dict(f)
-    for m, c in g.items():
+def _p_add(f, at_f, g, at_g):
+    # p^i q^j f + p^k q^l g for at_f = (i, j) and at_g = (k, l)
+    i, j = at_f
+    k, l = at_g
+    out = {(a + i, b + j): c for (a, b), c in f.items()}
+    for (a, b), c in g.items():
+        m = (a + k, b + l)
         s = out.get(m, 0) + c
         if s:
             out[m] = s
@@ -78,11 +257,11 @@ def _p_neg(f):
 
 
 def _p_scale(f, c):
-    if c == 0:
-        return {}
-    if c == 1:
-        return dict(f)
-    return {m: c * v for m, v in f.items()}
+    return f if c == 1 else {m: c * v for m, v in f.items()}
+
+
+def _p_exquo(f, c):
+    return f if c == 1 else {m: v // c for m, v in f.items()}
 
 
 def _p_mul(f, g):
@@ -105,26 +284,18 @@ def _p_mul(f, g):
     return out
 
 
-def _p_shift(f, di, dj):
-    if di == 0 and dj == 0:
-        return dict(f)
-    return {(i + di, j + dj): c for (i, j), c in f.items()}
-
-
-def _p_min_exps(f):
-    ai = min(i for i, _ in f)
-    bj = min(j for _, j in f)
-    return ai, bj
-
-
-def _p_content(f):
-    # gcd of the integer coefficients; the univariate helpers use it as well
-    c = 0
-    for v in f.values():
-        c = _int_gcd(c, v)
-        if c == 1:
-            break
-    return c
+def _p_strip(f):
+    # (f0, i, j) with f = p^i q^j f0 and f0 divisible by neither p nor q
+    it = iter(f)
+    ai, bj = next(it)
+    for i, j in it:
+        if i < ai:
+            ai = i
+        if j < bj:
+            bj = j
+    if ai or bj:
+        f = {(i - ai, j - bj): c for (i, j), c in f.items()}
+    return f, ai, bj
 
 
 def _p_lead_coeff(f):
@@ -133,20 +304,34 @@ def _p_lead_coeff(f):
 
 def _p_sign_norm(f):
     # positive leading coefficient under graded-lex
-    if f and _p_lead_coeff(f) < 0:
-        return _p_neg(f)
-    return dict(f)
+    return _p_neg(f) if _p_lead_coeff(f) < 0 else f
 
 
-def _p_is_homogeneous(f):
-    degs = {i + j for i, j in f}
-    return len(degs) <= 1
+def _p_dense(f):
+    """The dense tuple of a nonzero f without monomial factors, or None if
+    f is not homogeneous."""
+    d = None
+    for i, j in f:
+        if d is None:
+            d = i + j
+        elif i + j != d:
+            return None
+    out = [0] * (d + 1)
+    for (i, _), c in f.items():
+        out[i] = c
+    return tuple(out)
+
+
+def _p_terms(f, i0, j0):
+    # ((i, j), c) in graded-lex order, p > q, of p^i0 q^j0 f
+    return sorted((((i + i0, j + j0), c) for (i, j), c in f.items()),
+                  key=lambda t: _grlex(t[0]), reverse=True)
 
 
 def _p_divexact(f, g):
     """Exact division in Z[p,q]; raises ValueError if g does not divide f."""
     if g == _ONE_P:
-        return dict(f)
+        return f
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
     if len(g) == 1:
@@ -180,123 +365,7 @@ def _p_divexact(f, g):
 
 
 # ---------------------------------------------------------------------------
-# univariate helpers: {exp: coeff}, used for GCD computations
-# ---------------------------------------------------------------------------
-
-
-def _u_deg(F):
-    return max(F) if F else -1
-
-
-def _u_mul(F, G):
-    if not F or not G:
-        return {}
-    out = {}
-    for e1, c1 in F.items():
-        for e2, c2 in G.items():
-            e = e1 + e2
-            s = out.get(e, 0) + c1 * c2
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-    return out
-
-
-def _u_sub(F, G):
-    out = dict(F)
-    for e, c in G.items():
-        s = out.get(e, 0) - c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
-
-
-def _u_primitive(F):
-    if not F:
-        return {}
-    c = _p_content(F)
-    if c == 1:
-        return dict(F)
-    return {e: v // c for e, v in F.items()}
-
-
-def _u_sign(F):
-    if F and F[_u_deg(F)] < 0:
-        return {e: -v for e, v in F.items()}
-    return dict(F)
-
-
-def _u_pseudo_rem(F, G):
-    dG = _u_deg(G)
-    lcG = G[dG]
-    R = dict(F)
-    while R and _u_deg(R) >= dG:
-        dR = _u_deg(R)
-        lcR = R[dR]
-        new = {e: c * lcG for e, c in R.items()}
-        for e, c in G.items():
-            t = e + dR - dG
-            s = new.get(t, 0) - lcR * c
-            if s:
-                new[t] = s
-            elif t in new:
-                del new[t]
-        R = new
-    return R
-
-
-def _u_gcd(F, G):
-    """GCD in Z[x] (primitive PRS), leading coefficient positive."""
-    if not F:
-        return _u_sign(G)
-    if not G:
-        return _u_sign(F)
-    cf = _p_content(F)
-    cg = _p_content(G)
-    c = _int_gcd(cf, cg)
-    A = {e: v // cf for e, v in F.items()}
-    B = {e: v // cg for e, v in G.items()}
-    if _u_deg(A) < _u_deg(B):
-        A, B = B, A
-    while B:
-        R = _u_pseudo_rem(A, B)
-        A, B = B, _u_primitive(R)
-    A = _u_sign(_u_primitive(A))
-    if c != 1:
-        A = {e: v * c for e, v in A.items()}
-    return A
-
-
-def _u_divexact(F, D):
-    out = {}
-    R = dict(F)
-    dD = _u_deg(D)
-    lcD = D[dD]
-    while R:
-        dR = _u_deg(R)
-        if dR < dD:
-            raise ValueError("inexact univariate division")
-        q, r = divmod(R[dR], lcD)
-        if r:
-            raise ValueError("inexact univariate division")
-        e = dR - dD
-        out[e] = q
-        for eD, cD in D.items():
-            t = eD + e
-            s = R.get(t, 0) - q * cD
-            if s:
-                R[t] = s
-            else:
-                R.pop(t, None)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# bivariate GCD: recursive view Z[q][p] with a primitive PRS, plus a fast
-# path for homogeneous operands (then gcd reduces to a univariate gcd in p/q)
+# bivariate GCD: recursive view Z[q][p] with a primitive PRS
 # ---------------------------------------------------------------------------
 
 
@@ -304,25 +373,23 @@ def _rec_from(f):
     R = {}
     for (i, j), c in f.items():
         R.setdefault(i, {})[j] = c
-    return R
+    return {i: tuple(ci.get(j, 0) for j in range(max(ci) + 1)) for i, ci in R.items()}
 
 
 def _rec_to(R):
-    return {(i, j): c for i, ci in R.items() for j, c in ci.items()}
+    return {(i, j): c for i, ci in R.items() for j, c in enumerate(ci) if c}
 
 
 def _rec_content_p(R):
-    cont = {}
+    cont = ()
     for ci in R.values():
         cont = _u_gcd(cont, ci)
-        if cont == {0: 1}:
+        if cont == _ONE_T:
             break
     return cont
 
 
 def _rec_div(R, D):
-    if D == {0: 1}:
-        return {i: dict(ci) for i, ci in R.items()}
     return {i: _u_divexact(ci, D) for i, ci in R.items()}
 
 
@@ -335,14 +402,14 @@ def _rec_primitive_p(R):
 def _rec_pseudo_rem(A, B):
     dB = max(B)
     lcB = B[dB]
-    R = {i: dict(ci) for i, ci in A.items()}
+    R = A
     while R and max(R) >= dB:
         dR = max(R)
         lcR = R[dR]
         new = {i: _u_mul(ci, lcB) for i, ci in R.items()}
         for i, ci in B.items():
             t = i + dR - dB
-            cur = _u_sub(new.get(t, {}), _u_mul(ci, lcR))
+            cur = _u_sub(new.get(t, ()), _u_mul(ci, lcR))
             if cur:
                 new[t] = cur
             elif t in new:
@@ -355,12 +422,6 @@ def _p_gcd_core(f, g):
     """GCD of two nonzero int-content-free, monomial-free polynomials."""
     if f == g:
         return _p_sign_norm(f)
-    if _p_is_homogeneous(f) and _p_is_homogeneous(g):
-        F = {i: c for (i, j), c in f.items()}
-        G = {i: c for (i, j), c in g.items()}
-        H = _u_gcd(F, G)
-        d = _u_deg(H)
-        return {(i, d - i): c for i, c in H.items()}
     F = _rec_from(f)
     G = _rec_from(g)
     cf = _rec_content_p(F)
@@ -374,35 +435,110 @@ def _p_gcd_core(f, g):
         R = _rec_pseudo_rem(A, B)
         A, B = B, _rec_primitive_p(R)
     core = _rec_to(_rec_primitive_p(A))
-    if c != {0: 1}:
-        core = _p_mul(core, {(0, j): v for j, v in c.items()})
+    if c != _ONE_T:
+        core = _p_mul(core, {(0, j): v for j, v in enumerate(c) if v})
     return _p_sign_norm(core)
 
 
 def _p_gcd(f, g):
-    """GCD in Z[p,q] with positive graded-lex leading coefficient."""
-    if not f:
-        return _p_sign_norm(g)
-    if not g:
-        return _p_sign_norm(f)
-    af, bf = _p_min_exps(f)
-    ag, bg = _p_min_exps(g)
-    f0 = _p_shift(f, -af, -bf)
-    g0 = _p_shift(g, -ag, -bg)
-    mi, mj = min(af, ag), min(bf, bg)
-    cf = _p_content(f0)
-    cg = _p_content(g0)
+    """GCD in Z[p,q] of two nonzero polynomials that neither p nor q
+    divides, with positive graded-lex leading coefficient."""
+    cf = _content(f.values())
+    cg = _content(g.values())
     c = _int_gcd(cf, cg)
-    if len(f0) == 1 or len(g0) == 1:
-        # one operand is (up to the stripped monomial) a constant
-        core = {(0, 0): c}
-    else:
-        F = {m: v // cf for m, v in f0.items()}
-        G = {m: v // cg for m, v in g0.items()}
-        core = _p_gcd_core(F, G)
-        if c != 1:
-            core = _p_scale(core, c)
-    return _p_shift(core, mi, mj)
+    if len(f) == 1 or len(g) == 1:
+        return {(0, 0): c}
+    core = _p_gcd_core(_p_exquo(f, cf), _p_exquo(g, cg))
+    return _p_scale(core, c)
+
+
+# ---------------------------------------------------------------------------
+# the two polynomial forms, as one interface for RatFunc's arithmetic
+# ---------------------------------------------------------------------------
+
+
+class _Graded:
+    """Homogeneous num and den as dense tuples."""
+
+    one = _ONE_T
+    add = staticmethod(_h_add)
+    neg = staticmethod(_u_neg)
+    mul = staticmethod(_u_mul)
+    scale = staticmethod(_u_scale)
+    exquo = staticmethod(_u_exquo)
+    content = staticmethod(_content)
+    gcd = staticmethod(_u_gcd)
+    divexact = staticmethod(_u_divexact)
+    strip = staticmethod(_h_strip)
+    terms = staticmethod(_h_terms)
+
+    @staticmethod
+    def lead(F):
+        return F[-1]
+
+    @staticmethod
+    def make(shift, num, den):
+        return RatFunc._raw(shift, num, _ONE_T if den == _ONE_T else den)
+
+
+class _Sparse:
+    """Any num and den, as dicts; a homogeneous result turns graded."""
+
+    one = _ONE_P
+    add = staticmethod(_p_add)
+    neg = staticmethod(_p_neg)
+    mul = staticmethod(_p_mul)
+    scale = staticmethod(_p_scale)
+    exquo = staticmethod(_p_exquo)
+    gcd = staticmethod(_p_gcd)
+    divexact = staticmethod(_p_divexact)
+    strip = staticmethod(_p_strip)
+    terms = staticmethod(_p_terms)
+    lead = staticmethod(_p_lead_coeff)
+
+    @staticmethod
+    def content(f):
+        return _content(f.values())
+
+    @staticmethod
+    def make(shift, num, den):
+        dense_num = _p_dense(num)
+        if dense_num is not None:
+            dense_den = _p_dense(den)
+            if dense_den is not None:
+                return _Graded.make(shift, dense_num, dense_den)
+        return RatFunc._raw(shift, num, den)
+
+
+def _canonical(num, den, shift, ops):
+    """The value p^a q^b num / den for shift (a, b), in canonical form."""
+    if not num:
+        return ZERO
+    a, b = shift
+    num, i, j = ops.strip(num)
+    a += i
+    b += j
+    den, i, j = ops.strip(den)
+    a -= i
+    b -= j
+    if den != ops.one:
+        g = ops.gcd(num, den)
+        if g != ops.one:
+            num = ops.divexact(num, g)
+            den = ops.divexact(den, g)
+        if ops.lead(den) < 0:
+            num = ops.neg(num)
+            den = ops.neg(den)
+    return ops.make((a, b), num, den)
+
+
+def _common(x, y, same_degree=False):
+    """The form that x and y meet in, and their num and den in it: graded
+    when both are (and, if same_degree, of one degree), else sparse."""
+    if type(x._den) is tuple and type(y._den) is tuple and (
+            not same_degree or x._degree() == y._degree()):
+        return _Graded, x._num, x._den, y._num, y._den
+    return (_Sparse,) + x._dicts() + y._dicts()
 
 
 # ---------------------------------------------------------------------------
@@ -410,43 +546,32 @@ def _p_gcd(f, g):
 # ---------------------------------------------------------------------------
 
 
-def _mono_str(c, i, j, latex=False):
-    parts = []
-    ac = abs(c)
-    if ac != 1 or (i == 0 and j == 0):
-        parts.append(str(ac))
-    for sym, e in (("p", i), ("q", j)):
-        if e == 0:
-            continue
-        if e == 1:
-            parts.append(sym)
-        elif latex:
-            parts.append("%s^{%d}" % (sym, e))
-        else:
-            parts.append("%s^%d" % (sym, e))
-    if latex:
-        return " ".join(parts)
-    return "*".join(parts)
-
-
-def _poly_str(f, latex=False):
-    if not f:
-        return "0"
-    terms = sorted(f.items(), key=lambda kv: _grlex(kv[0]), reverse=True)
+def _poly_str(terms, latex=False, negate=False):
+    # terms: ((i, j), c) in graded-lex order; negate renders -f
+    power = "^{%d}" if latex else "^%d"
+    times = " " if latex else "*"
     out = []
-    for k, ((i, j), c) in enumerate(terms):
-        s = _mono_str(c, i, j, latex)
-        if k == 0:
-            out.append("-" + s if c < 0 else s)
+    for (i, j), c in terms:
+        if negate:
+            c = -c
+        if out:
+            out.append(" - " if c < 0 else " + ")
+        elif c < 0:
+            out.append("-")
+        ps = "" if i == 0 else "p" if i == 1 else "p" + power % i
+        qs = "" if j == 0 else "q" if j == 1 else "q" + power % j
+        mono = ps + times + qs if ps and qs else ps or qs
+        if c != 1 and c != -1 or not mono:
+            out.append(str(abs(c)) + times + mono if mono else str(abs(c)))
         else:
-            out.append((" - " if c < 0 else " + ") + s)
+            out.append(mono)
     return "".join(out)
 
 
-def _den_is_atomic(f):
-    if len(f) != 1:
+def _den_is_atomic(terms):
+    if len(terms) != 1:
         return False
-    ((i, j), c), = f.items()
+    ((i, j), c), = terms
     if i == 0 and j == 0:
         return True  # integer
     return c == 1 and (i == 0 or j == 0)
@@ -473,45 +598,32 @@ class RatFunc:
     den   -- integer polynomial, not divisible by p or q, coprime to num,
              positive graded-lex leading coefficient
 
-    Zero is represented uniquely as shift (0,0), num 0, den 1.
+    num and den read as {(i, j): c} dicts; a homogeneous value keeps them
+    as dense tuples inside (see the module docstring).  Zero is represented
+    uniquely as shift (0,0), num 0, den 1.
     """
 
-    __slots__ = ("shift", "num", "den", "_hash")
+    __slots__ = ("shift", "_num", "_den", "_hash")
 
-    def __init__(self, num=0, den=1, shift=(0, 0)):
+    def __new__(cls, num=0, den=1, shift=(0, 0)):
+        if type(num) is int and type(den) is int:
+            if not den:
+                raise ZeroDivisionError("zero denominator in Q(p,q)")
+            return _canonical((num,) if num else (), (den,), shift, _Graded)
         num = _as_poly(num)
         den = _as_poly(den)
         if not den:
             raise ZeroDivisionError("zero denominator in Q(p,q)")
         if not num:
-            self.shift = (0, 0)
-            self.num = {}
-            self.den = dict(_ONE_P)
-            self._hash = None
-            return
-        a, b = shift
-        ai, bj = _p_min_exps(num)
-        if ai or bj:
-            num = _p_shift(num, -ai, -bj)
-            a += ai
-            b += bj
-        ai, bj = _p_min_exps(den)
-        if ai or bj:
-            den = _p_shift(den, -ai, -bj)
-            a -= ai
-            b -= bj
-        if den != _ONE_P:
-            g = _p_gcd(num, den)
-            if g != _ONE_P:
-                num = _p_divexact(num, g)
-                den = _p_divexact(den, g)
-        if _p_lead_coeff(den) < 0:
-            num = _p_neg(num)
-            den = _p_neg(den)
-        self.shift = (a, b)
-        self.num = num
-        self.den = den
-        self._hash = None
+            return ZERO
+        num, i, j = _p_strip(num)
+        den, k, m = _p_strip(den)
+        shift = (shift[0] + i - k, shift[1] + j - m)
+        dense_num = _p_dense(num)
+        dense_den = None if dense_num is None else _p_dense(den)
+        if dense_den is not None:
+            return _canonical(dense_num, dense_den, shift, _Graded)
+        return _canonical(num, den, shift, _Sparse)
 
     # -- internal fast constructor for results already in canonical form --
 
@@ -519,8 +631,8 @@ class RatFunc:
     def _raw(cls, shift, num, den):
         self = object.__new__(cls)
         self.shift = shift
-        self.num = num
-        self.den = den
+        self._num = num
+        self._den = den
         self._hash = None
         return self
 
@@ -528,20 +640,51 @@ class RatFunc:
     def from_fraction(cls, fr):
         return cls(fr.numerator, fr.denominator)
 
+    # -- the two forms ---------------------------------------------------
+
+    @property
+    def num(self):
+        """The numerator as a new {(i, j): c} dict."""
+        n = self._num
+        return dict(n) if type(n) is dict else _h_dict(n)
+
+    @property
+    def den(self):
+        """The denominator as a new {(i, j): c} dict."""
+        d = self._den
+        return dict(d) if type(d) is dict else _h_dict(d)
+
+    def _ops(self):
+        return _Graded if type(self._den) is tuple else _Sparse
+
+    def _dicts(self):
+        # num and den as dicts, shared with a sparse value: do not mutate
+        if type(self._den) is dict:
+            return self._num, self._den
+        return _h_dict(self._num), _h_dict(self._den)
+
+    def _degree(self):
+        # the degree of a graded value
+        return self.shift[0] + self.shift[1] + len(self._num) - len(self._den)
+
     # -- predicates ------------------------------------------------------
 
     def is_zero(self):
-        return not self.num
+        return not self._num
 
     def is_one(self):
-        return self.shift == (0, 0) and self.num == _ONE_P and self.den == _ONE_P
+        return self.shift == (0, 0) and self._num == _ONE_T and self._den == _ONE_T
 
     def is_monomial(self):
         """True when the value is c * p^a * q^b with integer c."""
-        return self.den == _ONE_P and len(self.num) == 1 and (0, 0) in self.num
+        return len(self._num) == 1 and self._den == _ONE_T
+
+    def is_laurent_polynomial(self):
+        """True when den is 1, so the value is a polynomial times p^a q^b."""
+        return self._den == _ONE_T or self._den == _ONE_P
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self._num)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -559,33 +702,31 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self.num:
+        if not self._num:
             return o
-        if not o.num:
+        if not o._num:
             return self
-        a = min(self.shift[0], o.shift[0])
-        b = min(self.shift[1], o.shift[1])
-        n1 = _p_shift(self.num, self.shift[0] - a, self.shift[1] - b)
-        n2 = _p_shift(o.num, o.shift[0] - a, o.shift[1] - b)
-        if self.den == o.den:
-            return RatFunc(_p_add(n1, n2), self.den, (a, b))
-        g = _p_gcd(self.den, o.den)
-        if g == _ONE_P:
-            num = _p_add(_p_mul(n1, o.den), _p_mul(n2, self.den))
-            den = _p_mul(self.den, o.den)
-        else:
-            d1 = _p_divexact(self.den, g)
-            d2 = _p_divexact(o.den, g)
-            num = _p_add(_p_mul(n1, d2), _p_mul(n2, d1))
-            den = _p_mul(self.den, d2)
-        return RatFunc(num, den, (a, b))
+        ops, n1, d1, n2, d2 = _common(self, o, same_degree=True)
+        den = d1
+        if d1 != d2:
+            g = ops.gcd(d1, d2)
+            if g != ops.one:
+                d1 = ops.divexact(d1, g)
+                d2 = ops.divexact(d2, g)
+            n1 = ops.mul(n1, d2)
+            n2 = ops.mul(n2, d1)
+            den = ops.mul(den, d2)
+        (a1, b1), (a2, b2) = self.shift, o.shift
+        a, b = min(a1, a2), min(b1, b2)
+        num = ops.add(n1, (a1 - a, b1 - b), n2, (a2 - a, b2 - b))
+        return _canonical(num, den, (a, b), ops)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if not self.num:
+        if not self._num:
             return self
-        return RatFunc._raw(self.shift, _p_neg(self.num), dict(self.den))
+        return RatFunc._raw(self.shift, self._ops().neg(self._num), self._den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -599,56 +740,49 @@ class RatFunc:
             return NotImplemented
         return o + (-self)
 
-    def _scale_int(self, c):
-        if c == 0 or not self.num:
-            return ZERO
-        if c == 1:
-            return self
-        cd = _p_content(self.den)
-        g = _int_gcd(c, cd)
-        num = _p_scale(self.num, c // g)
-        den = self.den if g == 1 else {m: v // g for m, v in self.den.items()}
-        return RatFunc._raw(self.shift, num, den)
+    def _times_monomial(self, c, shift):
+        # c * self, with the shift replaced by shift
+        if self._den == _ONE_T:
+            return RatFunc._raw(shift, _u_scale(self._num, c), _ONE_T)
+        ops = self._ops()
+        g = _int_gcd(c, ops.content(self._den))
+        return RatFunc._raw(shift, ops.scale(self._num, c // g), ops.exquo(self._den, g))
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self.num or not o.num:
+        n1, n2 = self._num, o._num
+        if not n1 or not n2:
             return ZERO
-        a = self.shift[0] + o.shift[0]
-        b = self.shift[1] + o.shift[1]
-        if self.is_monomial():
-            return o._scale_int(self.num[(0, 0)])._with_shift(a, b)
-        if o.is_monomial():
-            return self._scale_int(o.num[(0, 0)])._with_shift(a, b)
-        if self.den == _ONE_P and o.den == _ONE_P:
-            return RatFunc(_p_mul(self.num, o.num), 1, (a, b))
-        g1 = _p_gcd(self.num, o.den)
-        g2 = _p_gcd(o.num, self.den)
-        n1 = self.num if g1 == _ONE_P else _p_divexact(self.num, g1)
-        d2 = o.den if g1 == _ONE_P else _p_divexact(o.den, g1)
-        n2 = o.num if g2 == _ONE_P else _p_divexact(o.num, g2)
-        d1 = self.den if g2 == _ONE_P else _p_divexact(self.den, g2)
-        return RatFunc._raw((a, b), _p_mul(n1, n2), _p_mul(d1, d2))
+        shift = (self.shift[0] + o.shift[0], self.shift[1] + o.shift[1])
+        if len(n1) == 1 and self._den == _ONE_T:
+            return o._times_monomial(n1[0], shift)
+        if len(n2) == 1 and o._den == _ONE_T:
+            return self._times_monomial(n2[0], shift)
+        ops, n1, d1, n2, d2 = _common(self, o)
+        if d1 != ops.one or d2 != ops.one:
+            g = ops.gcd(n1, d2)
+            if g != ops.one:
+                n1 = ops.divexact(n1, g)
+                d2 = ops.divexact(d2, g)
+            g = ops.gcd(n2, d1)
+            if g != ops.one:
+                n2 = ops.divexact(n2, g)
+                d1 = ops.divexact(d1, g)
+        return ops.make(shift, ops.mul(n1, n2), ops.mul(d1, d2))
 
     __rmul__ = __mul__
 
-    def _with_shift(self, a, b):
-        if not self.num:
-            return self
-        if (a, b) == self.shift:
-            return self
-        return RatFunc._raw((a, b), self.num, self.den)
-
     def inverse(self):
-        if not self.num:
+        if not self._num:
             raise ZeroDivisionError("division by zero in Q(p,q)")
-        num, den = dict(self.den), dict(self.num)
-        if _p_lead_coeff(den) < 0:
-            num = _p_neg(num)
-            den = _p_neg(den)
-        return RatFunc._raw((-self.shift[0], -self.shift[1]), num, den)
+        ops = self._ops()
+        num, den = self._den, self._num
+        if ops.lead(den) < 0:
+            num = ops.neg(num)
+            den = ops.neg(den)
+        return ops.make((-self.shift[0], -self.shift[1]), num, den)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -669,20 +803,21 @@ class RatFunc:
             return ONE
         if k < 0:
             return self.inverse() ** (-k)
-        if not self.num:
+        if not self._num:
             return ZERO
-        num, den = _ONE_P, _ONE_P
-        base_n, base_d = self.num, self.den
+        ops = self._ops()
+        num = den = ops.one
+        base_n, base_d = self._num, self._den
         e = k
         while e:
             if e & 1:
-                num = _p_mul(num, base_n)
-                den = _p_mul(den, base_d)
+                num = ops.mul(num, base_n)
+                den = ops.mul(den, base_d)
             e >>= 1
             if e:
-                base_n = _p_mul(base_n, base_n)
-                base_d = _p_mul(base_d, base_d)
-        return RatFunc._raw((self.shift[0] * k, self.shift[1] * k), num, den)
+                base_n = ops.mul(base_n, base_n)
+                base_d = ops.mul(base_d, base_d)
+        return ops.make((self.shift[0] * k, self.shift[1] * k), num, den)
 
     # -- comparison ------------------------------------------------------
 
@@ -690,7 +825,7 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.shift == o.shift and self.num == o.num and self.den == o.den
+        return self.shift == o.shift and self._num == o._num and self._den == o._den
 
     def __ne__(self, other):
         r = self.__eq__(other)
@@ -699,31 +834,27 @@ class RatFunc:
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.shift,
-                      frozenset(self.num.items()),
-                      frozenset(self.den.items())))
+            num, den = self._num, self._den
+            if type(den) is dict:
+                num, den = frozenset(num.items()), frozenset(den.items())
+            h = hash((self.shift, num, den))
             self._hash = h
         return h
 
     # -- display ---------------------------------------------------------
 
-    def _display_parts(self):
-        a, b = self.shift
-        num = _p_shift(self.num, max(a, 0), max(b, 0))
-        den = _p_shift(self.den, max(-a, 0), max(-b, 0))
-        return num, den
-
     def _render(self, latex):
-        if not self.num:
+        if not self._num:
             return "0"
-        num, den = self._display_parts()
-        sign = ""
-        if _p_lead_coeff(num) < 0:
-            sign = "-"
-            num = _p_neg(num)
-        ns = _poly_str(num, latex)
-        if den == _ONE_P:
-            if sign and len(num) > 1:
+        ops = self._ops()
+        a, b = self.shift
+        num = ops.terms(self._num, max(a, 0), max(b, 0))
+        den = ops.terms(self._den, max(-a, 0), max(-b, 0))
+        negate = num[0][1] < 0
+        sign = "-" if negate else ""
+        ns = _poly_str(num, latex, negate)
+        if den == [((0, 0), 1)]:
+            if negate and len(num) > 1:
                 return ("-\\left(%s\\right)" if latex else "-(%s)") % ns
             return sign + ns
         ds = _poly_str(den, latex)
@@ -745,7 +876,7 @@ class RatFunc:
         return "RatFunc(%s)" % self
 
 
-ZERO = RatFunc(0)
+ZERO = RatFunc._raw((0, 0), (), _ONE_T)
 ONE = RatFunc(1)
 P = RatFunc({(1, 0): 1})
 Q = RatFunc({(0, 1): 1})
@@ -755,7 +886,7 @@ def monomial(c=1, a=0, b=0):
     """The Laurent monomial c * p^a * q^b."""
     if c == 0:
         return ZERO
-    return RatFunc._raw((a, b), {(0, 0): c}, dict(_ONE_P))
+    return RatFunc._raw((a, b), (c,), _ONE_T)
 
 
 # ---------------------------------------------------------------------------

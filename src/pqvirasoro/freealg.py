@@ -144,7 +144,7 @@ class AlgebraElement(LinComb):
     @staticmethod
     def _paren(cs, coeff):
         # only polynomials of several terms are wrapped, so p/q*L(1) stays bare
-        return coeff.den == {(0, 0): 1} and len(coeff.num) > 1
+        return coeff.is_laurent_polynomial() and not coeff.is_monomial()
 
     @classmethod
     def unit(cls):

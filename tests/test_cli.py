@@ -74,6 +74,22 @@ def test_parse_error_reports_position():
         raise AssertionError("expected a parse error")
 
 
+@pytest.mark.parametrize("src, pos", [("L(1)^100000000", 5), ("T^-999999999", 2),
+                                      ("2^999999999", 2)])
+def test_exponents_beyond_the_bound_exit_2_at_parsing(capsys, src, pos):
+    # each would otherwise build a word or an integer of that many letters or digits
+    with pytest.raises(ExpressionError, match=r"\|k\| <= 4096") as exc:
+        parse(src)
+    assert exc.value.pos == pos
+    assert main(["normalize", src]) == 2
+    assert "|k| <= 4096" in capsys.readouterr().err
+
+
+def test_exponents_at_the_bound_are_accepted():
+    assert parse("T^-4096") == AlgebraElement.from_word((TINV,) * 4096)
+    assert len(next(iter(parse("L(1)^4096").terms))) == 4096
+
+
 def test_negative_powers_only_on_t_and_scalars():
     assert parse("T^-3") == AlgebraElement.from_word((TINV,) * 3)
     assert parse("(T^2)^-2") == AlgebraElement.from_word((TINV,) * 4)

@@ -234,3 +234,65 @@ def test_evaluation_is_a_homomorphism(x):
     lhs = evaluate(x * x + x, *pt)
     v = evaluate(x, *pt)
     assert lhs == v * v + v
+
+
+def homogeneous_polys(degree):
+    return st.dictionaries(ints(0, degree).map(lambda i: (i, degree - i)),
+                           ints(-3, 3).filter(bool), min_size=1, max_size=degree + 1)
+
+
+@st.composite
+def value_parts(draw, homogeneous=None):
+    """(num, den, shift) of a value, homogeneous or not, not yet reduced."""
+    if homogeneous is None:
+        homogeneous = draw(st.booleans())
+    if homogeneous:
+        num = draw(ints(0, 3).flatmap(homogeneous_polys))
+        den = draw(ints(0, 2).flatmap(homogeneous_polys))
+    else:
+        num, den = draw(polys), draw(polys)
+    return num, den, draw(st.tuples(ints(-3, 3), ints(-3, 3)))
+
+
+@given(value_parts(), value_parts(), value_parts(homogeneous=True),
+       st.sampled_from(("independent", "sum is homogeneous", "sum is zero")))
+@example(({(1, 0): 1, (0, 0): 1}, {(0, 0): 1}, (0, 0)), ({(0, 0): 1}, {(0, 0): 1}, (0, 0)),
+         ({(1, 0): 1}, {(0, 0): 1}, (0, 0)), "sum is homogeneous")
+@example(({(1, 1): 2}, {(1, 0): 1, (0, 1): -1}, (-1, 2)), ({(0, 0): 1}, {(0, 0): 1}, (0, 0)),
+         ({(0, 0): 1}, {(0, 0): 1}, (0, 0)), "sum is zero")
+def test_arithmetic_agrees_with_sympy(xs, ys, hs, relation):
+    """Differential check of +, -, *, / and inverse: each result has sympy's
+    value, and the canonical parts and renderings of the same value built
+    from sympy's reduced numerator and denominator.  y is drawn so that
+    x + y may cancel to a homogeneous value or to zero."""
+    sympy = pytest.importorskip("sympy")
+    ps, qs = sympy.symbols("p q")
+
+    def sym(num, den, shift):
+        poly = [sum(c * ps ** i * qs ** j for (i, j), c in f.items()) for f in (num, den)]
+        return ps ** shift[0] * qs ** shift[1] * poly[0] / poly[1]
+
+    def canonical(expr):
+        # n/d = (cd * n) / (cn * d) with cn * n and cd * d in Z[p, q]
+        (cn, n), (cd, d) = (sympy.Poly(f, ps, qs).clear_denoms()
+                            for f in sympy.fraction(sympy.cancel(expr)))
+        return RatFunc({m: int(c * cd) for m, c in n.terms() if c},
+                       {m: int(c * cn) for m, c in d.terms()})
+
+    x, sx = RatFunc(*xs), sym(*xs)
+    if relation == "independent":
+        y, sy = RatFunc(*ys), sym(*ys)
+    else:
+        sy = sympy.cancel((sym(*hs) if relation == "sum is homogeneous" else 0) - sx)
+        y = canonical(sy)
+    results = [(x + y, sx + sy), (x - y, sx - sy), (x * y, sx * sy)]
+    if y:
+        results.append((x / y, sx / sy))
+    if x:
+        results.append((x.inverse(), 1 / sx))
+    for value, expected in results:
+        assert sympy.cancel(sym(value.num, value.den, value.shift) - expected) == 0
+        ref = canonical(expected)
+        assert (value.shift, value.num, value.den) == (ref.shift, ref.num, ref.den)
+        assert value == ref and hash(value) == hash(ref)
+        assert (str(value), value.latex()) == (str(ref), ref.latex())

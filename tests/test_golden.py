@@ -38,6 +38,11 @@ def test_rendering_of_coefficient_shapes():
 
 NF_EXPR = "(p + q)/q L(1)^2 - (p + q) L(2) C^2 + p/(p-q) T^-2 L(-1)"
 EQ811_EXPR = "C^2 L(2) L(-1) T"
+# words of words_heavy's shape: 7 distinct L indices and one C or T^-1; their
+# normal forms have hundreds of terms, coefficients of degree up to 104 and
+# denominators such as 6*p^2*q^53 + 6*q^55
+BIG_C_EXPR = "L(2) L(3) L(-3) L(-2) C L(-5) L(4) L(-4)"
+BIG_TINV_EXPR = "L(-2) L(5) L(6) L(-1) T^-1 L(-4) L(-6) L(-3)"
 
 GOLDEN = [
     (["verify", "--suite", "all", "--range", "2", "--dim", "8", "--words", "20",
@@ -67,6 +72,18 @@ GOLDEN = [
      "5c3eef7f20dd8858d6d05df387ebe1a0a9bf60425b889bfec64d4a0271653ee4"),
     (["normalize", EQ811_EXPR, "--variant", "r5-8.11", "--format", "latex"], 0,
      "d2344a0535fd89461fa16a30f4015e7d3ed6205f965d265182ac19daad297b4f"),
+    (["normalize", BIG_C_EXPR, "--format", "text"], 0,
+     "a3e6e277810678fccdb249f7c9c266ae6a5d6e2370d18fcd723eabc14572a5dd"),
+    (["normalize", BIG_C_EXPR, "--format", "json"], 0,
+     "d5e83da6e147d24479114d3c8adb2c7b4c558322c8fcfa4bff6bd7f08e290d16"),
+    (["normalize", BIG_C_EXPR, "--format", "latex"], 0,
+     "5243d364c0a3bf761ccbe59370ad8b943ebe1802571e0c2b0a83acf73054193e"),
+    (["normalize", BIG_TINV_EXPR, "--format", "text"], 0,
+     "f9383c1a1297c3219bf1a7a1498d8bddca1f9481046802288114f8dc3e8d0c9a"),
+    (["normalize", BIG_TINV_EXPR, "--format", "json"], 0,
+     "69a10701a56c720f72c73710b6da6a21f67b7cd9646fd5887a3c909b2a4d300f"),
+    (["normalize", BIG_TINV_EXPR, "--format", "latex"], 0,
+     "12a3651ac96e57e83a744edd7ef015f6b10869a143a3e4adac057986099bc425"),
     (["bracket", "2", "-2", "--format", "text"], 0,
      "16ed7e4a3f89ff2a17cf46a5b3c9e08300855934ad50a8bd18a161e69b96e1f1"),
     (["bracket", "2", "-2", "--format", "json"], 0,
