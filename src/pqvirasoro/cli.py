@@ -21,6 +21,7 @@ excluded from gating unless requested.
 
 import argparse
 import json
+import random
 import sys
 
 from .field import RatFunc, ZERO, P, Q
@@ -33,7 +34,6 @@ from .freealg import (
     TINV,
     C,
     bracket_env,
-    make_rng,
     normalize,
     random_word,
     RELATION_NAMES,
@@ -260,22 +260,22 @@ def _emit(lines, out_path):
 
 def _variant_names(args):
     names = []
-    if getattr(args, "variant", None):
+    if args.variant:
         names.append(args.variant)
-    if getattr(args, "strict_typos", False):
+    if args.strict_typos:
         names.append("strict-typos")
     return names
 
 
 def _rewrite_config(args):
-    if getattr(args, "variant", None) == "r5-8.11":
+    if args.variant == "r5-8.11":
         return RewriteConfig(r5_variant="eq811")
     return DEFAULT_CONFIG
 
 
 def _hopf_config(args):
     return hopfmod.HopfConfig(
-        delta_c="printed" if getattr(args, "strict_typos", False) else "corrected",
+        delta_c="printed" if args.strict_typos else "corrected",
         rewrite=_rewrite_config(args),
     )
 
@@ -398,7 +398,7 @@ def _suite_hopf(report, window, cfg):
 
 
 def _suite_confluence(report, seed, count, cfg):
-    rng = make_rng(seed)
+    rng = random.Random(seed)
     mismatches = 0
     for idx in range(count):
         word = random_word(rng, max_len=12, index_range=(-6, 6))
@@ -456,27 +456,18 @@ def _structure_constants_lines(window, fmt):
 
 
 def _hopf_maps_lines(window, fmt, cfg):
-    gens = hopfmod.generators(window)
-    rows = []
-    for name, g in gens:
-        rows.append(
-            {
-                "generator": name,
-                "delta": str(hopfmod.coproduct(g, cfg)),
-                "counit": str(hopfmod.counit(g)),
-                "antipode": str(hopfmod.antipode(g, cfg)),
-            }
-        )
-    if fmt == "json":
-        return [json.dumps(r) for r in rows]
-    lines = ["\\begin{align*}"]
-    for name, g in gens:
-        gl = normalize(g, cfg.rewrite).latex()
-        lines.append(f"  \\Delta({gl}) &= {hopfmod.coproduct(g, cfg).latex()} \\\\")
-        lines.append(f"  \\epsilon({gl}) &= {hopfmod.counit(g).latex()} \\\\")
-        lines.append(f"  S({gl}) &= {hopfmod.antipode(g, cfg).latex()} \\\\")
-    lines.append("\\end{align*}")
-    return lines
+    lines = []
+    for name, g in hopfmod.generators(window):
+        delta, eps, s = hopfmod.coproduct(g, cfg), hopfmod.counit(g), hopfmod.antipode(g, cfg)
+        if fmt == "json":
+            lines.append(json.dumps(
+                {"generator": name, "delta": str(delta), "counit": str(eps), "antipode": str(s)}))
+        else:
+            gl = normalize(g, cfg.rewrite).latex()
+            lines.append(f"  \\Delta({gl}) &= {delta.latex()} \\\\")
+            lines.append(f"  \\epsilon({gl}) &= {eps.latex()} \\\\")
+            lines.append(f"  S({gl}) &= {s.latex()} \\\\")
+    return lines if fmt == "json" else ["\\begin{align*}"] + lines + ["\\end{align*}"]
 
 
 def _cmd_table(args):
@@ -550,12 +541,15 @@ def build_parser():
     def common(p, fmt_choices=("text", "json", "latex")):
         p.add_argument("--format", choices=fmt_choices, default=fmt_choices[0])
         p.add_argument("--out", default=None, help="write output to a file instead of stdout")
+
+    def variant(p):
         p.add_argument("--variant", choices=["r5-8.11"], default=None,
                        help="use the alternative form of the C commutation relation")
 
     p = sub.add_parser("normalize", help="rewrite an expression to normal form")
     p.add_argument("expr")
     common(p)
+    variant(p)
     p.set_defaults(fn=_cmd_normalize)
 
     p = sub.add_parser("bracket", help="bracket environment element B(n, m)")
@@ -571,7 +565,7 @@ def build_parser():
     p.add_argument("--dim", type=int, default=20, help="Fock truncation dimension")
     p.add_argument("--seed", type=int, default=0, help="seed for random words")
     p.add_argument("--words", type=count, default=500, help="random words for the confluence suite")
-    p.add_argument("--variant", choices=["r5-8.11"], default=None)
+    variant(p)
     p.add_argument("--strict-typos", action="store_true",
                    help="use the printed form of the coproduct of C")
     p.add_argument("--gate-variants", action="store_true",
@@ -584,6 +578,7 @@ def build_parser():
                    default="structure_constants")
     p.add_argument("--range", type=count, default=3)
     common(p, fmt_choices=("json", "latex"))
+    variant(p)
     p.add_argument("--strict-typos", action="store_true")
     p.set_defaults(fn=_cmd_table)
 

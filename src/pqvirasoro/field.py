@@ -334,15 +334,6 @@ def _p_divexact(f, g):
         return f
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    if len(g) == 1:
-        ((gi, gj), gc), = g.items()
-        out = {}
-        for (i, j), c in f.items():
-            q, r = divmod(c, gc)
-            if r or i < gi or j < gj:
-                raise ValueError("inexact polynomial division")
-            out[(i - gi, j - gj)] = q
-        return out
     out = {}
     rem = dict(f)
     gl = max(g, key=_grlex)
@@ -418,12 +409,16 @@ def _rec_pseudo_rem(A, B):
     return R
 
 
-def _p_gcd_core(f, g):
-    """GCD of two nonzero int-content-free, monomial-free polynomials."""
+def _p_gcd(f, g):
+    """GCD in Z[p,q] of two nonzero polynomials that neither p nor q
+    divides, with positive graded-lex leading coefficient."""
+    if len(f) == 1 or len(g) == 1:
+        return {(0, 0): _int_gcd(_content(f.values()), _content(g.values()))}
     if f == g:
         return _p_sign_norm(f)
     F = _rec_from(f)
     G = _rec_from(g)
+    # the contents in Z[q] hold the integer contents too
     cf = _rec_content_p(F)
     cg = _rec_content_p(G)
     c = _u_gcd(cf, cg)
@@ -438,18 +433,6 @@ def _p_gcd_core(f, g):
     if c != _ONE_T:
         core = _p_mul(core, {(0, j): v for j, v in enumerate(c) if v})
     return _p_sign_norm(core)
-
-
-def _p_gcd(f, g):
-    """GCD in Z[p,q] of two nonzero polynomials that neither p nor q
-    divides, with positive graded-lex leading coefficient."""
-    cf = _content(f.values())
-    cg = _content(g.values())
-    c = _int_gcd(cf, cg)
-    if len(f) == 1 or len(g) == 1:
-        return {(0, 0): c}
-    core = _p_gcd_core(_p_exquo(f, cf), _p_exquo(g, cg))
-    return _p_scale(core, c)
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +530,8 @@ def _common(x, y, same_degree=False):
 
 
 def _poly_str(terms, latex=False, negate=False):
-    # terms: ((i, j), c) in graded-lex order; negate renders -f
+    # terms: ((i, j), c) in graded-lex order; negate renders -f, and the
+    # leading term, after negate, is positive
     power = "^{%d}" if latex else "^%d"
     times = " " if latex else "*"
     out = []
@@ -556,8 +540,6 @@ def _poly_str(terms, latex=False, negate=False):
             c = -c
         if out:
             out.append(" - " if c < 0 else " + ")
-        elif c < 0:
-            out.append("-")
         ps = "" if i == 0 else "p" if i == 1 else "p" + power % i
         qs = "" if j == 0 else "q" if j == 1 else "q" + power % j
         mono = ps + times + qs if ps and qs else ps or qs
@@ -695,7 +677,7 @@ class RatFunc:
         if isinstance(other, int):
             return RatFunc(other)
         if isinstance(other, Fraction):
-            return RatFunc(other.numerator, other.denominator)
+            return RatFunc.from_fraction(other)
         return None
 
     def __add__(self, other):
@@ -826,10 +808,6 @@ class RatFunc:
         if o is None:
             return NotImplemented
         return self.shift == o.shift and self._num == o._num and self._den == o._den
-
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
 
     def __hash__(self):
         h = self._hash

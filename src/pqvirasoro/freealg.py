@@ -34,7 +34,6 @@ Elements are immutable in spirit: all operations return fresh values.
 from __future__ import annotations
 
 import heapq
-import random
 from bisect import bisect_right, insort
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -111,18 +110,10 @@ _NOTATION = (("T", "L(%d)", "^%d"), ("\\mathcal{T}", "L_{%d}", "^{%d}"))
 def word_str(word, latex=False):
     """Render a word as text or LaTeX, merging runs of equal letters into
     powers (a run of T^-1 becomes a negative power of T)."""
-    if not word:
-        return "1"
     t_sym, l_fmt, power = _NOTATION[latex]
     parts = []
-    i = 0
-    n = len(word)
-    while i < n:
-        j = i
-        while j < n and word[j] == word[i]:
-            j += 1
-        tag, idx = word[i]
-        count = j - i
+    for (tag, idx), run in groupby(word):
+        count = len(tuple(run))
         if tag == "T":
             base, count = t_sym, idx * count
         elif tag == "L":
@@ -130,8 +121,7 @@ def word_str(word, latex=False):
         else:
             base = "C"
         parts.append(base if count == 1 else base + power % count)
-        i = j
-    return " ".join(parts)
+    return " ".join(parts) or "1"
 
 
 class AlgebraElement(LinComb):
@@ -407,10 +397,6 @@ def random_word(rng, max_len=12, index_range=(-6, 6)):
     letters = [T, TINV, C] + [L(n) for n in range(lo, hi + 1)]
     length = rng.randint(1, max_len)
     return tuple(rng.choice(letters) for _ in range(length))
-
-
-def make_rng(seed):
-    return random.Random(seed)
 
 
 # ---------------------------------------------------------------------------

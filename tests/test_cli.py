@@ -1,6 +1,7 @@
 """Expression parsing, rendering, verification suites, exit codes."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given
@@ -14,7 +15,6 @@ from pqvirasoro.freealg import (
     L,
     T,
     TINV,
-    make_rng,
     normalize,
     random_word,
 )
@@ -105,7 +105,7 @@ def test_round_trip_examples():
 
 @given(st.integers(min_value=0, max_value=10_000))
 def test_round_trip_normal_forms(seed):
-    rng = make_rng(seed)
+    rng = random.Random(seed)
     w = random_word(rng, max_len=6, index_range=(-4, 4))
     nf = normalize(AlgebraElement.from_word(w), DEFAULT_CONFIG)
     rendered = render_element(nf)
@@ -147,6 +147,14 @@ def test_bracket_verb(tmp_path):
     assert code == 0
     payload = json.loads(text)
     assert payload["terms"] == {"L(0)": "-(p + q)/(p*q)"}
+
+
+def test_bracket_rejects_variant(capsys):
+    # the bracket does not depend on the rewrite rules, so it takes no variant
+    with pytest.raises(SystemExit) as exc:
+        main(["bracket", "1", "2", "--variant", "r5-8.11"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --variant" in capsys.readouterr().err
 
 
 def test_structure_constants_table(tmp_path):

@@ -66,6 +66,15 @@ def test_canonical_form_of_one_variable_fractions():
     assert str(y) == "-(p^2 - p)/(2*p - 4)"
 
 
+
+def test_dict_input_with_negative_exponents():
+    # the constructor moves negative exponents into the shift before the
+    # dense form reads the exponents as indices
+    assert RatFunc({(-1, 2): 1, (1, 0): 1}) == (P * P + Q * Q) / P
+    assert RatFunc({(-1, 0): 1}) == P.inverse()
+    assert RatFunc({(0, -2): 3, (1, -1): 1}) == (P * Q + 3) / (Q * Q)
+
+
 def test_zero_and_one_predicates():
     assert ZERO.is_zero() and not ZERO.is_one()
     assert ONE.is_one() and not ONE.is_zero()
@@ -217,6 +226,7 @@ def test_field_inverses(x):
 def test_equality_is_canonical(x, y):
     # cross-multiplied comparison agrees with structural equality
     assert (x == y) == (x - y).is_zero()
+    assert (x != y) == (not x == y)
     if x == y:
         assert hash(x) == hash(y)
 
@@ -260,6 +270,14 @@ def value_parts(draw, homogeneous=None):
          ({(1, 0): 1}, {(0, 0): 1}, (0, 0)), "sum is homogeneous")
 @example(({(1, 1): 2}, {(1, 0): 1, (0, 1): -1}, (-1, 2)), ({(0, 0): 1}, {(0, 0): 1}, (0, 0)),
          ({(0, 0): 1}, {(0, 0): 1}, (0, 0)), "sum is zero")
+# 6(p + q)(p + 1) / (4(p + q)(q + 2)): integer and polynomial content shared
+@example(({(2, 0): 6, (1, 0): 6, (1, 1): 6, (0, 1): 6}, {(1, 1): 4, (1, 0): 8, (0, 2): 4, (0, 1): 8},
+          (0, 0)), ({(0, 1): 1, (0, 0): 2}, {(1, 0): 1, (0, 0): 1}, (0, 0)),
+         ({(0, 0): 1}, {(0, 0): 1}, (0, 0)), "independent")
+# (6p + 6) / (4q + 2): the GCD is the constant 2
+@example(({(1, 0): 6, (0, 0): 6}, {(0, 1): 4, (0, 0): 2}, (0, 0)),
+         ({(0, 1): 2, (0, 0): 1}, {(1, 0): 3, (0, 0): 3}, (1, 0)),
+         ({(0, 0): 1}, {(0, 0): 1}, (0, 0)), "independent")
 def test_arithmetic_agrees_with_sympy(xs, ys, hs, relation):
     """Differential check of +, -, *, / and inverse: each result has sympy's
     value, and the canonical parts and renderings of the same value built

@@ -1,5 +1,7 @@
 """Free algebra on T, C, L(n) and reduction to the normal-form basis."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,7 +24,6 @@ from pqvirasoro.freealg import (
     central_coeff,
     equals,
     find_redex,
-    make_rng,
     measure,
     multiply,
     normalize,
@@ -187,7 +188,7 @@ def test_normalize_moves_t_left_and_c_right():
 
 
 def test_normalize_idempotent():
-    rng = make_rng(11)
+    rng = random.Random(11)
     for _ in range(25):
         w = random_word(rng, max_len=8, index_range=(-4, 4))
         for strategy in ("leftmost", "rightmost"):
@@ -367,7 +368,7 @@ def test_memo_gives_the_heap_reduction_of_the_whole_element(x):
 def test_memo_bound_evicts_least_recently_used(monkeypatch):
     monkeypatch.setattr(freealg, "_MEMO_MAX_TERMS", 40)
     clear_memo()
-    rng = make_rng(3)
+    rng = random.Random(3)
     for _ in range(300):
         normalize(random_word(rng, max_len=6, index_range=(-3, 3)))
         assert memo_consistent()
@@ -533,9 +534,9 @@ def test_to_json_dict():
 
 
 def test_random_word_is_seed_deterministic():
-    a = [random_word(make_rng(5)) for _ in range(3)]
-    b = [random_word(make_rng(5)) for _ in range(3)]
+    a = [random_word(random.Random(5)) for _ in range(3)]
+    b = [random_word(random.Random(5)) for _ in range(3)]
     # same seed, fresh generator each time: identical first draw
     assert a[0] == b[0]
-    rng1, rng2 = make_rng(9), make_rng(9)
+    rng1, rng2 = random.Random(9), random.Random(9)
     assert [random_word(rng1) for _ in range(10)] == [random_word(rng2) for _ in range(10)]
