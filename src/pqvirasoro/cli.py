@@ -37,6 +37,8 @@ from .freealg import (
     normalize,
     random_word,
     RELATION_NAMES,
+    central_coeff,
+    t_degree,
     t_word,
     to_json_dict,
     word_str,
@@ -199,10 +201,10 @@ class _Parser:
             word, coeff = next(iter(value.terms.items()))
             if k >= 0:
                 return AlgebraElement({word * k: coeff ** k})
-            if all(sym == "T" for sym, _ in word):
-                degree = sum(d for _, d in word)
+            if all(map(t_degree, word)):
+                degree = sum(map(t_degree, word))
                 return AlgebraElement({t_word(degree * k): coeff ** k})
-            if any(sym == "C" for sym, _ in word):
+            if C in word:
                 raise ExpressionError("exponent on C must be nonnegative", pos)
             raise ExpressionError("negative exponent requires an invertible factor", pos)
         if k >= 0:
@@ -353,7 +355,7 @@ def _suite_homlie(report, window):
         window=jwin, triples=(2 * jwin + 1) ** 3,
     )
     for n in range(1, 11):
-        ok = homlie.central_g(-n) == -homlie.central_g(n)
+        ok = central_coeff(-n) == -central_coeff(n)
         report.add("homlie", "central_reflection", ok, n=n)
     gap = homlie.alpha_bracket_gap(1, 2)
     report.add(
@@ -471,11 +473,14 @@ def _hopf_maps_lines(window, fmt, cfg):
 
 
 def _cmd_table(args):
-    cfg = _hopf_config(args)
-    if args.kind == "structure_constants":
-        lines = _structure_constants_lines(args.range, args.format)
+    if args.kind == "hopf_maps":
+        lines = _hopf_maps_lines(args.range, args.format, _hopf_config(args))
     else:
-        lines = _hopf_maps_lines(args.range, args.format, cfg)
+        # the structure constants depend on neither the rewrite rules nor delta(C)
+        flag = "--variant" if args.variant else "--strict-typos" if args.strict_typos else None
+        if flag:
+            raise ValueError(f"table --kind structure_constants does not take {flag}")
+        lines = _structure_constants_lines(args.range, args.format)
     _emit(lines, args.out)
     return 0
 

@@ -329,11 +329,8 @@ def _p_terms(f, i0, j0):
 
 
 def _p_divexact(f, g):
-    """Exact division in Z[p,q]; raises ValueError if g does not divide f."""
-    if g == _ONE_P:
-        return f
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
+    """Exact division in Z[p,q] by a nonzero g other than 1; raises
+    ValueError if g does not divide f."""
     out = {}
     rem = dict(f)
     gl = max(g, key=_grlex)

@@ -21,6 +21,13 @@ measure (length, disorder) and reduction terminates (see ``measure``).
 The system is not confluent: the two strategies reduce some words to
 different normal forms, and the confluence suite counts those words.
 
+A letter is an int whose natural order is the normal-form letter order:
+L(n) is the int n, for |n| < INDEX_BOUND (2^28), T and T^-1 are the
+constants -INDEX_BOUND - 1 and -INDEX_BOUND below every index, and C is
+the constant INDEX_BOUND above it.  A word is a tuple of such ints, so a
+pair is a redex when its letters are out of order or are T T^-1, and
+sorting letters puts them in basis order.
+
 Each word's reduction is fixed by the word, the strategy and the R5
 variant, and normalization is linear, so ``normalize`` may take the
 normal form of each word of an element from a memo and add them up.  The
@@ -47,6 +54,8 @@ __all__ = [
     "TINV",
     "C",
     "L",
+    "INDEX_BOUND",
+    "t_degree",
     "t_word",
     "AlgebraElement",
     "NormalWord",
@@ -71,15 +80,24 @@ __all__ = [
 ]
 
 
-# letters: ("T", +1), ("T", -1), ("L", n), ("C", 0)
-T = ("T", 1)
-TINV = ("T", -1)
-C = ("C", 0)
+# letters: T < T^-1 < L(n) = n for every allowed n < C
+INDEX_BOUND = 1 << 28  # every L index n has |n| < INDEX_BOUND
+T = -INDEX_BOUND - 1
+TINV = -INDEX_BOUND
+C = INDEX_BOUND
 
 
 def L(n):
-    """The weight-n generator letter."""
-    return ("L", int(n))
+    """The weight-n generator letter, the int n itself."""
+    n = int(n)
+    if -INDEX_BOUND < n < INDEX_BOUND:
+        return n
+    raise ValueError("L index %d is out of range: |n| < %d" % (n, INDEX_BOUND))
+
+
+def t_degree(letter):
+    """+1 for T, -1 for T^-1 and 0 for any other letter."""
+    return 1 if letter == T else -1 if letter == TINV else 0
 
 
 def t_word(m):
@@ -89,18 +107,9 @@ def t_word(m):
     return (TINV,) * (-m)
 
 
-def _letter_key(letter):
-    tag, idx = letter
-    if tag == "T":
-        return (0, -idx)
-    if tag == "L":
-        return (1, idx)
-    return (2, 0)
-
-
 def word_sort_key(word):
     """Deterministic order: higher length first, then letter-wise."""
-    return (-len(word), tuple(_letter_key(a) for a in word))
+    return (-len(word), word)
 
 
 # (T, L(n), power) notation: text first, then LaTeX
@@ -112,14 +121,14 @@ def word_str(word, latex=False):
     powers (a run of T^-1 becomes a negative power of T)."""
     t_sym, l_fmt, power = _NOTATION[latex]
     parts = []
-    for (tag, idx), run in groupby(word):
+    for letter, run in groupby(word):
         count = len(tuple(run))
-        if tag == "T":
-            base, count = t_sym, idx * count
-        elif tag == "L":
-            base = l_fmt % idx
-        else:
+        if t_degree(letter):
+            base, count = t_sym, t_degree(letter) * count
+        elif letter == C:
             base = "C"
+        else:
+            base = l_fmt % letter
         parts.append(base if count == 1 else base + power % count)
     return " ".join(parts) or "1"
 
@@ -215,12 +224,6 @@ class RewriteConfig:
 DEFAULT_CONFIG = RewriteConfig()
 
 
-@lru_cache(maxsize=None)
-def _is_redex(a, b):
-    # out of the normal-form letter order, or the T T^-1 pair that R1 cancels
-    return _letter_key(a) > _letter_key(b) or (a, b) == (T, TINV)
-
-
 def find_redex(word, strategy="leftmost"):
     """Index of the redex pair chosen by the strategy, or None."""
     n = len(word) - 1
@@ -231,7 +234,9 @@ def find_redex(word, strategy="leftmost"):
     else:
         raise ValueError("unknown strategy %r" % (strategy,))
     for i in rng:
-        if _is_redex(word[i], word[i + 1]):
+        # out of the normal-form letter order, or the T T^-1 pair that R1 cancels
+        a, b = word[i], word[i + 1]
+        if a > b or (a == T and b == TINV):
             return i
     return None
 
@@ -242,15 +247,14 @@ def _branches(a, b, variant):
 
     The defining relation that contains the word (a, b), solved for it.
     """
-    (ta, ia), (tb, ib) = a, b
-    if ta == "T":
+    if t_degree(a):
         name, n, m = "R1", 0, 1
-    elif tb == "T":
-        name, n, m = ("R2", ia, ib) if ta == "L" else ("R3", 0, ib)
-    elif ta == "C":
-        name, n, m = "R5", ib, 0
+    elif t_degree(b):
+        name, n, m = ("R3", 0, t_degree(b)) if a == C else ("R2", a, t_degree(b))
+    elif a == C:
+        name, n, m = "R5", b, 0
     else:
-        name, n, m = "R4", ia, ib
+        name, n, m = "R4", a, b
     for rel in relation_elements(name, n, m, RewriteConfig(variant)):
         if (a, b) in rel.terms:
             scale = -rel.terms[(a, b)].inverse()  # -1 / lead
@@ -377,17 +381,17 @@ def equals(x, y, cfg=DEFAULT_CONFIG):
 def measure(word):
     """Termination measure (length, disorder), lowered by every rewrite rule.
 
-    disorder is the number of letter pairs out of the normal-form order of
-    ``word_sort_key`` (T, then T^-1, then L(n) by increasing n, then C).
-    Every rule either shortens the word or swaps one adjacent out-of-order
-    pair, which lowers the disorder by exactly one.
+    disorder is the number of letter pairs out of the normal-form order,
+    which is the order of the letters as ints (T, then T^-1, then L(n) by
+    increasing n, then C).  Every rule either shortens the word or swaps
+    one adjacent out-of-order pair, which lowers the disorder by exactly
+    one.
     """
     disorder = 0
-    seen = []  # letter keys so far, sorted
+    seen = []  # letters so far, sorted
     for letter in word:
-        key = _letter_key(letter)
-        disorder += len(seen) - bisect_right(seen, key)
-        insort(seen, key)
+        disorder += len(seen) - bisect_right(seen, letter)
+        insort(seen, letter)
     return (len(word), disorder)
 
 
@@ -434,14 +438,14 @@ class NormalWord:
             raise ValueError("word is not normal: %s" % word_str(word))
         t_exp = c_exp = 0
         l_part = []
-        for (tag, idx), run in groupby(word):
+        for letter, run in groupby(word):
             count = len(tuple(run))
-            if tag == "T":
-                t_exp = idx * count
-            elif tag == "L":
-                l_part.append((idx, count))
-            else:
+            if t_degree(letter):
+                t_exp = t_degree(letter) * count
+            elif letter == C:
                 c_exp = count
+            else:
+                l_part.append((letter, count))
         return cls(t_exp, tuple(l_part), c_exp)
 
     def word(self):

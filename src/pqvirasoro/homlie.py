@@ -24,15 +24,14 @@ identity, whose central triples test g(n).
 """
 
 from .field import ZERO, ONE, LinComb, accumulate, monomial
-from .freealg import C, L, bracket_env, central_coeff, word_sort_key, word_str
-
-central_g = central_coeff  # the central weight g(n) above
+from .freealg import C, L, bracket_env, word_str
 
 
 class HomLieElement(LinComb):
     """A finite linear combination of the L_n plus a multiple of C.
 
-    The term map is keyed by the letters L(n) and C of the rewriting layer.
+    The term map is keyed by the letters L(n) and C of the rewriting layer,
+    ints that sort in basis order.
     """
 
     __slots__ = ()
@@ -46,7 +45,7 @@ class HomLieElement(LinComb):
     @property
     def l(self):
         """The L part, as a map n -> coefficient."""
-        return {n: coeff for (sym, n), coeff in self.terms.items() if sym == "L"}
+        return {n: coeff for n, coeff in self.terms.items() if n != C}
 
     @property
     def c(self):
@@ -62,10 +61,6 @@ class HomLieElement(LinComb):
         return cls(c=coeff)
 
     @staticmethod
-    def _sort_key(letter):
-        return word_sort_key((letter,))
-
-    @staticmethod
     def _key_str(letter, latex=False):
         return word_str((letter,), latex)
 
@@ -73,11 +68,11 @@ class HomLieElement(LinComb):
 def vbracket(x, y):
     """Bilinear bracket; C is central, so only L-L pairs contribute."""
     out = {}
-    for (sx, n), cx in x.terms.items():
-        if sx != "L":
+    for n, cx in x.terms.items():
+        if n == C:
             continue
-        for (sy, m), cy in y.terms.items():
-            if sy != "L":
+        for m, cy in y.terms.items():
+            if m == C:
                 continue
             w = cx * cy
             for (letter,), coeff in bracket_env(n, m).terms.items():
@@ -88,8 +83,8 @@ def vbracket(x, y):
 def alpha(x):
     """The twist map: L_n goes to (1 + (q/p)^n) L_n, C is fixed."""
     return HomLieElement.from_clean({
-        (sym, n): coeff * (ONE + monomial(1, -n, n)) if sym == "L" else coeff
-        for (sym, n), coeff in x.terms.items()
+        n: coeff if n == C else coeff * (ONE + monomial(1, -n, n))
+        for n, coeff in x.terms.items()
     })
 
 

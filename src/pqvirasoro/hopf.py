@@ -33,6 +33,7 @@ from .freealg import (
     multiply,
     normalize,
     relation_elements,
+    t_degree,
     t_word,
     word_sort_key,
     word_str,
@@ -118,15 +119,14 @@ def tensor_multiply(x, y, cfg=DEFAULT_HOPF):
 
 
 def _letter_coproduct(letter, cfg):
-    sym, n = letter
-    if sym == "T":
+    if t_degree(letter):
         w = (letter,)
         return {(w, w): ONE}
-    if sym == "C":
+    if letter == C:
         # the printed coproduct has 1 (x) T where the corrected one has 1 (x) C
         right = T if cfg.delta_c == "printed" else C
         return {((C,), ()): ONE, ((), (right,)): ONE}
-    tn = t_word(n)
+    tn = t_word(letter)
     return {((letter,), tn): ONE, (tn, (letter,)): ONE}
 
 
@@ -148,7 +148,7 @@ def coproduct(x, cfg=DEFAULT_HOPF):
 
 
 def _is_t_power(word):
-    return all(sym == "T" for sym, _ in word)
+    return all(map(t_degree, word))
 
 
 def counit(x):
@@ -166,16 +166,16 @@ def antipode(x, cfg=DEFAULT_HOPF):
     for word, coeff in x.terms.items():
         sign = 1
         letters = []
-        for sym, n in reversed(word):
-            if sym == "T":
-                letters.extend(t_word(-n))
-            elif sym == "C":
+        for letter in reversed(word):
+            if t_degree(letter):
+                letters.extend(t_word(-t_degree(letter)))
+            elif letter == C:
                 sign = -sign
                 letters.append(C)
             else:
                 sign = -sign
-                tn = t_word(-n)
-                letters.extend(tn + (L(n),) + tn)
+                tn = t_word(-letter)
+                letters.extend(tn + (letter,) + tn)
         accumulate(out, tuple(letters), coeff if sign > 0 else -coeff)
     return normalize(AlgebraElement.from_clean(out), cfg.rewrite)
 

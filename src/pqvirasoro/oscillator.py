@@ -25,7 +25,7 @@ the cutoff.
 from dataclasses import dataclass
 
 from .field import ZERO, ONE, P, Q, LinComb, accumulate, monomial, pq_int, pq_ladder, substitute
-from .freealg import bracket_coeff
+from .freealg import C, bracket_coeff, t_degree
 
 # the point (p, q) of each mode, None leaving a parameter free
 _POINTS = {"classical": (1, 1), "one_param": (1, None), "two_param": (None, None)}
@@ -240,17 +240,17 @@ def verify_bracket(n, m, osc, guard=None):
 def word_image(word, osc):
     """Matrix image of a word of letters from the rewriting layer.
 
-    Letters are the plain tuples used there: ("L", n) maps to L_n and
-    ("C", 0) to the zero matrix (the realization is centerless).
-    T has no Fock image, so words containing it are rejected.
+    The letter L(n), the int n, maps to L_n and C to the zero matrix (the
+    realization is centerless).  T has no Fock image, so words containing
+    it are rejected.
     """
-    if any(sym == "T" for sym, _ in word):
+    if any(map(t_degree, word)):
         raise ValueError("T has no Fock image")
     out = FockOperator.identity(osc.dim)
-    for sym, n in word:
-        if sym == "C":
+    for letter in word:
+        if letter == C:
             return FockOperator.zero(osc.dim)
-        out = out * make_L(n, osc)
+        out = out * make_L(letter, osc)
     return out
 
 

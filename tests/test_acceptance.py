@@ -184,7 +184,7 @@ def test_criterion_6_relations_and_cross_oracle(capsys):
     osc = make_oscillator(16, "two_param")
     cross_bad = []
     for pair in itertools.product(range(-1, 5), repeat=2):
-        word = tuple(("L", n) for n in pair)
+        word = tuple(L(n) for n in pair)
         guard = GuardSpec(word_length=2, max_shift=4)
         cols = guard.safe_columns(16)
         direct = word_image(word, osc)
@@ -193,7 +193,7 @@ def test_criterion_6_relations_and_cross_oracle(capsys):
             if not (element_image(nf, osc) - direct).is_zero_on(cols):
                 cross_bad.append((pair, strategy))
     for triple in itertools.product(range(-1, 4), repeat=3):
-        word = tuple(("L", n) for n in triple)
+        word = tuple(L(n) for n in triple)
         guard = GuardSpec(word_length=3, max_shift=3)
         cols = guard.safe_columns(16)
         direct = word_image(word, osc)

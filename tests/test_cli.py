@@ -12,6 +12,7 @@ from pqvirasoro.field import monomial
 from pqvirasoro.freealg import (
     AlgebraElement,
     DEFAULT_CONFIG,
+    INDEX_BOUND,
     L,
     T,
     TINV,
@@ -167,6 +168,24 @@ def test_structure_constants_table(tmp_path):
     assert rec["coeff_L"] == "-(p + q)/(p*q)"
     assert rec["coeff_C"] == "0"
     assert all(r["coeff_L"] == "0" for r in records if r["n"] == r["m"])
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--variant", "r5-8.11"], "--variant"),
+    (["--strict-typos"], "--strict-typos"),
+])
+def test_structure_constants_table_rejects_rewrite_flags(flags, named, capsys):
+    # the structure constants depend on neither the rewrite rules nor delta(C)
+    assert main(["table", "--kind", "structure_constants", "--range", "1"] + flags) == 2
+    err = capsys.readouterr().err
+    assert named in err and "structure_constants" in err
+    assert main(["table", "--kind", "hopf_maps", "--range", "0"] + flags) == 0
+
+
+def test_index_beyond_the_letter_bound_exits_2(capsys):
+    assert main(["normalize", f"L({INDEX_BOUND}) L(1)"]) == 2
+    assert "out of range" in capsys.readouterr().err
+    assert main(["normalize", f"L(-{INDEX_BOUND - 1})"]) == 0
 
 
 def test_hopf_maps_table(tmp_path):

@@ -228,8 +228,27 @@ def test_measure_strictly_decreases_on_every_branch(word):
         assert measure(new_word) < m0
 
 
+def _basis_order(k):
+    """The normal-form letter order over the indices -k..k, written out by hand."""
+    return [T, TINV] + [L(n) for n in range(-k, k + 1)] + [C]
+
+
+_RANK = {letter: rank for rank, letter in enumerate(_basis_order(6))}
+
+
 def _out_of_order(a, b):
-    return word_sort_key((a,)) > word_sort_key((b,))
+    return _RANK[a] > _RANK[b]
+
+
+def test_letters_sort_in_basis_order_and_indices_are_bounded():
+    order = _basis_order(6)
+    assert sorted(reversed(order)) == order
+    assert sorted(random.Random(0).sample(order, len(order))) == order
+    bound = freealg.INDEX_BOUND
+    assert TINV < L(1 - bound) and L(bound - 1) < C
+    for n in (bound, -bound, bound + 1, -bound - 1):
+        with pytest.raises(ValueError, match="out of range"):
+            L(n)
 
 
 @given(letters_strategy())
@@ -254,18 +273,18 @@ def test_redex_pairs_are_the_out_of_order_pairs_and_t_tinv():
 def _hand_written_rule(a, b, variant):
     """The rewrite rule for the redex (a, b), written out coefficient by
     coefficient, as a reference independent of relation_elements."""
-    (ta, ia), (tb, ib) = a, b
-    if ta == "T":  # T T^-1 or T^-1 T
+    if a in (T, TINV):  # T T^-1 or T^-1 T
         return {(): ONE}
-    if ta == "L" and tb == "T":
-        return {(b, a): monomial(1, -ib * (ia + 1), ib * (ia + 1))}
-    if ta == "C" and tb == "T":
-        return {(b, a): monomial(1, -ib, ib)}
-    if ta == "C":  # C L(n)
+    s = {T: 1, TINV: -1}.get(b)
+    if s is not None and a != C:  # L(n) T^s
+        return {(b, a): monomial(1, -s * (a + 1), s * (a + 1))}
+    if s is not None:  # C T^s
+        return {(b, a): monomial(1, -s, s)}
+    if a == C:  # C L(n)
         if variant == "eq811":
-            return {(b, a): monomial(1, 0, ib)}
-        return {(b, a): monomial(1, -ib, ib)}
-    n, m = ia, ib  # L(n) L(m) with n > m
+            return {(b, a): monomial(1, 0, b)}
+        return {(b, a): monomial(1, -b, b)}
+    n, m = a, b  # L(n) L(m) with n > m
     weight = monomial(1, n, -n)
     rule = {(b, a): monomial(1, n - m, m - n), (L(n + m),): weight * bracket_coeff(n, m)}
     if n + m == 0:

@@ -9,7 +9,6 @@ from pqvirasoro.homlie import (
     HomLieElement,
     alpha,
     alpha_bracket_gap,
-    central_g,
     hom_jacobi_residual,
     plain_jacobi_residual,
     skew_residual,
@@ -43,21 +42,16 @@ def test_bracket_structure_constants_match_rewriting_layer():
             b = vbracket(HomLieElement.lgen(n), HomLieElement.lgen(m))
             expected = HomLieElement.lgen(n + m, bracket_coeff(n, m))
             if n + m == 0:
-                expected = expected + HomLieElement.cgen(central_g(n))
+                expected = expected + HomLieElement.cgen(central_coeff(n))
             assert b == expected, (n, m)
-
-
-def test_central_g_matches_rewriting_layer():
-    for n in range(-8, 9):
-        assert central_g(n) == central_coeff(n)
 
 
 def test_central_g_reflection_and_low_zeros():
     for n in range(0, 11):
-        assert central_g(-n) == -central_g(n)
+        assert central_coeff(-n) == -central_coeff(n)
     for n in (-1, 0, 1):
-        assert central_g(n).is_zero()
-    assert not central_g(2).is_zero()
+        assert central_coeff(n).is_zero()
+    assert not central_coeff(2).is_zero()
 
 
 def test_central_element_is_central():

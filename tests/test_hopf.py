@@ -55,17 +55,17 @@ def raw_antipode(x):
     for word, coeff in x.terms.items():
         sign = 1
         letters = []
-        for sym, n in reversed(word):
-            if sym == "T":
-                letters.append(("T", -n))
-            elif sym == "C":
+        for letter in reversed(word):
+            if letter in (T, TINV):
+                letters.append(TINV if letter == T else T)
+            elif letter == C:
                 sign = -sign
-                letters.append(("C", 0))
+                letters.append(C)
             else:
                 sign = -sign
-                letters.extend(t_word(-n))
-                letters.append(("L", n))
-                letters.extend(t_word(-n))
+                letters.extend(t_word(-letter))
+                letters.append(letter)
+                letters.extend(t_word(-letter))
         w = tuple(letters)
         c = coeff if sign == 1 else -coeff
         out[w] = out[w] + c if w in out else c

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pqvirasoro.field import ONE, P, Q, RatFunc, ZERO, monomial, pq_int, pq_ladder, q_int
-from pqvirasoro.freealg import AlgebraElement, L, bracket_coeff, normalize
+from pqvirasoro.freealg import AlgebraElement, C, L, T, TINV, bracket_coeff, normalize
 from pqvirasoro.oscillator import (
     FockOperator,
     GuardSpec,
@@ -136,24 +136,24 @@ def test_guard_spec_safe_columns():
 
 def test_word_image_rules():
     osc = make_oscillator(6, "two_param")
-    assert word_image((("L", 2),), osc) == make_L(2, osc)
-    assert word_image((("C", 0),), osc).is_zero()
+    assert word_image((L(2),), osc) == make_L(2, osc)
+    assert word_image((C,), osc).is_zero()
     assert word_image((), osc) == FockOperator.identity(6)
     with pytest.raises(ValueError):
-        word_image((("T", 1),), osc)
+        word_image((T,), osc)
 
 
 def test_word_image_rejects_t_after_c():
     # C maps to zero, but T has no image wherever it stands in the word
     osc = make_oscillator(6, "two_param")
-    for word in ((("C", 0), ("T", 1)), (("L", 1), ("C", 0), ("T", -1))):
+    for word in ((C, T), (L(1), C, TINV)):
         with pytest.raises(ValueError, match="T has no Fock image"):
             word_image(word, osc)
 
 
 def test_element_image_is_linear():
     osc = make_oscillator(7, "two_param")
-    x = AlgebraElement.from_letters(("L", 1)) * (P + Q) + AlgebraElement.from_letters(("L", 0), ("L", 1))
+    x = AlgebraElement.from_letters(L(1)) * (P + Q) + AlgebraElement.from_letters(L(0), L(1))
     img = element_image(x, osc)
     expected = make_L(1, osc).scale(P + Q) + make_L(0, osc) * make_L(1, osc)
     assert img == expected
@@ -220,7 +220,7 @@ def test_normal_forms_agree_with_direct_products(indices):
     interfere.
     """
     osc = make_oscillator(16, "two_param")
-    word = tuple(("L", n) for n in indices)
+    word = tuple(L(n) for n in indices)
     direct = word_image(word, osc)
     guard = GuardSpec(word_length=len(indices), max_shift=3)
     cols = guard.safe_columns(16)
