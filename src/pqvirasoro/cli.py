@@ -10,7 +10,12 @@ Verbs:
 Expressions use the letters T, Tinv, C, L(n), integer and p,q rational
 coefficients, with juxtaposition or * for products, ^ for powers, and
 parentheses. Negative powers are only meaningful on T and on scalar
-coefficients.
+coefficients; a zero to a negative power is a division by zero.
+
+The parser keeps a scalar as a coefficient: numbers, p and q, and their
+products and powers, are RatFunc values, and a value becomes an
+AlgebraElement only when it meets a word. A sum adds each term into one
+term map, so parsing is linear in the number of terms.
 
 Verification records are JSON lines with a stable field order; the
 process exits 0 when every gated record is ok, 1 when some gated
@@ -24,7 +29,7 @@ import json
 import random
 import sys
 
-from .field import RatFunc, ZERO, P, Q
+from .field import ONE, P, Q, RatFunc, ZERO, accumulate, monomial
 from .freealg import (
     AlgebraElement,
     DEFAULT_CONFIG,
@@ -92,12 +97,15 @@ def _tokenize(src):
     return tokens
 
 
-def _scalar(coeff):
-    return AlgebraElement({(): coeff})
+def _describe(tok):
+    """A token as an error message names it."""
+    return "end of input" if tok[0] == "end" else repr(tok[1])
 
 
 def _as_scalar(x):
-    """The coefficient if x is a pure scalar element, else None."""
+    """The coefficient if x is a scalar or a pure scalar element, else None."""
+    if isinstance(x, RatFunc):
+        return x
     if not x.terms:
         return ZERO
     if len(x.terms) == 1 and () in x.terms:
@@ -105,7 +113,17 @@ def _as_scalar(x):
     return None
 
 
+def _mul(x, y):
+    """The product of two parsed values; a scalar times a scalar stays one."""
+    if isinstance(x, RatFunc):
+        return x * y if isinstance(y, RatFunc) else y.scale(x)
+    return x.scale(y) if isinstance(y, RatFunc) else x * y
+
+
 class _Parser:
+    """Recursive descent over the tokens.  A parsed value is a RatFunc while
+    it holds no word, and an AlgebraElement once it does."""
+
     def __init__(self, src):
         self.src = src
         self.tokens = _tokenize(src)
@@ -122,14 +140,16 @@ class _Parser:
     def expect(self, kind):
         tok = self.next()
         if tok[0] != kind:
-            raise ExpressionError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
+            raise ExpressionError(f"expected {kind!r}, found {_describe(tok)}", tok[2])
         return tok
 
     def parse(self):
         value = self.expr()
         tok = self.peek()
         if tok[0] != "end":
-            raise ExpressionError(f"unexpected {tok[1]!r}", tok[2])
+            raise ExpressionError(f"unexpected {_describe(tok)}", tok[2])
+        if isinstance(value, RatFunc):
+            return AlgebraElement.from_clean({(): value} if value else {})
         return value
 
     def expr(self):
@@ -138,18 +158,24 @@ class _Parser:
         if kind in ("+", "-"):
             negate = self.next()[0] == "-"
         value = self.term()
-        if negate:
-            value = -value
+        if self.peek()[0] not in ("+", "-"):
+            return -value if negate else value
+        # a sum adds each term into one map, so it costs one pass
+        terms = {}
         while True:
-            kind, _, _ = self.peek()
-            if kind == "+":
-                self.next()
-                value = value + self.term()
-            elif kind == "-":
-                self.next()
-                value = value - self.term()
+            if isinstance(value, RatFunc):
+                accumulate(terms, (), -value if negate else value)
             else:
-                return value
+                for word, coeff in value.terms.items():
+                    accumulate(terms, word, -coeff if negate else coeff)
+            kind, _, _ = self.peek()
+            if kind not in ("+", "-"):
+                break
+            negate = self.next()[0] == "-"
+            value = self.term()
+        if terms.keys() <= {()}:
+            return terms.get((), ZERO)
+        return AlgebraElement.from_clean(terms)
 
     def term(self):
         value = self.factor()
@@ -157,18 +183,17 @@ class _Parser:
             kind, _, pos = self.peek()
             if kind == "*":
                 self.next()
-                value = value * self.factor()
+                value = _mul(value, self.factor())
             elif kind == "/":
                 self.next()
-                rhs = self.factor()
-                s = _as_scalar(rhs)
+                s = _as_scalar(self.factor())
                 if s is None:
                     raise ExpressionError("can only divide by a scalar coefficient", pos)
                 if s.is_zero():
                     raise ExpressionError("division by zero", pos)
-                value = value * s.inverse()
+                value = _mul(value, s.inverse())
             elif kind in ("int", "name", "("):
-                value = value * self.factor()
+                value = _mul(value, self.factor())
             else:
                 return value
 
@@ -196,7 +221,9 @@ class _Parser:
             raise ExpressionError(f"exponent {k} is out of range: |k| <= {_MAX_EXPONENT}", pos)
         s = _as_scalar(value)
         if s is not None:
-            return _scalar(s ** k)
+            if k < 0 and s.is_zero():
+                raise ExpressionError("division by zero", pos)
+            return s ** k
         if len(value.terms) == 1:
             word, coeff = next(iter(value.terms.items()))
             if k >= 0:
@@ -208,25 +235,26 @@ class _Parser:
                 raise ExpressionError("exponent on C must be nonnegative", pos)
             raise ExpressionError("negative exponent requires an invertible factor", pos)
         if k >= 0:
-            out = AlgebraElement.unit()
+            out = ONE
             for _ in range(k):
-                out = out * value
+                out = _mul(out, value)
             return out
         raise ExpressionError("negative exponent requires an invertible factor", pos)
 
     def atom(self):
-        kind, val, pos = self.next()
+        tok = self.next()
+        kind, val, pos = tok
         if kind == "int":
-            return _scalar(RatFunc(val))
+            return monomial(val)
         if kind == "(":
             value = self.expr()
             self.expect(")")
             return value
         if kind == "name":
             if val == "p":
-                return _scalar(P)
+                return P
             if val == "q":
-                return _scalar(Q)
+                return Q
             if val == "T":
                 return AlgebraElement.from_word((T,))
             if val == "Tinv":
@@ -239,7 +267,7 @@ class _Parser:
                 self.expect(")")
                 return AlgebraElement.from_word((L(n),))
             raise ExpressionError(f"unknown symbol {val!r}", pos)
-        raise ExpressionError(f"unexpected {val!r}", pos)
+        raise ExpressionError(f"unexpected {_describe(tok)}", pos)
 
 
 def parse_expression(src):

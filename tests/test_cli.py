@@ -4,13 +4,14 @@ import json
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pqvirasoro.cli import ExpressionError, main, parse_expression, render_element
-from pqvirasoro.field import monomial
+from pqvirasoro.field import ONE, RatFunc, ZERO, monomial
 from pqvirasoro.freealg import (
     AlgebraElement,
+    C,
     DEFAULT_CONFIG,
     INDEX_BOUND,
     L,
@@ -75,6 +76,40 @@ def test_parse_error_reports_position():
         raise AssertionError("expected a parse error")
 
 
+@pytest.mark.parametrize("src, pos", [("0^-1", 2), ("(p-p)^-1", 6), ("(L(1)-L(1))^-1", 12),
+                                      ("(0*L(1))^-2", 9)])
+def test_zero_to_a_negative_power_is_a_division_by_zero(capsys, src, pos):
+    # a usage error like 1/0 (exit 2), reported at the exponent
+    with pytest.raises(ExpressionError, match="division by zero") as exc:
+        parse(src)
+    assert exc.value.pos == pos
+    assert main(["normalize", src]) == 2
+    assert capsys.readouterr().err == f"error: division by zero (at position {pos})\n"
+
+
+def test_zero_to_a_nonnegative_power():
+    assert parse("0^0") == AlgebraElement.unit()
+    assert parse("(L(1)-L(1))^0") == AlgebraElement.unit()
+    assert parse("(0*L(1))^2").is_zero()
+
+
+@pytest.mark.parametrize("src, message", [
+    ("3*", "unexpected end of input"),
+    ("1 +", "unexpected end of input"),
+    ("L(1) (", "unexpected end of input"),
+    ("", "unexpected end of input"),
+    ("L(1", "expected ')', found end of input"),
+    ("L", "expected '(', found end of input"),
+])
+def test_end_of_input_is_named_in_errors(capsys, src, message):
+    with pytest.raises(ExpressionError) as exc:
+        parse(src)
+    assert str(exc.value) == f"{message} (at position {len(src)})"
+    assert exc.value.pos == len(src)
+    assert main(["normalize", src]) == 2
+    assert capsys.readouterr().err == f"error: {message} (at position {len(src)})\n"
+
+
 @pytest.mark.parametrize("src, pos", [("L(1)^100000000", 5), ("T^-999999999", 2),
                                       ("2^999999999", 2)])
 def test_exponents_beyond_the_bound_exit_2_at_parsing(capsys, src, pos):
@@ -113,6 +148,52 @@ def test_round_trip_normal_forms(seed):
     assert parse(rendered) == nf
     # rendering is stable across a reparse
     assert render_element(parse(rendered)) == rendered
+
+
+# denominators of one and several terms, homogeneous or not, among them
+# (p + q)(p^2 + q^2)
+DENOMINATORS = [
+    {(0, 0): 1},
+    {(1, 0): 1, (0, 1): 1},
+    {(3, 0): 1, (2, 1): 1, (1, 2): 1, (0, 3): 1},
+    {(2, 0): 1, (0, 2): 1},
+    {(1, 0): 1, (0, 0): -2},
+    {(1, 1): 1, (0, 0): 1},
+    {(0, 0): 3},
+]
+
+
+@st.composite
+def coefficients(draw):
+    """Coefficients of any shape: numerators that need not be homogeneous,
+    denominators of several terms, shifts of either sign."""
+    num = draw(st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                               st.integers(-9, 9).filter(bool), min_size=1, max_size=6))
+    shift = draw(st.tuples(st.integers(-4, 4), st.integers(-4, 4)))
+    return RatFunc(num, draw(st.sampled_from(DENOMINATORS)), shift)
+
+
+words = st.lists(st.sampled_from([T, TINV, C] + [L(n) for n in range(-3, 4)]),
+                 max_size=4).map(tuple)
+
+
+@given(st.dictionaries(words, coefficients(), max_size=5))
+@example({(): RatFunc({(2, 0): 1, (0, 0): -3}, DENOMINATORS[2], (-2, 1)),
+          (L(1), T): RatFunc({(0, 1): -2}, DENOMINATORS[4], (0, -3))})
+def test_round_trip_of_any_coefficient_shape(terms):
+    # the empty word is drawn too, so scalar terms mix with word terms
+    x = AlgebraElement(terms)
+    rendered = render_element(x)
+    assert parse(rendered) == x
+    assert render_element(parse(rendered)) == rendered
+
+
+def test_long_sum_with_cancellations():
+    src = " + ".join(f"{i % 9 + 1}*p^{i % 7}*q^-{i % 5}*L({i})" for i in range(2000))
+    x = parse(src + " - L(0) + 1")
+    assert len(x.terms) == 2000
+    assert x.coefficient((L(0),)) == ZERO and x.coefficient(()) == ONE
+    assert x.coefficient((L(1999),)) == monomial(2, 4, -4)
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,22 @@ def test_integer_powers():
     assert x ** 3 * x ** -3 == ONE
 
 
+@given(st.integers(1, 9), st.booleans(), st.integers(1, 9), ints(-5, 5), ints(-5, 5), ints(-6, 6))
+def test_powers_of_monomials_match_repeated_products(c, negative, d, a, b, k):
+    """The closed form of (c/d) p^a q^b to the k (c/d = c when d = 1) gives
+    what repeated products and inverse() give: value, hash and text."""
+    x = monomial(-c if negative else c, a, b) / d
+    expected = ONE
+    for _ in range(abs(k)):
+        expected = expected * x
+    if k < 0:
+        expected = expected.inverse()
+    value = x ** k
+    assert value == expected and hash(value) == hash(expected)
+    assert (value.shift, value.num, value.den) == (expected.shift, expected.num, expected.den)
+    assert (str(value), value.latex()) == (str(expected), expected.latex())
+
+
 def test_division_by_zero_rejected():
     with pytest.raises(ZeroDivisionError):
         ONE / ZERO

@@ -44,6 +44,14 @@ EQ811_EXPR = "C^2 L(2) L(-1) T"
 BIG_C_EXPR = "L(2) L(3) L(-3) L(-2) C L(-5) L(4) L(-4)"
 BIG_TINV_EXPR = "L(-2) L(5) L(6) L(-1) T^-1 L(-4) L(-6) L(-3)"
 
+# the expression grammar: scalar powers of either sign, nested parentheses,
+# sums that mix scalars and words, and sums whose word part cancels
+SCALAR_POWER_EXPR = ("2^-3 p^4 q^-2 L(1) - (3 p^2 q)^-2 T^-1"
+                     " + ((p - 2 q)^2 (p + q)^-1)^-1 C + (-p/q)^3")
+NESTED_EXPR = "((p + q) (L(1) - (2 q)^2 (L(-1) + 1))) ((T + (p - q)^2) C)"
+MIXED_SUM_EXPR = "3 + p L(2) - q^2 + L(2) L(1) - 1/(p + q) + 2 (1 - L(2) p)"
+CANCEL_EXPR = "L(1) - L(1) + 2 + (T L(1) - T L(1) + p)^2 L(3) - (L(2) + q - L(2))^-1 T"
+
 GOLDEN = [
     (["verify", "--suite", "all", "--range", "2", "--dim", "8", "--words", "20",
       "--seed", "0"], 1,
@@ -84,6 +92,30 @@ GOLDEN = [
      "69a10701a56c720f72c73710b6da6a21f67b7cd9646fd5887a3c909b2a4d300f"),
     (["normalize", BIG_TINV_EXPR, "--format", "latex"], 0,
      "12a3651ac96e57e83a744edd7ef015f6b10869a143a3e4adac057986099bc425"),
+    (["normalize", SCALAR_POWER_EXPR, "--format", "text"], 0,
+     "bc28f20223b1ab226f3812852ab917bbc6d40458ff4bc195b51f41deb99d6587"),
+    (["normalize", SCALAR_POWER_EXPR, "--format", "json"], 0,
+     "58d6d44615342263d39d226161cf68bc37c865eda400513d62a02d3fbfedf043"),
+    (["normalize", SCALAR_POWER_EXPR, "--format", "latex"], 0,
+     "79341f3c1f060ae1a2637589b371b5c8a000f2e89e1a26f0e681f20ea4f7ebe9"),
+    (["normalize", NESTED_EXPR, "--format", "text"], 0,
+     "35ef48f726009e964fe058bfb9bff5038da951fa366c8e88c2d2a3ce65e7b9ab"),
+    (["normalize", NESTED_EXPR, "--format", "json"], 0,
+     "261c946ba7903699da87bb7261c566eab01a62c94e2172e7d42c656a4a980a9b"),
+    (["normalize", NESTED_EXPR, "--format", "latex"], 0,
+     "13b84629a79629956b913e187709d524b16e6437b048744953acd3ff183b04b0"),
+    (["normalize", MIXED_SUM_EXPR, "--format", "text"], 0,
+     "933ff9235bfd4ac7e3ff710ab90e7ab18ea87158ff2da99711211ccd9eaf727b"),
+    (["normalize", MIXED_SUM_EXPR, "--format", "json"], 0,
+     "b28885b20f8ecb0405ce02aa877e14f1b3bdccf9bb4b78c26697fb369b36dfac"),
+    (["normalize", MIXED_SUM_EXPR, "--format", "latex"], 0,
+     "e1ee95e293c15b67cffcc9fd541c92229a0fcf73318ab598ce6c6271fd34d61d"),
+    (["normalize", CANCEL_EXPR, "--format", "text"], 0,
+     "bc51bb06561d0b2032e29acc5d0ed1bd378390997e061a9329b61caa3ab4152f"),
+    (["normalize", CANCEL_EXPR, "--format", "json"], 0,
+     "6b1551e3d8edc8fc5f2c5e61769db2c23ecea392cd4686b32eee394f79e24abf"),
+    (["normalize", CANCEL_EXPR, "--format", "latex"], 0,
+     "7cc557c71c0f7f1d621db1e15330e4b4604c864e16616f65e0a6e1232deee6b4"),
     (["bracket", "2", "-2", "--format", "text"], 0,
      "16ed7e4a3f89ff2a17cf46a5b3c9e08300855934ad50a8bd18a161e69b96e1f1"),
     (["bracket", "2", "-2", "--format", "json"], 0,
