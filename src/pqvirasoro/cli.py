@@ -32,8 +32,6 @@ import sys
 from .field import ONE, P, Q, RatFunc, ZERO, accumulate, monomial
 from .freealg import (
     AlgebraElement,
-    DEFAULT_CONFIG,
-    RewriteConfig,
     L,
     T,
     TINV,
@@ -204,19 +202,18 @@ class _Parser:
             value = self._power(value)
         return value
 
-    def _signed_int(self):
-        kind, _, pos = self.peek()
+    def _signed_int(self, what):
         sign = 1
-        if kind in ("+", "-"):
+        if self.peek()[0] in ("+", "-"):
             sign = -1 if self.next()[0] == "-" else 1
         tok = self.next()
         if tok[0] != "int":
-            raise ExpressionError("exponent must be an integer", tok[2])
+            raise ExpressionError(f"{what} must be an integer", tok[2])
         return sign * tok[1]
 
     def _power(self, value):
         kind, _, pos = self.peek()
-        k = self._signed_int()
+        k = self._signed_int("exponent")
         if abs(k) > _MAX_EXPONENT:
             raise ExpressionError(f"exponent {k} is out of range: |k| <= {_MAX_EXPONENT}", pos)
         s = _as_scalar(value)
@@ -263,7 +260,7 @@ class _Parser:
                 return AlgebraElement.from_word((C,))
             if val == "L":
                 self.expect("(")
-                n = self._signed_int()
+                n = self._signed_int("index of L")
                 self.expect(")")
                 return AlgebraElement.from_word((L(n),))
             raise ExpressionError(f"unknown symbol {val!r}", pos)
@@ -297,16 +294,10 @@ def _variant_names(args):
     return names
 
 
-def _rewrite_config(args):
-    if args.variant == "r5-8.11":
-        return RewriteConfig(r5_variant="eq811")
-    return DEFAULT_CONFIG
-
-
-def _hopf_config(args):
+def _config(args):
     return hopfmod.HopfConfig(
+        r5_variant="eq811" if args.variant == "r5-8.11" else "standard",
         delta_c="printed" if args.strict_typos else "corrected",
-        rewrite=_rewrite_config(args),
     )
 
 
@@ -452,7 +443,7 @@ def _suite_confluence(report, seed, count, cfg):
 def _cmd_verify(args):
     variants = _variant_names(args)
     report = _Report(gate_variants=args.gate_variants, variants=variants)
-    cfg = _hopf_config(args)
+    cfg = _config(args)
     suites = [args.suite] if args.suite != "all" else ["fock", "homlie", "hopf", "confluence"]
     for suite in suites:
         if suite == "fock":
@@ -462,7 +453,7 @@ def _cmd_verify(args):
         elif suite == "hopf":
             _suite_hopf(report, args.range, cfg)
         elif suite == "confluence":
-            _suite_confluence(report, args.seed, args.words, cfg.rewrite)
+            _suite_confluence(report, args.seed, args.words, cfg)
     _emit([json.dumps(r) for r in report.records], args.out)
     for line in report.summary_lines(suites):
         print(line, file=sys.stderr)
@@ -493,7 +484,7 @@ def _hopf_maps_lines(window, fmt, cfg):
             lines.append(json.dumps(
                 {"generator": name, "delta": str(delta), "counit": str(eps), "antipode": str(s)}))
         else:
-            gl = normalize(g, cfg.rewrite).latex()
+            gl = normalize(g, cfg).latex()
             lines.append(f"  \\Delta({gl}) &= {delta.latex()} \\\\")
             lines.append(f"  \\epsilon({gl}) &= {eps.latex()} \\\\")
             lines.append(f"  S({gl}) &= {s.latex()} \\\\")
@@ -502,7 +493,7 @@ def _hopf_maps_lines(window, fmt, cfg):
 
 def _cmd_table(args):
     if args.kind == "hopf_maps":
-        lines = _hopf_maps_lines(args.range, args.format, _hopf_config(args))
+        lines = _hopf_maps_lines(args.range, args.format, _config(args))
     else:
         # the structure constants depend on neither the rewrite rules nor delta(C)
         flag = "--variant" if args.variant else "--strict-typos" if args.strict_typos else None
@@ -529,7 +520,7 @@ def _emit_element(args, x, name, **fields):
 
 
 def _cmd_normalize(args):
-    nf = normalize(parse_expression(args.expr), _rewrite_config(args))
+    nf = normalize(parse_expression(args.expr), _config(args))
     return _emit_element(args, nf, "normal_form", input=args.expr)
 
 
@@ -583,7 +574,7 @@ def build_parser():
     p.add_argument("expr")
     common(p)
     variant(p)
-    p.set_defaults(fn=_cmd_normalize)
+    p.set_defaults(fn=_cmd_normalize, strict_typos=False)
 
     p = sub.add_parser("bracket", help="bracket environment element B(n, m)")
     p.add_argument("n", type=int)

@@ -15,9 +15,12 @@ where bracket_env(n, m) carries the L(n+m) term and, when m == -n, the
 central C term.  Each rule is a defining relation of ``relation_elements``
 solved for its out-of-order word: R1, R2(n, s), R3(0, s), R5(n) and
 R4(n, m), in the order above, so the eq811 form of R5 is written only
-there.  Every rule either shortens the word or swaps one adjacent pair
-that is out of the normal-form letter order, so it strictly lowers the
-measure (length, disorder) and reduction terminates (see ``measure``).
+there.  Every rule either shortens the word, or keeps its length and its
+multiset of letters and swaps one adjacent pair a > b into b a, which
+raises the weight sum(i * w[i]) over the int letters by exactly a - b.
+Reduction terminates: the length never rises, and while it stays fixed
+the letters only permute, so the weight can rise only finitely often.
+``_reduce`` pops words longest first, then lightest first.
 The system is not confluent: the two strategies reduce some words to
 different normal forms, and the confluence suite counts those words.
 
@@ -41,11 +44,11 @@ Elements are immutable in spirit: all operations return fresh values.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right, insort
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, groupby
+from itertools import chain, count, groupby
+from operator import mul
 
 from .field import ONE, ZERO, LinComb, accumulate, monomial, pq_ladder
 
@@ -67,12 +70,10 @@ __all__ = [
     "rewrite_once",
     "normalize",
     "multiply",
-    "equals",
     "bracket_coeff",
     "central_coeff",
     "bracket_env",
     "basis_decompose",
-    "measure",
     "random_word",
     "relation_elements",
     "RELATION_NAMES",
@@ -283,23 +284,26 @@ _memo = OrderedDict()
 _memo_terms = 0
 
 
+def _weight(word):
+    """sum(i * word[i]): a same-length rewrite raises it by a - b > 0."""
+    return sum(map(mul, count(), word))
+
+
 def _reduce(coeffs, cfg, strategy):
     """Heap reduction of the word -> coefficient map coeffs (consumed).
 
-    Words are popped in decreasing order of ``measure``, which every
-    rewrite lowers, so by the time a word is popped all contributions to
-    its coefficient have been accumulated and each distinct word is reduced
-    exactly once.  A branch of the same length swaps one adjacent pair, so
-    its key is its parent's with one pair fewer.
+    Words are popped by the key (-len(w), _weight(w), w): longest first,
+    then lightest.  Every rewrite either shortens a word or keeps its
+    length and raises its weight, so each branch has a larger key than
+    its parent.  By the time a word is popped all contributions to its
+    coefficient have been accumulated, and each distinct word is
+    rewritten at most once.
     """
-    heap = []
-    for word in coeffs:
-        length, disorder = measure(word)
-        heap.append((-length, -disorder, word))
+    heap = [(-len(word), _weight(word), word) for word in coeffs]
     heapq.heapify(heap)
     result = {}
     while heap:
-        neg_len, neg_disorder, word = heapq.heappop(heap)
+        word = heapq.heappop(heap)[2]
         coeff = coeffs.pop(word, None)
         if coeff is None:
             continue
@@ -311,11 +315,7 @@ def _reduce(coeffs, cfg, strategy):
             fresh = w2 not in coeffs
             accumulate(coeffs, w2, coeff * c2)
             if fresh and w2 in coeffs:
-                if len(w2) == -neg_len:
-                    heapq.heappush(heap, (neg_len, neg_disorder + 1, w2))
-                else:
-                    length, disorder = measure(w2)
-                    heapq.heappush(heap, (-length, -disorder, w2))
+                heapq.heappush(heap, (-len(w2), _weight(w2), w2))
     return result
 
 
@@ -371,28 +371,6 @@ def normalize(x, cfg=DEFAULT_CONFIG, strategy="leftmost"):
 def multiply(x, y, cfg=DEFAULT_CONFIG):
     """Product in the quantum group: concatenate bilinearly, then normalize."""
     return normalize(x * y, cfg)
-
-
-def equals(x, y, cfg=DEFAULT_CONFIG):
-    """True iff x and y have identical normal forms."""
-    return normalize(x, cfg) == normalize(y, cfg)
-
-
-def measure(word):
-    """Termination measure (length, disorder), lowered by every rewrite rule.
-
-    disorder is the number of letter pairs out of the normal-form order,
-    which is the order of the letters as ints (T, then T^-1, then L(n) by
-    increasing n, then C).  Every rule either shortens the word or swaps
-    one adjacent out-of-order pair, which lowers the disorder by exactly
-    one.
-    """
-    disorder = 0
-    seen = []  # letters so far, sorted
-    for letter in word:
-        disorder += len(seen) - bisect_right(seen, letter)
-        insort(seen, letter)
-    return (len(word), disorder)
 
 
 def random_word(rng, max_len=12, index_range=(-6, 6)):

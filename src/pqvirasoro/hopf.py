@@ -14,17 +14,16 @@ normal-form words; products are taken slotwise and re-normalized.
 
 A configuration switch reproduces the variant coproduct
 delta(C) = C (x) 1 + 1 (x) T, which breaks the counit and antipode
-axioms on C; it is kept purely to demonstrate that failure. The
-rewrite configuration is threaded through so the alternative form of
-the C-commutation relation can be explored as well.
+axioms on C; it is kept purely to demonstrate that failure. A
+HopfConfig is also a RewriteConfig, so the alternative form of the
+C-commutation relation can be explored as well.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .field import ZERO, ONE, LinComb, accumulate
 from .freealg import (
     AlgebraElement,
-    DEFAULT_CONFIG,
     RewriteConfig,
     C,
     L,
@@ -43,11 +42,13 @@ DELTA_C_MODES = ("corrected", "printed")
 
 
 @dataclass(frozen=True)
-class HopfConfig:
+class HopfConfig(RewriteConfig):
+    """Rewrite options plus the coproduct of C, "corrected" or "printed"."""
+
     delta_c: str = "corrected"
-    rewrite: RewriteConfig = dc_field(default_factory=lambda: DEFAULT_CONFIG)
 
     def __post_init__(self):
+        super().__post_init__()
         if self.delta_c not in DELTA_C_MODES:
             raise ValueError(f"delta_c must be one of {DELTA_C_MODES}")
 
@@ -92,9 +93,8 @@ class TensorElement(LinComb):
 def tensor_normalize(t, cfg=DEFAULT_HOPF):
     """Normalize every slot word and redistribute the products."""
     out = {}
-    rw = cfg.rewrite
     for slots, coeff in t.terms.items():
-        normed = [normalize(w, rw).terms for w in slots]
+        normed = [normalize(w, cfg).terms for w in slots]
         stack = [((), coeff)]
         for slot_terms in normed:
             stack = [
@@ -177,7 +177,7 @@ def antipode(x, cfg=DEFAULT_HOPF):
                 tn = t_word(-letter)
                 letters.extend(tn + (letter,) + tn)
         accumulate(out, tuple(letters), coeff if sign > 0 else -coeff)
-    return normalize(AlgebraElement.from_clean(out), cfg.rewrite)
+    return normalize(AlgebraElement.from_clean(out), cfg)
 
 
 def tau_swap(t):
@@ -223,7 +223,7 @@ def check_counit(x, cfg=DEFAULT_HOPF):
             accumulate(keep_first, w1, c)
         if _is_t_power(w1):
             accumulate(keep_second, w2, c)
-    base = normalize(x, cfg.rewrite)
+    base = normalize(x, cfg)
     return (
         AlgebraElement.from_clean(keep_first) - base,
         AlgebraElement.from_clean(keep_second) - base,
@@ -237,9 +237,9 @@ def check_antipode(x, cfg=DEFAULT_HOPF):
     right = {}
     for (w1, w2), c in coproduct(x, cfg).terms.items():
         x1, x2 = AlgebraElement.from_word(w1), AlgebraElement.from_word(w2)
-        for w, cw in multiply(antipode(x1, cfg), x2, cfg.rewrite).terms.items():
+        for w, cw in multiply(antipode(x1, cfg), x2, cfg).terms.items():
             accumulate(left, w, c * cw)
-        for w, cw in multiply(x1, antipode(x2, cfg), cfg.rewrite).terms.items():
+        for w, cw in multiply(x1, antipode(x2, cfg), cfg).terms.items():
             accumulate(right, w, c * cw)
     target = AlgebraElement.unit() * counit(x)
     return (
@@ -250,7 +250,7 @@ def check_antipode(x, cfg=DEFAULT_HOPF):
 
 def antipode_squared(x, cfg=DEFAULT_HOPF):
     """S(S(x)) - x, compared in normal form."""
-    return antipode(antipode(x, cfg), cfg) - normalize(x, cfg.rewrite)
+    return antipode(antipode(x, cfg), cfg) - normalize(x, cfg)
 
 
 def check_relation_preservation(map_name, relation, n=0, m=1, cfg=DEFAULT_HOPF):
@@ -262,7 +262,7 @@ def check_relation_preservation(map_name, relation, n=0, m=1, cfg=DEFAULT_HOPF):
     already accounts for.
     """
     residuals = []
-    for elem in relation_elements(relation, n, m, cfg.rewrite):
+    for elem in relation_elements(relation, n, m, cfg):
         if map_name == "delta":
             residuals.append(coproduct(elem, cfg))
         elif map_name == "antipode":

@@ -218,7 +218,7 @@ def bracket_weights(n, m, mode):
     return _at_mode(mode, monomial(1, -n, n), monomial(1, -m, m), bracket_coeff(n, m))
 
 
-def verify_bracket(n, m, osc, guard=None):
+def verify_bracket(n, m, osc):
     """Residual of the bracket relation for the oscillator's mode.
 
     Returns alpha L_n L_m - beta L_m L_n - gamma L_{m+n} restricted to
@@ -227,8 +227,7 @@ def verify_bracket(n, m, osc, guard=None):
     """
     if n < -1 or m < -1:
         raise ValueError("bracket checks need n, m >= -1")
-    if guard is None:
-        guard = GuardSpec(word_length=2, max_shift=max(n, m, 1))
+    guard = GuardSpec(word_length=2, max_shift=max(n, m, 1))
     alpha, beta, gamma = bracket_weights(n, m, osc.mode)
     Ln, Lm = make_L(n, osc), make_L(m, osc)
     res = deformed_commutator(Ln, Lm, alpha, beta)
@@ -267,12 +266,11 @@ def power_weights(n, mode):
     return _at_mode(mode, P ** n, Q ** n, pq_int(n))
 
 
-def verify_power_commutator(n, osc, guard=None):
+def verify_power_commutator(n, osc):
     """Residual of the ladder identity for a against the n-th power of a+."""
     if not isinstance(n, int) or n < 1:
         raise ValueError("power commutator checks need n >= 1")
-    if guard is None:
-        guard = GuardSpec(word_length=n + 1, max_shift=1)
+    guard = GuardSpec(word_length=n + 1, max_shift=1)
     alpha, beta, gamma = power_weights(n, osc.mode)
     ap_n = osc.a_plus ** n
     res = deformed_commutator(osc.a, ap_n, alpha, beta) - (osc.a_plus ** (n - 1)) * gamma

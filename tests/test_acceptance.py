@@ -21,7 +21,6 @@ from pqvirasoro.freealg import (
     L,
     NormalWord,
     RELATION_NAMES,
-    RewriteConfig,
     T,
     TINV,
     basis_decompose,
@@ -290,11 +289,11 @@ def test_criterion_9_variant_demonstrations(capsys):
         for n in range(-2, 3)
         for r in check_relation_preservation("delta", "R5", n, 0)
     )
-    eq811 = HopfConfig(rewrite=RewriteConfig(r5_variant="eq811"))
+    eq811 = HopfConfig(r5_variant="eq811")
     eq811_sound = all(
-        normalize(el, eq811.rewrite).is_zero()
+        normalize(el, eq811).is_zero()
         for n in range(-2, 3)
-        for el in relation_elements("R5", n, 0, cfg=eq811.rewrite)
+        for el in relation_elements("R5", n, 0, cfg=eq811)
     )
     eq811_delta_differs = any(
         not r.is_zero()

@@ -110,6 +110,24 @@ def test_end_of_input_is_named_in_errors(capsys, src, message):
     assert capsys.readouterr().err == f"error: {message} (at position {len(src)})\n"
 
 
+@pytest.mark.parametrize("src, message, pos", [
+    ("L(x)", "index of L", 2),
+    ("L(", "index of L", 2),
+    ("L()", "index of L", 2),
+    ("L(-)", "index of L", 3),
+    ("L(--1)", "index of L", 3),
+    ("L(1)^x", "exponent", 5),
+    ("L(1)^", "exponent", 5),
+    ("T^-x", "exponent", 3),
+])
+def test_a_bad_integer_is_named_by_what_it_reads(capsys, src, message, pos):
+    with pytest.raises(ExpressionError) as exc:
+        parse(src)
+    assert exc.value.pos == pos
+    assert main(["normalize", src]) == 2
+    assert capsys.readouterr().err == f"error: {message} must be an integer (at position {pos})\n"
+
+
 @pytest.mark.parametrize("src, pos", [("L(1)^100000000", 5), ("T^-999999999", 2),
                                       ("2^999999999", 2)])
 def test_exponents_beyond_the_bound_exit_2_at_parsing(capsys, src, pos):

@@ -22,9 +22,7 @@ from pqvirasoro.freealg import (
     bracket_coeff,
     bracket_env,
     central_coeff,
-    equals,
     find_redex,
-    measure,
     multiply,
     normalize,
     random_word,
@@ -214,18 +212,42 @@ def test_eq811_variant_sound_under_its_own_rewrite():
 def test_equals_and_multiply_helpers():
     x = elem(L(2), L(1))
     y = normalize(x)
-    assert equals(x, y)
+    assert normalize(x) == normalize(y)
     assert multiply(elem(L(2)), elem(L(1))) == y
 
 
+def _heap_key(word):
+    return (-len(word), freealg._weight(word))
+
+
 @given(letters_strategy())
-def test_measure_strictly_decreases_on_every_branch(word):
-    step = rewrite_once(word)
-    if step is None:
-        return
-    m0 = measure(word)
-    for _, new_word in step:
-        assert measure(new_word) < m0
+def test_heap_key_strictly_rises_on_every_branch(word):
+    # a same-length branch swaps the redex pair a > b, adding a - b to the weight
+    i = find_redex(word)
+    for _, new_word in rewrite_once(word) or ():
+        assert _heap_key(new_word) > _heap_key(word)
+        if len(new_word) == len(word):
+            assert sorted(new_word) == sorted(word)
+            assert freealg._weight(new_word) - freealg._weight(word) == word[i] - word[i + 1]
+
+
+@pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, EQ811], ids=["standard", "eq811"])
+@pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
+def test_reduce_rewrites_each_distinct_word_at_most_once(monkeypatch, cfg, strategy):
+    rewritten = []
+
+    def spy(word, strategy="leftmost", cfg=DEFAULT_CONFIG):
+        rewritten.append(word)
+        return rewrite_once(word, strategy, cfg)
+
+    monkeypatch.setattr(freealg, "rewrite_once", spy)
+    rng = random.Random(7)
+    for _ in range(40):
+        words = [random_word(rng, max_len=8, index_range=(-4, 4))
+                 for _ in range(rng.randint(1, 3))]
+        rewritten.clear()
+        freealg._reduce({w: ONE for w in words}, cfg, strategy)
+        assert rewritten and len(set(rewritten)) == len(rewritten), words
 
 
 def _basis_order(k):
@@ -249,17 +271,6 @@ def test_letters_sort_in_basis_order_and_indices_are_bounded():
     for n in (bound, -bound, bound + 1, -bound - 1):
         with pytest.raises(ValueError, match="out of range"):
             L(n)
-
-
-@given(letters_strategy())
-def test_measure_is_length_and_disorder(word):
-    disorder = sum(_out_of_order(word[i], word[j])
-                   for i in range(len(word)) for j in range(i + 1, len(word)))
-    assert measure(word) == (len(word), disorder)
-    # normalize keys a same-length branch as its parent's key minus one pair
-    for _, new_word in rewrite_once(word) or ():
-        if len(new_word) == len(word):
-            assert measure(new_word)[1] == disorder - 1
 
 
 def test_redex_pairs_are_the_out_of_order_pairs_and_t_tinv():
@@ -327,7 +338,7 @@ def test_reduction_terminates_via_bounded_walk(word):
         if branch is None:
             continue
         for _, w2 in branch:
-            assert measure(w2) < measure(w)
+            assert _heap_key(w2) > _heap_key(w)
             stack.append(w2)
 
 

@@ -10,7 +10,6 @@ from pqvirasoro.freealg import (
     C,
     L,
     RELATION_NAMES,
-    RewriteConfig,
     T,
     TINV,
     multiply,
@@ -38,7 +37,7 @@ from pqvirasoro.hopf import (
 )
 
 STRICT = HopfConfig(delta_c="printed")
-EQ811 = HopfConfig(rewrite=RewriteConfig(r5_variant="eq811"))
+EQ811 = HopfConfig(r5_variant="eq811")
 
 
 def elem(*letters):
@@ -97,7 +96,7 @@ def raw_antipode_axiom_residual(x, cfg):
     for (w1, w2), c in raw_coproduct_terms(x, cfg).items():
         acc = acc + raw_antipode(AlgebraElement.from_word(w1)) * AlgebraElement.from_word(w2) * c
     acc = acc - AlgebraElement.unit() * counit(x)
-    return normalize(acc, cfg.rewrite)
+    return normalize(acc, cfg)
 
 
 # ---------------------------------------------------------------------------
