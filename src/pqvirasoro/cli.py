@@ -76,11 +76,18 @@ def _tokenize(src):
             tokens.append((ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        # isdecimal accepts exactly the digits int() reads, such as '٣' but not '²'
+        if ch.isdecimal():
             j = i
-            while j < n and src[j].isdigit():
+            while j < n and src[j].isdecimal():
                 j += 1
-            tokens.append(("int", int(src[i:j]), i))
+            try:
+                value = int(src[i:j])
+            except ValueError:  # longer than sys.get_int_max_str_digits()
+                raise ExpressionError(
+                    f"integer literal of {j - i} digits is too long: at most "
+                    f"{sys.get_int_max_str_digits()} digits", i) from None
+            tokens.append(("int", value, i))
             i = j
             continue
         if ch.isalpha():
@@ -260,9 +267,14 @@ class _Parser:
                 return AlgebraElement.from_word((C,))
             if val == "L":
                 self.expect("(")
+                at = self.peek()[2]
                 n = self._signed_int("index of L")
+                try:
+                    letter = L(n)
+                except ValueError as exc:  # |n| past the letter bound
+                    raise ExpressionError(str(exc), at) from None
                 self.expect(")")
-                return AlgebraElement.from_word((L(n),))
+                return AlgebraElement.from_word((letter,))
             raise ExpressionError(f"unknown symbol {val!r}", pos)
         raise ExpressionError(f"unexpected {_describe(tok)}", pos)
 

@@ -220,9 +220,9 @@ def _h_dict(F):
 
 
 def _h_terms(F, i0, j0):
-    # ((i, j), c) in graded-lex order, p > q, of p^i0 q^j0 F
+    # (i, j, c) in graded-lex order, p > q, of p^i0 q^j0 F; c may be 0
     d = len(F) - 1
-    return [((i + i0, d - i + j0), F[i]) for i in range(d, -1, -1) if F[i]]
+    return zip(range(i0 + d, i0 - 1, -1), range(j0, j0 + d + 1), reversed(F))
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +323,9 @@ def _p_dense(f):
 
 
 def _p_terms(f, i0, j0):
-    # ((i, j), c) in graded-lex order, p > q, of p^i0 q^j0 f
-    return sorted((((i + i0, j + j0), c) for (i, j), c in f.items()),
-                  key=lambda t: _grlex(t[0]), reverse=True)
+    # (i, j, c) in graded-lex order, p > q, of p^i0 q^j0 f
+    return sorted(((i + i0, j + j0, c) for (i, j), c in f.items()),
+                  key=lambda t: (t[0] + t[1], t[0]), reverse=True)
 
 
 def _p_divexact(f, g):
@@ -526,34 +526,43 @@ def _common(x, y, same_degree=False):
 # ---------------------------------------------------------------------------
 
 
+# p^k and q^k are read from tables for k < _POWER_BOUND; a larger exponent
+# is formatted in the term that has it
+_POWER_BOUND = 128
+
+
+def _powers(var, power):
+    return ("", var) + tuple(var + power % k for k in range(2, _POWER_BOUND))
+
+
+# (p^k table, q^k table, exponent format, product sign): text, then LaTeX
+_NOTATION = tuple((_powers("p", power), _powers("q", power), power, times)
+                  for power, times in (("^%d", "*"), ("^{%d}", " ")))
+
+
 def _poly_str(terms, latex=False, negate=False):
-    # terms: ((i, j), c) in graded-lex order; negate renders -f, and the
-    # leading term, after negate, is positive
-    power = "^{%d}" if latex else "^%d"
-    times = " " if latex else "*"
-    out = []
-    for (i, j), c in terms:
-        if negate:
-            c = -c
-        if out:
-            out.append(" - " if c < 0 else " + ")
-        ps = "" if i == 0 else "p" if i == 1 else "p" + power % i
-        qs = "" if j == 0 else "q" if j == 1 else "q" + power % j
-        mono = ps + times + qs if ps and qs else ps or qs
-        if c != 1 and c != -1 or not mono:
-            out.append(str(abs(c)) + times + mono if mono else str(abs(c)))
+    # terms: (i, j, c) in graded-lex order, zero c skipped; negate renders
+    # -f, and the leading term, after negate, is positive.  Each term is one
+    # piece with its separator in front; the leading one is dropped.
+    p_pow, q_pow, power, times = _NOTATION[latex]
+    plus, minus = (" - ", " + ") if negate else (" + ", " - ")
+    pieces = []
+    for i, j, c in terms:
+        if not c:
+            continue
+        if c < 0:
+            sep, c = minus, -c
         else:
-            out.append(mono)
-    return "".join(out)
-
-
-def _den_is_atomic(terms):
-    if len(terms) != 1:
-        return False
-    ((i, j), c), = terms
-    if i == 0 and j == 0:
-        return True  # integer
-    return c == 1 and (i == 0 or j == 0)
+            sep = plus
+        ps = p_pow[i] if i < _POWER_BOUND else "p" + power % i
+        qs = q_pow[j] if j < _POWER_BOUND else "q" + power % j
+        mono = ps + times + qs if ps and qs else ps or qs
+        if c != 1:
+            pieces.append(sep + str(c) + times + mono if mono else sep + str(c))
+        else:
+            pieces.append(sep + (mono or "1"))
+    pieces[0] = pieces[0][3:]
+    return "".join(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -823,28 +832,40 @@ class RatFunc:
 
     # -- display ---------------------------------------------------------
 
-    def _render(self, latex):
-        if not self._num:
-            return "0"
+    def _signed_text(self, latex):
+        """(negative, text of the magnitude): a negated sum over den 1
+        keeps its parentheses, as in -(p + q)."""
+        num = self._num
+        if not num:
+            return False, "0"
         ops = self._ops()
+        den = self._den
         a, b = self.shift
-        num = ops.terms(self._num, max(a, 0), max(b, 0))
-        den = ops.terms(self._den, max(-a, 0), max(-b, 0))
-        negate = num[0][1] < 0
-        sign = "-" if negate else ""
-        ns = _poly_str(num, latex, negate)
-        if den == [((0, 0), 1)]:
-            if negate and len(num) > 1:
-                return ("-\\left(%s\\right)" if latex else "-(%s)") % ns
-            return sign + ns
-        ds = _poly_str(den, latex)
+        da, db = max(-a, 0), max(-b, 0)
+        negative = ops.lead(num) < 0
+        ns = _poly_str(ops.terms(num, max(a, 0), max(b, 0)), latex, negative)
+        if len(den) == 1:
+            c = ops.lead(den)
+            if c == 1 and not da and not db:
+                if negative and len(num) > 1:
+                    return True, ("\\left(%s\\right)" if latex else "(%s)") % ns
+                return negative, ns
+            # an integer, or a bare power of p or of q
+            atomic = not da and not db or c == 1 and not (da and db)
+        else:
+            atomic = False
+        ds = _poly_str(ops.terms(den, da, db), latex)
         if latex:
-            return "%s\\frac{%s}{%s}" % (sign, ns, ds)
+            return negative, "\\frac{%s}{%s}" % (ns, ds)
         if len(num) > 1:
             ns = "(%s)" % ns
-        if not _den_is_atomic(den):
+        if not atomic:
             ds = "(%s)" % ds
-        return "%s%s/%s" % (sign, ns, ds)
+        return negative, "%s/%s" % (ns, ds)
+
+    def _render(self, latex):
+        negative, text = self._signed_text(latex)
+        return "-" + text if negative else text
 
     def __str__(self):
         return self._render(False)
@@ -1013,10 +1034,7 @@ class LinComb:
         pieces = []
         for key, coeff in self.sorted_terms():
             ks = self._key_str(key, latex)
-            cs = coeff._render(latex)
-            neg = cs.startswith("-")
-            if neg:
-                cs = cs[1:]
+            neg, cs = coeff._signed_text(latex)
             if cs == "1":
                 body = ks
             else:

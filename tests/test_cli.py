@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import example, given
@@ -137,6 +138,37 @@ def test_exponents_beyond_the_bound_exit_2_at_parsing(capsys, src, pos):
     assert exc.value.pos == pos
     assert main(["normalize", src]) == 2
     assert "|k| <= 4096" in capsys.readouterr().err
+
+
+DIGIT_LIMIT = sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize("src, message, pos", [
+    ("2\u00b2", "unexpected character '\u00b2'", 1),
+    ("L(\u00b9)", "unexpected character '\u00b9'", 2),
+    ("p^\u00b2", "unexpected character '\u00b2'", 2),
+    ("L(77777777777777777777)",
+     "L index 77777777777777777777 is out of range: |n| < 268435456", 2),
+    ("L(-77777777777777777777) L(1)",
+     "L index -77777777777777777777 is out of range: |n| < 268435456", 2),
+    ("3 + " + "9" * (DIGIT_LIMIT + 1), f"integer literal of {DIGIT_LIMIT + 1} digits is too"
+     f" long: at most {DIGIT_LIMIT} digits", 4),
+], ids=["superscript exponent factor", "superscript index", "superscript exponent",
+        "index past the bound", "negative index past the bound", "literal past the digit limit"])
+def test_digits_int_cannot_read_and_huge_indices_are_named_at_their_position(
+        capsys, src, message, pos):
+    # superscript digits pass str.isdigit but not int(); an index past the
+    # letter bound and a literal past Python's digit limit are usage errors too
+    with pytest.raises(ExpressionError) as exc:
+        parse(src)
+    assert exc.value.pos == pos
+    assert main(["normalize", src]) == 2
+    assert capsys.readouterr().err == f"error: {message} (at position {pos})\n"
+
+
+def test_decimal_digits_of_any_script_read_as_integers():
+    assert parse("L(\u0663)") == parse("L(3)")
+    assert parse("\u0664\u0662 T") == parse("42 T")
 
 
 def test_exponents_at_the_bound_are_accepted():

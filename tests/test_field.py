@@ -20,6 +20,7 @@ from pqvirasoro.field import (
     specialize_p1,
     substitute,
 )
+from pqvirasoro.freealg import AlgebraElement, L
 
 
 def ints(lo=-4, hi=4):
@@ -330,3 +331,119 @@ def test_arithmetic_agrees_with_sympy(xs, ys, hs, relation):
         assert (value.shift, value.num, value.den) == (ref.shift, ref.num, ref.den)
         assert value == ref and hash(value) == hash(ref)
         assert (str(value), value.latex()) == (str(ref), ref.latex())
+
+
+# ---------------------------------------------------------------------------
+# rendering against a reference written from the documented notation
+
+
+def reference_render(x, latex=False):
+    """The notation of a value p^a q^b num / den, from its parts alone.
+
+    The shift is split between num (positive exponents) and den (negative
+    ones).  Each polynomial lists its terms in graded-lex order with p > q,
+    a term as |c|*p^i*q^j (LaTeX |c| p^{i} q^{j}), leaving out a unit
+    coefficient and every zero exponent, and joined by " + " or " - ".  A
+    negative leading numerator term puts the sign in front of the whole
+    value.  Over den 1 a negated sum reads -(...) (LaTeX -\\left(...\\right));
+    LaTeX writes \\frac{num}{den}; text writes num/den, parenthesizing a
+    numerator of several terms and any denominator other than an integer or
+    a bare power of p or of q."""
+    if x.is_zero():
+        return "0"
+    a, b = x.shift
+    times, power = (" ", "%s^{%d}") if latex else ("*", "%s^%d")
+
+    def terms(poly, da, db):
+        out = [((i + da, j + db), c) for (i, j), c in poly.items()]
+        return sorted(out, key=lambda t: (sum(t[0]), t[0][0]), reverse=True)
+
+    def text(poly_terms):
+        out = ""
+        for (i, j), c in poly_terms:
+            mono = times.join(v if k == 1 else power % (v, k)
+                              for v, k in (("p", i), ("q", j)) if k)
+            body = mono if abs(c) == 1 and mono else times.join(
+                s for s in (str(abs(c)), mono) if s)
+            if out:
+                out += " - " if c < 0 else " + "
+            elif c < 0:
+                out += "-"
+            out += body
+        return out
+
+    num = terms(x.num, max(a, 0), max(b, 0))
+    den = terms(x.den, max(-a, 0), max(-b, 0))
+    sign = ""
+    if num[0][1] < 0:
+        sign, num = "-", [(m, -c) for m, c in num]
+    ns, ds = text(num), text(den)
+    if den == [((0, 0), 1)]:
+        if sign and len(num) > 1:
+            return ("-\\left(%s\\right)" if latex else "-(%s)") % ns
+        return sign + ns
+    if latex:
+        return "%s\\frac{%s}{%s}" % (sign, ns, ds)
+    if len(num) > 1:
+        ns = "(%s)" % ns
+    (i, j), c = den[0]
+    if len(den) > 1 or (i, j) != (0, 0) and (c != 1 or i and j):
+        ds = "(%s)" % ds
+    return "%s%s/%s" % (sign, ns, ds)
+
+
+coefficients = st.one_of(st.sampled_from([1, -1]), st.integers(10, 10 ** 15),
+                         st.integers(-10 ** 15, -10))
+# denominators before the shift, of low degree to keep the GCDs cheap: the
+# shift makes bare and mixed powers of p and q of any size
+GRADED_DENS = [ONE, RatFunc(12), P + Q, 3 * P ** 2 - 5 * Q ** 2]
+SPARSE_DENS = GRADED_DENS + [P + 1, Q ** 3 - 2 * P]
+
+
+@st.composite
+def rendered_values(draw):
+    """(value, graded) with exponents 0-300 and shifts of either sign."""
+    graded = draw(st.booleans())
+    count = draw(st.integers(1, 4))
+    if graded:
+        degree = draw(st.integers(0, 300))
+        count = min(count, degree + 1)
+        monos = draw(st.lists(st.integers(0, degree), min_size=count, max_size=count,
+                              unique=True))
+        monos = [(i, degree - i) for i in monos]
+    else:
+        monos = draw(st.lists(st.tuples(st.integers(0, 300), st.integers(0, 300)),
+                              min_size=count, max_size=count, unique=True))
+        if len({i + j for i, j in monos}) == 1:
+            monos.append((0, 0) if monos[0] != (0, 0) else (1, 0))
+    num = {m: draw(coefficients) for m in monos}
+    den = draw(st.sampled_from(GRADED_DENS if graded else SPARSE_DENS))
+    shift = draw(st.tuples(st.integers(-300, 300), st.integers(-300, 300)))
+    return RatFunc(num, 1, shift) / den, graded
+
+
+@given(rendered_values())
+@example((monomial(-1, 129, -300), True))
+@example((monomial(123456789012, -128, 127), True))
+@example((RatFunc(-7, 12, (-130, 0)), True))
+@example((-(P ** 200 + Q ** 200) / (P ** 129 - Q ** 129), True))
+@example(((P ** 150 + 1) / (Q ** 131 - P), False))
+def test_rendering_agrees_with_a_reference(drawn):
+    """Differential check of str() and latex() against reference_render, over
+    graded and sparse values with exponents past any table bound."""
+    x, graded = drawn
+    if graded:
+        assert len({i + j for i, j in x.num}) == len({i + j for i, j in x.den}) == 1
+    assert str(x) == reference_render(x)
+    assert x.latex() == reference_render(x, latex=True)
+    assert str(-x) == reference_render(-x)
+    assert (-x).latex() == reference_render(-x, latex=True)
+
+
+def test_rendering_of_a_negated_sum_in_an_element():
+    c = -(P ** 130 + 12 * Q ** 130)
+    x = AlgebraElement({(L(1),): c, (L(2),): c / Q ** 140})
+    assert str(x) == ("-((p^130 + 12*q^130))*L(1)"
+                      " - ((p^130 + 12*q^130)/q^140)*L(2)")
+    assert x.latex() == ("-\\left(p^{130} + 12 q^{130}\\right)\\, L_{1}"
+                         " - \\frac{p^{130} + 12 q^{130}}{q^{140}}\\, L_{2}")

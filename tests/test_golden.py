@@ -51,6 +51,8 @@ SCALAR_POWER_EXPR = ("2^-3 p^4 q^-2 L(1) - (3 p^2 q)^-2 T^-1"
 NESTED_EXPR = "((p + q) (L(1) - (2 q)^2 (L(-1) + 1))) ((T + (p - q)^2) C)"
 MIXED_SUM_EXPR = "3 + p L(2) - q^2 + L(2) L(1) - 1/(p + q) + 2 (1 - L(2) p)"
 CANCEL_EXPR = "L(1) - L(1) + 2 + (T L(1) - T L(1) + p)^2 L(3) - (L(2) + q - L(2))^-1 T"
+# exponents past 128: sparse and graded coefficients, numerators and denominators
+HIGH_POWER_EXPR = "(p^150 + 1)/(q^131 - p) L(1) - p^200 q^-3 T + (p^129 - q^129)^-1 C"
 
 GOLDEN = [
     (["verify", "--suite", "all", "--range", "2", "--dim", "8", "--words", "20",
@@ -122,6 +124,19 @@ GOLDEN = [
      "1fc6a8cf43b4cb284789ca2c1ea96e4d790e09e735cef4b1dad18318c0d9676d"),
     (["bracket", "2", "-2", "--format", "latex"], 0,
      "eec07a357740ef17549cd3466aed531872c8cc8ccdd04291e311f4e32ee95ae5"),
+    (["normalize", HIGH_POWER_EXPR, "--format", "text"], 0,
+     "659dd1e8ce60f7f78c866ed886c56a8dca678e78da8ca8606b855127d1652f6d"),
+    (["normalize", HIGH_POWER_EXPR, "--format", "json"], 0,
+     "41ab51a81c3e5fb9cce940bb2fa0507fb597deebf7458d89f6353f1b30337d7c"),
+    (["normalize", HIGH_POWER_EXPR, "--format", "latex"], 0,
+     "98bc0c1daeb82d741ec499abd85a05744b0e5ce7acab94e8d3ee1c4039a7045e"),
+    # a coefficient of 200 terms with exponents up to 199
+    (["bracket", "100", "-100", "--format", "text"], 0,
+     "35dcabc6716e18c269c469df36860df344e9ac8c981c2977f81e1e5a00e7c0a1"),
+    (["bracket", "100", "-100", "--format", "json"], 0,
+     "f0310d4bab4a91cee4f27dd202544ee2e41033840377289d54ddb943a587cfb1"),
+    (["bracket", "100", "-100", "--format", "latex"], 0,
+     "74cbf530681c513f673f4d5aafaeddeeddb7e32578fb45c19645640e67108a82"),
 ]
 
 VERIFY_SUMMARY = """\
