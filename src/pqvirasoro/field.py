@@ -30,12 +30,12 @@ adds into the caller's dict) is pure, so instances can be shared freely
 between threads or worker processes.
 
 ``LinComb`` is the sparse linear combination over this field that every
-element type of the package (words, tensors, Hom-Lie elements, Fock
-matrices) is built on.
+element type of the package (words, tensors, Fock matrices) is built on.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd as _int_gcd
@@ -547,20 +547,24 @@ def _poly_str(terms, latex=False, negate=False):
     p_pow, q_pow, power, times = _NOTATION[latex]
     plus, minus = (" - ", " + ") if negate else (" + ", " - ")
     pieces = []
-    for i, j, c in terms:
-        if not c:
-            continue
-        if c < 0:
-            sep, c = minus, -c
-        else:
-            sep = plus
-        ps = p_pow[i] if i < _POWER_BOUND else "p" + power % i
-        qs = q_pow[j] if j < _POWER_BOUND else "q" + power % j
-        mono = ps + times + qs if ps and qs else ps or qs
-        if c != 1:
-            pieces.append(sep + str(c) + times + mono if mono else sep + str(c))
-        else:
-            pieces.append(sep + (mono or "1"))
+    try:
+        for i, j, c in terms:
+            if not c:
+                continue
+            if c < 0:
+                sep, c = minus, -c
+            else:
+                sep = plus
+            ps = p_pow[i] if i < _POWER_BOUND else "p" + power % i
+            qs = q_pow[j] if j < _POWER_BOUND else "q" + power % j
+            mono = ps + times + qs if ps and qs else ps or qs
+            if c != 1:
+                pieces.append(sep + str(c) + times + mono if mono else sep + str(c))
+            else:
+                pieces.append(sep + (mono or "1"))
+    except ValueError:  # str(c) refuses an int past Python's digit limit
+        raise ValueError("a coefficient has more than %d digits and is too long to print"
+                         % sys.get_int_max_str_digits()) from None
     pieces[0] = pieces[0][3:]
     return "".join(pieces)
 

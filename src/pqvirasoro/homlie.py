@@ -1,7 +1,10 @@
 """The two-parameter deformed Virasoro algebra as a Hom-Lie algebra.
 
 Elements live in the span of the generators L_n (n ranging over all
-integers) and a central element C. The bracket is
+integers) and a central element C: the degree-1 part of the free algebra,
+so they are ``freealg.AlgebraElement`` values on the one-letter words
+(L(n),) and (C,). A word of any other length is not in the span, and
+``vbracket`` and ``alpha`` raise ``ValueError`` on it. The bracket is
 
     [L_n, L_m] = ([m]/p^m - [n]/p^n) L_{m+n} + delta_{m+n,0} g(n) C
 
@@ -23,95 +26,60 @@ checks are the Fock realization in ``oscillator`` and the twisted Jacobi
 identity, whose central triples test g(n).
 """
 
-from .field import ZERO, ONE, LinComb, accumulate, monomial
-from .freealg import C, L, bracket_env, word_str
+from .field import ONE, accumulate, monomial
+from .freealg import AlgebraElement, C, L, bracket_env
 
 
-class HomLieElement(LinComb):
-    """A finite linear combination of the L_n plus a multiple of C.
-
-    The term map is keyed by the letters L(n) and C of the rewriting layer,
-    ints that sort in basis order.
-    """
-
-    __slots__ = ()
-    _PAREN_CHARS = "+-/ *"
-
-    def __init__(self, l=None, c=ZERO):
-        terms = {L(n): coeff for n, coeff in l.items()} if l else {}
-        terms[C] = c
-        super().__init__(terms)
-
-    @property
-    def l(self):
-        """The L part, as a map n -> coefficient."""
-        return {n: coeff for n, coeff in self.terms.items() if n != C}
-
-    @property
-    def c(self):
-        """The coefficient of C."""
-        return self.terms.get(C, ZERO)
-
-    @classmethod
-    def lgen(cls, n, coeff=ONE):
-        return cls({n: coeff})
-
-    @classmethod
-    def cgen(cls, coeff=ONE):
-        return cls(c=coeff)
-
-    @staticmethod
-    def _key_str(letter, latex=False):
-        return word_str((letter,), latex)
+def _gen(n):
+    return AlgebraElement.from_word((L(n),))
 
 
 def vbracket(x, y):
     """Bilinear bracket; C is central, so only L-L pairs contribute."""
+    ys = [(m, cy) for (m,), cy in y.terms.items() if m != C]
     out = {}
-    for n, cx in x.terms.items():
+    for (n,), cx in x.terms.items():
         if n == C:
             continue
-        for m, cy in y.terms.items():
-            if m == C:
-                continue
+        for m, cy in ys:
             w = cx * cy
-            for (letter,), coeff in bracket_env(n, m).terms.items():
-                accumulate(out, letter, w * coeff)
-    return HomLieElement.from_clean(out)
+            for word, coeff in bracket_env(n, m).terms.items():
+                accumulate(out, word, w * coeff)
+    return AlgebraElement.from_clean(out)
 
 
 def alpha(x):
     """The twist map: L_n goes to (1 + (q/p)^n) L_n, C is fixed."""
-    return HomLieElement.from_clean({
-        n: coeff if n == C else coeff * (ONE + monomial(1, -n, n))
-        for n, coeff in x.terms.items()
+    return AlgebraElement.from_clean({
+        (n,): coeff if n == C else coeff * (ONE + monomial(1, -n, n))
+        for (n,), coeff in x.terms.items()
     })
 
 
 def skew_residual(n, m):
     """[L_n, L_m] + [L_m, L_n]; zero including the central component."""
-    ln, lm = HomLieElement.lgen(n), HomLieElement.lgen(m)
+    ln, lm = _gen(n), _gen(m)
     return vbracket(ln, lm) + vbracket(lm, ln)
+
+
+def _jacobi_sum(outer, n, m, k):
+    """Cyclic sum of [outer(L_n), [L_m, L_k]]."""
+    ln, lm, lk = _gen(n), _gen(m), _gen(k)
+    return (
+        vbracket(outer(ln), vbracket(lm, lk))
+        + vbracket(outer(lm), vbracket(lk, ln))
+        + vbracket(outer(lk), vbracket(ln, lm))
+    )
 
 
 def hom_jacobi_residual(n, m, k):
     """Cyclic sum of [alpha(L_n), [L_m, L_k]]; zero for every triple."""
-    ln, lm, lk = (HomLieElement.lgen(i) for i in (n, m, k))
-    return (
-        vbracket(alpha(ln), vbracket(lm, lk))
-        + vbracket(alpha(lm), vbracket(lk, ln))
-        + vbracket(alpha(lk), vbracket(ln, lm))
-    )
+    return _jacobi_sum(alpha, n, m, k)
 
 
 def plain_jacobi_residual(n, m, k):
-    """Cyclic sum without the twist; generically nonzero."""
-    ln, lm, lk = (HomLieElement.lgen(i) for i in (n, m, k))
-    return (
-        vbracket(ln, vbracket(lm, lk))
-        + vbracket(lm, vbracket(lk, ln))
-        + vbracket(lk, vbracket(ln, lm))
-    )
+    """The same cyclic sum without the twist; generically nonzero."""
+    return _jacobi_sum(lambda x: x, n, m, k)
 
 
 def alpha_bracket_gap(n, m):
@@ -119,7 +87,7 @@ def alpha_bracket_gap(n, m):
 
     Nonzero in general: the twist is not a bracket homomorphism.
     """
-    ln, lm = HomLieElement.lgen(n), HomLieElement.lgen(m)
+    ln, lm = _gen(n), _gen(m)
     return vbracket(alpha(ln), alpha(lm)) - alpha(vbracket(ln, lm))
 
 

@@ -77,10 +77,6 @@ class TensorElement(LinComb):
     def zero(cls, arity=2):
         return cls(arity)
 
-    @classmethod
-    def unit(cls, arity=2):
-        return cls(arity, {((),) * arity: ONE})
-
     @staticmethod
     def _sort_key(slots):
         return tuple(word_sort_key(w) for w in slots)

@@ -149,7 +149,6 @@ class Oscillator:
     dim: int
     a: FockOperator
     a_plus: FockOperator
-    lam: tuple
 
     def __iter__(self):
         yield self.a
@@ -165,7 +164,7 @@ def make_oscillator(N, mode="two_param"):
     lam = tuple(lowering_coeff(k, mode) for k in range(N))
     a_plus = FockOperator(N, {(k + 1, k): ONE for k in range(N - 1)})
     a = FockOperator(N, {(k - 1, k): lam[k] for k in range(1, N)})
-    return Oscillator(mode=mode, dim=N, a=a, a_plus=a_plus, lam=lam)
+    return Oscillator(mode=mode, dim=N, a=a, a_plus=a_plus)
 
 
 @dataclass(frozen=True)

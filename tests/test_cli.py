@@ -43,6 +43,8 @@ def test_parse_signed_indices_and_powers():
     assert parse("T^3") == AlgebraElement.from_word((T, T, T))
     x = parse("L(1)^2")
     assert set(x.terms) == {(L(1), L(1))}
+    assert parse("(L(1) + L(2))^2") == parse("(L(1) + L(2)) (L(1) + L(2))")
+    assert parse("(L(1) + L(2))^0") == parse("1")
 
 
 def test_parse_scalars():
@@ -63,7 +65,7 @@ def test_parse_sums_and_signs():
 
 def test_parse_errors():
     for src in ["L(", "L(1", "L(x)", "@", "T^", "1 +", ")", "L(1)/L(2)",
-                "L(1)^-1", "C^-1", "(L(1) + L(2))^-2", "foo", "1/0"]:
+                "L(1)^-1", "C^-1", "(L(1) + L(2))^-2", "foo", "1/0", "1 )"]:
         with pytest.raises(ExpressionError):
             parse(src)
 
@@ -164,6 +166,17 @@ def test_digits_int_cannot_read_and_huge_indices_are_named_at_their_position(
     assert exc.value.pos == pos
     assert main(["normalize", src]) == 2
     assert capsys.readouterr().err == f"error: {message} (at position {pos})\n"
+
+
+def test_a_coefficient_past_the_digit_limit_is_named_when_printed(capsys):
+    # 10^a 10^b has a + b + 1 digits: each factor parses, and only the
+    # printed product can go past Python's digit limit
+    half = DIGIT_LIMIT // 2
+    assert main(["normalize", f"10^{half} 10^{DIGIT_LIMIT - 1 - half} L(1)"]) == 0
+    assert capsys.readouterr().out == "1" + "0" * (DIGIT_LIMIT - 1) + "*L(1)\n"
+    assert main(["normalize", f"10^{half} 10^{DIGIT_LIMIT - half} L(1)"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: a coefficient has more than {DIGIT_LIMIT} digits and is too long to print\n")
 
 
 def test_decimal_digits_of_any_script_read_as_integers():
