@@ -43,7 +43,6 @@ from .freealg import (
     central_coeff,
     t_degree,
     t_word,
-    to_json_dict,
     word_str,
 )
 from . import homlie
@@ -473,18 +472,19 @@ def _cmd_verify(args):
 
 
 def _structure_constants_lines(window, fmt):
-    records = homlie.structure_constant_records(window)
-    if fmt == "json":
-        return [json.dumps(r) for r in records]
-    lines = ["\\begin{align*}"]
-    for r in records:
-        n, m = r["n"], r["m"]
-        ln, lm = (word_str((L(k),), latex=True) for k in (n, m))
-        terms = [f"\\left({c.latex()}\\right){word_str(w, latex=True)}"
-                 for w, c in bracket_env(n, m).terms.items()]
-        rhs = " + ".join(terms) or "0"
-        lines.append(f"  \\big[{ln},{lm}\\big] &= {rhs} \\\\")
-    lines.append("\\end{align*}")
+    lines = []
+    for n in range(-window, window + 1):
+        for m in range(-window, window + 1):
+            env = bracket_env(n, m)
+            if fmt == "json":
+                lines.append(json.dumps(
+                    {"n": n, "m": m, "coeff_L": str(env.coefficient((L(n + m),))),
+                     "coeff_C": str(env.coefficient((C,)))}))
+            else:
+                ln, lm = (word_str((L(k),), latex=True) for k in (n, m))
+                rhs = " + ".join(f"\\left({c.latex()}\\right){word_str(w, latex=True)}"
+                                 for w, c in env.terms.items()) or "0"
+                lines.append(f"  \\big[{ln},{lm}\\big] &= {rhs} \\\\")
     return lines
 
 
@@ -500,7 +500,7 @@ def _hopf_maps_lines(window, fmt, cfg):
             lines.append(f"  \\Delta({gl}) &= {delta.latex()} \\\\")
             lines.append(f"  \\epsilon({gl}) &= {eps.latex()} \\\\")
             lines.append(f"  S({gl}) &= {s.latex()} \\\\")
-    return lines if fmt == "json" else ["\\begin{align*}"] + lines + ["\\end{align*}"]
+    return lines
 
 
 def _cmd_table(args):
@@ -512,6 +512,8 @@ def _cmd_table(args):
         if flag:
             raise ValueError(f"table --kind structure_constants does not take {flag}")
         lines = _structure_constants_lines(args.range, args.format)
+    if args.format == "latex":
+        lines = ["\\begin{align*}"] + lines + ["\\end{align*}"]
     _emit(lines, args.out)
     return 0
 
@@ -521,7 +523,7 @@ def _emit_element(args, x, name, **fields):
     name, and its term map."""
     if args.format == "json":
         fields[name] = render_element(x)
-        fields["terms"] = to_json_dict(x)
+        fields["terms"] = {word_str(w): str(c) for w, c in x.sorted_terms()}
         line = json.dumps(fields)
     elif args.format == "latex":
         line = x.latex()

@@ -595,7 +595,7 @@ class RatFunc:
     uniquely as shift (0,0), num 0, den 1.
     """
 
-    __slots__ = ("shift", "_num", "_den", "_hash")
+    __slots__ = ("shift", "_num", "_den")
 
     def __new__(cls, num=0, den=1, shift=(0, 0)):
         if type(num) is int and type(den) is int:
@@ -625,7 +625,6 @@ class RatFunc:
         self.shift = shift
         self._num = num
         self._den = den
-        self._hash = None
         return self
 
     @classmethod
@@ -825,14 +824,10 @@ class RatFunc:
         return self.shift == o.shift and self._num == o._num and self._den == o._den
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            num, den = self._num, self._den
-            if type(den) is dict:
-                num, den = frozenset(num.items()), frozenset(den.items())
-            h = hash((self.shift, num, den))
-            self._hash = h
-        return h
+        num, den = self._num, self._den
+        if type(den) is dict:
+            num, den = frozenset(num.items()), frozenset(den.items())
+        return hash((self.shift, num, den))
 
     # -- display ---------------------------------------------------------
 

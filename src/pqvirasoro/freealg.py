@@ -47,7 +47,7 @@ import heapq
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, count, groupby
+from itertools import count, groupby
 from operator import mul
 
 from .field import ONE, ZERO, LinComb, accumulate, monomial, pq_ladder
@@ -77,7 +77,6 @@ __all__ = [
     "random_word",
     "relation_elements",
     "RELATION_NAMES",
-    "to_json_dict",
 ]
 
 
@@ -153,10 +152,6 @@ class AlgebraElement(LinComb):
     @classmethod
     def from_word(cls, word, coeff=ONE):
         return cls({tuple(word): coeff})
-
-    @classmethod
-    def from_letters(cls, *letters):
-        return cls({tuple(letters): ONE})
 
     def __mul__(self, other):
         # word concatenation, extended bilinearly; no rewriting happens here
@@ -277,9 +272,8 @@ def rewrite_once(word, strategy="leftmost", cfg=DEFAULT_CONFIG):
 _MEMO_MAX_TERMS = 3072
 _MEMO_ENTRY_MAX_TERMS = 8
 
-# (word, r5_variant, strategy) -> normal form of the word as a flat tuple
-# (w1, c1, w2, c2, ...), which saves a pair tuple per term; least recently
-# used first
+# (word, r5_variant, strategy) -> normal form of the word as a tuple of
+# (word, coefficient) pairs; least recently used first
 _memo = OrderedDict()
 _memo_terms = 0
 
@@ -331,16 +325,15 @@ def _normal_form(word, cfg, strategy):
     if find_redex(word, strategy) is None:
         return ((word, ONE),)
     key = (word, cfg.r5_variant, strategy)
-    flat = _memo.get(key)
-    if flat is not None:
+    pairs = _memo.get(key)
+    if pairs is not None:
         _memo.move_to_end(key)
-        it = iter(flat)
-        return zip(it, it)
+        return pairs
     nf = _reduce({word: ONE}, cfg, strategy)
     if len(nf) <= _MEMO_ENTRY_MAX_TERMS:
         while _memo_terms + len(nf) > _MEMO_MAX_TERMS:
-            _memo_terms -= len(_memo.popitem(last=False)[1]) // 2
-        _memo[key] = tuple(chain.from_iterable(nf.items()))
+            _memo_terms -= len(_memo.popitem(last=False)[1])
+        _memo[key] = tuple(nf.items())
         _memo_terms += len(nf)
     return nf.items()
 
@@ -478,8 +471,8 @@ def relation_elements(name, n=0, m=1, cfg=DEFAULT_CONFIG):
     """
     if name == "R1":
         unit = AlgebraElement.unit()
-        return [AlgebraElement.from_letters(T, TINV) - unit,
-                AlgebraElement.from_letters(TINV, T) - unit]
+        return [AlgebraElement.from_word((T, TINV)) - unit,
+                AlgebraElement.from_word((TINV, T)) - unit]
     if name == "R2":
         lhs = AlgebraElement.from_word(t_word(m) + (L(n),))
         rhs = AlgebraElement.from_word((L(n),) + t_word(m),
@@ -496,13 +489,8 @@ def relation_elements(name, n=0, m=1, cfg=DEFAULT_CONFIG):
     if name == "R5":
         lhs = AlgebraElement.from_word((L(n), C), monomial(1, 0, n))
         if cfg.r5_variant == "eq811":
-            rhs = AlgebraElement.from_letters(C, L(n))
+            rhs = AlgebraElement.from_word((C, L(n)))
         else:
             rhs = AlgebraElement.from_word((C, L(n)), monomial(1, n, 0))
         return [lhs - rhs]
     raise ValueError("unknown relation %r" % (name,))
-
-
-def to_json_dict(x):
-    """Deterministic word-string -> coefficient-string map."""
-    return {word_str(w): str(c) for w, c in x.sorted_terms()}

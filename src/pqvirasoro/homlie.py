@@ -89,20 +89,3 @@ def alpha_bracket_gap(n, m):
     """
     ln, lm = _gen(n), _gen(m)
     return vbracket(alpha(ln), alpha(lm)) - alpha(vbracket(ln, lm))
-
-
-def structure_constant_records(window):
-    """Bracket coefficients over a symmetric index window, as strings."""
-    records = []
-    for n in range(-window, window + 1):
-        for m in range(-window, window + 1):
-            env = bracket_env(n, m)
-            records.append(
-                {
-                    "n": n,
-                    "m": m,
-                    "coeff_L": str(env.coefficient((L(n + m),))),
-                    "coeff_C": str(env.coefficient((C,))),
-                }
-            )
-    return records

@@ -307,10 +307,11 @@ def test_structure_constants_table(tmp_path):
                       "--format", "json"], tmp_path)
     assert code == 0
     records = [json.loads(line) for line in text.splitlines()]
-    assert len(records) == 9
-    rec = next(r for r in records if (r["n"], r["m"]) == (1, -1))
-    assert rec["coeff_L"] == "-(p + q)/(p*q)"
-    assert rec["coeff_C"] == "0"
+    assert [(r["n"], r["m"]) for r in records] == [(n, m) for n in (-1, 0, 1) for m in (-1, 0, 1)]
+    by_pair = {(r["n"], r["m"]): r for r in records}
+    assert by_pair[(1, -1)]["coeff_L"] == "-(p + q)/(p*q)"
+    assert by_pair[(1, -1)]["coeff_C"] == "0"
+    assert by_pair[(-1, 1)]["coeff_L"] == "(p + q)/(p*q)"
     assert all(r["coeff_L"] == "0" for r in records if r["n"] == r["m"])
 
 

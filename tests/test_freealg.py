@@ -29,7 +29,6 @@ from pqvirasoro.freealg import (
     relation_elements,
     rewrite_once,
     t_word,
-    to_json_dict,
     word_sort_key,
     word_str,
 )
@@ -38,7 +37,7 @@ EQ811 = RewriteConfig(r5_variant="eq811")
 
 
 def elem(*letters):
-    return AlgebraElement.from_letters(*letters)
+    return AlgebraElement.from_word(letters)
 
 
 def letters_strategy(max_len=6, lo=-4, hi=4):
@@ -356,7 +355,7 @@ def clear_memo():
 
 
 def memo_consistent():
-    stored = sum(len(flat) // 2 for flat in freealg._memo.values())
+    stored = sum(map(len, freealg._memo.values()))
     return stored == freealg._memo_terms <= freealg._MEMO_MAX_TERMS
 
 
@@ -558,9 +557,15 @@ def test_basis_decompose_rejects_non_normal():
         basis_decompose(elem(L(1), L(0)))
 
 
-def test_to_json_dict():
-    x = normalize(elem(L(2), L(1)))
-    assert to_json_dict(x) == {"L(1) L(2)": "p/q", "L(3)": "-1/q"}
+@pytest.mark.parametrize("call, message", [
+    (lambda: RewriteConfig("nope"), "unknown r5_variant 'nope'"),
+    (lambda: find_redex((L(1), L(0)), "middle"), "unknown strategy 'middle'"),
+    (lambda: relation_elements("R6"), "unknown relation 'R6'"),
+    (lambda: NormalWord(0, ((1, 0),), 0), "L multiplicities must be positive"),
+], ids=["variant", "strategy", "relation", "multiplicity"])
+def test_unknown_names_and_bad_multiplicities_are_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_random_word_is_seed_deterministic():

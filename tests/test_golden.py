@@ -66,6 +66,17 @@ GOLDEN = [
      "4dcb167c30db7f9fcf207011f1669efc795945081e5352f39519769b84f8354d"),
     (["fock", "--dim", "8", "--range", "3", "--format", "csv"], 0,
      "df6076abd5b9f52f6b43e831d76e29dc9066bd9aaea420fc3bfd80a4e7c58bb2"),
+    (["fock", "--dim", "8", "--range", "3", "--format", "json"], 0,
+     "0895c9469528c41bd35287f2b4af9242f3e69397026a5175fd3a2febfe9dc954"),
+    # the eq811 rewrite rules and the printed coproduct of C
+    (["verify", "--suite", "hopf", "--range", "2", "--variant", "r5-8.11"], 0,
+     "129a0bffe0e68af359e3a7bc92a2915e7ccc43821f2dac4f68159ecd26547db4"),
+    (["table", "--kind", "hopf_maps", "--range", "2", "--variant", "r5-8.11",
+      "--strict-typos", "--format", "json"], 0,
+     "f7001e71cb97a4bb631f1a2e1ba60c6ea3e90d9be991a13c85be36c1f88409a5"),
+    (["table", "--kind", "hopf_maps", "--range", "2", "--variant", "r5-8.11",
+      "--strict-typos", "--format", "latex"], 0,
+     "570cd3266c69bdc6104f7350f459da479e61b6972b77ce0d1dc8468b43f7041f"),
     # a \frac coefficient, a negated multi-term polynomial, T, L and C powers
     (["normalize", NF_EXPR, "--format", "text"], 0,
      "9bdd5e89f4eaa176ebd77e7aa38dcbec5de27543df6b6a8aa26826adc937240a"),
@@ -137,15 +148,18 @@ GOLDEN = [
      "74cbf530681c513f673f4d5aafaeddeeddb7e32578fb45c19645640e67108a82"),
 ]
 
-# verify's stderr, by suite
+# verify's stderr, by the command's arguments after "verify"
 VERIFY_SUMMARY = {
-    "all": """\
+    ("--suite", "all", "--range", "2", "--dim", "8", "--words", "20", "--seed", "0"): """\
 fock           47 records  all ok
 homlie         37 records  all ok
 hopf          607 records  36 failing (antipode, antipode_preserves_R4)
 confluence      6 records  6 failing (strategy_agreement, summary)
 """,
-    "homlie": "homlie        181 records  all ok\n",
+    ("--suite", "homlie"): "homlie        181 records  all ok\n",
+    ("--suite", "hopf", "--range", "2", "--variant", "r5-8.11"): (
+        "hopf          607 records  84 failing (antipode, antipode_preserves_R4,"
+        " antipode_preserves_R5, coassoc, delta_preserves_R5)\n"),
 }
 
 
@@ -156,4 +170,4 @@ def test_cli_output_matches_recorded_digest(capsys, argv, code, digest):
     out, err = capsys.readouterr()
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     # verify reports one summary line per suite on stderr, off the record stream
-    assert err == (VERIFY_SUMMARY[argv[2]] if argv[0] == "verify" else "")
+    assert err == (VERIFY_SUMMARY[tuple(argv[1:])] if argv[0] == "verify" else "")

@@ -12,7 +12,6 @@ from pqvirasoro.homlie import (
     hom_jacobi_residual,
     plain_jacobi_residual,
     skew_residual,
-    structure_constant_records,
     vbracket,
 )
 
@@ -126,13 +125,3 @@ def test_twist_is_not_a_bracket_map():
     assert not gap.is_zero()
     # the gap is concentrated on L_{n+m}, with no C part
     assert set(gap.terms) == {(L(3),)}
-
-
-def test_structure_constant_records():
-    records = structure_constant_records(1)
-    assert len(records) == 9
-    by_pair = {(r["n"], r["m"]): r for r in records}
-    assert by_pair[(1, -1)]["coeff_L"] == "-(p + q)/(p*q)"
-    assert by_pair[(1, -1)]["coeff_C"] == "0"
-    assert by_pair[(0, 0)]["coeff_L"] == "0"
-    assert by_pair[(-1, 1)]["coeff_L"] == "(p + q)/(p*q)"

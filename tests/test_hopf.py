@@ -15,6 +15,7 @@ from pqvirasoro.freealg import (
     multiply,
     normalize,
     relation_elements,
+    t_degree,
     t_word,
 )
 from pqvirasoro.hopf import (
@@ -41,7 +42,7 @@ EQ811 = HopfConfig(r5_variant="eq811")
 
 
 def elem(*letters):
-    return AlgebraElement.from_letters(*letters)
+    return AlgebraElement.from_word(letters)
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +268,17 @@ def test_antipode_squared_fails_through_normal_forms_but_not_raw():
 
 
 def test_antipode_does_not_preserve_the_bracket_relation():
-    """S applied to the commutation relation of two L's is genuinely nonzero.
+    """S applied to the commutation relation of two L's leaves a nonzero
+    normal form, which vanishes in the p = q degeneration.
 
-    This failure is not a normalization artifact: the antipode is built
-    from one reversal and one final normalization, and the residual
-    survives. It vanishes only in the p = q degeneration.
+    The antipode is built from one reversal and one final normalization,
+    and the residual survives that reduction. The reduction is not
+    confluent, so this does not show that the residual lies outside the
+    relation ideal. The one invariant at hand cannot show it either: the
+    algebra map pi onto Q(p, q)[T, T^-1] that sends every L(n) and C to 0
+    kills every relation, so it vanishes on the ideal, but it vanishes on
+    each of the 144 nonzero residuals in the window -6..6 as well, since
+    none of them has a pure T-power term.
     """
     residuals = check_relation_preservation("antipode", "R4", 2, 1)
     bad = [r for r in residuals if not r.is_zero()]
@@ -279,10 +286,19 @@ def test_antipode_does_not_preserve_the_bracket_relation():
     for r in bad:
         for coeff in r.terms.values():
             assert substitute(coeff, p=5, q=5) == 0
-    # the diagonal pairs survive: S kills the relation only when n = m
+    # the diagonal pairs reduce to zero: S kills the relation when n = m
     for n in (-2, 0, 1, 3):
         for r in check_relation_preservation("antipode", "R4", n, n):
             assert r.is_zero(), n
+
+    # pi of a normal form is its T-power terms, the empty word included
+    window = range(-6, 7)
+    nonzero = [r for n in window for m in window
+               for r in check_relation_preservation("antipode", "R4", n, m)
+               if not r.is_zero()]
+    assert len(nonzero) == 144
+    for r in nonzero:
+        assert not any(all(map(t_degree, word)) for word in r.terms)
 
 
 # ---------------------------------------------------------------------------

@@ -153,7 +153,7 @@ def test_word_image_rejects_t_after_c():
 
 def test_element_image_is_linear():
     osc = make_oscillator(7, "two_param")
-    x = AlgebraElement.from_letters(L(1)) * (P + Q) + AlgebraElement.from_letters(L(0), L(1))
+    x = AlgebraElement.from_word((L(1),)) * (P + Q) + AlgebraElement.from_word((L(0), L(1)))
     img = element_image(x, osc)
     expected = make_L(1, osc).scale(P + Q) + make_L(0, osc) * make_L(1, osc)
     assert img == expected
