@@ -140,7 +140,8 @@ def _u_pseudo_rem(F, G):
     R = list(F)
     while len(R) > dG:
         lcR = R.pop()
-        R = [c * lcG for c in R]
+        if lcG != 1:
+            R = [c * lcG for c in R]
         for k, c in enumerate(G[:-1], len(R) - dG):
             R[k] -= lcR * c
         while R and not R[-1]:
@@ -731,8 +732,13 @@ class RatFunc:
             return NotImplemented
         return o + (-self)
 
-    def _times_monomial(self, c, shift):
-        # c * self, with the shift replaced by shift
+    def times_monomial(self, c, a, b):
+        """The product with the monomial c * p^a * q^b, for an int c."""
+        if not c or not self._num:
+            return ZERO
+        shift = (self.shift[0] + a, self.shift[1] + b)
+        if c == 1:
+            return RatFunc._raw(shift, self._num, self._den)
         if self._den == _ONE_T:
             return RatFunc._raw(shift, _u_scale(self._num, c), _ONE_T)
         ops = self._ops()
@@ -746,17 +752,19 @@ class RatFunc:
         n1, n2 = self._num, o._num
         if not n1 or not n2:
             return ZERO
-        shift = (self.shift[0] + o.shift[0], self.shift[1] + o.shift[1])
         if len(n1) == 1 and self._den == _ONE_T:
-            return o._times_monomial(n1[0], shift)
+            return o.times_monomial(n1[0], self.shift[0], self.shift[1])
         if len(n2) == 1 and o._den == _ONE_T:
-            return self._times_monomial(n2[0], shift)
+            return self.times_monomial(n2[0], o.shift[0], o.shift[1])
+        shift = (self.shift[0] + o.shift[0], self.shift[1] + o.shift[1])
         ops, n1, d1, n2, d2 = _common(self, o)
-        if d1 != ops.one or d2 != ops.one:
+        # a GCD against a denominator of 1 is 1
+        if d2 != ops.one:
             g = ops.gcd(n1, d2)
             if g != ops.one:
                 n1 = ops.divexact(n1, g)
                 d2 = ops.divexact(d2, g)
+        if d1 != ops.one:
             g = ops.gcd(n2, d1)
             if g != ops.one:
                 n2 = ops.divexact(n2, g)

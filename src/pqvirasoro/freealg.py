@@ -20,7 +20,13 @@ multiset of letters and swaps one adjacent pair a > b into b a, which
 raises the weight sum(i * w[i]) over the int letters by exactly a - b.
 Reduction terminates: the length never rises, and while it stays fixed
 the letters only permute, so the weight can rise only finitely often.
-``_reduce`` pops words longest first, then lightest first.
+``_reduce`` pops words longest first, then lightest first.  Each rule is
+compiled once per letter pair into _Branch records: a term's coefficient,
+its letters, the shift of a coefficient that is exactly p^s q^t, and the
+constants that give a child's weight from its parent's.  Rewriting
+(a, b) at position i into r letters repl adds
+i (sum(repl) - a - b) + (sum(k repl[k]) - b) + (r - 2) sum(w[i+2:]) to
+the weight, in exact integer arithmetic.
 The system is not confluent: the two strategies reduce some words to
 different normal forms, and the confluence suite counts those words.
 
@@ -49,8 +55,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count, groupby
 from operator import mul
+from typing import NamedTuple
 
-from .field import ONE, ZERO, LinComb, accumulate, monomial, pq_ladder
+from .field import ONE, ZERO, LinComb, RatFunc, accumulate, monomial, pq_ladder
 
 __all__ = [
     "T",
@@ -237,9 +244,26 @@ def find_redex(word, strategy="leftmost"):
     return None
 
 
+class _Branch(NamedTuple):
+    """One term coeff * repl of the rule for the redex (a, b).
+
+    unit is the shift (s, t) of coeff when coeff is exactly p^s q^t, else
+    None.  A child made at position i of a word w of weight wt has length
+    len(w) + grow and weight wt + i * dsum + doff + grow * sum(w[i + 2:]),
+    with dsum = sum(repl) - a - b and doff = sum(k * repl[k]) - b.
+    """
+
+    coeff: RatFunc
+    repl: tuple
+    unit: tuple | None
+    dsum: int
+    doff: int
+    grow: int
+
+
 @lru_cache(maxsize=None)
 def _branches(a, b, variant):
-    """Replacement terms for the redex (a, b): ((coeff, letters), ...).
+    """The _Branch records of the redex (a, b), compiled once per pair.
 
     The defining relation that contains the word (a, b), solved for it.
     """
@@ -254,16 +278,24 @@ def _branches(a, b, variant):
     for rel in relation_elements(name, n, m, RewriteConfig(variant)):
         if (a, b) in rel.terms:
             scale = -rel.terms[(a, b)].inverse()  # -1 / lead
-            return tuple((c * scale, w) for w, c in rel.terms.items() if w != (a, b))
+            out = []
+            for repl, c in rel.terms.items():
+                if repl != (a, b):
+                    coeff = c * scale
+                    unit = coeff.shift if coeff == monomial(1, *coeff.shift) else None
+                    out.append(_Branch(coeff, repl, unit, sum(repl) - a - b,
+                                       _weight(repl) - b, len(repl) - 2))
+            return tuple(out)
 
 
 def rewrite_once(word, strategy="leftmost", cfg=DEFAULT_CONFIG):
-    """One rewrite step at the strategy's redex, or None if word is normal."""
+    """One rewrite step at the strategy's redex, or None if word is normal:
+    the (coefficient, word) terms that replace word, one per _Branch."""
     i = find_redex(word, strategy)
     if i is None:
         return None
-    return [(coeff, word[:i] + repl + word[i + 2:])
-            for coeff, repl in _branches(word[i], word[i + 1], cfg.r5_variant)]
+    return [(br.coeff, word[:i] + br.repl + word[i + 2:])
+            for br in _branches(word[i], word[i + 1], cfg.r5_variant)]
 
 
 # Bounds of the normal-form memo of ``normalize``: the terms stored in all
@@ -290,26 +322,46 @@ def _reduce(coeffs, cfg, strategy):
     then lightest.  Every rewrite either shortens a word or keeps its
     length and raises its weight, so each branch has a larger key than
     its parent.  By the time a word is popped all contributions to its
-    coefficient have been accumulated, and each distinct word is
-    rewritten at most once.
+    coefficient have been accumulated, each distinct word is rewritten at
+    most once, and a popped normal word never comes back.
+
+    A popped word is rewritten through the _Branch records of its redex:
+    a child's key is its parent's key plus the record's constants (exact,
+    so ``_weight`` runs only on the initial words), a unit-monomial branch
+    makes the child's coefficient by a shift, and each child costs one
+    probe of coeffs.
     """
     heap = [(-len(word), _weight(word), word) for word in coeffs]
     heapq.heapify(heap)
+    push, pop = heapq.heappush, heapq.heappop
+    variant = cfg.r5_variant
     result = {}
     while heap:
-        word = heapq.heappop(heap)[2]
+        neg_len, wt, word = pop(heap)
         coeff = coeffs.pop(word, None)
         if coeff is None:
             continue
-        step = rewrite_once(word, strategy, cfg)
-        if step is None:
-            accumulate(result, word, coeff)
+        i = find_redex(word, strategy)
+        if i is None:
+            result[word] = coeff
             continue
-        for c2, w2 in step:
-            fresh = w2 not in coeffs
-            accumulate(coeffs, w2, coeff * c2)
-            if fresh and w2 in coeffs:
-                heapq.heappush(heap, (-len(w2), _weight(w2), w2))
+        head, tail = word[:i], word[i + 2:]
+        for c2, repl, unit, dsum, doff, grow in _branches(word[i], word[i + 1], variant):
+            c2 = coeff * c2 if unit is None else coeff.times_monomial(1, unit[0], unit[1])
+            w2 = head + repl + tail
+            old = coeffs.get(w2)
+            if old is None:
+                key = wt + i * dsum + doff
+                if grow:
+                    key += grow * sum(tail)
+                coeffs[w2] = c2
+                push(heap, (neg_len - grow, key, w2))
+            else:
+                c2 = old + c2
+                if c2:
+                    coeffs[w2] = c2
+                else:
+                    del coeffs[w2]
     return result
 
 

@@ -281,6 +281,18 @@ def value_parts(draw, homogeneous=None):
     return num, den, draw(st.tuples(ints(-3, 3), ints(-3, 3)))
 
 
+@given(value_parts(), ints(-6, 6), ints(-3, 3), ints(-3, 3))
+@example(({(1, 0): 3, (0, 1): 1}, {(2, 0): 1, (0, 2): 1}, (-1, 0)), 2, 1, -2)
+@example(({(1, 0): 2, (0, 0): 1}, {(0, 1): 4, (0, 0): 2}, (0, 1)), -6, 0, 3)
+def test_times_monomial_is_the_product_with_a_monomial(parts, c, a, b):
+    """times_monomial, the monomial path of __mul__, against the constructor."""
+    num, den, (i, j) = parts
+    x = RatFunc(num, den, (i, j))
+    expected = RatFunc({m: c * v for m, v in num.items()}, den, (i + a, j + b))
+    assert x.times_monomial(c, a, b) == expected
+    assert x * monomial(c, a, b) == expected == monomial(c, a, b) * x
+
+
 @given(value_parts(), value_parts(), value_parts(homogeneous=True),
        st.sampled_from(("independent", "sum is homogeneous", "sum is zero")))
 @example(({(1, 0): 1, (0, 0): 1}, {(0, 0): 1}, (0, 0)), ({(0, 0): 1}, {(0, 0): 1}, (0, 0)),

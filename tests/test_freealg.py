@@ -1,9 +1,12 @@
 """Free algebra on T, C, L(n) and reduction to the normal-form basis."""
 
+import heapq
 import random
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pqvirasoro import freealg
@@ -230,16 +233,36 @@ def test_heap_key_strictly_rises_on_every_branch(word):
             assert freealg._weight(new_word) - freealg._weight(word) == word[i] - word[i + 1]
 
 
+@given(st.lists(letters_strategy(), min_size=1, max_size=3),
+       st.sampled_from([DEFAULT_CONFIG, EQ811]), st.sampled_from(["leftmost", "rightmost"]))
+@example([(L(2), L(-2), L(1), T, TINV)], DEFAULT_CONFIG, "rightmost")
+@example([(C, L(3), TINV, T, L(-1))], EQ811, "leftmost")
+def test_reduce_derives_each_child_key_exactly(words, cfg, strategy):
+    # every key _reduce pushes, derived from its parent's, is the key of its word
+    pushed = []
+
+    def push(heap, entry):
+        pushed.append(entry)
+        heapq.heappush(heap, entry)
+
+    spy = SimpleNamespace(heapify=heapq.heapify, heappop=heapq.heappop, heappush=push)
+    with mock.patch.object(freealg, "heapq", spy):
+        freealg._reduce({w: ONE for w in words}, cfg, strategy)
+    for neg_len, weight, word in pushed:
+        assert (neg_len, weight) == (-len(word), freealg._weight(word)), word
+
+
 @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, EQ811], ids=["standard", "eq811"])
 @pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
 def test_reduce_rewrites_each_distinct_word_at_most_once(monkeypatch, cfg, strategy):
     rewritten = []
 
-    def spy(word, strategy="leftmost", cfg=DEFAULT_CONFIG):
+    # _reduce looks for the redex of each word it pops and rewrites once
+    def spy(word, strategy="leftmost"):
         rewritten.append(word)
-        return rewrite_once(word, strategy, cfg)
+        return find_redex(word, strategy)
 
-    monkeypatch.setattr(freealg, "rewrite_once", spy)
+    monkeypatch.setattr(freealg, "find_redex", spy)
     rng = random.Random(7)
     for _ in range(40):
         words = [random_word(rng, max_len=8, index_range=(-4, 4))
