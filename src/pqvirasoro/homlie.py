@@ -26,6 +26,8 @@ checks are the Fock realization in ``oscillator`` and the twisted Jacobi
 identity, whose central triples test g(n).
 """
 
+from functools import lru_cache
+
 from .field import ONE, accumulate, monomial
 from .freealg import AlgebraElement, C, L, bracket_env
 
@@ -48,10 +50,20 @@ def vbracket(x, y):
     return AlgebraElement.from_clean(out)
 
 
+@lru_cache(maxsize=None)
+def twist_weight(n):
+    """The weight 1 + (q/p)^n by which the twist scales L_n."""
+    return ONE + monomial(1, -n, n)
+
+
 def alpha(x):
-    """The twist map: L_n goes to (1 + (q/p)^n) L_n, C is fixed."""
+    """The twist map: L_n goes to twist_weight(n) L_n, C is fixed.
+
+    twist_weight(n) = 1 + (q/p)^n is a structure constant, cached like
+    ``freealg.bracket_coeff``, so each weight is computed once.
+    """
     return AlgebraElement.from_clean({
-        (n,): coeff if n == C else coeff * (ONE + monomial(1, -n, n))
+        (n,): coeff if n == C else coeff * twist_weight(n)
         for (n,), coeff in x.terms.items()
     })
 

@@ -14,15 +14,18 @@ at (p, q) = (1, 1) and at p = 1, so each constant below is written once,
 in its two-parameter form, and substituted exactly at the mode's point.
 The generators L_n = (a+)^(n+1) a (n >= -1) then give matrices on
 which the deformed Virasoro relations can be checked by exact
-arithmetic. The matrices are built independently of the symbolic
-rewriting engine, so checking its structure constants on them is an
-independent test of those constants.
+arithmetic. Each oscillator builds a generator the first time it is
+asked for and keeps it, so L_n costs its matrix products once per
+oscillator; it keeps at most dim - 1 of them, for n < dim - 1, since
+(a+)^(n+1) is zero past that. The matrices are built independently of
+the symbolic rewriting engine, so checking its structure constants on
+them is an independent test of those constants.
 Truncation spoils the top edge of the matrix, so identities are only
 asserted on guarded columns that no intermediate state can push past
 the cutoff.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .field import ZERO, ONE, P, Q, LinComb, accumulate, monomial, pq_int, pq_ladder, substitute
 from .freealg import C, bracket_coeff, t_degree
@@ -149,6 +152,8 @@ class Oscillator:
     dim: int
     a: FockOperator
     a_plus: FockOperator
+    # n -> L_n for -1 <= n < dim - 1, filled by make_L
+    _generators: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __iter__(self):
         yield self.a
@@ -194,11 +199,20 @@ def make_L(n, osc):
     """The generator L_n = (a+)^(n+1) a as a truncated matrix.
 
     Only n >= -1 makes sense here: the raising operator is not
-    invertible, so (a+)^(n+1) is undefined for n <= -2.
+    invertible, so (a+)^(n+1) is undefined for n <= -2. The oscillator
+    builds L_n once, on the first call, and keeps it in its generator
+    store; every call returns a fresh copy of the kept matrix, so a
+    caller may change what it gets. For n >= dim - 1 the power of a+,
+    and so L_n, is zero; that zero matrix is returned and not kept.
     """
     if not isinstance(n, int) or n < -1:
         raise ValueError("L_n has a Fock image only for integer n >= -1")
-    return (osc.a_plus ** (n + 1)) * osc.a
+    if n >= osc.dim - 1:
+        return FockOperator.zero(osc.dim)
+    gen = osc._generators.get(n)
+    if gen is None:
+        gen = osc._generators[n] = (osc.a_plus ** (n + 1)) * osc.a
+    return FockOperator.from_clean(dict(gen.terms), osc.dim)
 
 
 def deformed_commutator(A, B, alpha, beta):

@@ -1,11 +1,13 @@
 """Exact arithmetic in the rational function field in p and q."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from pqvirasoro import field
 from pqvirasoro.field import (
     ONE,
     P,
@@ -268,9 +270,25 @@ def homogeneous_polys(degree):
                            ints(-3, 3).filter(bool), min_size=1, max_size=degree + 1)
 
 
+def times_pq_int(f, c, k):
+    """f times c [k] = c (p^(k-1) + p^(k-2) q + ... + q^(k-1)), the numerator
+    of c pq_int(k)."""
+    out = {}
+    for (i, j), v in f.items():
+        for e in range(k):
+            out[(i + e, j + k - 1 - e)] = out.get((i + e, j + k - 1 - e), 0) + c * v
+    return {m: v for m, v in out.items() if v}
+
+
+# a factor c [k] of a value's num or den, or none
+pq_int_factors = st.none() | st.tuples(ints(-3, 3).filter(bool), ints(1, 8))
+
+
 @st.composite
-def value_parts(draw, homogeneous=None):
-    """(num, den, shift) of a value, homogeneous or not, not yet reduced."""
+def value_parts(draw, homogeneous=None, pq_ints=False):
+    """(num, den, shift) of a value, homogeneous or not, not yet reduced;
+    with pq_ints, the num or den of a homogeneous value may carry a factor
+    c [k]."""
     if homogeneous is None:
         homogeneous = draw(st.booleans())
     if homogeneous:
@@ -278,6 +296,12 @@ def value_parts(draw, homogeneous=None):
         den = draw(ints(0, 2).flatmap(homogeneous_polys))
     else:
         num, den = draw(polys), draw(polys)
+    factor = draw(pq_int_factors) if pq_ints and homogeneous else None
+    if factor is not None:
+        if draw(st.booleans()):
+            num = times_pq_int(num, *factor)
+        else:
+            den = times_pq_int(den, *factor)
     return num, den, draw(st.tuples(ints(-3, 3), ints(-3, 3)))
 
 
@@ -293,7 +317,8 @@ def test_times_monomial_is_the_product_with_a_monomial(parts, c, a, b):
     assert x * monomial(c, a, b) == expected == monomial(c, a, b) * x
 
 
-@given(value_parts(), value_parts(), value_parts(homogeneous=True),
+@given(value_parts(pq_ints=True), value_parts(pq_ints=True),
+       value_parts(homogeneous=True, pq_ints=True),
        st.sampled_from(("independent", "sum is homogeneous", "sum is zero")))
 @example(({(1, 0): 1, (0, 0): 1}, {(0, 0): 1}, (0, 0)), ({(0, 0): 1}, {(0, 0): 1}, (0, 0)),
          ({(1, 0): 1}, {(0, 0): 1}, (0, 0)), "sum is homogeneous")
@@ -306,6 +331,10 @@ def test_times_monomial_is_the_product_with_a_monomial(parts, c, a, b):
 # (6p + 6) / (4q + 2): the GCD is the constant 2
 @example(({(1, 0): 6, (0, 0): 6}, {(0, 1): 4, (0, 0): 2}, (0, 0)),
          ({(0, 1): 2, (0, 0): 1}, {(1, 0): 3, (0, 0): 3}, (1, 0)),
+         ({(0, 0): 1}, {(0, 0): 1}, (0, 0)), "independent")
+# -[8] against a numerator of three terms and over (p + q): products by a run
+@example(({(i, 7 - i): -1 for i in range(8)}, {(0, 0): 1}, (0, 0)),
+         ({(2, 0): 1, (1, 1): -3, (0, 2): 1}, {(1, 0): 1, (0, 1): 1}, (1, 0)),
          ({(0, 0): 1}, {(0, 0): 1}, (0, 0)), "independent")
 def test_arithmetic_agrees_with_sympy(xs, ys, hs, relation):
     """Differential check of +, -, *, / and inverse: each result has sympy's
@@ -343,6 +372,72 @@ def test_arithmetic_agrees_with_sympy(xs, ys, hs, relation):
         assert (value.shift, value.num, value.den) == (ref.shift, ref.num, ref.den)
         assert value == ref and hash(value) == hash(ref)
         assert (str(value), value.latex()) == (str(ref), ref.latex())
+
+
+def schoolbook(F, G):
+    """The product of two coefficient tuples, one coefficient pair at a time."""
+    out = [0] * (len(F) + len(G) - 1)
+    for i, f in enumerate(F):
+        for j, g in enumerate(G):
+            out[i + j] += f * g
+    return tuple(out)
+
+
+coefficients = st.sampled_from((0, 0, 1, -1, 2, -7, 10 ** 20))
+
+
+@given(ints(-9, 9).filter(bool) | st.sampled_from((10 ** 20, -(10 ** 20))), ints(1, 50),
+       st.lists(coefficients, min_size=1, max_size=40).map(tuple))
+@example(1, 16, (1, 0, 2))
+@example(-1, 50, (3, 0, 0, -1, 0, 5))
+@example(2, 8, (1, 1))
+def test_product_by_a_run_is_the_schoolbook_product(c, k, partner):
+    """_u_mul against a convolution, for a run c (1, ..., 1) of length k, the
+    numerator shape of c [k], on either side of a partner with zeros inside."""
+    run = (c,) * k
+    expected = schoolbook(partner, run)
+    assert field._u_mul(run, partner) == expected
+    assert field._u_mul(partner, run) == expected
+
+
+def times_q_run(f, c, k):
+    """f times c (1 + q + ... + q^(k-1))."""
+    out = {}
+    for (i, j), v in f.items():
+        for e in range(k):
+            out[(i, j + e)] = out.get((i, j + e), 0) + c * v
+    return {m: v for m, v in out.items() if v}
+
+
+sparse_with_runs = st.builds(
+    times_q_run,
+    st.dictionaries(st.tuples(ints(0, 3), ints(0, 6)), ints(-3, 3).filter(bool),
+                    min_size=1, max_size=4),
+    ints(-2, 2).filter(bool), ints(1, 20))
+
+
+@given(sparse_with_runs, sparse_with_runs)
+@example({(1, 0): 1, (1, 1): 1, (1, 2): 1, (1, 3): 1, (0, 2): 1},
+         {(1, 0): -1, (1, 1): -1, (1, 2): -1, (1, 3): -1, (1, 4): -1, (0, 0): 1})
+def test_products_of_the_sparse_gcd_agree_with_the_schoolbook_product(f, g):
+    """The Z[q] coefficients that _rec_pseudo_rem multiplies, as _rec_from
+    makes them (zeros below the lowest power of q, runs, runs times q^j),
+    give _u_mul's and the convolution's products alike, and so one
+    pseudo-remainder."""
+    A, B = field._rec_from(f), field._rec_from(g)
+    if max(A) < max(B):
+        A, B = B, A
+    operands = []
+
+    def recorded(F, G):
+        operands.append((F, G))
+        return schoolbook(F, G)
+
+    with mock.patch.object(field, "_u_mul", recorded):
+        expected = field._rec_pseudo_rem(A, B)
+    for F, G in operands:
+        assert field._u_mul(F, G) == schoolbook(F, G)
+    assert field._rec_pseudo_rem(A, B) == expected
 
 
 # ---------------------------------------------------------------------------

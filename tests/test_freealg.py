@@ -10,7 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pqvirasoro import freealg
-from pqvirasoro.field import ONE, P, Q, ZERO, monomial, pq_int
+from pqvirasoro.field import ONE, P, Q, ZERO, monomial, pq_int, pq_ladder
 from pqvirasoro.freealg import (
     AlgebraElement,
     C,
@@ -116,6 +116,17 @@ def test_product_bilinear_on_words(w1, w2):
 
 # ---------------------------------------------------------------------------
 # structure coefficients
+
+
+def test_bracket_coeff_is_a_signed_run_over_one():
+    # the shape that field._u_mul's linear-time path multiplies by: if a
+    # convention change breaks it, that path no longer fires on brackets
+    for n in range(-12, 13):
+        for m in range(-12, 13):
+            coeff = bracket_coeff(n, m)
+            assert coeff == -monomial(1, -m, m) * pq_ladder(n - m)
+            assert coeff._den == (1,)
+            assert coeff._num in ((1,) * abs(n - m), (-1,) * abs(n - m))
 
 
 def test_bracket_coeff_values():

@@ -68,6 +68,11 @@ GOLDEN = [
      "df6076abd5b9f52f6b43e831d76e29dc9066bd9aaea420fc3bfd80a4e7c58bb2"),
     (["fock", "--dim", "8", "--range", "3", "--format", "json"], 0,
      "0895c9469528c41bd35287f2b4af9242f3e69397026a5175fd3a2febfe9dc954"),
+    # long products: L(10) at dim 24 has ladder numerators of up to 23 terms
+    (["fock", "--dim", "24", "--range", "10", "--format", "json"], 0,
+     "f7ebbc5abf7cfafbf0cc515dfce96243579e9ed5cc26c590972c4b8f670b0eaa"),
+    (["verify", "--suite", "fock", "--range", "6", "--dim", "24"], 0,
+     "0252479b809c78a506150aa2bc3cec304cfa11166180f4a3eb425a48041fa186"),
     # the eq811 rewrite rules and the printed coproduct of C
     (["verify", "--suite", "hopf", "--range", "2", "--variant", "r5-8.11"], 0,
      "129a0bffe0e68af359e3a7bc92a2915e7ccc43821f2dac4f68159ecd26547db4"),
@@ -157,6 +162,7 @@ hopf          607 records  36 failing (antipode, antipode_preserves_R4)
 confluence      6 records  6 failing (strategy_agreement, summary)
 """,
     ("--suite", "homlie"): "homlie        181 records  all ok\n",
+    ("--suite", "fock", "--range", "6", "--dim", "24"): "fock          143 records  all ok\n",
     ("--suite", "hopf", "--range", "2", "--variant", "r5-8.11"): (
         "hopf          607 records  84 failing (antipode, antipode_preserves_R4,"
         " antipode_preserves_R5, coassoc, delta_preserves_R5)\n"),

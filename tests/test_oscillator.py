@@ -127,6 +127,49 @@ def test_make_L_low_cases():
         make_L(-2, osc)
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_make_L_is_the_defining_product(mode):
+    # the first pass builds the generators, the second reads them back
+    osc = make_oscillator(7, mode)
+    for _ in range(2):
+        for n in range(-1, osc.dim + 3):
+            assert make_L(n, osc) == (osc.a_plus ** (n + 1)) * osc.a
+
+
+def test_changing_a_returned_generator_leaves_the_store_intact():
+    osc = make_oscillator(6, "two_param")
+    expected = (osc.a_plus ** 3) * osc.a
+    make_L(2, osc).terms.clear()
+    assert make_L(2, osc) == expected
+    make_L(2, osc).terms[(0, 0)] = ONE
+    assert make_L(2, osc) == expected
+
+
+def test_oscillators_share_no_generators():
+    oscs = [make_oscillator(dim, mode) for mode in MODES for dim in (5, 6)]
+    oscs.append(make_oscillator(6, "two_param"))
+    for osc in oscs:
+        for n in range(-1, 4):
+            make_L(n, osc)
+    stored = [gen for osc in oscs for gen in osc._generators.values()]
+    assert len({id(osc._generators) for osc in oscs}) == len(oscs)
+    assert len({id(gen) for gen in stored}) == len(stored)
+    for osc in oscs:
+        for n in range(-1, 4):
+            assert make_L(n, osc) == (osc.a_plus ** (n + 1)) * osc.a
+    # the store takes no part in comparing oscillators
+    assert oscs[-1] == make_oscillator(6, "two_param")
+
+
+def test_zero_generators_are_not_stored():
+    osc = make_oscillator(5, "classical")
+    for n in range(osc.dim - 1, osc.dim + 3):
+        assert make_L(n, osc) == FockOperator.zero(osc.dim)
+    assert not osc._generators
+    assert not make_L(osc.dim - 2, osc).is_zero()
+    assert set(osc._generators) == {osc.dim - 2}
+
+
 def test_guard_spec_safe_columns():
     g = GuardSpec(word_length=2, max_shift=3)
     assert list(g.safe_columns(10)) == list(range(4))
