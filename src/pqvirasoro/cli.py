@@ -12,10 +12,13 @@ coefficients, with juxtaposition or * for products, ^ for powers, and
 parentheses. Negative powers are only meaningful on T and on scalar
 coefficients; a zero to a negative power is a division by zero.
 
-The parser keeps a scalar as a coefficient: numbers, p and q, and their
-products and powers, are RatFunc values, and a value becomes an
-AlgebraElement only when it meets a word. A sum adds each term into one
-term map, so parsing is linear in the number of terms.
+The parser reads a product of numbers, p, q and letters as one integer
+monomial c * p^a * q^b * w: c stays an int until a factor is a general
+scalar such as a parenthesized sum, and a value becomes an AlgebraElement
+only when it has several words. A sum adds the int monomials of each
+word into one {(a, b): c} map and builds one RatFunc per word at the end,
+so parsing is linear in the number of terms. A power of several words
+may have at most 65,536 words.
 
 Verification records are JSON lines with a stable field order; the
 process exits 0 when every gated record is ok, 1 when some gated
@@ -29,7 +32,7 @@ import json
 import random
 import sys
 
-from .field import ONE, P, Q, RatFunc, ZERO, accumulate, monomial
+from .field import RatFunc, accumulate, monomial
 from .freealg import (
     AlgebraElement,
     L,
@@ -106,27 +109,66 @@ def _describe(tok):
     return "end of input" if tok[0] == "end" else repr(tok[1])
 
 
-def _as_scalar(x):
-    """The coefficient if x is a scalar or a pure scalar element, else None."""
-    if isinstance(x, RatFunc):
+# a term is (c, a, b, w): the product c * p^a * q^b * w of an int or RatFunc
+# c and a word w; a term of c = 0 is always _ZERO, so a scalar is a term of
+# the empty word
+_ZERO = (0, 0, 0, ())
+_NAMES = {"p": (1, 1, 0, ()), "q": (1, 0, 1, ()), "T": (1, 0, 0, (T,)),
+          "Tinv": (1, 0, 0, (TINV,)), "C": (1, 0, 0, (C,))}
+
+# the most words that a power of a sum of several words may have
+_MAX_POWER_WORDS = 1 << 16
+
+
+def _rat(c):
+    """A term coefficient as a RatFunc."""
+    return monomial(c) if type(c) is int else c
+
+
+def _times(c1, c2):
+    """The product of two term coefficients; it stays an int while both are."""
+    if type(c1) is int:
+        return c1 * c2 if type(c2) is int else c2.times_monomial(c1, 0, 0)
+    return c1.times_monomial(c2, 0, 0) if type(c2) is int else c1 * c2
+
+
+def _element(x):
+    """A parsed value as an AlgebraElement."""
+    if type(x) is not tuple:
         return x
-    if not x.terms:
-        return ZERO
-    if len(x.terms) == 1 and () in x.terms:
-        return x.terms[()]
-    return None
+    c, a, b, w = x
+    coeff = monomial(c, a, b) if type(c) is int else c.times_monomial(1, a, b)
+    return AlgebraElement.from_clean({w: coeff} if c else {})
+
+
+def _value(x):
+    """An AlgebraElement as a parsed value: a term unless it has several words."""
+    if len(x.terms) > 1:
+        return x
+    for w, coeff in x.terms.items():
+        return (coeff, 0, 0, w)
+    return _ZERO
 
 
 def _mul(x, y):
-    """The product of two parsed values; a scalar times a scalar stays one."""
-    if isinstance(x, RatFunc):
-        return x * y if isinstance(y, RatFunc) else y.scale(x)
-    return x.scale(y) if isinstance(y, RatFunc) else x * y
+    """The product of two parsed values; a term times a term stays one."""
+    if type(x) is tuple and type(y) is tuple:
+        c = _times(x[0], y[0])
+        if not c:
+            return _ZERO
+        return (c, x[1] + y[1], x[2] + y[2], x[3] + y[3])
+    return _value(_element(x) * _element(y))
+
+
+def _neg(x):
+    if type(x) is tuple:
+        return (-x[0],) + x[1:]
+    return -x
 
 
 class _Parser:
-    """Recursive descent over the tokens.  A parsed value is a RatFunc while
-    it holds no word, and an AlgebraElement once it does."""
+    """Recursive descent over the tokens.  A parsed value is a term while
+    it has at most one word, and an AlgebraElement of several words else."""
 
     def __init__(self, src):
         self.src = src
@@ -152,9 +194,7 @@ class _Parser:
         tok = self.peek()
         if tok[0] != "end":
             raise ExpressionError(f"unexpected {_describe(tok)}", tok[2])
-        if isinstance(value, RatFunc):
-            return AlgebraElement.from_clean({(): value} if value else {})
-        return value
+        return _element(value)
 
     def expr(self):
         kind, _, _ = self.peek()
@@ -163,23 +203,32 @@ class _Parser:
             negate = self.next()[0] == "-"
         value = self.term()
         if self.peek()[0] not in ("+", "-"):
-            return -value if negate else value
-        # a sum adds each term into one map, so it costs one pass
+            return _neg(value) if negate else value
+        # int-coefficient terms add into one {(a, b): c} map per word, which
+        # becomes one RatFunc at the end; other coefficients add as RatFuncs
+        sums = {}
         terms = {}
         while True:
-            if isinstance(value, RatFunc):
-                accumulate(terms, (), -value if negate else value)
+            if negate:
+                value = _neg(value)
+            if type(value) is tuple:
+                c, a, b, w = value
+                if type(c) is int:
+                    mono = sums.setdefault(w, {})
+                    mono[a, b] = mono.get((a, b), 0) + c
+                else:
+                    accumulate(terms, w, c.times_monomial(1, a, b))
             else:
                 for word, coeff in value.terms.items():
-                    accumulate(terms, word, -coeff if negate else coeff)
+                    accumulate(terms, word, coeff)
             kind, _, _ = self.peek()
             if kind not in ("+", "-"):
                 break
             negate = self.next()[0] == "-"
             value = self.term()
-        if terms.keys() <= {()}:
-            return terms.get((), ZERO)
-        return AlgebraElement.from_clean(terms)
+        for w, mono in sums.items():
+            accumulate(terms, w, RatFunc(mono))
+        return _value(AlgebraElement.from_clean(terms))
 
     def term(self):
         value = self.factor()
@@ -190,12 +239,15 @@ class _Parser:
                 value = _mul(value, self.factor())
             elif kind == "/":
                 self.next()
-                s = _as_scalar(self.factor())
-                if s is None:
+                d = self.factor()
+                if type(d) is not tuple or d[3]:
                     raise ExpressionError("can only divide by a scalar coefficient", pos)
-                if s.is_zero():
+                c, a, b, _ = d
+                if not c:
                     raise ExpressionError("division by zero", pos)
-                value = _mul(value, s.inverse())
+                if c not in (1, -1):
+                    c = _rat(c).inverse()
+                value = _mul(value, (c, -a, -b, ()))
             elif kind in ("int", "name", "("):
                 value = _mul(value, self.factor())
             else:
@@ -222,48 +274,40 @@ class _Parser:
         k = self._signed_int("exponent")
         if abs(k) > _MAX_EXPONENT:
             raise ExpressionError(f"exponent {k} is out of range: |k| <= {_MAX_EXPONENT}", pos)
-        s = _as_scalar(value)
-        if s is not None:
-            if k < 0 and s.is_zero():
+        if type(value) is tuple:
+            c, a, b, w = value
+            if k >= 0:  # _ZERO^0 is 1
+                return (c ** k, a * k, b * k, w * k)
+            if not c:
                 raise ExpressionError("division by zero", pos)
-            return s ** k
-        if len(value.terms) == 1:
-            word, coeff = next(iter(value.terms.items()))
-            if k >= 0:
-                return AlgebraElement({word * k: coeff ** k})
-            if all(map(t_degree, word)):
-                degree = sum(map(t_degree, word))
-                return AlgebraElement({t_word(degree * k): coeff ** k})
-            if C in word:
+            if all(map(t_degree, w)):
+                # a unit stays as it is: (+-1)^k = (+-1)^-k
+                c = c ** -k if c in (1, -1) else _rat(c) ** k
+                return (c, a * k, b * k, t_word(sum(map(t_degree, w)) * k))
+            if C in w:
                 raise ExpressionError("exponent on C must be nonnegative", pos)
-            raise ExpressionError("negative exponent requires an invertible factor", pos)
-        if k >= 0:
-            out = ONE
+        elif k >= 0:
+            out = AlgebraElement.unit()
             for _ in range(k):
-                out = _mul(out, value)
-            return out
+                out = out * value
+                if len(out.terms) > _MAX_POWER_WORDS:
+                    raise ExpressionError(
+                        f"the power has more than {_MAX_POWER_WORDS} words", pos)
+            return _value(out)
         raise ExpressionError("negative exponent requires an invertible factor", pos)
 
     def atom(self):
         tok = self.next()
         kind, val, pos = tok
         if kind == "int":
-            return monomial(val)
+            return (val, 0, 0, ())
         if kind == "(":
             value = self.expr()
             self.expect(")")
             return value
         if kind == "name":
-            if val == "p":
-                return P
-            if val == "q":
-                return Q
-            if val == "T":
-                return AlgebraElement.from_word((T,))
-            if val == "Tinv":
-                return AlgebraElement.from_word((TINV,))
-            if val == "C":
-                return AlgebraElement.from_word((C,))
+            if val in _NAMES:
+                return _NAMES[val]
             if val == "L":
                 self.expect("(")
                 at = self.peek()[2]
@@ -273,7 +317,7 @@ class _Parser:
                 except ValueError as exc:  # |n| past the letter bound
                     raise ExpressionError(str(exc), at) from None
                 self.expect(")")
-                return AlgebraElement.from_word((letter,))
+                return (1, 0, 0, (letter,))
             raise ExpressionError(f"unknown symbol {val!r}", pos)
         raise ExpressionError(f"unexpected {_describe(tok)}", pos)
 

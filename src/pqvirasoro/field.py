@@ -801,7 +801,9 @@ class RatFunc:
             if g != ops.one:
                 n2 = ops.divexact(n2, g)
                 d1 = ops.divexact(d1, g)
-        return ops.make(shift, ops.mul(n1, n2), ops.mul(d1, d2))
+        # a denominator of 1 leaves the other as it is
+        den = d2 if d1 == ops.one else d1 if d2 == ops.one else ops.mul(d1, d2)
+        return ops.make(shift, ops.mul(n1, n2), den)
 
     __rmul__ = __mul__
 

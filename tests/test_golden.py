@@ -7,12 +7,13 @@ again, and says so.
 """
 
 import hashlib
+import random
 
 import pytest
 
-from pqvirasoro.cli import main
-from pqvirasoro.field import P, Q
-from pqvirasoro.freealg import AlgebraElement, C, L, T
+from pqvirasoro.cli import main, render_element
+from pqvirasoro.field import ONE, P, Q, RatFunc
+from pqvirasoro.freealg import AlgebraElement, C, L, NormalWord, T
 from pqvirasoro.hopf import TensorElement
 from pqvirasoro.oscillator import FockOperator
 
@@ -177,3 +178,39 @@ def test_cli_output_matches_recorded_digest(capsys, argv, code, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     # verify reports one summary line per suite on stderr, off the record stream
     assert err == (VERIFY_SUMMARY[tuple(argv[1:])] if argv[0] == "verify" else "")
+
+
+def _long_sum(seed, size=100):
+    """An element of normal words whose coefficients are sums of 1-10 terms
+    c*p^i*q^j of degree <= 8 times p^a q^b, a and b in -3..3, with every
+    20th over one or two of (p + q), (p - q), p^2 + q^2 and p^2 + p q + q^2."""
+    rng = random.Random(seed)
+    monomials = [(i, j) for i in range(9) for j in range(9 - i)]
+    forms = [P + Q, P - Q, P ** 2 + Q ** 2, P ** 2 + P * Q + Q ** 2]
+    terms = {}
+    while len(terms) < size:
+        indices = sorted(rng.sample(range(-6, 7), rng.randint(1, 4)))
+        word = NormalWord(rng.randint(-2, 2), tuple((n, rng.randint(1, 3)) for n in indices),
+                          rng.randint(0, 2)).word()
+        if word in terms:
+            continue
+        k = rng.randint(1, 10)
+        num = dict(zip(rng.sample(monomials, k), rng.choices([-3, -2, -1, 1, 2, 5, 9], k=k)))
+        coeff = RatFunc(num, 1, (rng.randint(-3, 3), rng.randint(-3, 3)))
+        if len(terms) % 20 == 19:
+            den = ONE
+            for form in rng.sample(forms, rng.randint(1, 2)):
+                den = den * form
+            coeff = coeff / den
+        terms[word] = coeff
+    return AlgebraElement(terms)
+
+
+def test_normalize_of_a_long_sum_matches_recorded_digest(capsys):
+    # the rendered input is echoed in the record, so the digest pins its
+    # rendering as well as its parse and normal form
+    assert main(["normalize", render_element(_long_sum(19)), "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert len(out) > 15_000 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a2b4da3cd6ac05779f35aecf1a8e436ede1c7eed90de77c43a73cd9b2386ee40")

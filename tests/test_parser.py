@@ -1,0 +1,235 @@
+"""The expression grammar against plain RatFunc/AlgebraElement arithmetic,
+its error messages, and the integer-monomial path of long sums."""
+
+import math
+import random
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from pqvirasoro.cli import ExpressionError, main, parse_expression
+from pqvirasoro.field import P, Q, RatFunc, monomial
+from pqvirasoro.freealg import AlgebraElement, C, L, T, TINV, t_degree, t_word
+
+LETTERS = {"T": T, "Tinv": TINV, "C": C}
+
+# ---------------------------------------------------------------------------
+# expression trees: ("int", n), ("p",), ("q",), ("T",), ("Tinv",), ("C",),
+# ("L", n), ("neg", x), ("add", x, y, sign), ("mul", x, y, sep),
+# ("div", x, y) and ("pow", x, k, plus)
+
+leaves = st.one_of(
+    st.integers(0, 12).map(lambda n: ("int", n)),
+    st.sampled_from([("p",), ("q",), ("T",), ("Tinv",), ("C",)]),
+    st.integers(-3, 3).map(lambda n: ("L", n)),
+)
+
+
+def _extend(children):
+    return st.one_of(
+        st.tuples(st.just("neg"), children),
+        st.tuples(st.just("add"), children, children, st.sampled_from("+-")),
+        st.tuples(st.just("mul"), children, children, st.sampled_from([" ", "*"])),
+        st.tuples(st.just("div"), children, children),
+        st.tuples(st.just("pow"), children, st.integers(-2, 3), st.sampled_from(["", "+"])),
+    )
+
+
+trees = st.recursive(leaves, _extend, max_leaves=8)
+
+# the grammar level of a text: a sum or a signed term, a product, a power, an atom
+EXPR, TERM, FACTOR, ATOM = range(4)
+
+
+def _render(tree):
+    """(text, level) of a tree, parenthesizing only where the grammar needs it."""
+    kind = tree[0]
+    if kind == "int":
+        return str(tree[1]), ATOM
+    if kind == "L":
+        return f"L({tree[1]})", ATOM
+    if kind == "neg":
+        return "-" + _wrap(tree[1], TERM), EXPR
+    if kind == "add":
+        return f"{_wrap(tree[1], EXPR)} {tree[3]} {_wrap(tree[2], TERM)}", EXPR
+    if kind == "mul":
+        return _wrap(tree[1], TERM) + tree[3] + _wrap(tree[2], FACTOR), TERM
+    if kind == "div":
+        return f"{_wrap(tree[1], TERM)}/{_wrap(tree[2], FACTOR)}", TERM
+    if kind == "pow":  # a written + only in front of a nonnegative exponent
+        sign = tree[3] if tree[2] >= 0 else ""
+        return f"{_wrap(tree[1], FACTOR)}^{sign}{tree[2]}", FACTOR
+    return kind, ATOM
+
+
+def _wrap(tree, level):
+    text, at = _render(tree)
+    return text if at >= level else f"({text})"
+
+
+class Refused(Exception):
+    """The message with which the parser must refuse a tree."""
+
+
+def _scalar(x):
+    return x.terms.keys() <= {()}
+
+
+def _evaluate(tree):
+    """The value of a tree by plain arithmetic, children left to right."""
+    kind = tree[0]
+    if kind == "int":
+        return AlgebraElement({(): RatFunc(tree[1])})
+    if kind in ("p", "q"):
+        return AlgebraElement({(): P if kind == "p" else Q})
+    if kind in LETTERS:
+        return AlgebraElement.from_word((LETTERS[kind],))
+    if kind == "L":
+        return AlgebraElement.from_word((L(tree[1]),))
+    x = _evaluate(tree[1])
+    if kind == "neg":
+        return -x
+    if kind == "pow":
+        return _evaluate_power(x, tree[2])
+    y = _evaluate(tree[2])
+    if kind == "add":
+        return x + y if tree[3] == "+" else x - y
+    if kind == "mul":
+        return x * y
+    if not _scalar(y):
+        raise Refused("can only divide by a scalar coefficient")
+    if y.is_zero():
+        raise Refused("division by zero")
+    return x.scale(y.coefficient(()).inverse())
+
+
+def _evaluate_power(x, k):
+    if k >= 0:
+        out = AlgebraElement.unit()
+        for _ in range(k):
+            out = out * x
+        return out
+    if _scalar(x):
+        if x.is_zero():
+            raise Refused("division by zero")
+        return AlgebraElement({(): x.coefficient(()) ** k})
+    if len(x.terms) == 1:
+        [(word, coeff)] = x.terms.items()
+        if all(map(t_degree, word)):
+            return AlgebraElement({t_word(sum(map(t_degree, word)) * k): coeff ** k})
+        if C in word:
+            raise Refused("exponent on C must be nonnegative")
+    raise Refused("negative exponent requires an invertible factor")
+
+
+def _word_bound(tree):
+    """An upper bound on the words of a tree's value."""
+    kind = tree[0]
+    if kind == "neg":
+        return _word_bound(tree[1])
+    if kind == "add":
+        return _word_bound(tree[1]) + _word_bound(tree[2])
+    if kind in ("mul", "div"):
+        return _word_bound(tree[1]) * _word_bound(tree[2])
+    if kind == "pow":
+        return _word_bound(tree[1]) ** max(tree[2], 1)
+    return 1
+
+
+@settings(max_examples=400)
+@given(trees)
+def test_parser_agrees_with_plain_arithmetic(tree):
+    # the bound keeps the reference's repeated products small
+    assume(_word_bound(tree) <= 500)
+    src, _ = _render(tree)
+    try:
+        expected = _evaluate(tree)
+    except Refused as refused:
+        with pytest.raises(ExpressionError) as exc:
+            parse_expression(src)
+        assert str(exc.value) == f"{refused} (at position {exc.value.pos})"
+        return
+    assert parse_expression(src) == expected
+
+
+def test_rendered_trees_read_back_as_drawn():
+    tree = ("div", ("neg", ("mul", ("int", 2), ("pow", ("add", ("p",), ("T",), "-"), -2, "+"),
+                            " ")), ("pow", ("q",), 2, "+"))
+    assert _render(tree)[0] == "(-2 (p - T)^-2)/q^+2"
+    # the power binds first, and a second power applies to the first
+    assert _render(("pow", ("pow", ("L", -1), 2, ""), 3, ""))[0] == "L(-1)^2^3"
+    assert parse_expression("L(-1)^2^3") == AlgebraElement.from_word((L(-1),) * 6)
+
+
+# each message and position recorded before terms became integer monomials
+REFUSED = [
+    ("L(1)/L(2)", "can only divide by a scalar coefficient", 4),
+    ("L(1)^-1", "negative exponent requires an invertible factor", 5),
+    ("C^-1", "exponent on C must be nonnegative", 2),
+    ("(C T)^-2", "exponent on C must be nonnegative", 6),
+    ("(L(1) + L(2))^-2", "negative exponent requires an invertible factor", 14),
+    ("1/0", "division by zero", 1),
+    ("p/(q - q)", "division by zero", 1),
+    ("L(1)/(0*L(2))", "division by zero", 4),
+    ("(0*T)^-1", "division by zero", 6),
+    ("(T Tinv L(1))^-1", "negative exponent requires an invertible factor", 14),
+    ("T/(T + 1)", "can only divide by a scalar coefficient", 1),
+    ("p/(L(1) + L(2))", "can only divide by a scalar coefficient", 1),
+    ("2 L(1)/(q - q) + 1", "division by zero", 6),
+    ("(p L(1)^2)^-3", "negative exponent requires an invertible factor", 11),
+    ("L(1)^5000", "exponent 5000 is out of range: |k| <= 4096", 5),
+    ("(2 C)^-1 L(1)", "exponent on C must be nonnegative", 6),
+    ("q^2 (p + L(1))^-1", "negative exponent requires an invertible factor", 15),
+    ("3 p/(2 q T)", "can only divide by a scalar coefficient", 3),
+    ("(p^2 - p^2 + L(1))^-1", "negative exponent requires an invertible factor", 19),
+    ("((p + q)/p^3 T C)^-1", "exponent on C must be nonnegative", 18),
+    ("(1/(p + q) L(1) - L(1)/(p + q))^-1", "division by zero", 32),
+    ("(T - T + 2)^-1 / (L(1) T)", "can only divide by a scalar coefficient", 15),
+    ("-(q/p)^-2 (L(0) + C)^-1", "negative exponent requires an invertible factor", 21),
+]
+
+
+@pytest.mark.parametrize("src, message, pos", REFUSED, ids=[src for src, _, _ in REFUSED])
+def test_refused_expressions_keep_their_message_and_position(capsys, src, message, pos):
+    with pytest.raises(ExpressionError) as exc:
+        parse_expression(src)
+    assert str(exc.value) == f"{message} (at position {pos})"
+    assert exc.value.pos == pos
+    assert main(["normalize", src]) == 2
+    assert capsys.readouterr().err == f"error: {message} (at position {pos})\n"
+
+
+def test_a_sum_of_integer_monomials_adds_and_multiplies_no_ratfunc(monkeypatch):
+    # 200 terms c*p^a*q^b*L(i) over 20 words: each word's monomials add as
+    # ints, and its coefficient is built once
+    rng = random.Random(19)
+    parts, expected = [], AlgebraElement()
+    for _ in range(200):
+        c, i = rng.choice([-3, -2, -1, 1, 2, 3]), rng.randrange(20)
+        a, b = rng.randint(-3, 4), rng.randint(-3, 4)
+        parts.append(f"{'-' if c < 0 else '+'} {abs(c)}*p^{a}*q^{b}*L({i})")
+        expected += AlgebraElement.from_word((L(i),), monomial(c, a, b))
+    calls = []
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        def spy(self, other, name=name, op=getattr(RatFunc, name)):
+            calls.append(name)
+            return op(self, other)
+        monkeypatch.setattr(RatFunc, name, spy)
+    x = parse_expression(" ".join(parts))
+    monkeypatch.undo()
+    assert calls == []
+    assert x == expected and len(x.terms) == 20
+
+
+def test_the_power_of_a_sum_is_bounded_by_its_real_size(capsys):
+    assert len(parse_expression("(L(1) + L(2))^16").terms) == 1 << 16
+    message = "the power has more than 65536 words (at position 14)"
+    with pytest.raises(ExpressionError) as exc:
+        parse_expression("(L(1) + L(2))^17")
+    assert str(exc.value) == message
+    assert main(["normalize", "(L(1) + L(2))^17"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    # 2^100 would pass the bound, and the 101 words of the power do not
+    x = parse_expression("(1 + T)^100")
+    assert len(x.terms) == 101 and x.coefficient((T,) * 50) == RatFunc(math.comb(100, 50))
