@@ -838,11 +838,6 @@ class RatFunc:
             return self.inverse() ** (-k)
         if not self._num:
             return ZERO
-        if type(self._den) is tuple and len(self._num) == 1 and len(self._den) == 1:
-            # c p^a q^b with rational c: coprime one-term num and den stay
-            # coprime in every power, so (c^k, a k, b k) is already canonical
-            return _Graded.make((self.shift[0] * k, self.shift[1] * k),
-                                (self._num[0] ** k,), (self._den[0] ** k,))
         ops = self._ops()
         num = den = ops.one
         base_n, base_d = self._num, self._den

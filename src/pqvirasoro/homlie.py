@@ -21,9 +21,10 @@ the twisted Jacobi identity
 but the plain Jacobi identity fails, and the twist is deliberately not
 a bracket homomorphism. The structure constants are read from the
 rewriting layer's ``freealg.bracket_env``, the one table of them, so they
-are not checked against a second copy here. Their independent
-checks are the Fock realization in ``oscillator`` and the twisted Jacobi
-identity, whose central triples test g(n).
+are not checked against a second copy here, and the inner bracket
+[L_m, L_k] of a Jacobi sum is read from that table as it is. Their
+independent checks are the Fock realization in ``oscillator`` and the
+twisted Jacobi identity, whose central triples test g(n).
 """
 
 from functools import lru_cache
@@ -75,12 +76,15 @@ def skew_residual(n, m):
 
 
 def _jacobi_sum(outer, n, m, k):
-    """Cyclic sum of [outer(L_n), [L_m, L_k]]."""
-    ln, lm, lk = _gen(n), _gen(m), _gen(k)
+    """Cyclic sum of [outer(L_n), [L_m, L_k]].
+
+    The inner bracket of two generators is ``bracket_env`` itself, so
+    only the outer brackets go through ``vbracket``.
+    """
     return (
-        vbracket(outer(ln), vbracket(lm, lk))
-        + vbracket(outer(lm), vbracket(lk, ln))
-        + vbracket(outer(lk), vbracket(ln, lm))
+        vbracket(outer(_gen(n)), bracket_env(m, k))
+        + vbracket(outer(_gen(m)), bracket_env(k, n))
+        + vbracket(outer(_gen(k)), bracket_env(n, m))
     )
 
 

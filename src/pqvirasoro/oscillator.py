@@ -14,10 +14,10 @@ at (p, q) = (1, 1) and at p = 1, so each constant below is written once,
 in its two-parameter form, and substituted exactly at the mode's point.
 The generators L_n = (a+)^(n+1) a (n >= -1) then give matrices on
 which the deformed Virasoro relations can be checked by exact
-arithmetic. Each oscillator builds a generator the first time it is
-asked for and keeps it, so L_n costs its matrix products once per
-oscillator; it keeps at most dim - 1 of them, for n < dim - 1, since
-(a+)^(n+1) is zero past that. The matrices are built independently of
+arithmetic. Since a sends |k> to lam_k |k-1> and a+ only shifts,
+L_n sends |k> to lam_k |k+n>, so ``make_L`` reads L_n off the entries
+of a in one pass; past the top row the shifted entries drop out, and
+L_n is zero for n >= dim - 1. The matrices are built independently of
 the symbolic rewriting engine, so checking its structure constants on
 them is an independent test of those constants.
 Truncation spoils the top edge of the matrix, so identities are only
@@ -25,7 +25,7 @@ asserted on guarded columns that no intermediate state can push past
 the cutoff.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .field import ZERO, ONE, P, Q, LinComb, accumulate, monomial, pq_int, pq_ladder, substitute
 from .freealg import C, bracket_coeff, t_degree
@@ -152,8 +152,6 @@ class Oscillator:
     dim: int
     a: FockOperator
     a_plus: FockOperator
-    # n -> L_n for -1 <= n < dim - 1, filled by make_L
-    _generators: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __iter__(self):
         yield self.a
@@ -172,8 +170,7 @@ def make_oscillator(N, mode="two_param"):
     return Oscillator(mode=mode, dim=N, a=a, a_plus=a_plus)
 
 
-@dataclass(frozen=True)
-class GuardSpec:
+def safe_columns(dim, word_length, max_shift):
     """Column guard against truncation artifacts.
 
     A word of at most word_length letters, each shifting the state
@@ -181,38 +178,28 @@ class GuardSpec:
     column past the cutoff, so on those columns the truncated matrices
     compute exactly what the untruncated operators would.
     """
-
-    word_length: int
-    max_shift: int
-
-    def safe_columns(self, dim):
-        top = dim - 1 - self.word_length * max(self.max_shift, 0)
-        if top < 0:
-            raise ValueError(
-                f"no safe columns: dim {dim} too small for words of length "
-                f"{self.word_length} with shift {self.max_shift}"
-            )
-        return range(top + 1)
+    top = dim - 1 - word_length * max(max_shift, 0)
+    if top < 0:
+        raise ValueError(
+            f"no safe columns: dim {dim} too small for words of length "
+            f"{word_length} with shift {max_shift}"
+        )
+    return range(top + 1)
 
 
 def make_L(n, osc):
     """The generator L_n = (a+)^(n+1) a as a truncated matrix.
 
     Only n >= -1 makes sense here: the raising operator is not
-    invertible, so (a+)^(n+1) is undefined for n <= -2. The oscillator
-    builds L_n once, on the first call, and keeps it in its generator
-    store; every call returns a fresh copy of the kept matrix, so a
-    caller may change what it gets. For n >= dim - 1 the power of a+,
-    and so L_n, is zero; that zero matrix is returned and not kept.
+    invertible, so (a+)^(n+1) is undefined for n <= -2. The entry
+    lam_k at (k-1, k) of a moves to (k+n, k), and drops out when
+    k + n is past the top row; each call builds a new matrix.
     """
     if not isinstance(n, int) or n < -1:
         raise ValueError("L_n has a Fock image only for integer n >= -1")
-    if n >= osc.dim - 1:
-        return FockOperator.zero(osc.dim)
-    gen = osc._generators.get(n)
-    if gen is None:
-        gen = osc._generators[n] = (osc.a_plus ** (n + 1)) * osc.a
-    return FockOperator.from_clean(dict(gen.terms), osc.dim)
+    return FockOperator.from_clean(
+        {(k + n, k): lam for (_, k), lam in osc.a.terms.items() if k + n < osc.dim},
+        osc.dim)
 
 
 def deformed_commutator(A, B, alpha, beta):
@@ -235,18 +222,17 @@ def verify_bracket(n, m, osc):
     """Residual of the bracket relation for the oscillator's mode.
 
     Returns alpha L_n L_m - beta L_m L_n - gamma L_{m+n} restricted to
-    the guard's safe columns; the realization is centerless, so the
+    its safe columns; the realization is centerless, so the
     residual must vanish there exactly.
     """
     if n < -1 or m < -1:
         raise ValueError("bracket checks need n, m >= -1")
-    guard = GuardSpec(word_length=2, max_shift=max(n, m, 1))
     alpha, beta, gamma = bracket_weights(n, m, osc.mode)
     Ln, Lm = make_L(n, osc), make_L(m, osc)
     res = deformed_commutator(Ln, Lm, alpha, beta)
     if not gamma.is_zero():
         res = res - make_L(m + n, osc) * gamma
-    return res.restrict(guard.safe_columns(osc.dim))
+    return res.restrict(safe_columns(osc.dim, 2, max(n, m, 1)))
 
 
 def word_image(word, osc):
@@ -283,8 +269,7 @@ def verify_power_commutator(n, osc):
     """Residual of the ladder identity for a against the n-th power of a+."""
     if not isinstance(n, int) or n < 1:
         raise ValueError("power commutator checks need n >= 1")
-    guard = GuardSpec(word_length=n + 1, max_shift=1)
     alpha, beta, gamma = power_weights(n, osc.mode)
     ap_n = osc.a_plus ** n
     res = deformed_commutator(osc.a, ap_n, alpha, beta) - (osc.a_plus ** (n - 1)) * gamma
-    return res.restrict(guard.safe_columns(osc.dim))
+    return res.restrict(safe_columns(osc.dim, n + 1, 1))

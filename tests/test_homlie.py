@@ -1,11 +1,14 @@
 """Twisted bracket, central extension, and the twisted Jacobi identity."""
 
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from pqvirasoro.field import ONE, P, Q, monomial
 from pqvirasoro.freealg import AlgebraElement, C, L, bracket_coeff, central_coeff
+from pqvirasoro import homlie
 from pqvirasoro.homlie import (
     alpha,
     alpha_bracket_gap,
@@ -105,6 +108,41 @@ def test_twisted_jacobi_covers_central_triples():
     for n in range(-5, 6):
         for m in range(-5, 6):
             assert hom_jacobi_residual(n, m, -n - m).is_zero()
+
+
+def _all_vbracket_jacobi_sum(outer, n, m, k):
+    """The cyclic sum with every bracket, inner ones too, through vbracket."""
+    ln, lm, lk = gen(n), gen(m), gen(k)
+    return (
+        vbracket(outer(ln), vbracket(lm, lk))
+        + vbracket(outer(lm), vbracket(lk, ln))
+        + vbracket(outer(lk), vbracket(ln, lm))
+    )
+
+
+@pytest.mark.parametrize("residual, outer", [
+    (hom_jacobi_residual, alpha),
+    (plain_jacobi_residual, lambda x: x),
+])
+def test_jacobi_residuals_match_the_all_vbracket_sum(monkeypatch, residual, outer):
+    """Reading inner brackets from the table changes no residual, and each
+    residual makes one vbracket call per outer bracket."""
+    calls = []
+
+    def spy(x, y):
+        calls.append((x, y))
+        return vbracket(x, y)
+
+    triples = list(itertools.product(range(-4, 5), repeat=3))
+    assert sum(n + m + k == 0 for n, m, k in triples) == 61
+    for n, m, k in triples:
+        expected = _all_vbracket_jacobi_sum(outer, n, m, k)
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(homlie, "vbracket", spy)
+            got = residual(n, m, k)
+        assert got == expected, (n, m, k)
+        assert len(calls) == 3, (n, m, k)
 
 
 def test_plain_jacobi_fails_without_the_twist():

@@ -1,5 +1,7 @@
 """Truncated oscillator representation and its guarded verifications."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,8 +10,8 @@ from pqvirasoro.field import ONE, P, Q, RatFunc, ZERO, monomial, pq_int, pq_ladd
 from pqvirasoro.freealg import AlgebraElement, C, L, T, TINV, bracket_coeff, normalize
 from pqvirasoro.oscillator import (
     FockOperator,
-    GuardSpec,
     MODES,
+    Oscillator,
     bracket_weights,
     deformed_commutator,
     element_image,
@@ -18,6 +20,7 @@ from pqvirasoro.oscillator import (
     make_L,
     make_oscillator,
     power_weights,
+    safe_columns,
     verify_bracket,
     verify_power_commutator,
     word_image,
@@ -83,7 +86,6 @@ def test_ladder_matrix_shape():
 
 
 def test_defining_relation_on_guarded_columns():
-    guard = GuardSpec(word_length=2, max_shift=1)
     for mode, alpha, beta in [
         ("two_param", P, Q),
         ("one_param", ONE, Q),
@@ -91,7 +93,7 @@ def test_defining_relation_on_guarded_columns():
     ]:
         osc = make_oscillator(9, mode)
         rel = deformed_commutator(osc.a, osc.a_plus, alpha, beta) - FockOperator.identity(9)
-        assert rel.is_zero_on(guard.safe_columns(9))
+        assert rel.is_zero_on(safe_columns(9, 2, 1))
         # and the relation genuinely fails on the truncation boundary
         assert not rel.is_zero()
 
@@ -127,54 +129,47 @@ def test_make_L_low_cases():
         make_L(-2, osc)
 
 
+@pytest.mark.parametrize("dim", (3, 7, 40))
 @pytest.mark.parametrize("mode", MODES)
-def test_make_L_is_the_defining_product(mode):
-    # the first pass builds the generators, the second reads them back
-    osc = make_oscillator(7, mode)
-    for _ in range(2):
-        for n in range(-1, osc.dim + 3):
-            assert make_L(n, osc) == (osc.a_plus ** (n + 1)) * osc.a
+def test_make_L_is_the_defining_product(mode, dim):
+    """The entries of a, shifted up by n + 1 rows, are (a+)^(n+1) a,
+    which is zero exactly when n >= dim - 1."""
+    osc = make_oscillator(dim, mode)
+    for n in range(-1, dim + 3):
+        gen = make_L(n, osc)
+        assert gen == (osc.a_plus ** (n + 1)) * osc.a, n
+        assert gen.is_zero() == (n >= dim - 1), n
 
 
-def test_changing_a_returned_generator_leaves_the_store_intact():
+def test_changing_a_returned_generator_leaves_later_results_intact():
     osc = make_oscillator(6, "two_param")
     expected = (osc.a_plus ** 3) * osc.a
     make_L(2, osc).terms.clear()
     assert make_L(2, osc) == expected
     make_L(2, osc).terms[(0, 0)] = ONE
     assert make_L(2, osc) == expected
+    a = FockOperator.from_clean(dict(osc.a.terms), osc.dim)
+    make_L(-1, osc).terms.clear()
+    assert make_L(-1, osc) == osc.a == a
 
 
-def test_oscillators_share_no_generators():
-    oscs = [make_oscillator(dim, mode) for mode in MODES for dim in (5, 6)]
-    oscs.append(make_oscillator(6, "two_param"))
-    for osc in oscs:
-        for n in range(-1, 4):
-            make_L(n, osc)
-    stored = [gen for osc in oscs for gen in osc._generators.values()]
-    assert len({id(osc._generators) for osc in oscs}) == len(oscs)
-    assert len({id(gen) for gen in stored}) == len(stored)
-    for osc in oscs:
-        for n in range(-1, 4):
-            assert make_L(n, osc) == (osc.a_plus ** (n + 1)) * osc.a
-    # the store takes no part in comparing oscillators
-    assert oscs[-1] == make_oscillator(6, "two_param")
+def test_oscillators_hold_only_their_operators():
+    assert [f.name for f in dataclasses.fields(Oscillator)] == ["mode", "dim", "a", "a_plus"]
+    osc = make_oscillator(6, "two_param")
+    for n in range(-1, 4):
+        make_L(n, osc)
+    assert osc == make_oscillator(6, "two_param")
+    assert osc != make_oscillator(6, "one_param")
+    assert osc != make_oscillator(7, "two_param")
 
 
-def test_zero_generators_are_not_stored():
-    osc = make_oscillator(5, "classical")
-    for n in range(osc.dim - 1, osc.dim + 3):
-        assert make_L(n, osc) == FockOperator.zero(osc.dim)
-    assert not osc._generators
-    assert not make_L(osc.dim - 2, osc).is_zero()
-    assert set(osc._generators) == {osc.dim - 2}
-
-
-def test_guard_spec_safe_columns():
-    g = GuardSpec(word_length=2, max_shift=3)
-    assert list(g.safe_columns(10)) == list(range(4))
-    with pytest.raises(ValueError):
-        GuardSpec(word_length=4, max_shift=3).safe_columns(10)
+def test_safe_columns():
+    assert list(safe_columns(10, 2, 3)) == list(range(4))
+    assert list(safe_columns(10, 3, 3)) == [0]
+    assert list(safe_columns(10, 2, -1)) == list(range(10))
+    with pytest.raises(ValueError, match="no safe columns: dim 10 too small for words "
+                                         "of length 4 with shift 3"):
+        safe_columns(10, 4, 3)
 
 
 def test_word_image_rules():
@@ -224,8 +219,7 @@ def test_verify_bracket_detects_wrong_weights():
     # wrong twist: plain commutator does not close on L_3
     alpha, beta, gamma = bracket_weights(1, 2, "two_param")
     wrong = deformed_commutator(l1, l2, ONE, ONE) - make_L(3, osc).scale(gamma)
-    guard = GuardSpec(word_length=2, max_shift=2)
-    assert not wrong.is_zero_on(guard.safe_columns(12))
+    assert not wrong.is_zero_on(safe_columns(12, 2, 2))
 
 
 def test_verify_power_commutator_zero():
@@ -245,8 +239,7 @@ def test_power_weights_shapes():
 def test_truncation_independence_on_guarded_columns():
     """Entries over safe columns do not depend on the cutoff."""
     small, large = make_oscillator(9, "two_param"), make_oscillator(13, "two_param")
-    guard = GuardSpec(word_length=2, max_shift=3)
-    cols = guard.safe_columns(9)
+    cols = safe_columns(9, 2, 3)
     for n in (-1, 0, 2, 3):
         op_s = make_L(n, small) * make_L(0, small)
         op_l = make_L(n, large) * make_L(0, large)
@@ -265,8 +258,7 @@ def test_normal_forms_agree_with_direct_products(indices):
     osc = make_oscillator(16, "two_param")
     word = tuple(L(n) for n in indices)
     direct = word_image(word, osc)
-    guard = GuardSpec(word_length=len(indices), max_shift=3)
-    cols = guard.safe_columns(16)
+    cols = safe_columns(16, len(indices), 3)
     x = AlgebraElement.from_word(word)
     for strategy in ("leftmost", "rightmost"):
         nf = normalize(x, strategy=strategy)
