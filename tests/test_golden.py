@@ -77,6 +77,11 @@ GOLDEN = [
     # the eq811 rewrite rules and the printed coproduct of C
     (["verify", "--suite", "hopf", "--range", "2", "--variant", "r5-8.11"], 0,
      "129a0bffe0e68af359e3a7bc92a2915e7ccc43821f2dac4f68159ecd26547db4"),
+    (["verify", "--suite", "hopf", "--range", "2", "--strict-typos", "--variant", "r5-8.11",
+      "--gate-variants"], 1,
+     "83282d94a218d4d297fa76e222c82343b21ead72b98b02adf0b41202c1980047"),
+    (["verify", "--suite", "confluence", "--words", "20", "--variant", "r5-8.11"], 0,
+     "b341cbb6215ee09857a4c8d15a504f2c1c8348a6042608cb4c15ca7dc7a1c141"),
     (["table", "--kind", "hopf_maps", "--range", "2", "--variant", "r5-8.11",
       "--strict-typos", "--format", "json"], 0,
      "f7001e71cb97a4bb631f1a2e1ba60c6ea3e90d9be991a13c85be36c1f88409a5"),
@@ -167,6 +172,13 @@ confluence      6 records  6 failing (strategy_agreement, summary)
     ("--suite", "hopf", "--range", "2", "--variant", "r5-8.11"): (
         "hopf          607 records  84 failing (antipode, antipode_preserves_R4,"
         " antipode_preserves_R5, coassoc, delta_preserves_R5)\n"),
+    ("--suite", "hopf", "--range", "2", "--strict-typos", "--variant", "r5-8.11",
+     "--gate-variants"): (
+        "hopf          607 records  153 failing (antipode, antipode_preserves_R4,"
+        " antipode_preserves_R5, coassoc, cocommutative, counit, delta_preserves_R3,"
+        " delta_preserves_R4, delta_preserves_R5)\n"),
+    ("--suite", "confluence", "--words", "20", "--variant", "r5-8.11"): (
+        "confluence      6 records  6 failing (strategy_agreement, summary)\n"),
 }
 
 
