@@ -35,6 +35,7 @@ import sys
 from .field import RatFunc, accumulate, monomial
 from .freealg import (
     AlgebraElement,
+    Presentation,
     L,
     T,
     TINV,
@@ -287,14 +288,22 @@ class _Parser:
             if C in w:
                 raise ExpressionError("exponent on C must be nonnegative", pos)
         elif k >= 0:
+            # repeated squaring: value^(2^i) is multiplied in for each bit i of k
             out = AlgebraElement.unit()
-            for _ in range(k):
-                out = out * value
-                if len(out.terms) > _MAX_POWER_WORDS:
-                    raise ExpressionError(
-                        f"the power has more than {_MAX_POWER_WORDS} words", pos)
+            while k:
+                if k & 1:
+                    out = self._bounded(out * value, pos)
+                k >>= 1
+                if k:
+                    value = self._bounded(value * value, pos)
             return _value(out)
         raise ExpressionError("negative exponent requires an invertible factor", pos)
+
+    @staticmethod
+    def _bounded(x, pos):
+        if len(x.terms) > _MAX_POWER_WORDS:
+            raise ExpressionError(f"the power has more than {_MAX_POWER_WORDS} words", pos)
+        return x
 
     def atom(self):
         tok = self.next()
@@ -350,10 +359,7 @@ def _variant_names(args):
 
 
 def _config(args):
-    return hopfmod.HopfConfig(
-        r5_variant="eq811" if args.variant == "r5-8.11" else "standard",
-        delta_c="printed" if args.strict_typos else "corrected",
-    )
+    return Presentation(_variant_names(args))
 
 
 class _Report:

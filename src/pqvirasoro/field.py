@@ -635,20 +635,10 @@ class RatFunc:
             if not den:
                 raise ZeroDivisionError("zero denominator in Q(p,q)")
             return _canonical((num,) if num else (), (den,), shift, _Graded)
-        num = _as_poly(num)
         den = _as_poly(den)
         if not den:
             raise ZeroDivisionError("zero denominator in Q(p,q)")
-        if not num:
-            return ZERO
-        num, i, j = _p_strip(num)
-        den, k, m = _p_strip(den)
-        shift = (shift[0] + i - k, shift[1] + j - m)
-        dense_num = _p_dense(num)
-        dense_den = None if dense_num is None else _p_dense(den)
-        if dense_den is not None:
-            return _canonical(dense_num, dense_den, shift, _Graded)
-        return _canonical(num, den, shift, _Sparse)
+        return _canonical(_as_poly(num), den, shift, _Sparse)
 
     # -- internal fast constructor for results already in canonical form --
 

@@ -7,14 +7,14 @@ The oriented rules, applied to adjacent letter pairs:
     T T^-1 -> 1                        T^-1 T -> 1
     L(n) T^s -> p^{-s(n+1)} q^{s(n+1)} T^s L(n)        (s = +1 or -1)
     C T^s   -> (q/p)^s T^s C
-    C L(n)  -> (q/p)^n L(n) C          [variant "eq811": q^n L(n) C]
+    C L(n)  -> (q/p)^n L(n) C          [variant "r5-8.11": q^n L(n) C]
     L(n) L(m) -> q^{m-n} p^{n-m} L(m) L(n)
                  + p^n q^{-n} * bracket_env(n, m)      (n > m)
 
 where bracket_env(n, m) carries the L(n+m) term and, when m == -n, the
 central C term.  Each rule is a defining relation of ``relation_elements``
 solved for its out-of-order word: R1, R2(n, s), R3(0, s), R5(n) and
-R4(n, m), in the order above, so the eq811 form of R5 is written only
+R4(n, m), in the order above, so the r5-8.11 form of R5 is written only
 there.  Every rule either shortens the word, or keeps its length and its
 multiset of letters and swaps one adjacent pair a > b into b a, which
 raises the weight sum(i * w[i]) over the int letters by exactly a - b.
@@ -37,8 +37,8 @@ the constant INDEX_BOUND above it.  A word is a tuple of such ints, so a
 pair is a redex when its letters are out of order or are T T^-1, and
 sorting letters puts them in basis order.
 
-Each word's reduction is fixed by the word, the strategy and the R5
-variant, and normalization is linear, so ``normalize`` may take the
+Each word's reduction is fixed by the word, the strategy and the
+variants, and normalization is linear, so ``normalize`` may take the
 normal form of each word of an element from a memo and add them up.  The
 memo is module-level state shared by every caller in the process: it is
 bounded by _MEMO_MAX_TERMS terms in all (least recently used words go
@@ -69,7 +69,8 @@ __all__ = [
     "t_word",
     "AlgebraElement",
     "NormalWord",
-    "RewriteConfig",
+    "Presentation",
+    "VARIANTS",
     "DEFAULT_CONFIG",
     "word_str",
     "word_sort_key",
@@ -209,22 +210,27 @@ def bracket_env(n, m):
 # ---------------------------------------------------------------------------
 
 
+# the named departures from the paper's conventions: "r5-8.11" writes R5 in
+# the unweighted form of eq. 8.11, q^n L(n) C = C L(n), and "strict-typos"
+# takes the printed coproduct delta(C) = C (x) 1 + 1 (x) T
+VARIANTS = ("r5-8.11", "strict-typos")
+
+
 @dataclass(frozen=True)
-class RewriteConfig:
-    """Rewrite-system options.
+class Presentation:
+    """The algebra's conventions: the set of VARIANTS it departs by, stored
+    as a frozenset so that it can key the normal-form memo."""
 
-    r5_variant selects the orientation of the C / L(n) exchange rule:
-    "standard" uses the p^n-weighted relation, "eq811" the unweighted one.
-    """
-
-    r5_variant: str = "standard"
+    variants: frozenset = frozenset()
 
     def __post_init__(self):
-        if self.r5_variant not in ("standard", "eq811"):
-            raise ValueError("unknown r5_variant %r" % (self.r5_variant,))
+        object.__setattr__(self, "variants", frozenset(self.variants))
+        unknown = sorted(self.variants.difference(VARIANTS))
+        if unknown:
+            raise ValueError("unknown variant %s" % ", ".join(map(repr, unknown)))
 
 
-DEFAULT_CONFIG = RewriteConfig()
+DEFAULT_CONFIG = Presentation()
 
 
 def find_redex(word, strategy="leftmost"):
@@ -262,7 +268,7 @@ class _Branch(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _branches(a, b, variant):
+def _branches(a, b, variants):
     """The _Branch records of the redex (a, b), compiled once per pair.
 
     The defining relation that contains the word (a, b), solved for it.
@@ -275,7 +281,7 @@ def _branches(a, b, variant):
         name, n, m = "R5", b, 0
     else:
         name, n, m = "R4", a, b
-    for rel in relation_elements(name, n, m, RewriteConfig(variant)):
+    for rel in relation_elements(name, n, m, Presentation(variants)):
         if (a, b) in rel.terms:
             scale = -rel.terms[(a, b)].inverse()  # -1 / lead
             out = []
@@ -295,7 +301,7 @@ def rewrite_once(word, strategy="leftmost", cfg=DEFAULT_CONFIG):
     if i is None:
         return None
     return [(br.coeff, word[:i] + br.repl + word[i + 2:])
-            for br in _branches(word[i], word[i + 1], cfg.r5_variant)]
+            for br in _branches(word[i], word[i + 1], cfg.variants)]
 
 
 # Bounds of the normal-form memo of ``normalize``: the terms stored in all
@@ -304,7 +310,7 @@ def rewrite_once(word, strategy="leftmost", cfg=DEFAULT_CONFIG):
 _MEMO_MAX_TERMS = 3072
 _MEMO_ENTRY_MAX_TERMS = 8
 
-# (word, r5_variant, strategy) -> normal form of the word as a tuple of
+# (word, variants, strategy) -> normal form of the word as a tuple of
 # (word, coefficient) pairs; least recently used first
 _memo = OrderedDict()
 _memo_terms = 0
@@ -334,7 +340,7 @@ def _reduce(coeffs, cfg, strategy):
     heap = [(-len(word), _weight(word), word) for word in coeffs]
     heapq.heapify(heap)
     push, pop = heapq.heappush, heapq.heappop
-    variant = cfg.r5_variant
+    variants = cfg.variants
     result = {}
     while heap:
         neg_len, wt, word = pop(heap)
@@ -346,7 +352,7 @@ def _reduce(coeffs, cfg, strategy):
             result[word] = coeff
             continue
         head, tail = word[:i], word[i + 2:]
-        for c2, repl, unit, dsum, doff, grow in _branches(word[i], word[i + 1], variant):
+        for c2, repl, unit, dsum, doff, grow in _branches(word[i], word[i + 1], variants):
             c2 = coeff * c2 if unit is None else coeff.times_monomial(1, unit[0], unit[1])
             w2 = head + repl + tail
             old = coeffs.get(w2)
@@ -376,7 +382,7 @@ def _normal_form(word, cfg, strategy):
     global _memo_terms
     if find_redex(word, strategy) is None:
         return ((word, ONE),)
-    key = (word, cfg.r5_variant, strategy)
+    key = (word, cfg.variants, strategy)
     pairs = _memo.get(key)
     if pairs is not None:
         _memo.move_to_end(key)
@@ -395,12 +401,12 @@ def normalize(x, cfg=DEFAULT_CONFIG, strategy="leftmost"):
 
     The system is not confluent, so the normal form can depend on the
     strategy.  Each word is reduced by a fixed sequence of rewrite steps,
-    chosen by the word, the strategy and the rule table of cfg.r5_variant
+    chosen by the word, the strategy and the rule table of cfg.variants
     alone, so the reduction is a linear map and the normal form of x is
     the sum of c * NF(w) over its terms, the same value in Q(p, q) as
     reducing all of x at once.  Each word is reduced on its own, and NF(w)
     of a word that is not normal is kept in a module-level memo shared by
-    all callers, keyed by (word, variant, strategy).  The memo holds at
+    all callers, keyed by (word, variants, strategy).  The memo holds at
     most _MEMO_MAX_TERMS terms in all, evicting the least recently used
     word first, and no normal form of more than _MEMO_ENTRY_MAX_TERMS
     terms.  A normal word is its own normal form and is not stored.
@@ -519,7 +525,7 @@ def relation_elements(name, n=0, m=1, cfg=DEFAULT_CONFIG):
     R2: T^m L(n) = p^{m(n+1)} q^{-m(n+1)} L(n) T^m
     R3: q^m T^m C = p^m C T^m
     R4: q^n p^-n L(n) L(m) - q^m p^-m L(m) L(n) = bracket_env(n, m)
-    R5: q^n L(n) C = p^n C L(n)   [variant "eq811": q^n L(n) C = C L(n)]
+    R5: q^n L(n) C = p^n C L(n)   [variant "r5-8.11": q^n L(n) C = C L(n)]
     """
     if name == "R1":
         unit = AlgebraElement.unit()
@@ -540,9 +546,6 @@ def relation_elements(name, n=0, m=1, cfg=DEFAULT_CONFIG):
         return [lhs - bracket_env(n, m)]
     if name == "R5":
         lhs = AlgebraElement.from_word((L(n), C), monomial(1, 0, n))
-        if cfg.r5_variant == "eq811":
-            rhs = AlgebraElement.from_word((C, L(n)))
-        else:
-            rhs = AlgebraElement.from_word((C, L(n)), monomial(1, n, 0))
-        return [lhs - rhs]
+        weight = 0 if "r5-8.11" in cfg.variants else n
+        return [lhs - AlgebraElement.from_word((C, L(n)), monomial(1, weight, 0))]
     raise ValueError("unknown relation %r" % (name,))

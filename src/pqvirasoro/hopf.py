@@ -12,19 +12,17 @@ and extended to words multiplicatively (anti-multiplicatively for S).
 Tensor squares and cubes are linear combinations of slot tuples of
 normal-form words; products are taken slotwise and re-normalized.
 
-A configuration switch reproduces the variant coproduct
+The variant "strict-typos" of a Presentation takes the printed coproduct
 delta(C) = C (x) 1 + 1 (x) T, which breaks the counit and antipode
-axioms on C; it is kept purely to demonstrate that failure. A
-HopfConfig is also a RewriteConfig, so the alternative form of the
-C-commutation relation can be explored as well.
+axioms on C; it is kept purely to demonstrate that failure. The variant
+"r5-8.11" changes the C-commutation relation that every map normalizes
+by, so that form can be explored as well.
 """
-
-from dataclasses import dataclass
 
 from .field import ZERO, ONE, LinComb, accumulate
 from .freealg import (
     AlgebraElement,
-    RewriteConfig,
+    DEFAULT_CONFIG,
     C,
     L,
     T,
@@ -37,24 +35,6 @@ from .freealg import (
     word_sort_key,
     word_str,
 )
-
-DELTA_C_MODES = ("corrected", "printed")
-
-
-@dataclass(frozen=True)
-class HopfConfig(RewriteConfig):
-    """Rewrite options plus the coproduct of C, "corrected" or "printed"."""
-
-    delta_c: str = "corrected"
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.delta_c not in DELTA_C_MODES:
-            raise ValueError(f"delta_c must be one of {DELTA_C_MODES}")
-
-
-DEFAULT_HOPF = HopfConfig()
-
 
 class TensorElement(LinComb):
     """Linear combination of slot tuples of words (arity 2 or 3)."""
@@ -86,7 +66,7 @@ class TensorElement(LinComb):
         return (" \\otimes " if latex else "(x)").join(word_str(w, latex) for w in slots)
 
 
-def tensor_normalize(t, cfg=DEFAULT_HOPF):
+def tensor_normalize(t, cfg=DEFAULT_CONFIG):
     """Normalize every slot word and redistribute the products."""
     out = {}
     for slots, coeff in t.terms.items():
@@ -103,7 +83,7 @@ def tensor_normalize(t, cfg=DEFAULT_HOPF):
     return TensorElement.from_clean(out, t.arity)
 
 
-def tensor_multiply(x, y, cfg=DEFAULT_HOPF):
+def tensor_multiply(x, y, cfg=DEFAULT_CONFIG):
     """Slotwise product of tensors, then slotwise normalization."""
     if x.arity != y.arity:
         raise ValueError("arity mismatch")
@@ -120,13 +100,13 @@ def _letter_coproduct(letter, cfg):
         return {(w, w): ONE}
     if letter == C:
         # the printed coproduct has 1 (x) T where the corrected one has 1 (x) C
-        right = T if cfg.delta_c == "printed" else C
+        right = T if "strict-typos" in cfg.variants else C
         return {((C,), ()): ONE, ((), (right,)): ONE}
     tn = t_word(letter)
     return {((letter,), tn): ONE, (tn, (letter,)): ONE}
 
 
-def coproduct(x, cfg=DEFAULT_HOPF):
+def coproduct(x, cfg=DEFAULT_CONFIG):
     """Algebra-map extension of the generator coproducts."""
     out = {}
     for word, coeff in x.terms.items():
@@ -156,7 +136,7 @@ def counit(x):
     return total
 
 
-def antipode(x, cfg=DEFAULT_HOPF):
+def antipode(x, cfg=DEFAULT_CONFIG):
     """Anti-homomorphic extension of the generator antipodes."""
     out = {}
     for word, coeff in x.terms.items():
@@ -183,7 +163,7 @@ def tau_swap(t):
     return TensorElement.from_clean({(b, a): c for (a, b), c in t.terms.items()}, 2)
 
 
-def cocommutativity_residual(x, cfg=DEFAULT_HOPF):
+def cocommutativity_residual(x, cfg=DEFAULT_CONFIG):
     """coproduct(x) minus its slot swap.
 
     The generator coproducts are all symmetric under the swap and the
@@ -194,7 +174,7 @@ def cocommutativity_residual(x, cfg=DEFAULT_HOPF):
     return d - tau_swap(d)
 
 
-def check_coassoc(x, cfg=DEFAULT_HOPF):
+def check_coassoc(x, cfg=DEFAULT_CONFIG):
     """(delta (x) id) delta(x) - (id (x) delta) delta(x)."""
     # the slots of a coproduct are normal words, so the residual is normal
     d = coproduct(x, cfg)
@@ -208,7 +188,7 @@ def check_coassoc(x, cfg=DEFAULT_HOPF):
     return TensorElement.from_clean(left, 3) - TensorElement.from_clean(right, 3)
 
 
-def check_counit(x, cfg=DEFAULT_HOPF):
+def check_counit(x, cfg=DEFAULT_CONFIG):
     """Both counit-axiom residuals, m((id (x) eps) delta(x)) - x first."""
     # the counit of a single word is 1 on T-powers and 0 on everything else,
     # and the slots of a coproduct are normal words
@@ -226,7 +206,7 @@ def check_counit(x, cfg=DEFAULT_HOPF):
     )
 
 
-def check_antipode(x, cfg=DEFAULT_HOPF):
+def check_antipode(x, cfg=DEFAULT_CONFIG):
     """Both antipode-axiom residuals, m((S (x) id) delta(x)) - eps(x) 1 first."""
     # sums of normal forms minus the normal counit(x) * 1 need no normalize
     left = {}
@@ -244,12 +224,12 @@ def check_antipode(x, cfg=DEFAULT_HOPF):
     )
 
 
-def antipode_squared(x, cfg=DEFAULT_HOPF):
+def antipode_squared(x, cfg=DEFAULT_CONFIG):
     """S(S(x)) - x, compared in normal form."""
     return antipode(antipode(x, cfg), cfg) - normalize(x, cfg)
 
 
-def check_relation_preservation(map_name, relation, n=0, m=1, cfg=DEFAULT_HOPF):
+def check_relation_preservation(map_name, relation, n=0, m=1, cfg=DEFAULT_CONFIG):
     """Images of a defining relation under delta, S, or eps.
 
     Returns the list of residuals, one per relation element: tensors

@@ -20,6 +20,7 @@ from pqvirasoro.freealg import (
     C,
     L,
     NormalWord,
+    Presentation,
     RELATION_NAMES,
     T,
     TINV,
@@ -32,8 +33,6 @@ from pqvirasoro.freealg import (
 )
 from pqvirasoro.homlie import hom_jacobi_residual, skew_residual
 from pqvirasoro.hopf import (
-    DEFAULT_HOPF,
-    HopfConfig,
     antipode_squared,
     check_antipode,
     check_coassoc,
@@ -278,7 +277,7 @@ def test_criterion_8_basis_factorization(capsys):
 
 def test_criterion_9_variant_demonstrations(capsys):
     t0 = time.time()
-    strict = HopfConfig(delta_c="printed")
+    strict = Presentation({"strict-typos"})
     c = AlgebraElement.from_word((C,))
     r1, r2 = check_counit(c, strict)
     strict_breaks_counit = not r1.is_zero() or not r2.is_zero()
@@ -287,7 +286,7 @@ def test_criterion_9_variant_demonstrations(capsys):
         for n in range(-2, 3)
         for r in check_relation_preservation("delta", "R5", n, 0)
     )
-    eq811 = HopfConfig(r5_variant="eq811")
+    eq811 = Presentation({"r5-8.11"})
     eq811_sound = all(
         normalize(el, eq811).is_zero()
         for n in range(-2, 3)

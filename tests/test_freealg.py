@@ -18,7 +18,7 @@ from pqvirasoro.freealg import (
     L,
     NormalWord,
     RELATION_NAMES,
-    RewriteConfig,
+    Presentation,
     T,
     TINV,
     basis_decompose,
@@ -36,7 +36,7 @@ from pqvirasoro.freealg import (
     word_str,
 )
 
-EQ811 = RewriteConfig(r5_variant="eq811")
+EQ811 = Presentation({"r5-8.11"})
 
 
 def elem(*letters):
@@ -314,7 +314,7 @@ def test_redex_pairs_are_the_out_of_order_pairs_and_t_tinv():
             assert is_redex == (_out_of_order(a, b) or (a, b) == (T, TINV)), (a, b)
 
 
-def _hand_written_rule(a, b, variant):
+def _hand_written_rule(a, b, variants):
     """The rewrite rule for the redex (a, b), written out coefficient by
     coefficient, as a reference independent of relation_elements."""
     if a in (T, TINV):  # T T^-1 or T^-1 T
@@ -325,7 +325,7 @@ def _hand_written_rule(a, b, variant):
     if s is not None:  # C T^s
         return {(b, a): monomial(1, -s, s)}
     if a == C:  # C L(n)
-        if variant == "eq811":
+        if "r5-8.11" in variants:
             return {(b, a): monomial(1, 0, b)}
         return {(b, a): monomial(1, -b, b)}
     n, m = a, b  # L(n) L(m) with n > m
@@ -351,7 +351,7 @@ def test_rewrite_rules_match_hand_written_coefficients(cfg):
         step = rewrite_once((a, b), cfg=cfg)
         rule = {w: c for c, w in step}
         assert len(rule) == len(step)
-        assert rule == _hand_written_rule(a, b, cfg.r5_variant), (a, b)
+        assert rule == _hand_written_rule(a, b, cfg.variants), (a, b)
 
 
 @given(letters_strategy(max_len=5, lo=-3, hi=3))
@@ -436,7 +436,7 @@ def test_memo_bound_evicts_least_recently_used(monkeypatch):
         normalize(random_word(rng, max_len=6, index_range=(-3, 3)))
         assert memo_consistent()
     oldest, second = list(freealg._memo)[:2]
-    normalize(oldest[0], RewriteConfig(oldest[1]), oldest[2])
+    normalize(oldest[0], Presentation(oldest[1]), oldest[2])
     while second in freealg._memo:
         normalize(random_word(rng, max_len=6, index_range=(-3, 3)))
     assert oldest in freealg._memo
@@ -457,8 +457,8 @@ def test_memo_stores_each_word_of_an_element():
     x = elem(L(2), L(1)) + elem(C, L(1)) + elem(L(1), C)
     clear_memo()
     normalize(x)
-    assert set(freealg._memo) == {((L(2), L(1)), "standard", "leftmost"),
-                                  ((C, L(1)), "standard", "leftmost")}
+    assert set(freealg._memo) == {((L(2), L(1)), frozenset(), "leftmost"),
+                                  ((C, L(1)), frozenset(), "leftmost")}
     assert memo_consistent()
     clear_memo()
 
@@ -592,14 +592,39 @@ def test_basis_decompose_rejects_non_normal():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: RewriteConfig("nope"), "unknown r5_variant 'nope'"),
+    (lambda: Presentation({"r5-8.11", "nope"}), "unknown variant 'nope'"),
+    (lambda: Presentation(["printed", "r5-8.11", "eq811"]), "unknown variant 'eq811', 'printed'"),
     (lambda: find_redex((L(1), L(0)), "middle"), "unknown strategy 'middle'"),
     (lambda: relation_elements("R6"), "unknown relation 'R6'"),
     (lambda: NormalWord(0, ((1, 0),), 0), "L multiplicities must be positive"),
-], ids=["variant", "strategy", "relation", "multiplicity"])
+], ids=["variant", "variants", "strategy", "relation", "multiplicity"])
 def test_unknown_names_and_bad_multiplicities_are_rejected(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_presentation_stores_its_variants_as_a_frozenset():
+    for names in (["strict-typos", "r5-8.11"], {"r5-8.11", "strict-typos"},
+                  ("r5-8.11", "strict-typos", "r5-8.11")):
+        cfg = Presentation(names)
+        assert type(cfg.variants) is frozenset
+        assert cfg == Presentation(frozenset(freealg.VARIANTS))
+        assert hash(cfg) == hash(Presentation(frozenset(freealg.VARIANTS)))
+    assert DEFAULT_CONFIG == Presentation([]) and DEFAULT_CONFIG.variants == frozenset()
+    # a presentation built from a list keys the memo by its frozenset
+    clear_memo()
+    normalize((L(2), L(1)), Presentation(["r5-8.11"]))
+    assert set(freealg._memo) == {((L(2), L(1)), frozenset({"r5-8.11"}), "leftmost")}
+    clear_memo()
+
+
+@given(st.lists(letters_strategy(max_len=7), min_size=1, max_size=3),
+       st.sampled_from(["leftmost", "rightmost"]))
+def test_strict_typos_never_changes_rewriting(words, strategy):
+    x = AlgebraElement({w: ONE for w in words})
+    for base in ((), ("r5-8.11",)):
+        plain = normalize(x, Presentation(base), strategy)
+        assert normalize(x, Presentation(base + ("strict-typos",)), strategy) == plain
 
 
 def test_random_word_is_seed_deterministic():

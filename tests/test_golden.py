@@ -74,7 +74,7 @@ GOLDEN = [
      "f7ebbc5abf7cfafbf0cc515dfce96243579e9ed5cc26c590972c4b8f670b0eaa"),
     (["verify", "--suite", "fock", "--range", "6", "--dim", "24"], 0,
      "0252479b809c78a506150aa2bc3cec304cfa11166180f4a3eb425a48041fa186"),
-    # the eq811 rewrite rules and the printed coproduct of C
+    # the r5-8.11 rewrite rules and the printed coproduct of C (strict-typos)
     (["verify", "--suite", "hopf", "--range", "2", "--variant", "r5-8.11"], 0,
      "129a0bffe0e68af359e3a7bc92a2915e7ccc43821f2dac4f68159ecd26547db4"),
     (["verify", "--suite", "hopf", "--range", "2", "--strict-typos", "--variant", "r5-8.11",
@@ -95,7 +95,7 @@ GOLDEN = [
      "9d28eaefd76871fbdfdfd97456cc43dd866c9f1312c74565b7141228b020d130"),
     (["normalize", NF_EXPR, "--format", "latex"], 0,
      "71b741802a0b45e1512e3a693c329541fad7eded961ec6dd240e05485acdec13"),
-    # the eq811 form of the C L(n) rule: q^4/p^2 here, q^4/p^4 by default
+    # the r5-8.11 form of the C L(n) rule: q^4/p^2 here, q^4/p^4 by default
     (["normalize", EQ811_EXPR, "--variant", "r5-8.11", "--format", "text"], 0,
      "bc4d89aac8c7fad99bc8d4b7b4f47efa2f3eb90ebe94052eedab5569ef413c40"),
     (["normalize", EQ811_EXPR, "--variant", "r5-8.11", "--format", "json"], 0,

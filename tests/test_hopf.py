@@ -8,7 +8,9 @@ from pqvirasoro.field import ONE, ZERO, substitute
 from pqvirasoro.freealg import (
     AlgebraElement,
     C,
+    DEFAULT_CONFIG,
     L,
+    Presentation,
     RELATION_NAMES,
     T,
     TINV,
@@ -19,8 +21,6 @@ from pqvirasoro.freealg import (
     t_word,
 )
 from pqvirasoro.hopf import (
-    DEFAULT_HOPF,
-    HopfConfig,
     TensorElement,
     antipode,
     antipode_squared,
@@ -37,8 +37,8 @@ from pqvirasoro.hopf import (
     _letter_coproduct,
 )
 
-STRICT = HopfConfig(delta_c="printed")
-EQ811 = HopfConfig(r5_variant="eq811")
+STRICT = Presentation({"strict-typos"})
+EQ811 = Presentation({"r5-8.11"})
 
 
 def elem(*letters):
@@ -257,7 +257,7 @@ def test_antipode_axiom_residuals_vanish_in_the_free_algebra():
     """
     for n, m in itertools.product(range(-3, 4), repeat=2):
         x = elem(L(n)) * elem(L(m))
-        assert raw_antipode_axiom_residual(x, DEFAULT_HOPF).is_zero(), (n, m)
+        assert raw_antipode_axiom_residual(x, DEFAULT_CONFIG).is_zero(), (n, m)
 
 
 def test_antipode_squared_fails_through_normal_forms_but_not_raw():
@@ -349,5 +349,5 @@ def test_invalid_map_name_rejected():
 
 
 def test_invalid_config_rejected():
-    with pytest.raises(ValueError):
-        HopfConfig(delta_c="fixed")
+    with pytest.raises(ValueError, match="unknown variant 'fixed'"):
+        Presentation({"fixed"})

@@ -233,3 +233,23 @@ def test_the_power_of_a_sum_is_bounded_by_its_real_size(capsys):
     # 2^100 would pass the bound, and the 101 words of the power do not
     x = parse_expression("(1 + T)^100")
     assert len(x.terms) == 101 and x.coefficient((T,) * 50) == RatFunc(math.comb(100, 50))
+
+
+def test_the_power_of_a_sum_is_taken_by_repeated_squaring(monkeypatch):
+    products = []
+
+    def spy(self, other, op=AlgebraElement.__mul__):
+        products.append(len(self.terms) * len(other.terms))
+        return op(self, other)
+
+    monkeypatch.setattr(AlgebraElement, "__mul__", spy)
+    x = parse_expression("(1 + T)^1024")
+    assert len(products) <= 2 * math.ceil(math.log2(1024))
+    monkeypatch.undo()
+    assert len(x.terms) == 1025 and x.coefficient((T,) * 512) == RatFunc(math.comb(1024, 512))
+    # every k up to 40 against a k-fold product, and words that do not commute
+    for base, k_max in (("2 - p T + q^2/(3 p) T^2", 40), ("L(1) - p C + 1", 6)):
+        expected, factor = AlgebraElement.unit(), parse_expression(base)
+        for k in range(k_max + 1):
+            assert parse_expression(f"({base})^{k}") == expected, (base, k)
+            expected = expected * factor
