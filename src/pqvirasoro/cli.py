@@ -288,22 +288,14 @@ class _Parser:
             if C in w:
                 raise ExpressionError("exponent on C must be nonnegative", pos)
         elif k >= 0:
-            # repeated squaring: value^(2^i) is multiplied in for each bit i of k
             out = AlgebraElement.unit()
-            while k:
-                if k & 1:
-                    out = self._bounded(out * value, pos)
-                k >>= 1
-                if k:
-                    value = self._bounded(value * value, pos)
+            for _ in range(k):
+                out = out * value
+                if len(out.terms) > _MAX_POWER_WORDS:
+                    raise ExpressionError(
+                        f"the power has more than {_MAX_POWER_WORDS} words", pos)
             return _value(out)
         raise ExpressionError("negative exponent requires an invertible factor", pos)
-
-    @staticmethod
-    def _bounded(x, pos):
-        if len(x.terms) > _MAX_POWER_WORDS:
-            raise ExpressionError(f"the power has more than {_MAX_POWER_WORDS} words", pos)
-        return x
 
     def atom(self):
         tok = self.next()

@@ -38,7 +38,7 @@ pair is a redex when its letters are out of order or are T T^-1, and
 sorting letters puts them in basis order.
 
 Each word's reduction is fixed by the word, the strategy and the
-variants, and normalization is linear, so ``normalize`` may take the
+variants that change the rules, and normalization is linear, so ``normalize`` may take the
 normal form of each word of an element from a memo and add them up.  The
 memo is module-level state shared by every caller in the process: it is
 bounded by _MEMO_MAX_TERMS terms in all (least recently used words go
@@ -52,7 +52,7 @@ from __future__ import annotations
 import heapq
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import count, groupby
 from operator import mul
 from typing import NamedTuple
@@ -229,6 +229,13 @@ class Presentation:
         if unknown:
             raise ValueError("unknown variant %s" % ", ".join(map(repr, unknown)))
 
+    @cached_property
+    def rule_variants(self):
+        """The variants that change the rewrite rules, which key the rule
+        table and the memo: all but strict-typos, which changes only the
+        coproduct, so it shares the rewriting of the presentation without it."""
+        return self.variants - {"strict-typos"}
+
 
 DEFAULT_CONFIG = Presentation()
 
@@ -301,7 +308,7 @@ def rewrite_once(word, strategy="leftmost", cfg=DEFAULT_CONFIG):
     if i is None:
         return None
     return [(br.coeff, word[:i] + br.repl + word[i + 2:])
-            for br in _branches(word[i], word[i + 1], cfg.variants)]
+            for br in _branches(word[i], word[i + 1], cfg.rule_variants)]
 
 
 # Bounds of the normal-form memo of ``normalize``: the terms stored in all
@@ -310,7 +317,7 @@ def rewrite_once(word, strategy="leftmost", cfg=DEFAULT_CONFIG):
 _MEMO_MAX_TERMS = 3072
 _MEMO_ENTRY_MAX_TERMS = 8
 
-# (word, variants, strategy) -> normal form of the word as a tuple of
+# (word, rule variants, strategy) -> normal form of the word as a tuple of
 # (word, coefficient) pairs; least recently used first
 _memo = OrderedDict()
 _memo_terms = 0
@@ -340,7 +347,7 @@ def _reduce(coeffs, cfg, strategy):
     heap = [(-len(word), _weight(word), word) for word in coeffs]
     heapq.heapify(heap)
     push, pop = heapq.heappush, heapq.heappop
-    variants = cfg.variants
+    variants = cfg.rule_variants
     result = {}
     while heap:
         neg_len, wt, word = pop(heap)
@@ -382,7 +389,7 @@ def _normal_form(word, cfg, strategy):
     global _memo_terms
     if find_redex(word, strategy) is None:
         return ((word, ONE),)
-    key = (word, cfg.variants, strategy)
+    key = (word, cfg.rule_variants, strategy)
     pairs = _memo.get(key)
     if pairs is not None:
         _memo.move_to_end(key)
@@ -401,12 +408,12 @@ def normalize(x, cfg=DEFAULT_CONFIG, strategy="leftmost"):
 
     The system is not confluent, so the normal form can depend on the
     strategy.  Each word is reduced by a fixed sequence of rewrite steps,
-    chosen by the word, the strategy and the rule table of cfg.variants
+    chosen by the word, the strategy and the rule table of cfg.rule_variants
     alone, so the reduction is a linear map and the normal form of x is
     the sum of c * NF(w) over its terms, the same value in Q(p, q) as
     reducing all of x at once.  Each word is reduced on its own, and NF(w)
     of a word that is not normal is kept in a module-level memo shared by
-    all callers, keyed by (word, variants, strategy).  The memo holds at
+    all callers, keyed by (word, rule variants, strategy).  The memo holds at
     most _MEMO_MAX_TERMS terms in all, evicting the least recently used
     word first, and no normal form of more than _MEMO_ENTRY_MAX_TERMS
     terms.  A normal word is its own normal form and is not stored.

@@ -611,20 +611,32 @@ def test_presentation_stores_its_variants_as_a_frozenset():
         assert cfg == Presentation(frozenset(freealg.VARIANTS))
         assert hash(cfg) == hash(Presentation(frozenset(freealg.VARIANTS)))
     assert DEFAULT_CONFIG == Presentation([]) and DEFAULT_CONFIG.variants == frozenset()
-    # a presentation built from a list keys the memo by its frozenset
+    # a presentation built from a list keys the memo by its frozenset of
+    # rule variants, so strict-typos shares the entries of the one without it
     clear_memo()
     normalize((L(2), L(1)), Presentation(["r5-8.11"]))
-    assert set(freealg._memo) == {((L(2), L(1)), frozenset({"r5-8.11"}), "leftmost")}
+    normalize((L(2), L(1)), Presentation(["r5-8.11", "strict-typos"]))
+    normalize((L(2), L(1)), Presentation(["strict-typos"]))
+    assert list(freealg._memo) == [((L(2), L(1)), frozenset({"r5-8.11"}), "leftmost"),
+                                   ((L(2), L(1)), frozenset(), "leftmost")]
+    assert Presentation(["strict-typos"]).rule_variants == frozenset()
     clear_memo()
 
 
 @given(st.lists(letters_strategy(max_len=7), min_size=1, max_size=3),
-       st.sampled_from(["leftmost", "rightmost"]))
-def test_strict_typos_never_changes_rewriting(words, strategy):
-    x = AlgebraElement({w: ONE for w in words})
+       st.sampled_from(["leftmost", "rightmost"]),
+       st.tuples(st.sampled_from(["R1", "R2", "R3", "R4", "R5"]),
+                 st.integers(-4, 4), st.integers(-3, 3)))
+def test_strict_typos_never_changes_rewriting(words, strategy, relation):
+    # strict-typos changes no defining relation, which is why the rule table
+    # and the memo are keyed by the other variants alone and both share them
+    coeffs = {w: ONE for w in words}
     for base in ((), ("r5-8.11",)):
-        plain = normalize(x, Presentation(base), strategy)
-        assert normalize(x, Presentation(base + ("strict-typos",)), strategy) == plain
+        plain, typos = Presentation(base), Presentation(base + ("strict-typos",))
+        assert relation_elements(*relation, typos) == relation_elements(*relation, plain)
+        assert typos.rule_variants == plain.variants
+        assert freealg._reduce(dict(coeffs), typos, strategy) == \
+            freealg._reduce(dict(coeffs), plain, strategy)
 
 
 def test_random_word_is_seed_deterministic():

@@ -235,18 +235,25 @@ def test_the_power_of_a_sum_is_bounded_by_its_real_size(capsys):
     assert len(x.terms) == 101 and x.coefficient((T,) * 50) == RatFunc(math.comb(100, 50))
 
 
-def test_the_power_of_a_sum_is_taken_by_repeated_squaring(monkeypatch):
-    products = []
+def test_a_power_past_the_word_bound_is_refused_before_a_larger_product(monkeypatch):
+    # each product multiplies the running power by the base once, so none
+    # has more than 65,536 x len(base) word pairs
+    budget = []
 
     def spy(self, other, op=AlgebraElement.__mul__):
-        products.append(len(self.terms) * len(other.terms))
+        assert len(self.terms) * len(other.terms) <= budget[0]
         return op(self, other)
 
     monkeypatch.setattr(AlgebraElement, "__mul__", spy)
-    x = parse_expression("(1 + T)^1024")
-    assert len(products) <= 2 * math.ceil(math.log2(1024))
-    monkeypatch.undo()
-    assert len(x.terms) == 1025 and x.coefficient((T,) * 512) == RatFunc(math.comb(1024, 512))
+    for text, base_words, pos in (("(L(1) + L(2))^32", 2, 14),
+                                  ("(L(1) + L(2) + L(3))^16", 3, 21)):
+        budget[:] = [(1 << 16) * base_words]
+        with pytest.raises(ExpressionError) as exc:
+            parse_expression(text)
+        assert str(exc.value) == f"the power has more than 65536 words (at position {pos})"
+
+
+def test_powers_of_sums_equal_repeated_products():
     # every k up to 40 against a k-fold product, and words that do not commute
     for base, k_max in (("2 - p T + q^2/(3 p) T^2", 40), ("L(1) - p C + 1", 6)):
         expected, factor = AlgebraElement.unit(), parse_expression(base)
