@@ -20,7 +20,9 @@ multiset of letters and swaps one adjacent pair a > b into b a, which
 raises the weight sum(i * w[i]) over the int letters by exactly a - b.
 Reduction terminates: the length never rises, and while it stays fixed
 the letters only permute, so the weight can rise only finitely often.
-``_reduce`` pops words longest first, then lightest first.  Each rule is
+``_reduce`` pops words longest first, then lightest first, rewriting each
+popped word once and following runs of one-branch unit-monomial steps on
+a list, whose words it does not merge.  Each rule is
 compiled once per letter pair into _Branch records: a term's coefficient,
 its letters, the shift of a coefficient that is exactly p^s q^t, and the
 constants that give a child's weight from its parent's.  Rewriting
@@ -242,11 +244,16 @@ DEFAULT_CONFIG = Presentation()
 
 def find_redex(word, strategy="leftmost"):
     """Index of the redex pair chosen by the strategy, or None."""
-    n = len(word) - 1
+    return _next_redex(word, strategy, 0 if strategy == "leftmost" else len(word) - 2)
+
+
+def _next_redex(word, strategy, start):
+    """The first redex pair of word the strategy meets from the pair at
+    start on, rightward for leftmost and leftward for rightmost, or None."""
     if strategy == "leftmost":
-        rng = range(n)
+        rng = range(start, len(word) - 1)
     elif strategy == "rightmost":
-        rng = range(n - 1, -1, -1)
+        rng = range(start, -1, -1)
     else:
         raise ValueError("unknown strategy %r" % (strategy,))
     for i in rng:
@@ -328,38 +335,68 @@ def _weight(word):
     return sum(map(mul, count(), word))
 
 
-def _reduce(coeffs, cfg, strategy):
+def _reduce(coeffs, cfg, strategy, redex=None):
     """Heap reduction of the word -> coefficient map coeffs (consumed).
 
     Words are popped by the key (-len(w), _weight(w), w): longest first,
     then lightest.  Every rewrite either shortens a word or keeps its
     length and raises its weight, so each branch has a larger key than
     its parent.  By the time a word is popped all contributions to its
-    coefficient have been accumulated, each distinct word is rewritten at
-    most once, and a popped normal word never comes back.
+    coefficient have been accumulated, each distinct popped word is
+    rewritten at most once, and a popped normal word never comes back.
+    redex, if given, is the strategy's redex of the one word of coeffs.
 
     A popped word is rewritten through the _Branch records of its redex:
     a child's key is its parent's key plus the record's constants (exact,
     so ``_weight`` runs only on the initial words), a unit-monomial branch
     makes the child's coefficient by a shift, and each child costs one
-    probe of coeffs.
+    probe of coeffs.  A redex with one unit-monomial branch is rewritten
+    in place instead, and so is each next redex of the strategy, found by
+    a scan that resumes at the last rewrite, while it is also one; the
+    run's end, shifted once by the sum of the shifts, is the one child.
+    The words on the way are not merged with equal words in coeffs, which
+    changes no value, since each word's reduction is fixed.
     """
     heap = [(-len(word), _weight(word), word) for word in coeffs]
     heapq.heapify(heap)
     push, pop = heapq.heappush, heapq.heappop
     variants = cfg.rule_variants
+    rightmost = strategy == "rightmost"
     result = {}
     while heap:
         neg_len, wt, word = pop(heap)
         coeff = coeffs.pop(word, None)
         if coeff is None:
             continue
-        i = find_redex(word, strategy)
+        i = find_redex(word, strategy) if redex is None else redex
+        redex = None
         if i is None:
             result[word] = coeff
             continue
-        head, tail = word[:i], word[i + 2:]
-        for c2, repl, unit, dsum, doff, grow in _branches(word[i], word[i + 1], variants):
+        branches = _branches(word[i], word[i + 1], variants)
+        if len(branches) == 1 and branches[0].unit is not None:
+            w, s, t = list(word), 0, 0
+            while True:
+                _, repl, (ds, dt), dsum, doff, grow = branches[0]
+                s, t, wt = s + ds, t + dt, wt + i * dsum + doff
+                if grow:
+                    wt += grow * sum(w[i + 2:])
+                    neg_len -= grow
+                w[i:i + 2] = repl
+                # no redex starts before i - 1 or after i + len(repl) - 1 = i + grow + 1
+                i = _next_redex(w, strategy, min(i + grow + 1, len(w) - 2) if rightmost
+                                else max(i - 1, 0))
+                if i is None:
+                    break
+                branches = _branches(w[i], w[i + 1], variants)
+                if len(branches) > 1 or branches[0].unit is None:
+                    break
+            # the endpoint is the one child, of a branch that replaces the whole word
+            i, head, tail = 0, (), ()
+            branches = ((None, tuple(w), (s, t), 0, 0, 0),)
+        else:
+            head, tail = word[:i], word[i + 2:]
+        for c2, repl, unit, dsum, doff, grow in branches:
             c2 = coeff * c2 if unit is None else coeff.times_monomial(1, unit[0], unit[1])
             w2 = head + repl + tail
             old = coeffs.get(w2)
@@ -387,14 +424,15 @@ def _normal_form(word, cfg, strategy):
     words until the memo holds at most _MEMO_MAX_TERMS terms.
     """
     global _memo_terms
-    if find_redex(word, strategy) is None:
+    i = find_redex(word, strategy)
+    if i is None:
         return ((word, ONE),)
     key = (word, cfg.rule_variants, strategy)
     pairs = _memo.get(key)
     if pairs is not None:
         _memo.move_to_end(key)
         return pairs
-    nf = _reduce({word: ONE}, cfg, strategy)
+    nf = _reduce({word: ONE}, cfg, strategy, i)
     if len(nf) <= _MEMO_ENTRY_MAX_TERMS:
         while _memo_terms + len(nf) > _MEMO_MAX_TERMS:
             _memo_terms -= len(_memo.popitem(last=False)[1])

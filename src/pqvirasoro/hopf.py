@@ -178,12 +178,14 @@ def check_coassoc(x, cfg=DEFAULT_CONFIG):
     """(delta (x) id) delta(x) - (id (x) delta) delta(x)."""
     # the slots of a coproduct are normal words, so the residual is normal
     d = coproduct(x, cfg)
+    delta = {w: coproduct(AlgebraElement.from_word(w), cfg).terms
+             for w in dict.fromkeys(w for slots in d.terms for w in slots)}
     left = {}
     right = {}
     for (w1, w2), c in d.terms.items():
-        for (u, v), c2 in coproduct(AlgebraElement.from_word(w1), cfg).terms.items():
+        for (u, v), c2 in delta[w1].items():
             accumulate(left, (u, v, w2), c * c2)
-        for (u, v), c2 in coproduct(AlgebraElement.from_word(w2), cfg).terms.items():
+        for (u, v), c2 in delta[w2].items():
             accumulate(right, (w1, u, v), c * c2)
     return TensorElement.from_clean(left, 3) - TensorElement.from_clean(right, 3)
 

@@ -10,7 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pqvirasoro import freealg
-from pqvirasoro.field import ONE, P, Q, ZERO, monomial, pq_int, pq_ladder
+from pqvirasoro.field import ONE, P, Q, ZERO, RatFunc, accumulate, monomial, pq_int, pq_ladder
 from pqvirasoro.freealg import (
     AlgebraElement,
     C,
@@ -31,12 +31,15 @@ from pqvirasoro.freealg import (
     random_word,
     relation_elements,
     rewrite_once,
+    t_degree,
     t_word,
     word_sort_key,
     word_str,
 )
 
 EQ811 = Presentation({"r5-8.11"})
+SETTINGS = [(cfg, strategy) for cfg in (DEFAULT_CONFIG, EQ811)
+            for strategy in ("leftmost", "rightmost")]
 
 
 def elem(*letters):
@@ -283,6 +286,85 @@ def test_reduce_rewrites_each_distinct_word_at_most_once(monkeypatch, cfg, strat
         assert rewritten and len(set(rewritten)) == len(rewritten), words
 
 
+def _stepwise_reduce(word, cfg, strategy):
+    """The normal form of word as a word -> coefficient map, taken one
+    ``rewrite_once`` step at a time: no heap, no run of steps, no memo."""
+    pending, result = {word: ONE}, {}
+    while pending:
+        w, c = pending.popitem()
+        steps = rewrite_once(w, strategy, cfg)
+        if steps is None:
+            accumulate(result, w, c)
+            continue
+        for c2, w2 in steps:
+            accumulate(pending, w2, c * c2)
+    return result
+
+
+@st.composite
+def t_run_words(draw):
+    """Words whose L letters stand between long runs of T, T^-1 and C."""
+    run = st.lists(st.sampled_from((T, TINV, C)), max_size=8).map(tuple)
+    word = ()
+    for n in draw(st.lists(st.integers(-4, 4), max_size=4)):
+        word += draw(run) + (L(n),)
+    return word + draw(run)
+
+
+def _raw_antipode(word):
+    """The letters of S(word) up to sign, before any rewriting."""
+    letters = ()
+    for letter in reversed(word):
+        if letter == C:
+            letters += (C,)
+        elif t_degree(letter):
+            letters += t_word(-t_degree(letter))
+        else:
+            letters += t_word(-letter) + (letter,) + t_word(-letter)
+    return letters
+
+
+@given(t_run_words(), st.sampled_from(SETTINGS))
+def test_reduce_equals_the_stepwise_reduction_on_long_t_runs(word, setting):
+    assert freealg._reduce({word: ONE}, *setting) == _stepwise_reduce(word, *setting)
+
+
+@pytest.mark.parametrize("word", [
+    (L(5), L(-6), L(3)), (L(-4), T, L(6), C, L(-5)), (L(6), TINV, L(-3), L(4), T, T)])
+def test_reduce_equals_the_stepwise_reduction_on_double_antipode_images(word):
+    image = _raw_antipode(_raw_antipode(word))
+    assert len(image) >= 40
+    for cfg, strategy in SETTINGS:
+        assert freealg._reduce({image: ONE}, cfg, strategy) == \
+            _stepwise_reduce(image, cfg, strategy)
+
+
+@pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
+def test_a_run_of_unit_steps_makes_one_product_and_pushes_only_its_endpoint(
+        monkeypatch, strategy):
+    # every step of this word is R1, R2, R3 or R5, whose coefficient is p^s q^t
+    word = (L(5), L(7)) + t_word(-4) + (C,) + t_word(3) + (L(9),) + t_word(-2)
+    # this also compiles every rule the word meets, before the spies count
+    expected = _stepwise_reduce(word, DEFAULT_CONFIG, strategy)
+    products, pushed = [], []
+    for name in ("times_monomial", "__mul__"):
+        def product(self, *args, name=name, op=getattr(RatFunc, name)):
+            products.append(name)
+            return op(self, *args)
+        monkeypatch.setattr(RatFunc, name, product)
+
+    def push(heap, entry):
+        pushed.append(entry)
+        heapq.heappush(heap, entry)
+
+    spy = SimpleNamespace(heapify=heapq.heapify, heappop=heapq.heappop, heappush=push)
+    with mock.patch.object(freealg, "heapq", spy):
+        result = freealg._reduce({word: ONE}, DEFAULT_CONFIG, strategy)
+    assert result == expected and len(result) == 1
+    assert products == ["times_monomial"]
+    assert [w for _, _, w in pushed] == list(result)
+
+
 def _basis_order(k):
     """The normal-form letter order over the indices -k..k, written out by hand."""
     return [T, TINV] + [L(n) for n in range(-k, k + 1)] + [C]
@@ -378,8 +460,6 @@ def test_reduction_terminates_via_bounded_walk(word):
 # ---------------------------------------------------------------------------
 # the per-word normal-form memo of normalize
 
-SETTINGS = [(cfg, strategy) for cfg in (DEFAULT_CONFIG, EQ811)
-            for strategy in ("leftmost", "rightmost")]
 COEFFS = (ONE, -ONE, P, -P / Q, monomial(2, 1, -1), (P + Q) / Q)
 
 
