@@ -25,6 +25,12 @@ result, of arithmetic or of the constructor, is graded exactly when it is
 homogeneous, so equal values share one representation.  ``num`` and
 ``den`` read as dicts in both forms.
 
+Almost every structure constant is a Laurent polynomial: graded with den
+1, which is always the one shared tuple ``_ONE_T``.  Products of two such
+values, and sums of two of one degree, take a path of their own that
+convolves or adds the numerators and skips the GCD; the central weight's
+den 6 (1 + (q/p)^n) is the common exception.
+
 All values are immutable; every function here except ``accumulate`` (which
 adds into the caller's dict) is pure, so instances can be shared freely
 between threads or worker processes.
@@ -635,6 +641,10 @@ class RatFunc:
             if not den:
                 raise ZeroDivisionError("zero denominator in Q(p,q)")
             return _canonical((num,) if num else (), (den,), shift, _Graded)
+        if type(num) is dict and len(num) == 1 and type(den) is int and den == 1:
+            # one term c p^a q^b is already canonical as a monomial
+            ((a, b), c), = num.items()
+            return monomial(c, a + shift[0], b + shift[1])
         den = _as_poly(den)
         if not den:
             raise ZeroDivisionError("zero denominator in Q(p,q)")
@@ -713,9 +723,23 @@ class RatFunc:
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+        if type(other) is RatFunc:
+            o = other
+            if self._den is _ONE_T and o._den is _ONE_T:
+                n1, n2 = self._num, o._num
+                (a1, b1), (a2, b2) = self.shift, o.shift
+                # Laurent polynomials of one degree: no den to meet in
+                if n1 and n2 and a1 + b1 + len(n1) == a2 + b2 + len(n2):
+                    a, b = min(a1, a2), min(b1, b2)
+                    num = _h_add(n1, (a1 - a, b1 - b), n2, (a2 - a, b2 - b))
+                    if not num:
+                        return ZERO
+                    num, i, j = _h_strip(num)
+                    return RatFunc._raw((a + i, b + j), num, _ONE_T)
+        else:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
         if not self._num:
             return o
         if not o._num:
@@ -765,13 +789,23 @@ class RatFunc:
             return RatFunc._raw(shift, _u_scale(self._num, c), _ONE_T)
         ops = self._ops()
         g = _int_gcd(c, ops.content(self._den))
-        return RatFunc._raw(shift, ops.scale(self._num, c // g), ops.exquo(self._den, g))
+        # make: a den that g divides down to 1 is the shared _ONE_T
+        return ops.make(shift, ops.scale(self._num, c // g), ops.exquo(self._den, g))
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n1, n2 = self._num, o._num
+        if type(other) is RatFunc:
+            o = other
+            n1, n2 = self._num, o._num
+            # Laurent polynomials: the product of two canonical numerators
+            # is canonical, and a den of 1 needs no GCD
+            if self._den is _ONE_T and o._den is _ONE_T and n1 and n2:
+                return RatFunc._raw((self.shift[0] + o.shift[0], self.shift[1] + o.shift[1]),
+                                    _u_mul(n1, n2), _ONE_T)
+        else:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
+            n1, n2 = self._num, o._num
         if not n1 or not n2:
             return ZERO
         if len(n1) == 1 and self._den == _ONE_T:
@@ -856,6 +890,11 @@ class RatFunc:
             num, den = frozenset(num.items()), frozenset(den.items())
         return hash((self.shift, num, den))
 
+    def __reduce__(self):
+        # a copy or an unpickled value is rebuilt from its parts: the
+        # default would set them on the shared ZERO that __new__() returns
+        return _restored, (self.shift, self._num, self._den)
+
     # -- display ---------------------------------------------------------
 
     def _signed_text(self, latex):
@@ -903,17 +942,24 @@ class RatFunc:
         return "RatFunc(%s)" % self
 
 
-ZERO = RatFunc._raw((0, 0), (), _ONE_T)
-ONE = RatFunc(1)
-P = RatFunc({(1, 0): 1})
-Q = RatFunc({(0, 1): 1})
-
-
 def monomial(c=1, a=0, b=0):
     """The Laurent monomial c * p^a * q^b."""
     if c == 0:
         return ZERO
     return RatFunc._raw((a, b), (c,), _ONE_T)
+
+
+def _restored(shift, num, den):
+    """The value of canonical parts, with ZERO and den 1 the shared ones."""
+    if not num:
+        return ZERO
+    return RatFunc._raw(shift, num, _ONE_T if den == _ONE_T else den)
+
+
+ZERO = RatFunc._raw((0, 0), (), _ONE_T)
+ONE = RatFunc(1)
+P = RatFunc({(1, 0): 1})
+Q = RatFunc({(0, 1): 1})
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Exact arithmetic in the rational function field in p and q."""
 
+import copy
+import pickle
 from fractions import Fraction
 from unittest import mock
 
@@ -555,3 +557,141 @@ def test_rendering_of_a_negated_sum_in_an_element():
                       " - ((p^130 + 12*q^130)/q^140)*L(2)")
     assert x.latex() == ("-\\left(p^{130} + 12 q^{130}\\right)\\, L_{1}"
                          " - \\frac{p^{130} + 12 q^{130}}{q^{140}}\\, L_{2}")
+
+
+# ---------------------------------------------------------------------------
+# the den-1 path of __mul__ and __add__ against the general path
+
+
+def dict_mul(f, g):
+    out = {}
+    for (i1, j1), c1 in f.items():
+        for (i2, j2), c2 in g.items():
+            m = (i1 + i2, j1 + j2)
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def dict_shifted(f, a, b):
+    return {(i + a, j + b): c for (i, j), c in f.items()}
+
+
+def rebuilt_product(xs, ys):
+    """x y rebuilt from the dicts of x and y, through the constructor."""
+    (n1, d1, (a1, b1)), (n2, d2, (a2, b2)) = xs, ys
+    return RatFunc(dict_mul(n1, n2), dict_mul(d1, d2), (a1 + a2, b1 + b2))
+
+
+def rebuilt_sum(xs, ys):
+    """x + y rebuilt from the dicts of x and y over the den d1 d2."""
+    (n1, d1, (a1, b1)), (n2, d2, (a2, b2)) = xs, ys
+    a, b = min(a1, a2), min(b1, b2)
+    num = dict_shifted(dict_mul(n1, d2), a1 - a, b1 - b)
+    for m, c in dict_shifted(dict_mul(n2, d1), a2 - a, b2 - b).items():
+        num[m] = num.get(m, 0) + c
+    return RatFunc({m: c for m, c in num.items() if c}, dict_mul(d1, d2), (a, b))
+
+
+def parts_of(x):
+    return x.num, x.den, x.shift
+
+
+@st.composite
+def laurent_pairs(draw):
+    """(x, y) as (num, den, shift) dicts: x a graded Laurent polynomial and y
+    one of the same degree, of any degree, with a den other than 1 (graded
+    or not), or -x plus a value of x's degree, so that sums cancel in part
+    or to zero."""
+    d1 = draw(ints(0, 3))
+    a1, b1 = draw(ints(-3, 3)), draw(ints(-3, 3))
+    x = (draw(homogeneous_polys(d1)), {(0, 0): 1}, (a1, b1))
+    kind = draw(st.sampled_from(("same degree", "any degree", "graded den", "sparse den",
+                                 "cancels", "zero")))
+    if kind == "cancels":
+        part = draw(homogeneous_polys(d1))
+        num = {m: part.get(m, 0) - x[0].get(m, 0) for m in set(part) | set(x[0])}
+        return x, ({m: c for m, c in num.items() if c} or {(0, d1): 1}, {(0, 0): 1}, (a1, b1))
+    if kind == "zero":
+        return x, ({m: -c for m, c in x[0].items()}, {(0, 0): 1}, (a1, b1))
+    d2 = draw(ints(0, 3))
+    a2 = draw(ints(-3, 3))
+    b2 = a1 + b1 + d1 - d2 - a2 if kind == "same degree" else draw(ints(-3, 3))
+    den = {"graded den": draw(ints(0, 2).flatmap(homogeneous_polys)),
+           "sparse den": draw(polys)}.get(kind, {(0, 0): 1})
+    return x, (draw(homogeneous_polys(d2)), den, (a2, b2))
+
+
+@given(laurent_pairs(), st.booleans())
+# q (p + q) - (p - q) q: the sum p q + q^2 - p q + q^2 keeps q^2 only
+@example((({(1, 0): 1, (0, 1): 1}, {(0, 0): 1}, (0, 1)),
+          ({(1, 0): -1, (0, 1): 1}, {(0, 0): 1}, (0, 1))), False)
+# p^2 + p q and q^2 - p^2: the sum strips to q (p + q)
+@example((({(2, 0): 1, (1, 1): 1}, {(0, 0): 1}, (0, 0)),
+          ({(0, 2): 1, (2, 0): -1}, {(0, 0): 1}, (0, 0))), True)
+# (p + q) / 6 against 6: the product's den divides down to 1
+@example((({(1, 0): 6}, {(0, 0): 1}, (0, 0)),
+          ({(1, 0): 1, (0, 1): 1}, {(0, 0): 6}, (0, 0))), False)
+def test_den_one_paths_agree_with_the_general_path(pair, swap):
+    """x * y and x + y, with or without the den-1 path, equal the value
+    rebuilt from dicts, in the same form: graded tuples whenever the value
+    is homogeneous, and a graded den of 1 the shared (1,)."""
+    xs, ys = (pair[1], pair[0]) if swap else pair
+    x, y = RatFunc(*xs), RatFunc(*ys)
+    for value, expected in ((x * y, rebuilt_product(xs, ys)), (x + y, rebuilt_sum(xs, ys))):
+        assert parts_of(value) == parts_of(expected)
+        assert value == expected and hash(value) == hash(expected)
+        assert type(value._num) is type(expected._num)
+        if type(expected._den) is tuple and expected.is_laurent_polynomial():
+            assert value._den is field._ONE_T
+        if not value:
+            assert value is ZERO
+
+
+@given(value_parts(pq_ints=True), value_parts(pq_ints=True), ints(-6, 6).filter(bool),
+       ints(-2, 2), ints(-2, 2), ints(-3, 3))
+# ((p + q)/6).times_monomial(6, 0, 0): a den that g divides down to 1
+@example(({(1, 0): 1, (0, 1): 1}, {(0, 0): 6}, (0, 0)), ({(0, 0): 1}, {(0, 0): 1}, (0, 0)),
+         6, 0, 0, 1)
+def test_den_one_is_always_the_shared_tuple(xs, ys, c, a, b, k):
+    """Every graded result whose den is 1, of a product, a quotient, a sum,
+    a power or times_monomial, holds the one shared tuple (1,), so the den-1
+    path can test it by identity."""
+    x, y = RatFunc(*xs), RatFunc(*ys)
+    results = [x * y, x + y, x - y, -x, x.times_monomial(c, a, b), x ** abs(k)]
+    if y:
+        results += [x / y, y.inverse()]
+        if k:
+            results.append(y ** k)
+    for value in results:
+        if type(value._den) is tuple and value.is_laurent_polynomial():
+            assert value._den is field._ONE_T, value
+
+
+@given(ints(-9, 9), ints(-4, 4), ints(-4, 4), st.tuples(ints(-3, 3), ints(-3, 3)))
+def test_one_entry_maps_are_monomials(c, a, b, shift):
+    """RatFunc({(a, b): c}) is monomial(c, a, b) times the shift, with the
+    parts of the general constructor path (a dict den takes it)."""
+    value = RatFunc({(a, b): c}, 1, shift)
+    expected = RatFunc({(a, b): c}, {(0, 0): 1}, shift)
+    assert parts_of(value) == parts_of(expected)
+    assert value == monomial(c, a + shift[0], b + shift[1])
+    assert (type(value._num), type(value._den)) == (tuple, tuple)
+    if c:
+        assert value._den is field._ONE_T and value.is_monomial()
+    else:
+        assert value is ZERO
+
+
+@pytest.mark.parametrize("value", [ZERO, ONE, P + Q, (P + Q) / 6, monomial(-3, 2, -1),
+                                   (P + 1) / (Q ** 2 - P)])
+def test_copies_and_pickles_are_equal_values_and_leave_zero_alone(value):
+    """A copied or unpickled value equals the original in its parts, keeps
+    den 1 the shared tuple and zero the shared ZERO, and changes neither."""
+    for twin in (copy.copy(value), copy.deepcopy(value),
+                 pickle.loads(pickle.dumps(value)), pickle.loads(pickle.dumps(value, 2))):
+        assert parts_of(twin) == parts_of(value) and twin == value
+        assert type(twin._num) is type(value._num)
+        if type(value._den) is tuple and value.is_laurent_polynomial():
+            assert twin._den is field._ONE_T
+        assert (twin is ZERO) == (not value)
+    assert ZERO.is_zero() and ZERO.shift == (0, 0) and ZERO._den is field._ONE_T

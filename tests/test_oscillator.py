@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pqvirasoro import oscillator
 from pqvirasoro.field import ONE, P, Q, RatFunc, ZERO, monomial, pq_int, pq_ladder, q_int
 from pqvirasoro.freealg import AlgebraElement, C, L, T, TINV, bracket_coeff, normalize
 from pqvirasoro.oscillator import (
@@ -220,6 +221,46 @@ def test_verify_bracket_detects_wrong_weights():
     alpha, beta, gamma = bracket_weights(1, 2, "two_param")
     wrong = deformed_commutator(l1, l2, ONE, ONE) - make_L(3, osc).scale(gamma)
     assert not wrong.is_zero_on(safe_columns(12, 2, 2))
+
+
+def perturbed(weights, which):
+    """The weights (alpha, beta, gamma) with alpha times p, or gamma plus 1."""
+    alpha, beta, gamma = weights
+    return (alpha * P, beta, gamma) if which == "alpha" else (alpha, beta, gamma + ONE)
+
+
+@pytest.mark.parametrize("which", ("alpha", "gamma"))
+@pytest.mark.parametrize("mode", ("classical", "two_param"))
+@pytest.mark.parametrize("dim", (9, 14))
+def test_guarded_products_show_wrong_weights(monkeypatch, dim, mode, which):
+    """The checks multiply only the guarded columns; with a wrong weight
+    their residual equals the full products restricted afterwards, and is
+    nonzero unless the guard keeps column 0 alone, which every L_k
+    annihilates."""
+    monkeypatch.setattr(oscillator, "bracket_weights",
+                        lambda n, m, mode: perturbed(bracket_weights(n, m, mode), which))
+    monkeypatch.setattr(oscillator, "power_weights",
+                        lambda n, mode: perturbed(power_weights(n, mode), which))
+    osc = make_oscillator(dim, mode)
+    for n in range(-1, 5):
+        for m in range(-1, 5):
+            if which == "gamma" and n + m < -1:
+                continue  # L_{-2} has no image to weigh
+            alpha, beta, gamma = oscillator.bracket_weights(n, m, mode)
+            full = deformed_commutator(make_L(n, osc), make_L(m, osc), alpha, beta)
+            if not gamma.is_zero():
+                full = full - make_L(m + n, osc).scale(gamma)
+            cols = safe_columns(dim, 2, max(n, m, 1))
+            res = verify_bracket(n, m, osc)
+            assert res == full.restrict(cols), (n, m)
+            assert res.is_zero() == (len(cols) == 1), (n, m)
+        if n >= 1:
+            alpha, beta, gamma = oscillator.power_weights(n, mode)
+            full = (deformed_commutator(osc.a, osc.a_plus ** n, alpha, beta)
+                    - (osc.a_plus ** (n - 1)).scale(gamma))
+            res = verify_power_commutator(n, osc)
+            assert res == full.restrict(safe_columns(dim, n + 1, 1)), n
+            assert not res.is_zero(), n
 
 
 def test_verify_power_commutator_zero():
