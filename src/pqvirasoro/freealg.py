@@ -15,20 +15,19 @@ where bracket_env(n, m) carries the L(n+m) term and, when m == -n, the
 central C term.  Each rule is a defining relation of ``relation_elements``
 solved for its out-of-order word: R1, R2(n, s), R3(0, s), R5(n) and
 R4(n, m), in the order above, so the r5-8.11 form of R5 is written only
-there.  Every rule either shortens the word, or keeps its length and its
+there.  Each rule has one main term, whose coefficient is exactly
+p^s q^t: the swap of R4, the moves of R2, R3 and R5, and R1's
+cancellation.  Only R4 adds side terms, each one letter shorter.  The
+main term either shortens the word, or keeps its length and its
 multiset of letters and swaps one adjacent pair a > b into b a, which
 raises the weight sum(i * w[i]) over the int letters by exactly a - b.
 Reduction terminates: the length never rises, and while it stays fixed
 the letters only permute, so the weight can rise only finitely often.
-``_reduce`` pops words longest first, then lightest first, rewriting each
-popped word once and following runs of one-branch unit-monomial steps on
-a list, whose words it does not merge.  Each rule is
-compiled once per letter pair into _Branch records: a term's coefficient,
-its letters, the shift of a coefficient that is exactly p^s q^t, and the
-constants that give a child's weight from its parent's.  Rewriting
-(a, b) at position i into r letters repl adds
-i (sum(repl) - a - b) + (sum(k repl[k]) - b) + (r - 2) sum(w[i+2:]) to
-the weight, in exact integer arithmetic.
+Each rule is compiled once per letter pair into a _Rule.  ``_reduce``
+follows this length filtration: it takes words a length at a time,
+longest first and lightest first within a length, and rewrites each
+word in place along its main terms, summing their exponents into one
+shift; side terms wait in the map of their own, shorter length.
 The system is not confluent: the two strategies reduce some words to
 different normal forms, and the confluence suite counts those words.
 
@@ -51,7 +50,6 @@ Elements are immutable in spirit: all operations return fresh values.
 
 from __future__ import annotations
 
-import heapq
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -59,7 +57,7 @@ from itertools import count, groupby
 from operator import mul
 from typing import NamedTuple
 
-from .field import ONE, ZERO, LinComb, RatFunc, accumulate, monomial, pq_ladder
+from .field import ONE, ZERO, LinComb, accumulate, monomial, pq_ladder
 
 __all__ = [
     "T",
@@ -264,28 +262,26 @@ def _next_redex(word, strategy, start):
     return None
 
 
-class _Branch(NamedTuple):
-    """One term coeff * repl of the rule for the redex (a, b).
+class _Rule(NamedTuple):
+    """The rule for the redex (a, b): a b -> p^s q^t * main + sides.
 
-    unit is the shift (s, t) of coeff when coeff is exactly p^s q^t, else
-    None.  A child made at position i of a word w of weight wt has length
-    len(w) + grow and weight wt + i * dsum + doff + grow * sum(w[i + 2:]),
-    with dsum = sum(repl) - a - b and doff = sum(k * repl[k]) - b.
+    main is the word the defining relation solves a b into, two letters
+    long (none for R1), and its coefficient is exactly p^s q^t with
+    (s, t) = shift.  sides are R4's other terms as (coefficient, letters)
+    pairs, each one letter long.
     """
 
-    coeff: RatFunc
-    repl: tuple
-    unit: tuple | None
-    dsum: int
-    doff: int
-    grow: int
+    shift: tuple
+    main: tuple
+    sides: tuple
 
 
 @lru_cache(maxsize=None)
-def _branches(a, b, variants):
-    """The _Branch records of the redex (a, b), compiled once per pair.
+def _rule(a, b, variants):
+    """The _Rule of the redex (a, b), compiled once per pair.
 
-    The defining relation that contains the word (a, b), solved for it.
+    The defining relation that contains the word (a, b), solved for it;
+    its longest other term is the main term.
     """
     if t_degree(a):
         name, n, m = "R1", 0, 1
@@ -298,24 +294,24 @@ def _branches(a, b, variants):
     for rel in relation_elements(name, n, m, Presentation(variants)):
         if (a, b) in rel.terms:
             scale = -rel.terms[(a, b)].inverse()  # -1 / lead
-            out = []
-            for repl, c in rel.terms.items():
-                if repl != (a, b):
-                    coeff = c * scale
-                    unit = coeff.shift if coeff == monomial(1, *coeff.shift) else None
-                    out.append(_Branch(coeff, repl, unit, sum(repl) - a - b,
-                                       _weight(repl) - b, len(repl) - 2))
-            return tuple(out)
+            terms = [(c * scale, repl) for repl, c in rel.terms.items() if repl != (a, b)]
+            coeff, main = max(terms, key=lambda term: len(term[1]))
+            if coeff != monomial(1, *coeff.shift):
+                raise ValueError("the rule for %s has main coefficient %s, not p^s q^t"
+                                 % (word_str((a, b)), coeff))
+            return _Rule(coeff.shift, main, tuple(term for term in terms if term[1] != main))
 
 
 def rewrite_once(word, strategy="leftmost", cfg=DEFAULT_CONFIG):
     """One rewrite step at the strategy's redex, or None if word is normal:
-    the (coefficient, word) terms that replace word, one per _Branch."""
+    the (coefficient, word) terms that replace word, its main term first."""
     i = find_redex(word, strategy)
     if i is None:
         return None
-    return [(br.coeff, word[:i] + br.repl + word[i + 2:])
-            for br in _branches(word[i], word[i + 1], cfg.rule_variants)]
+    shift, main, sides = _rule(word[i], word[i + 1], cfg.rule_variants)
+    head, tail = word[:i], word[i + 2:]
+    return [(monomial(1, *shift), head + main + tail)] + \
+        [(c, head + repl + tail) for c, repl in sides]
 
 
 # Bounds of the normal-form memo of ``normalize``: the terms stored in all
@@ -336,82 +332,54 @@ def _weight(word):
 
 
 def _reduce(coeffs, cfg, strategy, redex=None):
-    """Heap reduction of the word -> coefficient map coeffs (consumed).
+    """Reduction of the word -> coefficient map coeffs, a length at a time.
 
-    Words are popped by the key (-len(w), _weight(w), w): longest first,
-    then lightest.  Every rewrite either shortens a word or keeps its
-    length and raises its weight, so each branch has a larger key than
-    its parent.  By the time a word is popped all contributions to its
-    coefficient have been accumulated, each distinct popped word is
-    rewritten at most once, and a popped normal word never comes back.
-    redex, if given, is the strategy's redex of the one word of coeffs.
-
-    A popped word is rewritten through the _Branch records of its redex:
-    a child's key is its parent's key plus the record's constants (exact,
-    so ``_weight`` runs only on the initial words), a unit-monomial branch
-    makes the child's coefficient by a shift, and each child costs one
-    probe of coeffs.  A redex with one unit-monomial branch is rewritten
-    in place instead, and so is each next redex of the strategy, found by
-    a scan that resumes at the last rewrite, while it is also one; the
-    run's end, shifted once by the sum of the shifts, is the one child.
-    The words on the way are not merged with equal words in coeffs, which
-    changes no value, since each word's reduction is fixed.
+    Words are taken longest first, and the words of one length lightest
+    first.  A word taken is rewritten in place along the main terms of
+    its rules, which sum into one shift, while the strategy's next redex
+    is found by a scan that resumes at the last rewrite.  Each R4 side
+    term, one letter shorter than its word, is added to the map of its
+    own length, so every word has all of its coefficient before its
+    length is taken.  A same-length step raises the weight, so after an
+    R4 step a word of this length not yet taken is met later in the
+    order: the chain stops there and adds its coefficient to that word's.
+    Otherwise its normal end goes to the result.  Each distinct word
+    taken is rewritten once.  redex, if given, is the strategy's redex
+    of the one word of coeffs.
     """
-    heap = [(-len(word), _weight(word), word) for word in coeffs]
-    heapq.heapify(heap)
-    push, pop = heapq.heappush, heapq.heappop
     variants = cfg.rule_variants
     rightmost = strategy == "rightmost"
+    levels = {}
+    for word, coeff in coeffs.items():
+        levels.setdefault(len(word), {})[word] = coeff
     result = {}
-    while heap:
-        neg_len, wt, word = pop(heap)
-        coeff = coeffs.pop(word, None)
-        if coeff is None:
-            continue
-        i = find_redex(word, strategy) if redex is None else redex
-        redex = None
-        if i is None:
-            result[word] = coeff
-            continue
-        branches = _branches(word[i], word[i + 1], variants)
-        if len(branches) == 1 and branches[0].unit is not None:
+    while levels:
+        level = levels.pop(max(levels))
+        for word in sorted(level, key=_weight):
+            coeff = level.pop(word, None)
+            if coeff is None:  # cancelled by a chain that stopped at it
+                continue
+            i = find_redex(word, strategy) if redex is None else redex
+            redex = None
             w, s, t = list(word), 0, 0
-            while True:
-                _, repl, (ds, dt), dsum, doff, grow = branches[0]
-                s, t, wt = s + ds, t + dt, wt + i * dsum + doff
-                if grow:
-                    wt += grow * sum(w[i + 2:])
-                    neg_len -= grow
-                w[i:i + 2] = repl
-                # no redex starts before i - 1 or after i + len(repl) - 1 = i + grow + 1
-                i = _next_redex(w, strategy, min(i + grow + 1, len(w) - 2) if rightmost
+            while i is not None:
+                (ds, dt), main, sides = _rule(w[i], w[i + 1], variants)
+                if sides:
+                    c = coeff.times_monomial(1, s, t)
+                    head, tail = tuple(w[:i]), tuple(w[i + 2:])
+                    shorter = levels.setdefault(len(w) - 1, {})
+                    for c2, repl in sides:
+                        accumulate(shorter, head + repl + tail, c * c2)
+                s, t = s + ds, t + dt
+                w[i:i + 2] = main
+                if sides and tuple(w) in level:
+                    accumulate(level, tuple(w), coeff.times_monomial(1, s, t))
+                    break
+                # no redex starts before i - 1 or after i + len(main) - 1
+                i = _next_redex(w, strategy, min(i + len(main) - 1, len(w) - 2) if rightmost
                                 else max(i - 1, 0))
-                if i is None:
-                    break
-                branches = _branches(w[i], w[i + 1], variants)
-                if len(branches) > 1 or branches[0].unit is None:
-                    break
-            # the endpoint is the one child, of a branch that replaces the whole word
-            i, head, tail = 0, (), ()
-            branches = ((None, tuple(w), (s, t), 0, 0, 0),)
-        else:
-            head, tail = word[:i], word[i + 2:]
-        for c2, repl, unit, dsum, doff, grow in branches:
-            c2 = coeff * c2 if unit is None else coeff.times_monomial(1, unit[0], unit[1])
-            w2 = head + repl + tail
-            old = coeffs.get(w2)
-            if old is None:
-                key = wt + i * dsum + doff
-                if grow:
-                    key += grow * sum(tail)
-                coeffs[w2] = c2
-                push(heap, (neg_len - grow, key, w2))
             else:
-                c2 = old + c2
-                if c2:
-                    coeffs[w2] = c2
-                else:
-                    del coeffs[w2]
+                accumulate(result, tuple(w), coeff.times_monomial(1, s, t))
     return result
 
 

@@ -17,9 +17,10 @@ which the deformed Virasoro relations can be checked by exact
 arithmetic. Since a sends |k> to lam_k |k-1> and a+ only shifts,
 L_n sends |k> to lam_k |k+n>, so ``make_L`` reads L_n off the entries
 of a in one pass; past the top row the shifted entries drop out, and
-L_n is zero for n >= dim - 1. The matrices are built independently of
-the symbolic rewriting engine, so checking its structure constants on
-them is an independent test of those constants.
+L_n is zero for n >= dim - 1. Likewise (a+)^k is the entries 1 at
+(j + k, j), with no repeated product. The matrices are built
+independently of the symbolic rewriting engine, so checking its
+structure constants on them is an independent test of those constants.
 Truncation spoils the top edge of the matrix, so identities are only
 asserted on guarded columns that no intermediate state can push past
 the cutoff. Column j of a product A B is A times column j of B, so the
@@ -204,6 +205,15 @@ def make_L(n, osc):
         osc.dim)
 
 
+def _raising_power(k, dim, cols):
+    """(a+)^k as a truncated matrix, restricted to the columns cols.
+
+    a+ only shifts, so (a+)^k sends |j> to |j+k>: its entries are 1 at
+    (j + k, j), and the ones past the top row drop out.
+    """
+    return FockOperator.from_clean({(j + k, j): ONE for j in cols if j + k < dim}, dim)
+
+
 def deformed_commutator(A, B, alpha, beta):
     """alpha*A*B - beta*B*A, exactly."""
     if A.dim != B.dim:
@@ -274,6 +284,6 @@ def verify_power_commutator(n, osc):
         raise ValueError("power commutator checks need n >= 1")
     alpha, beta, gamma = power_weights(n, osc.mode)
     cols = safe_columns(osc.dim, n + 1, 1)
-    a, ap_n = osc.a, osc.a_plus ** n
+    a, ap_n = osc.a, _raising_power(n, osc.dim, range(osc.dim))
     return (a * ap_n.restrict(cols) * alpha - ap_n * a.restrict(cols) * beta
-            - (osc.a_plus ** (n - 1)).restrict(cols) * gamma)
+            - _raising_power(n - 1, osc.dim, cols) * gamma)

@@ -1,9 +1,6 @@
 """Free algebra on T, C, L(n) and reduction to the normal-form basis."""
 
-import heapq
 import random
-from types import SimpleNamespace
-from unittest import mock
 
 import pytest
 from hypothesis import example, given
@@ -40,6 +37,7 @@ from pqvirasoro.freealg import (
 EQ811 = Presentation({"r5-8.11"})
 SETTINGS = [(cfg, strategy) for cfg in (DEFAULT_CONFIG, EQ811)
             for strategy in ("leftmost", "rightmost")]
+COEFFS = (ONE, -ONE, P, -P / Q, monomial(2, 1, -1), (P + Q) / Q)
 
 
 def elem(*letters):
@@ -247,31 +245,12 @@ def test_heap_key_strictly_rises_on_every_branch(word):
             assert freealg._weight(new_word) - freealg._weight(word) == word[i] - word[i + 1]
 
 
-@given(st.lists(letters_strategy(), min_size=1, max_size=3),
-       st.sampled_from([DEFAULT_CONFIG, EQ811]), st.sampled_from(["leftmost", "rightmost"]))
-@example([(L(2), L(-2), L(1), T, TINV)], DEFAULT_CONFIG, "rightmost")
-@example([(C, L(3), TINV, T, L(-1))], EQ811, "leftmost")
-def test_reduce_derives_each_child_key_exactly(words, cfg, strategy):
-    # every key _reduce pushes, derived from its parent's, is the key of its word
-    pushed = []
-
-    def push(heap, entry):
-        pushed.append(entry)
-        heapq.heappush(heap, entry)
-
-    spy = SimpleNamespace(heapify=heapq.heapify, heappop=heapq.heappop, heappush=push)
-    with mock.patch.object(freealg, "heapq", spy):
-        freealg._reduce({w: ONE for w in words}, cfg, strategy)
-    for neg_len, weight, word in pushed:
-        assert (neg_len, weight) == (-len(word), freealg._weight(word)), word
-
-
 @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, EQ811], ids=["standard", "eq811"])
 @pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
 def test_reduce_rewrites_each_distinct_word_at_most_once(monkeypatch, cfg, strategy):
     rewritten = []
 
-    # _reduce looks for the redex of each word it pops and rewrites once
+    # _reduce looks for the redex of each word it takes and rewrites once
     def spy(word, strategy="leftmost"):
         rewritten.append(word)
         return find_redex(word, strategy)
@@ -288,7 +267,8 @@ def test_reduce_rewrites_each_distinct_word_at_most_once(monkeypatch, cfg, strat
 
 def _stepwise_reduce(word, cfg, strategy):
     """The normal form of word as a word -> coefficient map, taken one
-    ``rewrite_once`` step at a time: no heap, no run of steps, no memo."""
+    ``rewrite_once`` step at a time: no levels, no rewriting in place,
+    no merging, no memo."""
     pending, result = {word: ONE}, {}
     while pending:
         w, c = pending.popitem()
@@ -339,30 +319,65 @@ def test_reduce_equals_the_stepwise_reduction_on_double_antipode_images(word):
             _stepwise_reduce(image, cfg, strategy)
 
 
+def _stepwise_sum(coeffs, cfg, strategy):
+    """The sum of coeff * ``_stepwise_reduce(word)`` over the map coeffs."""
+    total = {}
+    for word, coeff in coeffs.items():
+        for w, c in _stepwise_reduce(word, cfg, strategy).items():
+            accumulate(total, w, coeff * c)
+    return total
+
+
 @pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
-def test_a_run_of_unit_steps_makes_one_product_and_pushes_only_its_endpoint(
-        monkeypatch, strategy):
+def test_a_run_of_unit_steps_makes_one_product(monkeypatch, strategy):
     # every step of this word is R1, R2, R3 or R5, whose coefficient is p^s q^t
     word = (L(5), L(7)) + t_word(-4) + (C,) + t_word(3) + (L(9),) + t_word(-2)
     # this also compiles every rule the word meets, before the spies count
     expected = _stepwise_reduce(word, DEFAULT_CONFIG, strategy)
-    products, pushed = [], []
+    products = []
     for name in ("times_monomial", "__mul__"):
         def product(self, *args, name=name, op=getattr(RatFunc, name)):
             products.append(name)
             return op(self, *args)
         monkeypatch.setattr(RatFunc, name, product)
-
-    def push(heap, entry):
-        pushed.append(entry)
-        heapq.heappush(heap, entry)
-
-    spy = SimpleNamespace(heapify=heapq.heapify, heappop=heapq.heappop, heappush=push)
-    with mock.patch.object(freealg, "heapq", spy):
-        result = freealg._reduce({word: ONE}, DEFAULT_CONFIG, strategy)
+    result = freealg._reduce({word: ONE}, DEFAULT_CONFIG, strategy)
     assert result == expected and len(result) == 1
     assert products == ["times_monomial"]
-    assert [w for _, _, w in pushed] == list(result)
+
+
+def test_a_chain_stops_at_a_word_of_its_length_not_yet_taken(monkeypatch):
+    # L(2) L(1) L(0) is the lighter word, and its first step, R4's swap at
+    # the left, gives L(1) L(2) L(0): that chain goes no further
+    first, second = (L(2), L(1), L(0)), (L(1), L(2), L(0))
+    coeffs = {first: ONE, second: ONE}
+    expected = _stepwise_sum(coeffs, DEFAULT_CONFIG, "leftmost")
+    scanned, rules = [], []
+
+    def scan(word, strategy="leftmost"):
+        scanned.append(word)
+        return find_redex(word, strategy)
+
+    def rule(a, b, variants, compiled=freealg._rule):
+        rules.append((a, b))
+        return compiled(a, b, variants)
+
+    monkeypatch.setattr(freealg, "find_redex", scan)
+    monkeypatch.setattr(freealg, "_rule", rule)
+    assert freealg._reduce(coeffs, DEFAULT_CONFIG, "leftmost") == expected
+    assert scanned.count(first) == scanned.count(second) == 1
+    assert len(set(scanned)) == len(scanned)
+    # only the chain of L(1) L(2) L(0) reaches its redex L(2) L(0)
+    assert rules.count((L(2), L(0))) == 1
+
+
+@given(st.lists(st.sampled_from([C] + [L(n) for n in range(-2, 3)]), min_size=2, max_size=5)
+       .flatmap(lambda word: st.dictionaries(st.permutations(word).map(tuple),
+                                             st.sampled_from(COEFFS), min_size=2, max_size=6)),
+       st.sampled_from(SETTINGS))
+@example({(L(2), L(1), L(0)): ONE, (L(2), L(0), L(1)): -P}, SETTINGS[3])
+def test_reduce_of_permutations_of_one_word_equals_the_stepwise_sum(coeffs, setting):
+    # the words share their length and letters, so chains meet words not yet taken
+    assert freealg._reduce(dict(coeffs), *setting) == _stepwise_sum(coeffs, *setting)
 
 
 def _basis_order(k):
@@ -436,6 +451,29 @@ def test_rewrite_rules_match_hand_written_coefficients(cfg):
         assert rule == _hand_written_rule(a, b, cfg.variants), (a, b)
 
 
+_LETTERS = st.sampled_from([T, TINV, C] + [L(n) for n in range(-6, 7)])
+
+
+@given(st.tuples(_LETTERS, _LETTERS).filter(lambda pair: find_redex(pair) == 0),
+       st.sampled_from([frozenset(), frozenset({"r5-8.11"})]))
+def test_each_rule_has_a_unit_monomial_main_term_and_shorter_sides(pair, variants):
+    # the rewriting loop follows main terms in place and leaves sides for later
+    a, b = pair
+    shift, main, sides = freealg._rule(a, b, variants)
+    rule = _hand_written_rule(a, b, variants)
+    assert len(main) == (0 if t_degree(a) else 2)
+    assert rule.pop(main) == monomial(1, *shift)
+    assert {repl: c for c, repl in sides} == rule and len(sides) == len(rule)
+    assert all(len(repl) == 1 for _, repl in sides)
+
+
+def test_a_rule_whose_main_coefficient_is_not_a_unit_monomial_is_rejected(monkeypatch):
+    relation = AlgebraElement({(C, L(1)): ONE, (L(1), C): -(ONE + P)})
+    monkeypatch.setattr(freealg, "relation_elements", lambda *args: [relation])
+    with pytest.raises(ValueError, match=r"C L\(1\) has main coefficient p \+ 1, not p\^s q\^t"):
+        freealg._rule.__wrapped__(C, L(1), frozenset())
+
+
 @given(letters_strategy(max_len=5, lo=-3, hi=3))
 def test_reduction_terminates_via_bounded_walk(word):
     """Walk the full branching reduction with a visited set."""
@@ -459,8 +497,6 @@ def test_reduction_terminates_via_bounded_walk(word):
 
 # ---------------------------------------------------------------------------
 # the per-word normal-form memo of normalize
-
-COEFFS = (ONE, -ONE, P, -P / Q, monomial(2, 1, -1), (P + Q) / Q)
 
 
 def clear_memo():
