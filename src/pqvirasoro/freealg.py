@@ -54,7 +54,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import count, groupby
-from operator import mul
+from operator import index, mul
 from typing import NamedTuple
 
 from .field import ONE, ZERO, LinComb, accumulate, monomial, pq_ladder
@@ -80,6 +80,7 @@ __all__ = [
     "multiply",
     "bracket_coeff",
     "central_coeff",
+    "twist_weight",
     "bracket_env",
     "basis_decompose",
     "random_word",
@@ -97,7 +98,7 @@ C = INDEX_BOUND
 
 def L(n):
     """The weight-n generator letter, the int n itself."""
-    n = int(n)
+    n = index(n)
     if -INDEX_BOUND < n < INDEX_BOUND:
         return n
     raise ValueError("L index %d is out of range: |n| < %d" % (n, INDEX_BOUND))
@@ -187,10 +188,15 @@ def bracket_coeff(n, m):
 
 
 @lru_cache(maxsize=None)
+def twist_weight(n):
+    """The weight 1 + (q/p)^n by which the Hom-Lie twist scales L(n)."""
+    return ONE + monomial(1, -n, n)
+
+
+@lru_cache(maxsize=None)
 def central_coeff(n):
     """Coefficient of C in the environment bracket of L(n), L(-n)."""
-    ratio_n = monomial(1, -n, n)  # (q/p)^n
-    return (monomial(1, n, -n) / (6 * (ONE + ratio_n))) \
+    return (monomial(1, n, -n) / (6 * twist_weight(n))) \
         * pq_ladder(n - 1) * pq_ladder(n) * pq_ladder(n + 1)
 
 
@@ -240,18 +246,19 @@ class Presentation:
 DEFAULT_CONFIG = Presentation()
 
 
-def find_redex(word, strategy="leftmost"):
-    """Index of the redex pair chosen by the strategy, or None."""
-    return _next_redex(word, strategy, 0 if strategy == "leftmost" else len(word) - 2)
+def find_redex(word, strategy="leftmost", start=None):
+    """Index of the redex pair the strategy meets first, or None.
 
-
-def _next_redex(word, strategy, start):
-    """The first redex pair of word the strategy meets from the pair at
-    start on, rightward for leftmost and leftward for rightmost, or None."""
+    leftmost scans rightward and rightmost leftward from the pair at
+    start, so the result is the first redex at or after start, or the
+    last at or before it.  start defaults to the strategy's end of the
+    word, and a start beyond that end is read as the end.
+    """
+    last = len(word) - 2
     if strategy == "leftmost":
-        rng = range(start, len(word) - 1)
+        rng = range(0 if start is None or start < 0 else start, last + 1)
     elif strategy == "rightmost":
-        rng = range(start, -1, -1)
+        rng = range(last if start is None or start > last else start, -1, -1)
     else:
         raise ValueError("unknown strategy %r" % (strategy,))
     for i in rng:
@@ -331,7 +338,7 @@ def _weight(word):
     return sum(map(mul, count(), word))
 
 
-def _reduce(coeffs, cfg, strategy, redex=None):
+def _reduce(coeffs, cfg, strategy):
     """Reduction of the word -> coefficient map coeffs, a length at a time.
 
     Words are taken longest first, and the words of one length lightest
@@ -344,8 +351,7 @@ def _reduce(coeffs, cfg, strategy, redex=None):
     R4 step a word of this length not yet taken is met later in the
     order: the chain stops there and adds its coefficient to that word's.
     Otherwise its normal end goes to the result.  Each distinct word
-    taken is rewritten once.  redex, if given, is the strategy's redex
-    of the one word of coeffs.
+    taken is rewritten once.
     """
     variants = cfg.rule_variants
     rightmost = strategy == "rightmost"
@@ -359,8 +365,7 @@ def _reduce(coeffs, cfg, strategy, redex=None):
             coeff = level.pop(word, None)
             if coeff is None:  # cancelled by a chain that stopped at it
                 continue
-            i = find_redex(word, strategy) if redex is None else redex
-            redex = None
+            i = find_redex(word, strategy)
             w, s, t = list(word), 0, 0
             while i is not None:
                 (ds, dt), main, sides = _rule(w[i], w[i + 1], variants)
@@ -376,8 +381,7 @@ def _reduce(coeffs, cfg, strategy, redex=None):
                     accumulate(level, tuple(w), coeff.times_monomial(1, s, t))
                     break
                 # no redex starts before i - 1 or after i + len(main) - 1
-                i = _next_redex(w, strategy, min(i + len(main) - 1, len(w) - 2) if rightmost
-                                else max(i - 1, 0))
+                i = find_redex(w, strategy, i + len(main) - 1 if rightmost else i - 1)
             else:
                 accumulate(result, tuple(w), coeff.times_monomial(1, s, t))
     return result
@@ -392,15 +396,14 @@ def _normal_form(word, cfg, strategy):
     words until the memo holds at most _MEMO_MAX_TERMS terms.
     """
     global _memo_terms
-    i = find_redex(word, strategy)
-    if i is None:
+    if find_redex(word, strategy) is None:
         return ((word, ONE),)
     key = (word, cfg.rule_variants, strategy)
     pairs = _memo.get(key)
     if pairs is not None:
         _memo.move_to_end(key)
         return pairs
-    nf = _reduce({word: ONE}, cfg, strategy, i)
+    nf = _reduce({word: ONE}, cfg, strategy)
     if len(nf) <= _MEMO_ENTRY_MAX_TERMS:
         while _memo_terms + len(nf) > _MEMO_MAX_TERMS:
             _memo_terms -= len(_memo.popitem(last=False)[1])

@@ -19,18 +19,17 @@ the twisted Jacobi identity
     [alpha(x), [y, z]] + [alpha(y), [z, x]] + [alpha(z), [x, y]] = 0,
 
 but the plain Jacobi identity fails, and the twist is deliberately not
-a bracket homomorphism. The structure constants are read from the
-rewriting layer's ``freealg.bracket_env``, the one table of them, so they
+a bracket homomorphism. The structure constants and twist weights are
+read from the rewriting layer's ``freealg.bracket_env`` and
+``freealg.twist_weight``, the one table of them, so they
 are not checked against a second copy here, and the inner bracket
 [L_m, L_k] of a Jacobi sum is read from that table as it is. Their
 independent checks are the Fock realization in ``oscillator`` and the
 twisted Jacobi identity, whose central triples test g(n).
 """
 
-from functools import lru_cache
-
-from .field import ONE, accumulate, monomial
-from .freealg import AlgebraElement, C, L, bracket_env
+from .field import accumulate
+from .freealg import AlgebraElement, C, L, bracket_env, twist_weight
 
 
 def _gen(n):
@@ -51,17 +50,11 @@ def vbracket(x, y):
     return AlgebraElement.from_clean(out)
 
 
-@lru_cache(maxsize=None)
-def twist_weight(n):
-    """The weight 1 + (q/p)^n by which the twist scales L_n."""
-    return ONE + monomial(1, -n, n)
-
-
 def alpha(x):
     """The twist map: L_n goes to twist_weight(n) L_n, C is fixed.
 
-    twist_weight(n) = 1 + (q/p)^n is a structure constant, cached like
-    ``freealg.bracket_coeff``, so each weight is computed once.
+    twist_weight(n) = 1 + (q/p)^n is a structure constant, read from
+    ``freealg`` with the others, which caches each weight once.
     """
     return AlgebraElement.from_clean({
         (n,): coeff if n == C else coeff * twist_weight(n)

@@ -168,7 +168,7 @@ def make_oscillator(N, mode="two_param"):
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     lam = tuple(lowering_coeff(k, mode) for k in range(N))
-    a_plus = FockOperator(N, {(k + 1, k): ONE for k in range(N - 1)})
+    a_plus = _raising_power(1, N, range(N))
     a = FockOperator(N, {(k - 1, k): lam[k] for k in range(1, N)})
     return Oscillator(mode=mode, dim=N, a=a, a_plus=a_plus)
 

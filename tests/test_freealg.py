@@ -230,16 +230,16 @@ def test_equals_and_multiply_helpers():
     assert multiply(elem(L(2)), elem(L(1))) == y
 
 
-def _heap_key(word):
+def _length_weight_key(word):
     return (-len(word), freealg._weight(word))
 
 
 @given(letters_strategy())
-def test_heap_key_strictly_rises_on_every_branch(word):
+def test_length_then_weight_rises_on_every_rewrite(word):
     # a same-length branch swaps the redex pair a > b, adding a - b to the weight
     i = find_redex(word)
     for _, new_word in rewrite_once(word) or ():
-        assert _heap_key(new_word) > _heap_key(word)
+        assert _length_weight_key(new_word) > _length_weight_key(word)
         if len(new_word) == len(word):
             assert sorted(new_word) == sorted(word)
             assert freealg._weight(new_word) - freealg._weight(word) == word[i] - word[i + 1]
@@ -250,10 +250,12 @@ def test_heap_key_strictly_rises_on_every_branch(word):
 def test_reduce_rewrites_each_distinct_word_at_most_once(monkeypatch, cfg, strategy):
     rewritten = []
 
-    # _reduce looks for the redex of each word it takes and rewrites once
-    def spy(word, strategy="leftmost"):
-        rewritten.append(word)
-        return find_redex(word, strategy)
+    # _reduce scans each word it takes from the strategy's end and rewrites
+    # it once; a scan with a start resumes within the word being rewritten
+    def spy(word, strategy="leftmost", start=None):
+        if start is None:
+            rewritten.append(word)
+        return find_redex(word, strategy, start)
 
     monkeypatch.setattr(freealg, "find_redex", spy)
     rng = random.Random(7)
@@ -353,9 +355,10 @@ def test_a_chain_stops_at_a_word_of_its_length_not_yet_taken(monkeypatch):
     expected = _stepwise_sum(coeffs, DEFAULT_CONFIG, "leftmost")
     scanned, rules = [], []
 
-    def scan(word, strategy="leftmost"):
-        scanned.append(word)
-        return find_redex(word, strategy)
+    def scan(word, strategy="leftmost", start=None):
+        if start is None:
+            scanned.append(word)
+        return find_redex(word, strategy, start)
 
     def rule(a, b, variants, compiled=freealg._rule):
         rules.append((a, b))
@@ -403,12 +406,41 @@ def test_letters_sort_in_basis_order_and_indices_are_bounded():
             L(n)
 
 
+def test_l_takes_only_an_integer_index():
+    # a float or a string is neither truncated nor parsed into a letter
+    for n in (1.9, 2.0, "3"):
+        with pytest.raises(TypeError):
+            L(n)
+    assert L(3) == 3 and L(-5) == -5
+
+
 def test_redex_pairs_are_the_out_of_order_pairs_and_t_tinv():
     letters = [T, TINV, C] + [L(n) for n in range(-3, 4)]
     for a in letters:
         for b in letters:
             is_redex = find_redex((a, b)) == 0
             assert is_redex == (_out_of_order(a, b) or (a, b) == (T, TINV)), (a, b)
+
+
+def _scan_by_hand(word, strategy, start):
+    """The first redex pair at or after start for leftmost, the last at or
+    before it for rightmost (start None: from the strategy's end), in the
+    basis order written out by hand."""
+    redexes = [i for i in range(len(word) - 1)
+               if _out_of_order(word[i], word[i + 1]) or word[i:i + 2] == (T, TINV)]
+    if strategy == "leftmost":
+        return next((i for i in redexes if start is None or i >= start), None)
+    return next((i for i in reversed(redexes) if start is None or i <= start), None)
+
+
+@given(letters_strategy(max_len=10))
+@example((L(1), L(0)))
+@example((T, TINV, L(2), L(1)))
+def test_find_redex_from_any_start_equals_a_scan_by_hand(word):
+    for strategy in ("leftmost", "rightmost"):
+        for start in [None, *range(-2, len(word) + 2)]:
+            assert find_redex(word, strategy, start) == _scan_by_hand(word, strategy, start), \
+                (strategy, start)
 
 
 def _hand_written_rule(a, b, variants):
@@ -491,7 +523,7 @@ def test_reduction_terminates_via_bounded_walk(word):
         if branch is None:
             continue
         for _, w2 in branch:
-            assert _heap_key(w2) > _heap_key(w)
+            assert _length_weight_key(w2) > _length_weight_key(w)
             stack.append(w2)
 
 
@@ -526,7 +558,7 @@ def memo_elements(draw):
 
 
 @given(memo_elements())
-def test_memo_gives_the_heap_reduction_of_the_whole_element(x):
+def test_memo_gives_the_reduction_of_the_whole_element(x):
     def each_setting():
         return [normalize(x, cfg, strategy).terms for cfg, strategy in SETTINGS]
 
@@ -711,9 +743,10 @@ def test_basis_decompose_rejects_non_normal():
     (lambda: Presentation({"r5-8.11", "nope"}), "unknown variant 'nope'"),
     (lambda: Presentation(["printed", "r5-8.11", "eq811"]), "unknown variant 'eq811', 'printed'"),
     (lambda: find_redex((L(1), L(0)), "middle"), "unknown strategy 'middle'"),
+    (lambda: find_redex((L(1), L(0)), "middle", 0), "unknown strategy 'middle'"),
     (lambda: relation_elements("R6"), "unknown relation 'R6'"),
     (lambda: NormalWord(0, ((1, 0),), 0), "L multiplicities must be positive"),
-], ids=["variant", "variants", "strategy", "relation", "multiplicity"])
+], ids=["variant", "variants", "strategy", "strategy-start", "relation", "multiplicity"])
 def test_unknown_names_and_bad_multiplicities_are_rejected(call, message):
     with pytest.raises(ValueError, match=message):
         call()

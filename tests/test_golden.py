@@ -11,9 +11,9 @@ import random
 
 import pytest
 
-from pqvirasoro.cli import main, render_element
+from pqvirasoro.cli import main, parse_expression, render_element
 from pqvirasoro.field import ONE, P, Q, RatFunc
-from pqvirasoro.freealg import AlgebraElement, C, L, NormalWord, T
+from pqvirasoro.freealg import AlgebraElement, C, L, NormalWord, T, normalize
 from pqvirasoro.hopf import TensorElement
 from pqvirasoro.oscillator import FockOperator
 
@@ -190,6 +190,21 @@ def test_cli_output_matches_recorded_digest(capsys, argv, code, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     # verify reports one summary line per suite on stderr, off the record stream
     assert err == (VERIFY_SUMMARY[tuple(argv[1:])] if argv[0] == "verify" else "")
+
+
+# the CLI prints leftmost normal forms only; these pin the rightmost ones,
+# whose rewrite steps resume each scan leftward from the last rewrite
+RIGHTMOST_DIGESTS = [
+    (BIG_C_EXPR, "ef5a820131da9d2fd22f270869957700df5c58e4f1d77880467cec7deb82b375"),
+    (BIG_TINV_EXPR, "215fba08576cd8af3e346f1adf6932346babfcf413508e0766c9c7020d0ac3d9"),
+]
+
+
+@pytest.mark.parametrize("expr, digest", RIGHTMOST_DIGESTS,
+                         ids=[expr for expr, _ in RIGHTMOST_DIGESTS])
+def test_rightmost_normal_form_matches_recorded_digest(expr, digest):
+    text = str(normalize(parse_expression(expr), strategy="rightmost"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def _long_sum(seed, size=100):
