@@ -624,7 +624,7 @@ def _as_poly(x):
 class RatFunc:
     """Element of Q(p,q) in canonical Laurent-shifted form.
 
-    shift -- pair (a, b): global monomial factor p^a * q^b
+    shift -- pair (a, b): overall monomial factor p^a * q^b
     num   -- integer polynomial, not divisible by p or q
     den   -- integer polynomial, not divisible by p or q, coprime to num,
              positive graded-lex leading coefficient

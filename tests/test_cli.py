@@ -1,13 +1,16 @@
 """Expression parsing, rendering, verification suites, exit codes."""
 
 import json
+import os
 import random
+import subprocess
 import sys
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import pqvirasoro
 from pqvirasoro.cli import ExpressionError, main, parse_expression, render_element
 from pqvirasoro.field import ONE, RatFunc, ZERO, monomial
 from pqvirasoro.freealg import (
@@ -285,6 +288,25 @@ def test_normalize_verb_json(tmp_path):
 def test_normalize_parse_error_exit_code(capsys):
     assert main(["normalize", "L("]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def run_module(module, *args):
+    """Run python -m module args in a child process that imports this
+    checkout's package."""
+    src = os.path.dirname(os.path.dirname(pqvirasoro.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", module, *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+@pytest.mark.parametrize("module", ["pqvirasoro", "pqvirasoro.cli"])
+def test_python_dash_m_runs_the_command_line(capsys, module):
+    assert main(["normalize", "L(1) L(0)"]) == 0
+    expected = capsys.readouterr().out
+    done = run_module(module, "normalize", "L(1) L(0)")
+    assert (done.returncode, done.stdout, done.stderr) == (0, expected, "")
+    failed = run_module(module, "normalize", "L(")
+    assert failed.returncode == 2 and failed.stderr.startswith("error: ")
 
 
 def test_bracket_verb(tmp_path):

@@ -531,14 +531,21 @@ def test_reduction_terminates_via_bounded_walk(word):
 # the per-word normal-form memo of normalize
 
 
-def clear_memo():
-    freealg._memo.clear()
-    freealg._memo_terms = 0
+def fresh(cfg):
+    """A presentation equal to cfg with a memo of its own, still empty."""
+    return Presentation(cfg.variants)
 
 
-def memo_consistent():
-    stored = sum(map(len, freealg._memo.values()))
-    return stored == freealg._memo_terms <= freealg._MEMO_MAX_TERMS
+def memo_consistent(cfg):
+    """cfg's memo is within its bounds and stores only words that are not
+    normal, each with its normal form as _reduce gives it."""
+    memo = cfg._memo
+    assert len(memo) <= freealg._MEMO_MAX_WORDS
+    for (word, strategy), pairs in memo.items():
+        assert find_redex(word, strategy) is not None
+        assert len(pairs) <= freealg._MEMO_ENTRY_MAX_TERMS
+        assert dict(pairs) == freealg._reduce({word: ONE}, cfg, strategy)
+    return True
 
 
 @st.composite
@@ -559,56 +566,53 @@ def memo_elements(draw):
 
 @given(memo_elements())
 def test_memo_gives_the_reduction_of_the_whole_element(x):
-    def each_setting():
-        return [normalize(x, cfg, strategy).terms for cfg, strategy in SETTINGS]
+    def each_setting(settings):
+        return [normalize(x, cfg, strategy).terms for cfg, strategy in settings]
 
     expected = [freealg._reduce(dict(x.terms), cfg, strategy) for cfg, strategy in SETTINGS]
-    clear_memo()
-    cold = each_setting()
-    warm = each_setting()
+    settings = [(fresh(cfg), strategy) for cfg, strategy in SETTINGS]
+    cold = each_setting(settings)
+    warm = each_setting(settings)
     assert cold == expected and warm == expected
     for terms in warm:
         terms.clear()
-    after_mutation = each_setting()
-    clear_memo()
-    cleared = each_setting()
+    after_mutation = each_setting(settings)
+    cleared = each_setting([(fresh(cfg), strategy) for cfg, strategy in SETTINGS])
     assert after_mutation == expected and cleared == expected
-    assert memo_consistent()
+    assert all(memo_consistent(cfg) for cfg, _ in settings)
 
 
 def test_memo_bound_evicts_least_recently_used(monkeypatch):
-    monkeypatch.setattr(freealg, "_MEMO_MAX_TERMS", 40)
-    clear_memo()
+    monkeypatch.setattr(freealg, "_MEMO_MAX_WORDS", 12)
+    cfg = Presentation()
     rng = random.Random(3)
     for _ in range(300):
-        normalize(random_word(rng, max_len=6, index_range=(-3, 3)))
-        assert memo_consistent()
-    oldest, second = list(freealg._memo)[:2]
-    normalize(oldest[0], Presentation(oldest[1]), oldest[2])
-    while second in freealg._memo:
-        normalize(random_word(rng, max_len=6, index_range=(-3, 3)))
-    assert oldest in freealg._memo
-    clear_memo()
+        normalize(random_word(rng, max_len=6, index_range=(-3, 3)), cfg)
+        assert memo_consistent(cfg)
+    assert len(cfg._memo) == 12
+    oldest, second = list(cfg._memo)[:2]
+    normalize(oldest[0], cfg, oldest[1])
+    while second in cfg._memo:
+        normalize(random_word(rng, max_len=6, index_range=(-3, 3)), cfg)
+    assert oldest in cfg._memo
 
 
 def test_memo_stores_no_large_normal_form():
     word = (L(3), L(2), L(1), L(-1), L(-2))
     expected = freealg._reduce({word: ONE}, DEFAULT_CONFIG, "leftmost")
     assert len(expected) > freealg._MEMO_ENTRY_MAX_TERMS
-    clear_memo()
-    assert normalize(word).terms == expected
-    assert normalize(AlgebraElement.from_word(word, P)) == P * AlgebraElement(expected)
-    assert not freealg._memo and freealg._memo_terms == 0
+    cfg = Presentation()
+    assert normalize(word, cfg).terms == expected
+    assert normalize(AlgebraElement.from_word(word, P), cfg) == P * AlgebraElement(expected)
+    assert not cfg._memo
 
 
 def test_memo_stores_each_word_of_an_element():
     x = elem(L(2), L(1)) + elem(C, L(1)) + elem(L(1), C)
-    clear_memo()
-    normalize(x)
-    assert set(freealg._memo) == {((L(2), L(1)), frozenset(), "leftmost"),
-                                  ((C, L(1)), frozenset(), "leftmost")}
-    assert memo_consistent()
-    clear_memo()
+    cfg = Presentation()
+    normalize(x, cfg)
+    assert set(cfg._memo) == {((L(2), L(1)), "leftmost"), ((C, L(1)), "leftmost")}
+    assert memo_consistent(cfg)
 
 
 def test_normal_words_normalize_to_themselves_without_storing():
@@ -616,11 +620,65 @@ def test_normal_words_normalize_to_themselves_without_storing():
 
     words = [nw.word() for nw in enumerate_normal_words()]
     assert len(words) == 825
-    clear_memo()
+    settings = [(fresh(cfg), strategy) for cfg, strategy in SETTINGS]
     for word in words:
-        for cfg, strategy in SETTINGS:
+        for cfg, strategy in settings:
             assert normalize(word, cfg, strategy).terms == {word: ONE}
-    assert not freealg._memo and freealg._memo_terms == 0
+    assert not any(cfg._memo for cfg, _ in settings)
+
+
+def test_equal_presentations_keep_separate_memos():
+    a, b = Presentation(["r5-8.11"]), Presentation({"r5-8.11"})
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == "Presentation(variants=frozenset({'r5-8.11'}))"
+    default_keys = list(DEFAULT_CONFIG._memo)
+    word = (C, L(2), L(1))
+    nf = normalize(word, a)
+    assert list(a._memo) == [(word, "leftmost")] and not b._memo
+    assert normalize(word, b) == nf
+    assert a._memo is not b._memo and a._memo == b._memo
+    assert list(DEFAULT_CONFIG._memo) == default_keys
+    assert normalize(word) != nf  # the default's rules for C L(n) differ
+
+
+# ---------------------------------------------------------------------------
+# grading: the default relations are homogeneous once deg p = deg q = 1,
+# deg L(n) = -1, deg C = 1 and deg T = 0, and they keep T-degree and weight
+
+
+def word_grading(word):
+    """(T-degree, weight, degree) of a word; the weight sums its L indices."""
+    indices = [a for a in word if a not in (T, TINV, C)]
+    return sum(map(t_degree, word)), sum(indices), word.count(C) - len(indices)
+
+
+def coefficient_degree(c):
+    """The degree of a homogeneous coefficient, read from its shift, num and
+    den, or None if num or den mixes degrees."""
+    num, den = ({i + j for i, j in part} for part in (c.num, c.den))
+    if len(num) != 1 or len(den) != 1:
+        return None
+    return sum(c.shift) + num.pop() - den.pop()
+
+
+@given(letters_strategy(max_len=8))
+def test_normal_forms_keep_t_degree_weight_and_degree(word):
+    t, weight, degree = word_grading(word)
+    for cfg in (DEFAULT_CONFIG, Presentation(["strict-typos"])):
+        for strategy in ("leftmost", "rightmost"):
+            for w, c in normalize(word, cfg, strategy).terms.items():
+                t2, weight2, degree2 = word_grading(w)
+                assert (t2, weight2) == (t, weight)
+                assert coefficient_degree(c) == degree - degree2
+
+
+def test_r5_8_11_breaks_the_grading():
+    # eq. 8.11's q^n L(n) C = C L(n) is not homogeneous: C L(1) and L(1) C
+    # both have degree 0, but the coefficient q has degree 1
+    assert normalize((C, L(1)), EQ811) == elem(L(1), C) * Q
+    assert word_grading((C, L(1))) == word_grading((L(1), C)) == (0, 1, 0)
+    assert coefficient_degree(Q) == 1
+    assert coefficient_degree(normalize((C, L(1))).coefficient((L(1), C))) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -760,16 +818,13 @@ def test_presentation_stores_its_variants_as_a_frozenset():
         assert cfg == Presentation(frozenset(freealg.VARIANTS))
         assert hash(cfg) == hash(Presentation(frozenset(freealg.VARIANTS)))
     assert DEFAULT_CONFIG == Presentation([]) and DEFAULT_CONFIG.variants == frozenset()
-    # a presentation built from a list keys the memo by its frozenset of
-    # rule variants, so strict-typos shares the entries of the one without it
-    clear_memo()
-    normalize((L(2), L(1)), Presentation(["r5-8.11"]))
-    normalize((L(2), L(1)), Presentation(["r5-8.11", "strict-typos"]))
-    normalize((L(2), L(1)), Presentation(["strict-typos"]))
-    assert list(freealg._memo) == [((L(2), L(1)), frozenset({"r5-8.11"}), "leftmost"),
-                                   ((L(2), L(1)), frozenset(), "leftmost")]
-    assert Presentation(["strict-typos"]).rule_variants == frozenset()
-    clear_memo()
+
+
+@pytest.mark.parametrize("name", ["r5-8.11", "strict-typos", ""])
+def test_presentation_rejects_a_bare_string(name):
+    # a string is a collection of letters, which would read as variant names
+    with pytest.raises(TypeError, match="not the string %r" % (name,)):
+        Presentation(name)
 
 
 @given(st.lists(letters_strategy(max_len=7), min_size=1, max_size=3),
@@ -777,13 +832,12 @@ def test_presentation_stores_its_variants_as_a_frozenset():
        st.tuples(st.sampled_from(["R1", "R2", "R3", "R4", "R5"]),
                  st.integers(-4, 4), st.integers(-3, 3)))
 def test_strict_typos_never_changes_rewriting(words, strategy, relation):
-    # strict-typos changes no defining relation, which is why the rule table
-    # and the memo are keyed by the other variants alone and both share them
+    # strict-typos changes no defining relation, so its rule table is a copy
+    # of the one without it and reduces every word the same way
     coeffs = {w: ONE for w in words}
     for base in ((), ("r5-8.11",)):
         plain, typos = Presentation(base), Presentation(base + ("strict-typos",))
         assert relation_elements(*relation, typos) == relation_elements(*relation, plain)
-        assert typos.rule_variants == plain.variants
         assert freealg._reduce(dict(coeffs), typos, strategy) == \
             freealg._reduce(dict(coeffs), plain, strategy)
 
