@@ -35,6 +35,7 @@ import sys
 from .field import RatFunc, accumulate, monomial
 from .freealg import (
     AlgebraElement,
+    DEFAULT_CONFIG,
     Presentation,
     L,
     T,
@@ -351,7 +352,10 @@ def _variant_names(args):
 
 
 def _config(args):
-    return Presentation(_variant_names(args))
+    # the default presentation is the shared one, so that every call of
+    # main in a process reads and fills one normal-form memo
+    names = _variant_names(args)
+    return Presentation(names) if names else DEFAULT_CONFIG
 
 
 class _Report:

@@ -15,15 +15,22 @@ A value whose num and den are both homogeneous is kept in graded form: num
 and den are dense integer tuples (c_0, ..., c_d) that mean the sum of
 c_i p^i q^(d-i).  The canonical conditions then read c_0 != 0 and c_d != 0
 for both, and c_d > 0 for den; the degree of each is the tuple's length
-minus one.  Products of graded values are univariate convolutions, their
-GCD is a univariate one in p/q, and their terms come out in graded-lex
-order without a sort.  Every coefficient the rewriting system makes is
-graded, since its relations are homogeneous once deg p = deg q = 1,
-deg L(n) = -1, deg C = 1 and deg T = 0.  Any other value keeps num and den
-as sparse dicts {(i, j): c}.  The form is a function of the value: every
-result, of arithmetic or of the constructor, is graded exactly when it is
+minus one.  Products of graded values are univariate convolutions in
+x = p/q, and their terms come out in graded-lex order without a sort.
+Every coefficient the rewriting system makes is graded, since its
+relations are homogeneous once deg p = deg q = 1, deg L(n) = -1, deg C = 1
+and deg T = 0.  Any other value keeps num and den as sparse dicts
+{(i, j): c}.  The form is a function of the value: every result, of
+arithmetic or of the constructor, is graded exactly when it is
 homogeneous, so equal values share one representation.  ``num`` and
 ``den`` read as dicts in both forms.
+
+Every graded GCD is taken against a den, and every den the rewriting makes
+is an integer times cyclotomic polynomials Phi_d(x).  So each den is
+factored once, by trial division, and a GCD tests the other side for the
+den's Phi_d alone.  The primitive PRS is left for a den's rest with no
+cyclotomic factor, such as a typed p^2 + 3pq + q^2, and for the sparse
+form's contents in Z[q].
 
 Almost every structure constant is a Laurent polynomial: graded with den
 1, which is always the one shared tuple ``_ONE_T``.  Products of two such
@@ -225,6 +232,101 @@ def _u_divexact(F, D):
     if any(R[:dD]):
         raise ValueError("inexact univariate division")
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# the graded GCD against a den, by the den's cyclotomic factors: the den
+# 6 (1 + x^n) of the central weight is 6 times the Phi_d with d | 2n and d
+# not dividing n, and sums and products of such values keep that shape
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=256)
+def _cyclotomic(d):
+    """Phi_d: Phi_rm(x) is Phi_m(x^r) for a prime r dividing m, and
+    Phi_m(x^r) / Phi_m(x) for one that does not."""
+    if d == 1:
+        return (-1, 1)
+    r = next(k for k in range(2, d + 1) if not d % k)
+    m = d // r
+    phi = _cyclotomic(m)
+    out = [0] * (r * (len(phi) - 1) + 1)
+    out[::r] = phi
+    return tuple(out) if m % r == 0 else _u_divexact(tuple(out), phi)
+
+
+@lru_cache(maxsize=64)
+def _totients(n):
+    """(phi(d), d) for every d with phi(d) <= n, in that order: each d is a
+    product of powers of the primes r with r - 1 <= n."""
+    found = [(1, 1)]
+    sieve = [True] * (n + 2)
+    for r in range(2, n + 2):
+        if not sieve[r]:
+            continue
+        sieve[r * r::r] = [False] * len(sieve[r * r::r])
+        powers = []
+        for phi, d in found:
+            phi *= r - 1
+            d *= r
+            while phi <= n:
+                powers.append((phi, d))
+                phi *= r
+                d *= r
+        found += powers
+    return tuple(sorted(found))
+
+
+def _has_cyclotomic(F, d):
+    # whether Phi_d divides F: F mod x^d - 1, by slice sums, then mod Phi_d
+    R = [sum(F[r::d]) for r in range(d)] if d < len(F) else list(F)
+    phi = _cyclotomic(d)
+    k = len(phi) - 1
+    for top in range(len(R) - 1, k - 1, -1):
+        c = R[top]
+        if c:
+            for i, v in enumerate(phi[:k], top - k):
+                if v:
+                    R[i] -= c * v
+    return not any(R[:k])
+
+
+@lru_cache(maxsize=4096)
+def _den_factors(D):
+    """(c, ((d, Phi_d, e), ...), R) with D = c * prod Phi_d^e * R, c the
+    content and R primitive and free of cyclotomic factors (R is 1 or -1
+    when D has no other factor)."""
+    c = _content(D)
+    R = _u_exquo(D, c)
+    found = []
+    for phi_d, d in _totients(len(R) - 1):
+        if phi_d >= len(R):
+            break
+        phi = _cyclotomic(d)
+        e = 0
+        while _has_cyclotomic(R, d):
+            R = _u_divexact(R, phi)
+            e += 1
+        if e:
+            found.append((d, phi, e))
+    return c, tuple(found), R
+
+
+def _den_gcd(F, D):
+    """GCD in Z[x] of F and a den D, leading coefficient positive, as
+    ``_u_gcd`` gives it: gcd(contents) * prod Phi_d^min(v_F, e), times the
+    PRS of F against D's rest when D has one."""
+    c, factors, rest = _den_factors(D)
+    g = (_int_gcd(_content(F), c),)
+    for d, phi, e in factors:
+        while e and _has_cyclotomic(F, d):
+            g = _u_mul(g, phi)
+            e -= 1
+            if e:
+                F = _u_divexact(F, phi)
+    if len(rest) > 1:
+        g = _u_mul(g, _u_gcd(F, rest))
+    return g
 
 
 # the graded reading: F of length d + 1 is homogeneous of degree d
@@ -486,7 +588,7 @@ class _Graded:
     scale = staticmethod(_u_scale)
     exquo = staticmethod(_u_exquo)
     content = staticmethod(_content)
-    gcd = staticmethod(_u_gcd)
+    gcd = staticmethod(_den_gcd)  # the second argument is always a den
     divexact = staticmethod(_u_divexact)
     strip = staticmethod(_h_strip)
     terms = staticmethod(_h_terms)

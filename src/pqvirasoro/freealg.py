@@ -131,15 +131,22 @@ def word_str(word, latex=False):
     powers (a run of T^-1 becomes a negative power of T)."""
     t_sym, l_fmt, power = _NOTATION[latex]
     parts = []
-    for letter, run in groupby(word):
-        count = len(tuple(run))
-        if t_degree(letter):
-            base, count = t_sym, t_degree(letter) * count
+    count = 0
+    last = len(word) - 1
+    for i, letter in enumerate(word):
+        count += 1
+        if i < last and word[i + 1] == letter:
+            continue
+        if letter == T:
+            base = t_sym
+        elif letter == TINV:
+            base, count = t_sym, -count
         elif letter == C:
             base = "C"
         else:
             base = l_fmt % letter
         parts.append(base if count == 1 else base + power % count)
+        count = 0
     return " ".join(parts) or "1"
 
 

@@ -285,6 +285,27 @@ def test_normalize_verb_json(tmp_path):
     assert payload["terms"] == {"L(1) L(2)": "p/q", "L(3)": "-1/q"}
 
 
+def test_main_calls_share_the_default_presentation(monkeypatch, capsys):
+    """Without a variant every call of main normalizes under DEFAULT_CONFIG,
+    so the calls of one process share its normal-form memo; a named variant
+    gets a presentation of its own."""
+    import pqvirasoro.cli as cli
+
+    seen = []
+
+    def recorded(x, cfg, *args, **kwargs):
+        seen.append(cfg)
+        return normalize(x, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "normalize", recorded)
+    for _ in range(2):
+        assert main(["normalize", "L(2) L(1)"]) == 0
+    assert seen[0] is seen[1] is DEFAULT_CONFIG
+    assert main(["normalize", "L(2) L(1)", "--variant", "r5-8.11"]) == 0
+    assert seen[2] is not DEFAULT_CONFIG and seen[2].variants == {"r5-8.11"}
+    assert capsys.readouterr().out.count("\n") == 3
+
+
 def test_normalize_parse_error_exit_code(capsys):
     assert main(["normalize", "L("]) == 2
     assert "error" in capsys.readouterr().err

@@ -444,6 +444,61 @@ def test_products_of_the_sparse_gcd_agree_with_the_schoolbook_product(f, g):
 
 
 # ---------------------------------------------------------------------------
+# the graded GCD against a den, by the den's cyclotomic factors
+
+
+def cyclotomic_product(exponents):
+    """prod Phi_d^e over the (d, e) pairs."""
+    out = (1,)
+    for d, e in exponents:
+        for _ in range(e):
+            out = field._u_mul(out, field._cyclotomic(d))
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_one_plus_x_to_the_n_is_a_product_of_cyclotomics(n):
+    """1 + x^n = prod Phi_d over d | 2n with d not dividing n: the den
+    1 + (q/p)^n of the central weight factors into these Phi_d alone, each
+    once, with no rest for the PRS."""
+    ds = [d for d in range(1, 2 * n + 1) if not 2 * n % d and n % d]
+    one_plus = (1,) + (0,) * (n - 1) + (1,)
+    assert cyclotomic_product((d, 1) for d in ds) == one_plus
+    c, factors, rest = field._den_factors(one_plus)
+    assert (c, rest) == (1, (1,))
+    assert sorted((d, e) for d, _, e in factors) == [(d, 1) for d in ds]
+
+
+small_polys = st.lists(ints(-3, 3), min_size=1, max_size=4).map(field._u_trim).filter(bool)
+cyclotomic_exponents = st.lists(st.tuples(ints(1, 30), ints(1, 3)), max_size=3)
+# rests free of cyclotomic factors: 1, 2x + 1, x^2 + 3x + 1, x^2 - 2, x^3 + x + 1
+rests = st.sampled_from(((1,), (1, 2), (1, 3, 1), (-2, 0, 1), (1, 1, 0, 1)))
+
+
+@given(small_polys, cyclotomic_exponents, st.sampled_from((1, 2, 6, 12, 36)),
+       cyclotomic_exponents, rests, st.booleans(), st.booleans())
+# 6 Phi_4 Phi_12 = 6 (1 + x^6) against 6 Phi_4^2: the exponents meet at 1
+@example((1,), [(4, 2)], 6, [(4, 1), (12, 1)], (1,), False, False)
+# the rest shared by both sides goes through the PRS
+@example((2, -1), [(6, 1)], 2, [(6, 2)], (1, 3, 1), True, True)
+# a constant against a constant den
+@example((4,), [], 6, [], (1,), False, True)
+def test_den_gcd_agrees_with_the_prs_and_sympy(G, f_exps, c, d_exps, rest, shared, negate):
+    """_den_gcd(F, D) for F = G * prod Phi_d^i (times D's rest if shared)
+    and D = +-c * prod Phi_d^j * rest gives _u_gcd's tuple and sympy's."""
+    sympy = pytest.importorskip("sympy")
+    F = field._u_mul(G, cyclotomic_product(f_exps))
+    if shared:
+        F = field._u_mul(F, rest)
+    D = field._u_mul((-c if negate else c,), field._u_mul(cyclotomic_product(d_exps), rest))
+    expected = field._u_gcd(F, D)
+    assert field._den_gcd(F, D) == expected
+    x = sympy.symbols("x")
+    g = sympy.gcd(sympy.Poly(F[::-1], x), sympy.Poly(D[::-1], x))
+    assert tuple(int(v) for v in reversed(g.all_coeffs())) == expected
+
+
+# ---------------------------------------------------------------------------
 # rendering against a reference written from the documented notation
 
 

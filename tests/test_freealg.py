@@ -1,12 +1,13 @@
 """Free algebra on T, C, L(n) and reduction to the normal-form basis."""
 
 import random
+from itertools import groupby
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from pqvirasoro import freealg
+from pqvirasoro import field, freealg
 from pqvirasoro.field import ONE, P, Q, ZERO, RatFunc, accumulate, monomial, pq_int, pq_ladder
 from pqvirasoro.freealg import (
     AlgebraElement,
@@ -62,6 +63,34 @@ def test_word_str_compresses_runs():
     assert word_str(()) == "1"
     assert word_str((TINV, TINV, L(1), L(1), C)) == "T^-2 L(1)^2 C"
     assert word_str((T, L(-3))) == "T L(-3)"
+
+
+def groupby_word_str(word, latex=False):
+    """word_str's reference: one power per groupby run, T^-1 runs negative."""
+    t_sym, l_fmt, power = (("\\mathcal{T}", "L_{%d}", "^{%d}") if latex
+                           else ("T", "L(%d)", "^%d"))
+    parts = []
+    for letter, run in groupby(word):
+        count = len(list(run))
+        if letter in (T, TINV):
+            base, count = t_sym, count if letter == T else -count
+        else:
+            base = "C" if letter == C else l_fmt % letter
+        parts.append(base if count == 1 else base + power % count)
+    return " ".join(parts) or "1"
+
+
+runs_of_letters = st.lists(
+    st.tuples(st.sampled_from((T, TINV, C, L(-12), L(-1), L(0), L(3))), st.integers(1, 4)),
+    max_size=6).map(lambda runs: tuple(letter for letter, k in runs for _ in range(k)))
+
+
+@given(runs_of_letters)
+@example((TINV, TINV, TINV, L(1), L(1), TINV))
+@example((T, TINV, TINV, C, C, C, C))
+def test_word_str_matches_a_groupby_reference(word):
+    for latex in (False, True):
+        assert word_str(word, latex) == groupby_word_str(word, latex)
 
 
 def test_t_word():
@@ -525,6 +554,27 @@ def test_reduction_terminates_via_bounded_walk(word):
         for _, w2 in branch:
             assert _length_weight_key(w2) > _length_weight_key(w)
             stack.append(w2)
+
+
+def test_rewriting_makes_no_prs_call(monkeypatch):
+    """Criterion 5's first 50 words reduce, under both strategies, without a
+    single pseudo-remainder: every den the rewriting makes is an integer
+    times cyclotomic polynomials, whose GCDs need no PRS."""
+    calls = []
+    prs = field._u_pseudo_rem
+
+    def counted(F, G):
+        calls.append((F, G))
+        return prs(F, G)
+
+    monkeypatch.setattr(field, "_u_pseudo_rem", counted)
+    rng = random.Random(0)
+    cfg = Presentation()
+    for _ in range(50):
+        x = AlgebraElement.from_word(random_word(rng, max_len=12, index_range=(-6, 6)))
+        for strategy in ("leftmost", "rightmost"):
+            normalize(x, cfg, strategy)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
