@@ -18,7 +18,8 @@ scalar such as a parenthesized sum, and a value becomes an AlgebraElement
 only when it has several words. A sum adds the int monomials of each
 word into one {(a, b): c} map and builds one RatFunc per word at the end,
 so parsing is linear in the number of terms. A power of several words
-may have at most 65,536 words.
+may have at most 65,536 words, and no power may have more than 2^20
+letters over all its words, which is checked before each product.
 
 Verification records are JSON lines with a stable field order; the
 process exits 0 when every gated record is ok, 1 when some gated
@@ -120,6 +121,11 @@ _NAMES = {"p": (1, 1, 0, ()), "q": (1, 0, 1, ()), "T": (1, 0, 0, (T,)),
 
 # the most words that a power of a sum of several words may have
 _MAX_POWER_WORDS = 1 << 16
+
+# the most letters, summed over its words, that a power may have: nested
+# powers multiply their exponents past what _MAX_EXPONENT bounds
+_MAX_POWER_LETTERS = 1 << 20
+_TOO_LONG = f"the power could have more than {_MAX_POWER_LETTERS} letters"
 
 
 def _rat(c):
@@ -278,6 +284,8 @@ class _Parser:
             raise ExpressionError(f"exponent {k} is out of range: |k| <= {_MAX_EXPONENT}", pos)
         if type(value) is tuple:
             c, a, b, w = value
+            if len(w) * abs(k) > _MAX_POWER_LETTERS:
+                raise ExpressionError(_TOO_LONG, pos)
             if k >= 0:  # _ZERO^0 is 1
                 return (c ** k, a * k, b * k, w * k)
             if not c:
@@ -290,7 +298,12 @@ class _Parser:
                 raise ExpressionError("exponent on C must be nonnegative", pos)
         elif k >= 0:
             out = AlgebraElement.unit()
+            words, letters = len(value.terms), sum(map(len, value.terms))
             for _ in range(k):
+                # each word of the product is one of out's and one of value's
+                if (words * sum(map(len, out.terms)) + len(out.terms) * letters
+                        > _MAX_POWER_LETTERS):
+                    raise ExpressionError(_TOO_LONG, pos)
                 out = out * value
                 if len(out.terms) > _MAX_POWER_WORDS:
                     raise ExpressionError(

@@ -25,12 +25,13 @@ arithmetic or of the constructor, is graded exactly when it is
 homogeneous, so equal values share one representation.  ``num`` and
 ``den`` read as dicts in both forms.
 
-Every graded GCD is taken against a den, and every den the rewriting makes
-is an integer times cyclotomic polynomials Phi_d(x).  So each den is
-factored once, by trial division, and a GCD tests the other side for the
-den's Phi_d alone.  The primitive PRS is left for a den's rest with no
-cyclotomic factor, such as a typed p^2 + 3pq + q^2, and for the sparse
-form's contents in Z[q].
+Both forms take GCDs by one algorithm, the heuristic GCD of Char, Geddes
+and Gonnet: both polynomials are evaluated at one integer xi (q = xi for
+the sparse form), one integer GCD (one univariate GCD) is read back in
+base xi, and the candidate is checked by exact division, whose quotients
+are the cofactors every caller divides by.  An inexact division moves to
+a larger xi.  The cost follows the size of the operands and of their GCD,
+with no remainder sequence whose coefficients swell with the degree.
 
 Almost every structure constant is a Laurent polynomial: graded with den
 1, which is always the one shared tuple ``_ONE_T``.  Products of two such
@@ -90,8 +91,8 @@ def _content(coeffs):
 
 # ---------------------------------------------------------------------------
 # dense univariate integer polynomials (c_0, ..., c_d): the num and den of a
-# graded value (c_i is the coefficient of p^i q^(d-i)), and the coefficients
-# in Z[q] of the bivariate GCD below (c_j is the coefficient of q^j)
+# graded value (c_i is the coefficient of p^i q^(d-i)), and the images in
+# Z[p] of the sparse GCD below (c_i is the coefficient of p^i)
 # ---------------------------------------------------------------------------
 
 _ONE_T = (1,)
@@ -162,61 +163,8 @@ def _u_mul(F, G):
     return tuple(out)
 
 
-def _u_sub(F, G):
-    out = list(F)
-    if len(out) < len(G):
-        out.extend([0] * (len(G) - len(out)))
-    for i, g in enumerate(G):
-        out[i] -= g
-    return _u_trim(out)
-
-
-def _u_primitive(F):
-    return _u_exquo(F, _content(F)) if F else ()
-
-
-def _u_sign(F):
-    return _u_neg(F) if F and F[-1] < 0 else F
-
-
-def _u_pseudo_rem(F, G):
-    dG = len(G) - 1
-    lcG = G[-1]
-    R = list(F)
-    while len(R) > dG:
-        lcR = R.pop()
-        if lcG != 1:
-            R = [c * lcG for c in R]
-        for k, c in enumerate(G[:-1], len(R) - dG):
-            R[k] -= lcR * c
-        while R and not R[-1]:
-            R.pop()
-    return tuple(R)
-
-
-def _u_gcd(F, G):
-    """GCD in Z[x] (primitive PRS), leading coefficient positive."""
-    if not F:
-        return _u_sign(G)
-    if not G:
-        return _u_sign(F)
-    cf = _content(F)
-    cg = _content(G)
-    c = _int_gcd(cf, cg)
-    if len(F) == 1 or len(G) == 1:
-        return (c,)
-    A = _u_exquo(F, cf)
-    B = _u_exquo(G, cg)
-    if len(A) < len(B):
-        A, B = B, A
-    while B:
-        A, B = B, _u_primitive(_u_pseudo_rem(A, B))
-    return _u_scale(_u_sign(_u_primitive(A)), c)
-
-
 def _u_divexact(F, D):
-    if D == _ONE_T:
-        return F
+    # F / D, raising ValueError when D does not divide F
     dD = len(D) - 1
     lcD = D[-1]
     R = list(F)
@@ -234,99 +182,73 @@ def _u_divexact(F, D):
     return tuple(out)
 
 
-# ---------------------------------------------------------------------------
-# the graded GCD against a den, by the den's cyclotomic factors: the den
-# 6 (1 + x^n) of the central weight is 6 times the Phi_d with d | 2n and d
-# not dividing n, and sums and products of such values keep that shape
-# ---------------------------------------------------------------------------
+def _u_eval(F, x):
+    v = 0
+    for c in reversed(F):
+        v = v * x + c
+    return v
 
 
-@lru_cache(maxsize=256)
-def _cyclotomic(d):
-    """Phi_d: Phi_rm(x) is Phi_m(x^r) for a prime r dividing m, and
-    Phi_m(x^r) / Phi_m(x) for one that does not."""
-    if d == 1:
-        return (-1, 1)
-    r = next(k for k in range(2, d + 1) if not d % k)
-    m = d // r
-    phi = _cyclotomic(m)
-    out = [0] * (r * (len(phi) - 1) + 1)
-    out[::r] = phi
-    return tuple(out) if m % r == 0 else _u_divexact(tuple(out), phi)
+def _digits(h, xi):
+    # the symmetric base-xi digits of h, lowest first, each in (-xi/2, xi/2]
+    out = []
+    half = xi // 2
+    while h:
+        d = h % xi
+        if d > half:
+            d -= xi
+        out.append(d)
+        h = (h - d) // xi
+    return out
 
 
-@lru_cache(maxsize=64)
-def _totients(n):
-    """(phi(d), d) for every d with phi(d) <= n, in that order: each d is a
-    product of powers of the primes r with r - 1 <= n."""
-    found = [(1, 1)]
-    sieve = [True] * (n + 2)
-    for r in range(2, n + 2):
-        if not sieve[r]:
-            continue
-        sieve[r * r::r] = [False] * len(sieve[r * r::r])
-        powers = []
-        for phi, d in found:
-            phi *= r - 1
-            d *= r
-            while phi <= n:
-                powers.append((phi, d))
-                phi *= r
-                d *= r
-        found += powers
-    return tuple(sorted(found))
+def _next_point(xi):
+    # the next evaluation point of a heuristic GCD, about 2.73 xi
+    return xi * 73794 // 27011
 
 
-def _has_cyclotomic(F, d):
-    # whether Phi_d divides F: F mod x^d - 1, by slice sums, then mod Phi_d
-    R = [sum(F[r::d]) for r in range(d)] if d < len(F) else list(F)
-    phi = _cyclotomic(d)
-    k = len(phi) - 1
-    for top in range(len(R) - 1, k - 1, -1):
-        c = R[top]
-        if c:
-            for i, v in enumerate(phi[:k], top - k):
-                if v:
-                    R[i] -= c * v
-    return not any(R[:k])
+def _u_cofactors(F, G):
+    """(g, F/g, G/g) for the GCD g in Z[x] of nonzero F and G, lead of g
+    positive: the heuristic GCD of Char, Geddes and Gonnet (GCDHEU,
+    J. Symbolic Comput. 7, 1989).
 
+    With the contents split off, the primitive parts A and B are evaluated
+    at an integer xi, and the symmetric base-xi digits of
+    h = gcd(A(xi), B(xi)) give a candidate; its primitive part is checked
+    by exact division, whose quotients are the cofactors.  Two facts make
+    this exact:
 
-@lru_cache(maxsize=4096)
-def _den_factors(D):
-    """(c, ((d, Phi_d, e), ...), R) with D = c * prod Phi_d^e * R, c the
-    content and R primitive and free of cyclotomic factors (R is 1 or -1
-    when D has no other factor)."""
-    c = _content(D)
-    R = _u_exquo(D, c)
-    found = []
-    for phi_d, d in _totients(len(R) - 1):
-        if phi_d >= len(R):
-            break
-        phi = _cyclotomic(d)
-        e = 0
-        while _has_cyclotomic(R, d):
-            R = _u_divexact(R, phi)
-            e += 1
-        if e:
-            found.append((d, phi, e))
-    return c, tuple(found), R
-
-
-def _den_gcd(F, D):
-    """GCD in Z[x] of F and a den D, leading coefficient positive, as
-    ``_u_gcd`` gives it: gcd(contents) * prod Phi_d^min(v_F, e), times the
-    PRS of F against D's rest when D has one."""
-    c, factors, rest = _den_factors(D)
-    g = (_int_gcd(_content(F), c),)
-    for d, phi, e in factors:
-        while e and _has_cyclotomic(F, d):
-            g = _u_mul(g, phi)
-            e -= 1
-            if e:
-                F = _u_divexact(F, phi)
-    if len(rest) > 1:
-        g = _u_mul(g, _u_gcd(F, rest))
-    return g
+    - a candidate that divides both A and B is their GCD once
+      xi >= 2 min(|A|, |B|) + 2 (max norms), which holds for every xi here
+      (a one-digit h gives the candidate 1, which divides both);
+    - the loop ends: h is g(xi) times gcd(Abar(xi), Bbar(xi)) for the
+      coprime cofactors Abar and Bbar, and that extra factor always
+      divides their resultant, a nonzero integer fixed by F and G, so once
+      xi is large enough the digits of h are g's coefficients times it.
+    """
+    cf = _content(F)
+    cg = _content(G)
+    c = _int_gcd(cf, cg)
+    A = _u_exquo(F, cf)
+    B = _u_exquo(G, cg)
+    if len(A) == 1 or len(B) == 1:  # a constant primitive part, such as a den 6's, is 1
+        return (c,), _u_exquo(F, c), _u_exquo(G, c)
+    # the shorter operand is usually the den, whose norm is the cheaper one
+    xi = 2 * max(map(abs, B if len(B) <= len(A) else A)) + 29
+    while True:
+        digits = _digits(_int_gcd(_u_eval(A, xi), _u_eval(B, xi)), xi)
+        if len(digits) == 1:
+            return (c,), _u_exquo(F, c), _u_exquo(G, c)
+        g = _u_exquo(tuple(digits), _content(digits))
+        if g[-1] < 0:
+            g = _u_neg(g)
+        try:
+            qa = _u_divexact(A, g)
+            qb = _u_divexact(B, g)
+        except ValueError:
+            xi = _next_point(xi)
+        else:
+            return _u_scale(g, c), _u_scale(qa, cf // c), _u_scale(qb, cg // c)
 
 
 # the graded reading: F of length d + 1 is homogeneous of degree d
@@ -443,11 +365,6 @@ def _p_lead_coeff(f):
     return f[max(f, key=_grlex)]
 
 
-def _p_sign_norm(f):
-    # positive leading coefficient under graded-lex
-    return _p_neg(f) if _p_lead_coeff(f) < 0 else f
-
-
 def _p_dense(f):
     """The dense tuple of a nonzero f without monomial factors, or None if
     f is not homogeneous."""
@@ -493,84 +410,48 @@ def _p_divexact(f, g):
     return out
 
 
-# ---------------------------------------------------------------------------
-# bivariate GCD: recursive view Z[q][p] with a primitive PRS
-# ---------------------------------------------------------------------------
-
-
-def _rec_from(f):
-    R = {}
+def _p_at_q(f, xi):
+    # f(p, xi) as a dense tuple in p
+    out = [0] * (max(i for i, _ in f) + 1)
     for (i, j), c in f.items():
-        R.setdefault(i, {})[j] = c
-    return {i: tuple(ci.get(j, 0) for j in range(max(ci) + 1)) for i, ci in R.items()}
+        out[i] += c * xi ** j
+    return _u_trim(out)
 
 
-def _rec_to(R):
-    return {(i, j): c for i, ci in R.items() for j, c in enumerate(ci) if c}
-
-
-def _rec_content_p(R):
-    cont = ()
-    for ci in R.values():
-        cont = _u_gcd(cont, ci)
-        if cont == _ONE_T:
-            break
-    return cont
-
-
-def _rec_div(R, D):
-    return {i: _u_divexact(ci, D) for i, ci in R.items()}
-
-
-def _rec_primitive_p(R):
-    if not R:
-        return {}
-    return _rec_div(R, _rec_content_p(R))
-
-
-def _rec_pseudo_rem(A, B):
-    dB = max(B)
-    lcB = B[dB]
-    R = A
-    while R and max(R) >= dB:
-        dR = max(R)
-        lcR = R[dR]
-        new = {i: _u_mul(ci, lcB) for i, ci in R.items()}
-        for i, ci in B.items():
-            t = i + dR - dB
-            cur = _u_sub(new.get(t, ()), _u_mul(ci, lcR))
-            if cur:
-                new[t] = cur
-            elif t in new:
-                del new[t]
-        R = new
-    return R
-
-
-def _p_gcd(f, g):
-    """GCD in Z[p,q] of two nonzero polynomials that neither p nor q
-    divides, with positive graded-lex leading coefficient."""
-    if len(f) == 1 or len(g) == 1:
-        return {(0, 0): _int_gcd(_content(f.values()), _content(g.values()))}
-    if f == g:
-        return _p_sign_norm(f)
-    F = _rec_from(f)
-    G = _rec_from(g)
-    # the contents in Z[q] hold the integer contents too
-    cf = _rec_content_p(F)
-    cg = _rec_content_p(G)
-    c = _u_gcd(cf, cg)
-    A = _rec_div(F, cf)
-    B = _rec_div(G, cg)
-    if max(A) < max(B):
-        A, B = B, A
-    while B:
-        R = _rec_pseudo_rem(A, B)
-        A, B = B, _rec_primitive_p(R)
-    core = _rec_to(_rec_primitive_p(A))
-    if c != _ONE_T:
-        core = _p_mul(core, {(0, j): v for j, v in enumerate(c) if v})
-    return _p_sign_norm(core)
+def _p_cofactors(f, g):
+    """(h, f/h, g/h) for the GCD h in Z[p,q] of nonzero f and g, with
+    positive graded-lex leading coefficient: the heuristic GCD of
+    ``_u_cofactors`` one variable up.  With the contents split off, q = xi
+    leaves dense tuples in p; the coefficients of their GCD, read back in
+    symmetric base xi, are polynomials in q and give a candidate, whose
+    primitive part is checked by exact division.  The same two facts hold:
+    a candidate that divides both is the GCD, and the loop ends."""
+    cf = _content(f.values())
+    cg = _content(g.values())
+    c = _int_gcd(cf, cg)
+    A = _p_exquo(f, cf)
+    B = _p_exquo(g, cg)
+    xi = 2 * max(map(abs, (B if len(B) <= len(A) else A).values())) + 29
+    while True:
+        a = _p_at_q(A, xi)
+        b = _p_at_q(B, xi)
+        # a point where A or B vanishes as a polynomial in p gives no image
+        if a and b:
+            h = {(i, j): d for i, v in enumerate(_u_cofactors(a, b)[0])
+                 for j, d in enumerate(_digits(v, xi)) if d}
+            if len(h) == 1 and (0, 0) in h:
+                return {(0, 0): c}, _p_exquo(f, c), _p_exquo(g, c)
+            h = _p_exquo(h, _content(h.values()))
+            if _p_lead_coeff(h) < 0:
+                h = _p_neg(h)
+            try:
+                qa = _p_divexact(A, h)
+                qb = _p_divexact(B, h)
+            except ValueError:
+                pass
+            else:
+                return _p_scale(h, c), _p_scale(qa, cf // c), _p_scale(qb, cg // c)
+        xi = _next_point(xi)
 
 
 # ---------------------------------------------------------------------------
@@ -588,8 +469,7 @@ class _Graded:
     scale = staticmethod(_u_scale)
     exquo = staticmethod(_u_exquo)
     content = staticmethod(_content)
-    gcd = staticmethod(_den_gcd)  # the second argument is always a den
-    divexact = staticmethod(_u_divexact)
+    cofactors = staticmethod(_u_cofactors)
     strip = staticmethod(_h_strip)
     terms = staticmethod(_h_terms)
 
@@ -611,8 +491,7 @@ class _Sparse:
     mul = staticmethod(_p_mul)
     scale = staticmethod(_p_scale)
     exquo = staticmethod(_p_exquo)
-    gcd = staticmethod(_p_gcd)
-    divexact = staticmethod(_p_divexact)
+    cofactors = staticmethod(_p_cofactors)
     strip = staticmethod(_p_strip)
     terms = staticmethod(_p_terms)
     lead = staticmethod(_p_lead_coeff)
@@ -643,10 +522,7 @@ def _canonical(num, den, shift, ops):
     a -= i
     b -= j
     if den != ops.one:
-        g = ops.gcd(num, den)
-        if g != ops.one:
-            num = ops.divexact(num, g)
-            den = ops.divexact(den, g)
+        _, num, den = ops.cofactors(num, den)
         if ops.lead(den) < 0:
             num = ops.neg(num)
             den = ops.neg(den)
@@ -849,10 +725,7 @@ class RatFunc:
         ops, n1, d1, n2, d2 = _common(self, o, same_degree=True)
         den = d1
         if d1 != d2:
-            g = ops.gcd(d1, d2)
-            if g != ops.one:
-                d1 = ops.divexact(d1, g)
-                d2 = ops.divexact(d2, g)
+            _, d1, d2 = ops.cofactors(d1, d2)
             n1 = ops.mul(n1, d2)
             n2 = ops.mul(n2, d1)
             den = ops.mul(den, d2)
@@ -918,15 +791,9 @@ class RatFunc:
         ops, n1, d1, n2, d2 = _common(self, o)
         # a GCD against a denominator of 1 is 1
         if d2 != ops.one:
-            g = ops.gcd(n1, d2)
-            if g != ops.one:
-                n1 = ops.divexact(n1, g)
-                d2 = ops.divexact(d2, g)
+            _, n1, d2 = ops.cofactors(n1, d2)
         if d1 != ops.one:
-            g = ops.gcd(n2, d1)
-            if g != ops.one:
-                n2 = ops.divexact(n2, g)
-                d1 = ops.divexact(d1, g)
+            _, n2, d1 = ops.cofactors(n2, d1)
         # a denominator of 1 leaves the other as it is
         den = d2 if d1 == ops.one else d1 if d2 == ops.one else ops.mul(d1, d2)
         return ops.make(shift, ops.mul(n1, n2), den)
@@ -990,6 +857,9 @@ class RatFunc:
         num, den = self._num, self._den
         if type(den) is dict:
             num, den = frozenset(num.items()), frozenset(den.items())
+        elif self.shift == (0, 0) and len(num) < 2 and len(den) == 1:
+            # a constant equals its int or Fraction, so it hashes as one
+            return hash(Fraction(num[0] if num else 0, den[0]))
         return hash((self.shift, num, den))
 
     def __reduce__(self):

@@ -3,7 +3,6 @@
 import copy
 import pickle
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import example, given
@@ -253,6 +252,17 @@ def test_equality_is_canonical(x, y):
         assert hash(x) == hash(y)
 
 
+@given(st.integers() | st.fractions())
+@example(0)
+@example(-1)
+def test_constants_hash_as_the_numbers_they_equal(v):
+    """A constant equals its int or Fraction, so it hashes as one, and each
+    is found in a set of the other."""
+    x = RatFunc.from_fraction(Fraction(v))
+    assert x == v and hash(x) == hash(v)
+    assert x in {v} and v in {x}
+
+
 @given(ratfuncs())
 def test_string_is_stable_under_arithmetic_detours(x):
     y = (x + P) - P
@@ -403,99 +413,103 @@ def test_product_by_a_run_is_the_schoolbook_product(c, k, partner):
     assert field._u_mul(partner, run) == expected
 
 
-def times_q_run(f, c, k):
-    """f times c (1 + q + ... + q^(k-1))."""
-    out = {}
-    for (i, j), v in f.items():
-        for e in range(k):
-            out[(i, j + e)] = out.get((i, j + e), 0) + c * v
-    return {m: v for m, v in out.items() if v}
-
-
-sparse_with_runs = st.builds(
-    times_q_run,
-    st.dictionaries(st.tuples(ints(0, 3), ints(0, 6)), ints(-3, 3).filter(bool),
-                    min_size=1, max_size=4),
-    ints(-2, 2).filter(bool), ints(1, 20))
-
-
-@given(sparse_with_runs, sparse_with_runs)
-@example({(1, 0): 1, (1, 1): 1, (1, 2): 1, (1, 3): 1, (0, 2): 1},
-         {(1, 0): -1, (1, 1): -1, (1, 2): -1, (1, 3): -1, (1, 4): -1, (0, 0): 1})
-def test_products_of_the_sparse_gcd_agree_with_the_schoolbook_product(f, g):
-    """The Z[q] coefficients that _rec_pseudo_rem multiplies, as _rec_from
-    makes them (zeros below the lowest power of q, runs, runs times q^j),
-    give _u_mul's and the convolution's products alike, and so one
-    pseudo-remainder."""
-    A, B = field._rec_from(f), field._rec_from(g)
-    if max(A) < max(B):
-        A, B = B, A
-    operands = []
-
-    def recorded(F, G):
-        operands.append((F, G))
-        return schoolbook(F, G)
-
-    with mock.patch.object(field, "_u_mul", recorded):
-        expected = field._rec_pseudo_rem(A, B)
-    for F, G in operands:
-        assert field._u_mul(F, G) == schoolbook(F, G)
-    assert field._rec_pseudo_rem(A, B) == expected
-
-
 # ---------------------------------------------------------------------------
-# the graded GCD against a den, by the den's cyclotomic factors
+# the heuristic GCD with cofactors, against sympy's gcd
 
 
-def cyclotomic_product(exponents):
-    """prod Phi_d^e over the (d, e) pairs."""
-    out = (1,)
-    for d, e in exponents:
-        for _ in range(e):
-            out = field._u_mul(out, field._cyclotomic(d))
-    return out
+def sympy_u_gcd(F, G):
+    """sympy's GCD of two coefficient tuples (lowest first), as a tuple."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    g = sympy.gcd(sympy.Poly(F[::-1], x), sympy.Poly(G[::-1], x))
+    return tuple(int(v) for v in reversed(g.all_coeffs()))
+
+
+def check_u_cofactors(F, G):
+    """_u_cofactors(F, G) is sympy's GCD g, lead positive, with F/g and G/g
+    whose products with g give F and G back; returns g."""
+    g, a, b = field._u_cofactors(F, G)
+    assert g == sympy_u_gcd(F, G) and g[-1] > 0
+    assert field._u_mul(g, a) == F and field._u_mul(g, b) == G
+    return g
+
+
+dense_polys = st.lists(ints(-20, 20), min_size=1, max_size=8).map(field._u_trim).filter(bool)
+
+
+@given(dense_polys, dense_polys, dense_polys)
+# the first point, 35, gives the candidate x - 16, which fails; the GCD is 3
+@example((1,), (9, 9, 3, -6), (9, 3))
+# x^2 + x and x^2 + x + 2 are coprime, yet even at every integer
+@example((1,), (0, 1, 1), (2, 1, 1))
+# a GCD of two digits whose factor x sits below the lowest coefficient
+@example((0, 2, -1), (1, 0, 3), (-5, 1))
+def test_u_cofactors_of_products_agree_with_sympy(G, A, B):
+    check_u_cofactors(field._u_mul(G, A), field._u_mul(G, B))
 
 
 @pytest.mark.parametrize("n", range(1, 13))
-def test_one_plus_x_to_the_n_is_a_product_of_cyclotomics(n):
-    """1 + x^n = prod Phi_d over d | 2n with d not dividing n: the den
-    1 + (q/p)^n of the central weight factors into these Phi_d alone, each
-    once, with no rest for the PRS."""
-    ds = [d for d in range(1, 2 * n + 1) if not 2 * n % d and n % d]
+def test_u_cofactors_of_the_central_dens_agree_with_sympy(n):
+    """The den 1 + x^n of the central weight, times 6, against every such
+    den of n' <= 12 and against its own square times a numerator."""
     one_plus = (1,) + (0,) * (n - 1) + (1,)
-    assert cyclotomic_product((d, 1) for d in ds) == one_plus
-    c, factors, rest = field._den_factors(one_plus)
-    assert (c, rest) == (1, (1,))
-    assert sorted((d, e) for d, _, e in factors) == [(d, 1) for d in ds]
+    D = field._u_scale(one_plus, 6)
+    for m in range(1, 13):
+        check_u_cofactors((1,) + (0,) * (m - 1) + (1,), D)
+    check_u_cofactors(field._u_mul(field._u_mul(one_plus, one_plus), (4, -2, 8)), D)
 
 
-small_polys = st.lists(ints(-3, 3), min_size=1, max_size=4).map(field._u_trim).filter(bool)
-cyclotomic_exponents = st.lists(st.tuples(ints(1, 30), ints(1, 3)), max_size=3)
-# rests free of cyclotomic factors: 1, 2x + 1, x^2 + 3x + 1, x^2 - 2, x^3 + x + 1
-rests = st.sampled_from(((1,), (1, 2), (1, 3, 1), (-2, 0, 1), (1, 1, 0, 1)))
+def test_u_cofactors_of_a_high_power_of_a_non_cyclotomic_den():
+    """(x + 2)^200 against (x + 2)^37 (x^60 - x^59 + 3): the den a
+    primitive PRS took 11 s on."""
+    D = ((P + 2 * Q) ** 200)._num
+    F = ((P + 2 * Q) ** 37 * (P ** 60 - P ** 59 * Q + 3 * Q ** 60))._num
+    assert check_u_cofactors(F, D) == ((P + 2 * Q) ** 37)._num
 
 
-@given(small_polys, cyclotomic_exponents, st.sampled_from((1, 2, 6, 12, 36)),
-       cyclotomic_exponents, rests, st.booleans(), st.booleans())
-# 6 Phi_4 Phi_12 = 6 (1 + x^6) against 6 Phi_4^2: the exponents meet at 1
-@example((1,), [(4, 2)], 6, [(4, 1), (12, 1)], (1,), False, False)
-# the rest shared by both sides goes through the PRS
-@example((2, -1), [(6, 1)], 2, [(6, 2)], (1, 3, 1), True, True)
-# a constant against a constant den
-@example((4,), [], 6, [], (1,), False, True)
-def test_den_gcd_agrees_with_the_prs_and_sympy(G, f_exps, c, d_exps, rest, shared, negate):
-    """_den_gcd(F, D) for F = G * prod Phi_d^i (times D's rest if shared)
-    and D = +-c * prod Phi_d^j * rest gives _u_gcd's tuple and sympy's."""
+def as_sympy(f, p, q):
+    return sum(c * p ** i * q ** j for (i, j), c in f.items())
+
+
+def check_p_cofactors(f, g):
+    """_p_cofactors(f, g) is sympy's GCD h up to sign, with positive
+    graded-lex lead, and f/h and g/h whose products with h give f and g."""
     sympy = pytest.importorskip("sympy")
-    F = field._u_mul(G, cyclotomic_product(f_exps))
-    if shared:
-        F = field._u_mul(F, rest)
-    D = field._u_mul((-c if negate else c,), field._u_mul(cyclotomic_product(d_exps), rest))
-    expected = field._u_gcd(F, D)
-    assert field._den_gcd(F, D) == expected
-    x = sympy.symbols("x")
-    g = sympy.gcd(sympy.Poly(F[::-1], x), sympy.Poly(D[::-1], x))
-    assert tuple(int(v) for v in reversed(g.all_coeffs())) == expected
+    h, a, b = field._p_cofactors(f, g)
+    assert field._p_lead_coeff(h) > 0
+    assert field._p_mul(h, a) == f and field._p_mul(h, b) == g
+    p, q = sympy.symbols("p q")
+    expected = sympy.Poly(sympy.gcd(as_sympy(f, p, q), as_sympy(g, p, q)), p, q).as_dict()
+    assert h in ({m: int(c) for m, c in expected.items()},
+                 {m: -int(c) for m, c in expected.items()})
+
+
+sparse_polys = st.dictionaries(st.tuples(ints(0, 4), ints(0, 4)), ints(-9, 9).filter(bool),
+                               min_size=1, max_size=5)
+
+
+@given(sparse_polys, sparse_polys, sparse_polys)
+# a GCD in q alone, whose images at every point are constants
+@example({(0, 1): 1, (0, 0): 1}, {(1, 0): 1, (0, 0): 2}, {(1, 0): 1, (0, 1): 3})
+# q - 31 vanishes at the first point, so that point gives no image
+@example({(0, 0): 1}, {(0, 1): 1, (0, 0): -31}, {(0, 0): 1, (1, 0): 1})
+def test_p_cofactors_of_products_agree_with_sympy(h, a, b):
+    check_p_cofactors(field._p_mul(h, a), field._p_mul(h, b))
+
+
+def test_p_cofactors_of_the_slow_sparse_witnesses_agree_with_sympy():
+    """The dens of a sum and the operands of a quotient that the recursive
+    PRS took 35 s and 5.7 s on."""
+    x = -(12 * P ** 4 * Q ** 4 + 3 * P * Q ** 6 - P * Q ** 4 - 2 * Q) / (
+        2 * P ** 3 * Q ** 5 - 12 * P ** 6 + Q)
+    y = 100 * P ** 5 / (P ** 5 * Q ** 4 - P ** 2 * Q ** 6 - P ** 4 * Q ** 3 - P * Q ** 2 - 3 * Q)
+    check_p_cofactors(x.den, y.den)
+    num = {(131, 100): 1, (132, 73): 1, (98, 40): -183239355520, (36, 66): 833605546387,
+           (133, 296): -1}
+    check_p_cofactors(field._p_strip(num)[0], {(2, 0): 3, (0, 2): -5})
+    assert (x + y) - y == x
+    d = 3 * P ** 2 - 5 * Q ** 2
+    assert RatFunc(num) / d * d == RatFunc(num)
 
 
 # ---------------------------------------------------------------------------

@@ -222,17 +222,45 @@ def test_a_sum_of_integer_monomials_adds_and_multiplies_no_ratfunc(monkeypatch):
     assert x == expected and len(x.terms) == 20
 
 
+# a sum of 300 one-letter words: its square has 90,000 words of 2 letters
+SUM_300 = "(" + " + ".join(f"L({i})" for i in range(300)) + ")"
+
+
 def test_the_power_of_a_sum_is_bounded_by_its_real_size(capsys):
     assert len(parse_expression("(L(1) + L(2))^16").terms) == 1 << 16
-    message = "the power has more than 65536 words (at position 14)"
+    message = f"the power has more than 65536 words (at position {len(SUM_300) + 1})"
     with pytest.raises(ExpressionError) as exc:
-        parse_expression("(L(1) + L(2))^17")
+        parse_expression(SUM_300 + "^2")
     assert str(exc.value) == message
-    assert main(["normalize", "(L(1) + L(2))^17"]) == 2
+    assert main(["normalize", SUM_300 + "^2"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     # 2^100 would pass the bound, and the 101 words of the power do not
     x = parse_expression("(1 + T)^100")
     assert len(x.terms) == 101 and x.coefficient((T,) * 50) == RatFunc(math.comb(100, 50))
+
+
+@pytest.mark.parametrize("text, pos", [
+    # 2^17 words of 17 letters; (L(1) + L(2))^16 has exactly 2^20 letters
+    ("(L(1) + L(2))^17", 14),
+    # nested exponents multiply: 2^24 letters at the second ^, 2^36 at the third
+    ("((T^4096)^4096)^4096", 10),
+    ("L(1)^257^4096", 9),
+    # about 2^31 letters at the 16th product, refused before the 7th
+    ("(L(1)^4096 + L(2))^16", 19),
+])
+def test_a_power_past_the_letter_bound_is_refused_before_it_is_built(monkeypatch, text, pos):
+    products = []
+
+    def spy(self, other, op=AlgebraElement.__mul__):
+        out = op(self, other)
+        products.append(sum(map(len, out.terms)))
+        return out
+
+    monkeypatch.setattr(AlgebraElement, "__mul__", spy)
+    with pytest.raises(ExpressionError) as exc:
+        parse_expression(text)
+    assert str(exc.value) == f"the power could have more than 1048576 letters (at position {pos})"
+    assert all(n <= 1 << 20 for n in products)
 
 
 def test_a_power_past_the_word_bound_is_refused_before_a_larger_product(monkeypatch):
@@ -245,12 +273,14 @@ def test_a_power_past_the_word_bound_is_refused_before_a_larger_product(monkeypa
         return op(self, other)
 
     monkeypatch.setattr(AlgebraElement, "__mul__", spy)
-    for text, base_words, pos in (("(L(1) + L(2))^32", 2, 14),
-                                  ("(L(1) + L(2) + L(3))^16", 3, 21)):
+    for text, base_words, pos, bound in (
+            ("(L(1) + L(2))^32", 2, 14, "could have more than 1048576 letters"),
+            ("(L(1) + L(2) + L(3))^16", 3, 21, "could have more than 1048576 letters"),
+            (SUM_300 + "^3", 300, len(SUM_300) + 1, "has more than 65536 words")):
         budget[:] = [(1 << 16) * base_words]
         with pytest.raises(ExpressionError) as exc:
             parse_expression(text)
-        assert str(exc.value) == f"the power has more than 65536 words (at position {pos})"
+        assert str(exc.value) == f"the power {bound} (at position {pos})"
 
 
 def test_powers_of_sums_equal_repeated_products():
