@@ -593,7 +593,15 @@ def _poly_str(terms, latex=False, negate=False):
 
 def _as_poly(x):
     if isinstance(x, dict):
-        return {m: c for m, c in x.items() if c}
+        poly = {}
+        for mono, c in x.items():
+            i, j = mono
+            if type(c) is not int or type(i) is not int or type(j) is not int:
+                raise TypeError("term %r * p^%r * q^%r: coefficients and exponents must be ints"
+                                % (c, i, j))
+            if c:
+                poly[mono] = c
+        return poly
     if isinstance(x, int):
         return {(0, 0): x} if x else {}
     raise TypeError("expected int or exponent->coefficient dict, got %r" % (x,))
@@ -916,6 +924,9 @@ class RatFunc:
 
 def monomial(c=1, a=0, b=0):
     """The Laurent monomial c * p^a * q^b."""
+    if type(c) is not int or type(a) is not int or type(b) is not int:
+        raise TypeError("monomial %r * p^%r * q^%r: coefficient and exponents must be ints"
+                        % (c, a, b))
     if c == 0:
         return ZERO
     return RatFunc._raw((a, b), (c,), _ONE_T)
@@ -980,6 +991,14 @@ def accumulate(store, key, coeff):
         del store[key]
 
 
+def _coefficient(c):
+    """c as a RatFunc: an int, a Fraction or a RatFunc is taken, else TypeError."""
+    coeff = RatFunc._coerce(c)
+    if coeff is None:
+        raise TypeError("coefficient %r is not an int, Fraction or RatFunc" % (c,))
+    return coeff
+
+
 class LinComb:
     """Finite Q(p,q)-linear combination, as a map from basis keys to nonzero
     coefficients.
@@ -998,8 +1017,8 @@ class LinComb:
         clean = {}
         if terms:
             for key, c in terms.items():
-                if isinstance(c, int):
-                    c = RatFunc(c)
+                if type(c) is not RatFunc:
+                    c = _coefficient(c)
                 if c:
                     clean[key] = c
         self.terms = clean
@@ -1042,17 +1061,18 @@ class LinComb:
         return self + (-other)
 
     def scale(self, coeff):
-        if isinstance(coeff, int):
-            coeff = RatFunc(coeff)
+        if type(coeff) is not RatFunc:
+            coeff = _coefficient(coeff)
         if not coeff:
             return self.from_clean({}, self.shape)
         return self.from_clean({key: coeff * c for key, c in self.terms.items()},
                                self.shape)
 
     def __rmul__(self, coeff):
-        if isinstance(coeff, (int, RatFunc)):
-            return self.scale(coeff)
-        return NotImplemented
+        coeff = RatFunc._coerce(coeff)
+        if coeff is None:
+            return NotImplemented
+        return self.scale(coeff)
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):

@@ -42,9 +42,9 @@ Each word's reduction is fixed by the word, the strategy and the
 presentation, and normalization is linear, so ``normalize`` may take the
 normal form of each word of an element from a memo and add them up.  The
 memo's owner is the Presentation, and every caller of it shares the memo:
-at most 2,048 words of at most 8 terms, so 16,384 terms, against 3,072
-before.  A memo per call would lose the 16,714 of the Hopf sweep's 34,725
-lookups that hit a word an earlier op stored, and make the sweep 9% slower.
+at most 2,048 words of at most 8 terms, so 16,384 terms.  A memo per call
+would lose the 16,714 of the Hopf sweep's 34,725 lookups that hit a word
+an earlier op stored, and make the sweep 9% slower.
 
 Elements are immutable in spirit: all operations return fresh values.
 """
@@ -403,9 +403,9 @@ def normalize(x, cfg=DEFAULT_CONFIG, strategy="leftmost"):
     word is its own normal form.  Any other word is a hit in cfg's memo,
     keyed by (word, strategy), or is reduced and stored if NF(w) has at
     most _MEMO_ENTRY_MAX_TERMS terms.  The memo keeps the _MEMO_MAX_WORDS
-    (2,048) most recently used words, so at most 16,384 terms, against
-    3,072 before.  It outlives the call: cleared before each of 8,325
-    Hopf-sweep ops, it took them 0.95-0.96 s against 0.87-0.88 s.
+    (2,048) most recently used words, so at most 16,384 terms.  It
+    outlives the call: cleared before each of 8,325 Hopf-sweep ops, it
+    took them 0.95-0.96 s against 0.87-0.88 s.
     """
     memo = cfg._memo
     terms = ((x, ONE),) if isinstance(x, tuple) else x.terms.items()

@@ -9,17 +9,21 @@ The coproduct, counit, and antipode are fixed on generators by
     S(T^m) = T^(-m),  S(L_n) = -T^(-n) L_n T^(-n),  S(C) = -C
 
 and extended to words multiplicatively (anti-multiplicatively for S).
+One memoized table, ``_images``, holds each letter's delta and S images.
 Tensor squares and cubes are linear combinations of slot tuples of
 normal-form words; products are taken slotwise and re-normalized.
 
-The variant "strict-typos" of a Presentation takes the printed coproduct
+The variant ``strict-typos`` of a Presentation takes the printed coproduct
 delta(C) = C (x) 1 + 1 (x) T, which breaks the counit and antipode
 axioms on C; it is kept purely to demonstrate that failure. The variant
-"r5-8.11" changes the C-commutation relation that every map normalizes
+``r5-8.11`` changes the C-commutation relation that every map normalizes
 by, so that form can be explored as well.
 """
 
-from .field import ZERO, ONE, LinComb, accumulate
+from functools import lru_cache
+from itertools import product
+
+from .field import ZERO, LinComb, accumulate
 from .freealg import (
     AlgebraElement,
     DEFAULT_CONFIG,
@@ -70,16 +74,11 @@ def tensor_normalize(t, cfg=DEFAULT_CONFIG):
     """Normalize every slot word and redistribute the products."""
     out = {}
     for slots, coeff in t.terms.items():
-        normed = [normalize(w, cfg).terms for w in slots]
-        stack = [((), coeff)]
-        for slot_terms in normed:
-            stack = [
-                (done + (w,), c * cw)
-                for done, c in stack
-                for w, cw in slot_terms.items()
-            ]
-        for done, c in stack:
-            accumulate(out, done, c)
+        for choice in product(*[normalize(w, cfg).terms.items() for w in slots]):
+            c = coeff
+            for _, cw in choice:
+                c = c * cw
+            accumulate(out, tuple(w for w, _ in choice), c)
     return TensorElement.from_clean(out, t.arity)
 
 
@@ -94,32 +93,29 @@ def tensor_multiply(x, y, cfg=DEFAULT_CONFIG):
     return tensor_normalize(TensorElement.from_clean(raw, x.arity), cfg)
 
 
-def _letter_coproduct(letter, cfg):
-    if t_degree(letter):
-        w = (letter,)
-        return {(w, w): ONE}
+@lru_cache(maxsize=None)
+def _images(letter, variants):
+    """The Hopf images of one letter under the presentation of variants:
+    delta(letter) as a tuple of (left word, right word) pairs, each with
+    coefficient 1, and S(letter) as (sign, word)."""
+    k = t_degree(letter)
+    if k:
+        return (((letter,), (letter,)),), (1, t_word(-k))
     if letter == C:
         # the printed coproduct has 1 (x) T where the corrected one has 1 (x) C
-        right = T if "strict-typos" in cfg.variants else C
-        return {((C,), ()): ONE, ((), (right,)): ONE}
-    tn = t_word(letter)
-    return {((letter,), tn): ONE, (tn, (letter,)): ONE}
+        right = T if "strict-typos" in variants else C
+        return (((C,), ()), ((), (right,))), (-1, (C,))
+    tn, conj = t_word(letter), t_word(-letter)
+    return (((letter,), tn), (tn, (letter,))), (-1, conj + (letter,) + conj)
 
 
 def coproduct(x, cfg=DEFAULT_CONFIG):
     """Algebra-map extension of the generator coproducts."""
     out = {}
     for word, coeff in x.terms.items():
-        partial = {((), ()): coeff}
-        for letter in word:
-            step = _letter_coproduct(letter, cfg)
-            grown = {}
-            for (a, b), c in partial.items():
-                for (u, v), d in step.items():
-                    accumulate(grown, (a + u, b + v), c * d)
-            partial = grown
-        for slots, c in partial.items():
-            accumulate(out, slots, c)
+        for choice in product(*[_images(letter, cfg.variants)[0] for letter in word]):
+            slots = (sum([u for u, _ in choice], ()), sum([v for _, v in choice], ()))
+            accumulate(out, slots, coeff)
     return tensor_normalize(TensorElement.from_clean(out, 2), cfg)
 
 
@@ -140,19 +136,12 @@ def antipode(x, cfg=DEFAULT_CONFIG):
     """Anti-homomorphic extension of the generator antipodes."""
     out = {}
     for word, coeff in x.terms.items():
-        sign = 1
-        letters = []
+        sign, letters = 1, ()
         for letter in reversed(word):
-            if t_degree(letter):
-                letters.extend(t_word(-t_degree(letter)))
-            elif letter == C:
-                sign = -sign
-                letters.append(C)
-            else:
-                sign = -sign
-                tn = t_word(-letter)
-                letters.extend(tn + (letter,) + tn)
-        accumulate(out, tuple(letters), coeff if sign > 0 else -coeff)
+            s, image = _images(letter, cfg.variants)[1]
+            sign *= s
+            letters += image
+        accumulate(out, letters, coeff if sign > 0 else -coeff)
     return normalize(AlgebraElement.from_clean(out), cfg)
 
 

@@ -57,6 +57,9 @@ class FockOperator(LinComb):
     def __init__(self, dim, entries=None):
         if not isinstance(dim, int) or dim < 1:
             raise ValueError("dimension must be a positive integer")
+        for i, j in entries or ():
+            if i not in range(dim) or j not in range(dim):
+                raise ValueError("entry (%r, %r) lies outside a %d x %d matrix" % (i, j, dim, dim))
         super().__init__(entries, dim)
 
     @property

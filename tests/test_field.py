@@ -24,6 +24,8 @@ from pqvirasoro.field import (
     substitute,
 )
 from pqvirasoro.freealg import AlgebraElement, L
+from pqvirasoro.hopf import TensorElement
+from pqvirasoro.oscillator import FockOperator
 
 
 def ints(lo=-4, hi=4):
@@ -764,3 +766,52 @@ def test_copies_and_pickles_are_equal_values_and_leave_zero_alone(value):
             assert twin._den is field._ONE_T
         assert (twin is ZERO) == (not value)
     assert ZERO.is_zero() and ZERO.shift == (0, 0) and ZERO._den is field._ONE_T
+
+
+def test_float_and_fraction_coefficients_and_exponents_are_refused():
+    """A dict entry or a monomial takes ints only; rationals enter through
+    RatFunc(n, d) and division, so every value has one canonical form."""
+    for make in (lambda: RatFunc({(0, 0): 1.5}),
+                 lambda: RatFunc({(1, 0): 2, (0, 1): 0.5}),
+                 lambda: RatFunc({(0, 0): Fraction(1, 2)}),
+                 lambda: RatFunc({(1, 0): 2, (0, 1): Fraction(1, 2)}),
+                 lambda: RatFunc({(0.5, 0): 1}),
+                 lambda: RatFunc(1, {(0, 1): 1, (1, 0): 0.5}),
+                 lambda: monomial(1.5),
+                 lambda: monomial(1, 0.5),
+                 lambda: monomial(1, 0, Fraction(1, 2))):
+        with pytest.raises(TypeError, match=r"0\.5|1\.5|Fraction\(1, 2\)"):
+            make()
+    assert RatFunc({(0, 0): 1}) / 2 == RatFunc(1, 2)
+    e = RatFunc({(1, 0): 4, (0, 1): 1}) / 2
+    assert str(e * e) == "(16*p^2 + 8*p*q + q^2)/4"
+
+
+@pytest.mark.parametrize("scalar", [Fraction(1, 2), 3, RatFunc(1, 2) * P])
+def test_every_element_type_takes_the_same_coefficients(scalar):
+    """int, Fraction and RatFunc enter algebra, tensor and Fock elements
+    alike, through the constructor, scale and multiplication by a scalar;
+    anything else is a TypeError."""
+    value = RatFunc._coerce(scalar)
+    for make, key in ((AlgebraElement, (L(2), L(1))),
+                      (lambda terms: TensorElement(2, terms), ((L(1),), ())),
+                      (lambda terms: FockOperator(3, terms), (0, 2))):
+        x = make({key: scalar})
+        assert x.terms == {key: value} and type(x.terms[key]) is RatFunc
+        str(x)  # every coefficient renders
+        one = make({key: 1})
+        assert one.scale(scalar) == scalar * one == x
+        if not isinstance(one, TensorElement):
+            assert one * scalar == x
+        for bad in (1.5, "2", None):
+            with pytest.raises(TypeError):
+                make({key: bad})
+            with pytest.raises(TypeError):
+                one.scale(bad)
+            with pytest.raises(TypeError):
+                bad * one
+    x = AlgebraElement({(L(2), L(1)): Fraction(1, 2)})
+    assert str(x) == "1/2*L(2) L(1)"
+    assert Fraction(1, 2) * AlgebraElement.from_word((L(1),)) == \
+        AlgebraElement.from_word((L(1),)) * Fraction(1, 2) == \
+        AlgebraElement.from_word((L(1),)).scale(Fraction(1, 2))

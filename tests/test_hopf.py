@@ -1,6 +1,7 @@
 """Coproduct, counit, antipode, and where the axioms do and do not close."""
 
 import itertools
+import random
 
 import pytest
 
@@ -16,6 +17,7 @@ from pqvirasoro.freealg import (
     TINV,
     multiply,
     normalize,
+    random_word,
     relation_elements,
     t_degree,
     t_word,
@@ -34,7 +36,7 @@ from pqvirasoro.hopf import (
     generators,
     tau_swap,
     tensor_multiply,
-    _letter_coproduct,
+    _images,
 )
 
 STRICT = Presentation({"strict-typos"})
@@ -72,13 +74,23 @@ def raw_antipode(x):
     return AlgebraElement(out)
 
 
+def raw_letter_coproduct(letter, cfg):
+    """delta of one letter, written out from the module docstring's formulas."""
+    if letter in (T, TINV):
+        return {((letter,), (letter,)): ONE}
+    if letter == C:
+        right = (T,) if "strict-typos" in cfg.variants else (C,)
+        return {((C,), ()): ONE, ((), right): ONE}
+    return {((letter,), t_word(letter)): ONE, (t_word(letter), (letter,)): ONE}
+
+
 def raw_coproduct_terms(x, cfg):
     """Letterwise coproduct fold without slot normalization."""
     out = {}
     for word, coeff in x.terms.items():
         partial = {((), ()): coeff}
         for letter in word:
-            step = _letter_coproduct(letter, cfg)
+            step = raw_letter_coproduct(letter, cfg)
             grown = {}
             for (a, b), c in partial.items():
                 for (u, v), d in step.items():
@@ -131,6 +143,19 @@ def test_tensor_multiply_matches_coproduct_of_product():
 
 # ---------------------------------------------------------------------------
 # structure maps on generators
+
+
+def test_images_table_matches_the_generator_formulas():
+    for cfg, right in ((DEFAULT_CONFIG, (C,)), (EQ811, (C,)), (STRICT, (T,))):
+        v = cfg.variants
+        assert _images(T, v) == ((((T,), (T,)),), (1, (TINV,)))
+        assert _images(TINV, v) == ((((TINV,), (TINV,)),), (1, (T,)))
+        assert _images(C, v) == ((((C,), ()), ((), right)), (-1, (C,)))
+        for n in range(-3, 4):
+            tn = (T,) * n if n >= 0 else (TINV,) * -n
+            conj = (TINV,) * n if n >= 0 else (T,) * -n
+            assert _images(L(n), v) == ((((L(n),), tn), (tn, (L(n),))),
+                                        (-1, conj + (L(n),) + conj)), (sorted(v), n)
 
 
 def test_generator_coproducts():
@@ -299,6 +324,63 @@ def test_antipode_does_not_preserve_the_bracket_relation():
     assert len(nonzero) == 144
     for r in nonzero:
         assert not any(all(map(t_degree, word)) for word in r.terms)
+
+
+# ---------------------------------------------------------------------------
+# the map pi onto Q(p, q)[t, 1/t], which kills the relation ideal
+
+
+def pi(x):
+    """The algebra map that sends L(n) and C to 0 and T^k to t^k, as a map
+    from exponents of t to nonzero coefficients."""
+    out = {}
+    for word, coeff in x.terms.items():
+        if all(map(t_degree, word)):
+            k = sum(map(t_degree, word))
+            out[k] = out.get(k, ZERO) + coeff
+    return {k: c for k, c in out.items() if c}
+
+
+def test_pi_kills_every_defining_relation():
+    for cfg in (DEFAULT_CONFIG, EQ811, STRICT):
+        for name in RELATION_NAMES:
+            for n, m in itertools.product(range(-6, 7), repeat=2):
+                for rel in relation_elements(name, n, m, cfg):
+                    assert pi(rel) == {}, (sorted(cfg.variants), name, n, m)
+
+
+def test_pi_is_unchanged_by_normalization():
+    for cfg in (DEFAULT_CONFIG, EQ811):
+        for strategy in ("leftmost", "rightmost"):
+            rng = random.Random(0)
+            for _ in range(500):
+                x = elem(*random_word(rng, 10))
+                assert pi(normalize(x, cfg, strategy)) == pi(x), (x, strategy)
+
+
+def test_counit_is_pi_at_t_equal_to_one():
+    rng = random.Random(1)
+    pool = [g for _, g in generators(3)]
+    words = [normalize(elem(*random_word(rng, 6))) for _ in range(50)]
+    for x in pool + [multiply(g1, g2) for g1 in pool for g2 in pool] + words:
+        assert counit(x) == sum(pi(x).values(), ZERO)
+
+
+def test_pi_vanishes_on_every_nonzero_hopf_residual():
+    """The residuals of criterion 7 are not shown to lie outside the ideal."""
+    pool = [g for _, g in generators(6)]
+    antipode_res = [r for x in pool + [multiply(g1, g2) for g1 in pool for g2 in pool]
+                    for r in check_antipode(x) if not r.is_zero()]
+    image_res = [r for n, m in itertools.product(range(-6, 7), repeat=2)
+                 for r in check_relation_preservation("antipode", "R4", n, m)
+                 if not r.is_zero()]
+    letters = [T, TINV, C] + [L(n) for n in range(-4, 5)]
+    square_res = [r for length in (1, 2, 3)
+                  for combo in itertools.product(letters, repeat=length)
+                  for r in (antipode_squared(elem(*combo)),) if not r.is_zero()]
+    assert (len(antipode_res), len(image_res), len(square_res)) == (288, 144, 1371)
+    for r in antipode_res + image_res + square_res:
+        assert pi(r) == {}, r
 
 
 # ---------------------------------------------------------------------------

@@ -305,3 +305,11 @@ def test_normal_forms_agree_with_direct_products(indices):
         nf = normalize(x, strategy=strategy)
         img = element_image(nf, osc)
         assert (img - direct).is_zero_on(cols), strategy
+
+
+def test_entries_outside_the_matrix_are_rejected():
+    for pos in ((0, 5), (-1, 0), (3, 3), (2, -1), (0.5, 1)):
+        with pytest.raises(ValueError, match="outside a 3 x 3 matrix"):
+            FockOperator(3, {(0, 0): ONE, pos: ONE})
+    f = FockOperator(3, {(0, 2): ONE, (2, 0): ONE})
+    assert FockOperator.identity(3) * f == f
