@@ -272,8 +272,6 @@ def _h_strip(F):
     k = len(F)
     while not F[k - 1]:
         k -= 1
-    if i == 0 and k == len(F):
-        return F, 0, 0
     return F[i:k], i, len(F) - k
 
 
@@ -602,7 +600,7 @@ def _as_poly(x):
             if c:
                 poly[mono] = c
         return poly
-    if isinstance(x, int):
+    if type(x) is int:
         return {(0, 0): x} if x else {}
     raise TypeError("expected int or exponent->coefficient dict, got %r" % (x,))
 
@@ -702,7 +700,7 @@ class RatFunc:
     def _coerce(other):
         if isinstance(other, RatFunc):
             return other
-        if isinstance(other, int):
+        if type(other) is int:
             return RatFunc(other)
         if isinstance(other, Fraction):
             return RatFunc.from_fraction(other)
@@ -768,8 +766,6 @@ class RatFunc:
         shift = (self.shift[0] + a, self.shift[1] + b)
         if c == 1:
             return RatFunc._raw(shift, self._num, self._den)
-        if self._den == _ONE_T:
-            return RatFunc._raw(shift, _u_scale(self._num, c), _ONE_T)
         ops = self._ops()
         g = _int_gcd(c, ops.content(self._den))
         # make: a den that g divides down to 1 is the shared _ONE_T
@@ -791,10 +787,6 @@ class RatFunc:
             n1, n2 = self._num, o._num
         if not n1 or not n2:
             return ZERO
-        if len(n1) == 1 and self._den == _ONE_T:
-            return o.times_monomial(n1[0], self.shift[0], self.shift[1])
-        if len(n2) == 1 and o._den == _ONE_T:
-            return self.times_monomial(n2[0], o.shift[0], o.shift[1])
         shift = (self.shift[0] + o.shift[0], self.shift[1] + o.shift[1])
         ops, n1, d1, n2, d2 = _common(self, o)
         # a GCD against a denominator of 1 is 1
@@ -802,9 +794,7 @@ class RatFunc:
             _, n1, d2 = ops.cofactors(n1, d2)
         if d1 != ops.one:
             _, n2, d1 = ops.cofactors(n2, d1)
-        # a denominator of 1 leaves the other as it is
-        den = d2 if d1 == ops.one else d1 if d2 == ops.one else ops.mul(d1, d2)
-        return ops.make(shift, ops.mul(n1, n2), den)
+        return ops.make(shift, ops.mul(n1, n2), ops.mul(d1, d2))
 
     __rmul__ = __mul__
 
@@ -1073,6 +1063,8 @@ class LinComb:
         if coeff is None:
             return NotImplemented
         return self.scale(coeff)
+
+    __mul__ = __rmul__  # scalars commute; a subclass with a product overrides it
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):

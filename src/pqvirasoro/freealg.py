@@ -18,16 +18,16 @@ R4(n, m), in the order above, so the r5-8.11 form of R5 is written only
 there.  Each rule has one main term, whose coefficient is exactly
 p^s q^t: the swap of R4, the moves of R2, R3 and R5, and R1's
 cancellation.  Only R4 adds side terms, each one letter shorter.  The
-main term either shortens the word, or keeps its length and its
-multiset of letters and swaps one adjacent pair a > b into b a, which
-raises the weight sum(i * w[i]) over the int letters by exactly a - b.
-Reduction terminates: the length never rises, and while it stays fixed
-the letters only permute, so the weight can rise only finitely often.
-Each rule is compiled once per letter pair into a _Rule.  ``_reduce``
-follows this length filtration: it takes words a length at a time,
-longest first and lightest first within a length, and rewrites each
-word in place along its main terms, summing their exponents into one
-shift; side terms wait in the map of their own, shorter length.
+main term either shortens the word, or keeps its length and swaps one
+adjacent pair a > b into b a, which makes the word smaller as a tuple
+of int letters.  Every rewrite thus lowers the word in length-then-
+lexicographic order, and reduction terminates: the length never rises,
+and while it stays fixed the letters only permute, so the word can fall
+only finitely often.  Each rule is compiled once per letter pair into a
+_Rule.  ``_reduce`` follows this order: it takes words a length at a
+time, longest first and largest first within a length, and rewrites
+each word in place along its main terms, summing their exponents into
+one shift; side terms wait in the map of their own, shorter length.
 The system is not confluent: the two strategies reduce some words to
 different normal forms, and the confluence suite counts those words.
 
@@ -54,8 +54,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import count, groupby
-from operator import index, mul
+from itertools import groupby
+from operator import index
 from typing import NamedTuple
 
 from .field import ONE, ZERO, LinComb, accumulate, monomial, pq_ladder
@@ -337,25 +337,20 @@ _MEMO_MAX_WORDS = 2048
 _MEMO_ENTRY_MAX_TERMS = 8
 
 
-def _weight(word):
-    """sum(i * word[i]): a same-length rewrite raises it by a - b > 0."""
-    return sum(map(mul, count(), word))
-
-
 def _reduce(coeffs, cfg, strategy):
     """Reduction of the word -> coefficient map coeffs, a length at a time.
 
-    Words are taken longest first, and the words of one length lightest
-    first.  A word taken is rewritten in place along the main terms of
-    its rules, which sum into one shift, while the strategy's next redex
-    is found by a scan that resumes at the last rewrite.  Each R4 side
-    term, one letter shorter than its word, is added to the map of its
-    own length, so every word has all of its coefficient before its
-    length is taken.  A same-length step raises the weight, so after an
-    R4 step a word of this length not yet taken is met later in the
-    order: the chain stops there and adds its coefficient to that word's.
-    Otherwise its normal end goes to the result.  Each distinct word
-    taken is rewritten once.
+    Words are taken longest first, and the words of one length largest
+    first as tuples.  A word taken is rewritten in place along the main
+    terms of its rules, which sum into one shift, while the strategy's
+    next redex is found by a scan that resumes at the last rewrite.  Each
+    R4 side term, one letter shorter than its word, is added to the map of
+    its own length, so every word has all of its coefficient before its
+    length is taken.  A same-length step makes the word smaller as a
+    tuple, so after an R4 step a word of this length not yet taken is met
+    later in the order: the chain stops there and adds its coefficient to
+    that word's.  Otherwise its normal end goes to the result.  Each
+    distinct word taken is rewritten once.
     """
     variants = cfg.variants
     rightmost = strategy == "rightmost"
@@ -365,7 +360,7 @@ def _reduce(coeffs, cfg, strategy):
     result = {}
     while levels:
         level = levels.pop(max(levels))
-        for word in sorted(level, key=_weight):
+        for word in sorted(level, reverse=True):
             coeff = level.pop(word, None)
             if coeff is None:  # cancelled by a chain that stopped at it
                 continue

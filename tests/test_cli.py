@@ -322,12 +322,15 @@ def run_module(module, *args):
 
 @pytest.mark.parametrize("module", ["pqvirasoro", "pqvirasoro.cli"])
 def test_python_dash_m_runs_the_command_line(capsys, module):
-    assert main(["normalize", "L(1) L(0)"]) == 0
-    expected = capsys.readouterr().out
-    done = run_module(module, "normalize", "L(1) L(0)")
-    assert (done.returncode, done.stdout, done.stderr) == (0, expected, "")
+    for expr in ("L(1) L(0)", "L(2) L(1)"):
+        assert main(["normalize", expr]) == 0
+        expected = capsys.readouterr().out
+        done = run_module(module, "normalize", expr)
+        assert (done.returncode, done.stdout, done.stderr) == (0, expected, "")
     failed = run_module(module, "normalize", "L(")
     assert failed.returncode == 2 and failed.stderr.startswith("error: ")
+    usage = run_module(module, "no-such-verb")
+    assert usage.returncode == 2 and usage.stderr.startswith("usage: ")
 
 
 def test_bracket_verb(tmp_path):

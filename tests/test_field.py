@@ -787,6 +787,19 @@ def test_float_and_fraction_coefficients_and_exponents_are_refused():
     assert str(e * e) == "(16*p^2 + 8*p*q + q^2)/4"
 
 
+def test_bools_are_not_int_coefficients():
+    """A bool is refused wherever an int coefficient is taken, so no
+    canonical tuple holds one; a constant no longer equals True."""
+    for make in (lambda: RatFunc(True), lambda: RatFunc(1, True),
+                 lambda: RatFunc({(0, 0): True}), lambda: monomial(True),
+                 lambda: AlgebraElement({(L(1),): True}), lambda: RatFunc(1) + True):
+        with pytest.raises(TypeError):
+            make()
+    assert RatFunc._coerce(True) is None
+    assert RatFunc(1) != True and RatFunc(0) != False  # noqa: E712
+    assert RatFunc(1) == 1 and hash(RatFunc(1)) == hash(1)
+
+
 @pytest.mark.parametrize("scalar", [Fraction(1, 2), 3, RatFunc(1, 2) * P])
 def test_every_element_type_takes_the_same_coefficients(scalar):
     """int, Fraction and RatFunc enter algebra, tensor and Fock elements
@@ -800,16 +813,19 @@ def test_every_element_type_takes_the_same_coefficients(scalar):
         assert x.terms == {key: value} and type(x.terms[key]) is RatFunc
         str(x)  # every coefficient renders
         one = make({key: 1})
-        assert one.scale(scalar) == scalar * one == x
-        if not isinstance(one, TensorElement):
-            assert one * scalar == x
-        for bad in (1.5, "2", None):
+        assert one.scale(scalar) == scalar * one == one * scalar == x
+        for bad in (1.5, "2", None, True):
             with pytest.raises(TypeError):
                 make({key: bad})
             with pytest.raises(TypeError):
                 one.scale(bad)
             with pytest.raises(TypeError):
                 bad * one
+            with pytest.raises(TypeError):
+                one * bad
+    tensor = TensorElement(2, {((L(1),), ()): 1})
+    with pytest.raises(TypeError):
+        tensor * tensor
     x = AlgebraElement({(L(2), L(1)): Fraction(1, 2)})
     assert str(x) == "1/2*L(2) L(1)"
     assert Fraction(1, 2) * AlgebraElement.from_word((L(1),)) == \

@@ -260,19 +260,25 @@ def test_equals_and_multiply_helpers():
     assert multiply(elem(L(2)), elem(L(1))) == y
 
 
+def _weight(word):
+    return sum(i * letter for i, letter in enumerate(word))
+
+
 def _length_weight_key(word):
-    return (-len(word), freealg._weight(word))
+    return (-len(word), _weight(word))
 
 
 @given(letters_strategy())
 def test_length_then_weight_rises_on_every_rewrite(word):
-    # a same-length branch swaps the redex pair a > b, adding a - b to the weight
+    # a same-length branch swaps the redex pair a > b, adding a - b to the
+    # weight and making the word smaller as a tuple
     i = find_redex(word)
     for _, new_word in rewrite_once(word) or ():
         assert _length_weight_key(new_word) > _length_weight_key(word)
         if len(new_word) == len(word):
             assert sorted(new_word) == sorted(word)
-            assert freealg._weight(new_word) - freealg._weight(word) == word[i] - word[i + 1]
+            assert _weight(new_word) - _weight(word) == word[i] - word[i + 1]
+            assert new_word < word
 
 
 @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, EQ811], ids=["standard", "eq811"])
@@ -295,6 +301,21 @@ def test_reduce_rewrites_each_distinct_word_at_most_once(monkeypatch, cfg, strat
         rewritten.clear()
         freealg._reduce({w: ONE for w in words}, cfg, strategy)
         assert rewritten and len(set(rewritten)) == len(rewritten), words
+
+
+def test_reduce_takes_each_length_in_descending_tuple_order(monkeypatch):
+    taken = []
+
+    def spy(word, strategy="leftmost", start=None):
+        if start is None:
+            taken.append(word)
+        return find_redex(word, strategy, start)
+
+    monkeypatch.setattr(freealg, "find_redex", spy)
+    # the weight order would take (L(1), L(0)), of weight 0, before
+    # (L(2), L(9)), of weight 9
+    freealg._reduce({(L(2), L(9)): ONE, (L(1), L(0)): ONE}, DEFAULT_CONFIG, "leftmost")
+    assert taken[:2] == [(L(2), L(9)), (L(1), L(0))]
 
 
 def _stepwise_reduce(word, cfg, strategy):
