@@ -1,9 +1,8 @@
-"""Truncated Fock-space realization of the deformed oscillator.
+"""Exact operator algebra of the deformed Fock oscillator, and its matrix views.
 
-The oscillator acts on the column space spanned by |0>, ..., |N-1>:
-the raising operator sends |k> to |k+1> and the lowering operator
-sends |k> to lam_k |k-1>, where lam_k is fixed by the defining
-relation of the chosen mode together with lam_0 = 0:
+The oscillator acts on the states |k>: the raising operator sends |k> to
+|k+1> and the lowering operator sends |k> to lam_k |k-1>, where lam_k is
+fixed by the defining relation of the chosen mode together with lam_0 = 0:
 
     classical:  a a+ - a+ a = 1          lam_k = k
     one_param:  a a+ - q a+ a = 1        lam_k = (q^k - 1)/(q - 1)
@@ -12,23 +11,43 @@ relation of the chosen mode together with lam_0 = 0:
 The classical and one-parameter modes are the two-parameter oscillator
 at (p, q) = (1, 1) and at p = 1, so each constant below is written once,
 in its two-parameter form, and substituted exactly at the mode's point.
-The generators L_n = (a+)^(n+1) a (n >= -1) then give matrices on
-which the deformed Virasoro relations can be checked by exact
-arithmetic. Since a sends |k> to lam_k |k-1> and a+ only shifts,
-L_n sends |k> to lam_k |k+n>, so ``make_L`` reads L_n off the entries
-of a in one pass; past the top row the shifted entries drop out, and
-L_n is zero for n >= dim - 1. Likewise (a+)^k is the entries 1 at
-(j + k, j), with no repeated product. The matrices are built
-independently of the symbolic rewriting engine, so checking its
-structure constants on them is an independent test of those constants.
-Truncation spoils the top edge of the matrix, so identities are only
-asserted on guarded columns that no intermediate state can push past
-the cutoff. Column j of a product A B is A times column j of B, so the
-checks restrict each right factor to the guarded columns before they
-multiply, and compute no other column.
+
+Every operator the checks build is a finite sum of terms c z^a Lam^i,
+where z|k> = |k+1> and Lam|k> = lam_k |k>: a+ = z, a = z^-1 Lam, and the
+generator L_n = (a+)^(n+1) a is the one term z^n Lam. With r = q/p,
+lam_k = (1 - r^k)/(p - q), so lam_(k+b) = lam_b + r^b lam_k, and the
+algebra has one commutation rule,
+
+    Lam^i z^b = z^b (u_b + v_b Lam)^i,    u_b = lam_b,  v_b = r^b.
+
+These are the (p, q)-difference operators of Hartwig, Larsson and
+Silvestrov (J. Algebra 295, 2006). For every integer b, u_b is
+[b]_{p,q} / p^b (or -[-b]_{p,q} / q^-b when b < 0) and v_b a monomial,
+so every structure constant is a Laurent polynomial in p and q, and
+products of Laurent coefficients never meet a denominator. At p = q = 1
+the rule reads Lam z^b = z^b (Lam + b): the classical mode is the Weyl
+algebra, with no case of its own.
+
+For fixed a, the terms z^a Lam^i act on infinitely many states |k>
+through the distinct values lam_k, so they are linearly independent: an
+operator is zero exactly when each of its coefficients is. The bracket
+and power identities are therefore decided in this algebra, for every
+index and with no truncation; ``bracket_residual`` even takes L_n with
+n <= -2, which has no Fock image.
+
+A matrix is only an output view: ``DifferenceOperator.view`` puts each
+term's c lam_k^i at (k + a, k) for the columns k asked, keeping rows
+0..dim-1. The oscillator pair, ``make_L``, ``word_image`` and
+``element_image`` are such views, and the checks return their residual's
+view on the columns of ``safe_columns``, the guard under which a product
+of truncated matrices computes what the untruncated operators would.
+``FockOperator``'s own product stays as the truncated reference the
+tests compare these views against.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
+from math import comb
 
 from .field import ZERO, ONE, P, Q, LinComb, accumulate, monomial, pq_int, pq_ladder, substitute
 from .freealg import C, bracket_coeff, t_degree
@@ -152,6 +171,87 @@ def lowering_coeff_iterative(k, mode):
     return lam
 
 
+@lru_cache(maxsize=None)
+def _eigenvalue(k, i, mode):
+    """lam_k^i at the mode: the eigenvalue of Lam^i on |k>."""
+    return lowering_coeff(k, mode) ** i
+
+
+@lru_cache(maxsize=None)
+def _commute(b, i, mode):
+    """Lam^i z^b = z^b sum_l e_l Lam^l, as the pairs (l, e_l) with e_l nonzero.
+
+    The row is the binomial expansion of (u_b + v_b Lam)^i at the mode.
+    """
+    u, v = _at_mode(mode, pq_ladder(b), monomial(1, -b, b))
+    row = ((l, comb(i, l) * u ** (i - l) * v ** l) for l in range(i + 1))
+    return tuple((l, e) for l, e in row if e)
+
+
+class DifferenceOperator(LinComb):
+    """Exact operator sum of terms c z^a Lam^i, keyed by (a, i), in one mode.
+
+    shape is the mode, whose constants the product substitutes, so
+    operators of different modes neither add nor multiply.
+    """
+
+    __slots__ = ()
+    _PAREN_CHARS = "+-/ "
+
+    def __init__(self, terms, mode):
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}")
+        super().__init__(terms, mode)
+
+    @classmethod
+    def zero(cls, mode):
+        return cls({}, mode)
+
+    @classmethod
+    def term(cls, a, i, mode):
+        """The one term z^a Lam^i."""
+        return cls({(a, i): ONE}, mode)
+
+    def __mul__(self, other):
+        """Product by the rule Lam^i z^b = z^b (u_b + v_b Lam)^i, or scaling."""
+        if not isinstance(other, DifferenceOperator):
+            return self.__rmul__(other)
+        if self.shape != other.shape:
+            raise ValueError("mode mismatch: %r and %r" % (self.shape, other.shape))
+        out = {}
+        for (a, i), c in self.terms.items():
+            for (b, j), d in other.terms.items():
+                cd = c * d
+                for l, e in _commute(b, i, self.shape):
+                    accumulate(out, (a + b, l + j), cd * e)
+        return DifferenceOperator.from_clean(out, self.shape)
+
+    def view(self, dim, cols=None):
+        """The truncated dim x dim matrix, on the columns cols (all by default).
+
+        The term c z^a Lam^i sends |k> to c lam_k^i |k+a>, which lands in
+        the matrix when 0 <= k + a < dim.
+        """
+        out = {}
+        for (a, i), c in self.terms.items():
+            for k in range(dim) if cols is None else cols:
+                if 0 <= k + a < dim:
+                    lam = _eigenvalue(k, i, self.shape)
+                    if lam:
+                        accumulate(out, (k + a, k), c * lam)
+        return FockOperator.from_clean(out, dim)
+
+    @staticmethod
+    def _key_str(key, latex=False):
+        names = ("z", "\\Lambda" if latex else "Lam")
+        return " ".join(f"{x}^{e}" if e != 1 else x for x, e in zip(names, key) if e) or "1"
+
+
+def exact_L(n, mode):
+    """The generator L_n = z^n Lam, for every integer n, as an exact operator."""
+    return DifferenceOperator.term(n, 1, mode)
+
+
 @dataclass(frozen=True)
 class Oscillator:
     mode: str
@@ -165,15 +265,11 @@ class Oscillator:
 
 
 def make_oscillator(N, mode="two_param"):
-    """Build the truncated oscillator pair for the given mode."""
+    """The oscillator pair a = z^-1 Lam and a+ = z, as N x N matrices."""
     if not isinstance(N, int) or N < 3:
         raise ValueError("truncation dimension must be an integer >= 3")
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    lam = tuple(lowering_coeff(k, mode) for k in range(N))
-    a_plus = _raising_power(1, N, range(N))
-    a = FockOperator(N, {(k - 1, k): lam[k] for k in range(1, N)})
-    return Oscillator(mode=mode, dim=N, a=a, a_plus=a_plus)
+    return Oscillator(mode=mode, dim=N, a=exact_L(-1, mode).view(N),
+                      a_plus=DifferenceOperator.term(1, 0, mode).view(N))
 
 
 def safe_columns(dim, word_length, max_shift):
@@ -197,24 +293,13 @@ def make_L(n, osc):
     """The generator L_n = (a+)^(n+1) a as a truncated matrix.
 
     Only n >= -1 makes sense here: the raising operator is not
-    invertible, so (a+)^(n+1) is undefined for n <= -2. The entry
-    lam_k at (k-1, k) of a moves to (k+n, k), and drops out when
-    k + n is past the top row; each call builds a new matrix.
+    invertible, so (a+)^(n+1) is undefined for n <= -2. L_n = z^n Lam
+    sends |k> to lam_k |k+n>, which drops out past the top row, so L_n
+    is zero for n >= dim - 1; each call builds a new matrix.
     """
     if not isinstance(n, int) or n < -1:
         raise ValueError("L_n has a Fock image only for integer n >= -1")
-    return FockOperator.from_clean(
-        {(k + n, k): lam for (_, k), lam in osc.a.terms.items() if k + n < osc.dim},
-        osc.dim)
-
-
-def _raising_power(k, dim, cols):
-    """(a+)^k as a truncated matrix, restricted to the columns cols.
-
-    a+ only shifts, so (a+)^k sends |j> to |j+k>: its entries are 1 at
-    (j + k, j), and the ones past the top row drop out.
-    """
-    return FockOperator.from_clean({(j + k, j): ONE for j in cols if j + k < dim}, dim)
+    return exact_L(n, osc.mode).view(osc.dim)
 
 
 def deformed_commutator(A, B, alpha, beta):
@@ -233,47 +318,59 @@ def bracket_weights(n, m, mode):
     return _at_mode(mode, monomial(1, -n, n), monomial(1, -m, m), bracket_coeff(n, m))
 
 
+def bracket_residual(n, m, mode):
+    """alpha L_n L_m - beta L_m L_n - gamma L_{m+n} in the exact algebra,
+    for any integers n and m."""
+    alpha, beta, gamma = bracket_weights(n, m, mode)
+    Ln, Lm = exact_L(n, mode), exact_L(m, mode)
+    return Ln * Lm * alpha - Lm * Ln * beta - exact_L(n + m, mode) * gamma
+
+
 def verify_bracket(n, m, osc):
     """Residual of the bracket relation for the oscillator's mode.
 
-    Returns alpha L_n L_m - beta L_m L_n - gamma L_{m+n} restricted to
-    its safe columns; the realization is centerless, so the
-    residual must vanish there exactly.
+    The residual alpha L_n L_m - beta L_m L_n - gamma L_{m+n} is computed
+    exactly, and returned as its matrix view on the safe columns of
+    osc.dim; the realization is centerless, so it must vanish.
     """
     if n < -1 or m < -1:
         raise ValueError("bracket checks need n, m >= -1")
-    alpha, beta, gamma = bracket_weights(n, m, osc.mode)
     cols = safe_columns(osc.dim, 2, max(n, m, 1))
-    Ln, Lm = make_L(n, osc), make_L(m, osc)
-    res = Ln * Lm.restrict(cols) * alpha - Lm * Ln.restrict(cols) * beta
-    if not gamma.is_zero():
-        res = res - make_L(m + n, osc).restrict(cols) * gamma
-    return res
+    return bracket_residual(n, m, osc.mode).view(osc.dim, cols)
 
 
-def word_image(word, osc):
-    """Matrix image of a word of letters from the rewriting layer.
+def _word_operator(word, mode):
+    """Exact image of a word of letters from the rewriting layer.
 
-    The letter L(n), the int n, maps to L_n and C to the zero matrix (the
-    realization is centerless).  T has no Fock image, so words containing
+    The letter L(n), the int n, maps to L_n = z^n Lam and C to zero (the
+    realization is centerless). T has no Fock image, so words containing
     it are rejected.
     """
     if any(map(t_degree, word)):
         raise ValueError("T has no Fock image")
-    out = FockOperator.identity(osc.dim)
+    if C in word:
+        return DifferenceOperator.zero(mode)
+    out = DifferenceOperator.term(0, 0, mode)
     for letter in word:
-        if letter == C:
-            return FockOperator.zero(osc.dim)
-        out = out * make_L(letter, osc)
+        out = out * exact_L(letter, mode)
     return out
+
+
+def word_image(word, osc):
+    """Matrix image of a word: the view at osc.dim of its exact product.
+
+    Every column is exact, including those on which a product of
+    truncated matrices loses a state pushed past the top row and back.
+    """
+    return _word_operator(word, osc.mode).view(osc.dim)
 
 
 def element_image(x, osc):
     """Matrix image of a linear combination of words, term by term."""
-    out = FockOperator.zero(osc.dim)
+    out = DifferenceOperator.zero(osc.mode)
     for word, coeff in x.terms.items():
-        out = out + word_image(word, osc).scale(coeff)
-    return out
+        out = out + _word_operator(word, osc.mode).scale(coeff)
+    return out.view(osc.dim)
 
 
 def power_weights(n, mode):
@@ -281,12 +378,17 @@ def power_weights(n, mode):
     return _at_mode(mode, P ** n, Q ** n, pq_int(n))
 
 
+def power_residual(n, mode):
+    """alpha a (a+)^n - beta (a+)^n a - gamma (a+)^(n-1) in the exact algebra."""
+    alpha, beta, gamma = power_weights(n, mode)
+    a, up = exact_L(-1, mode), DifferenceOperator.term(n, 0, mode)
+    return a * up * alpha - up * a * beta - DifferenceOperator.term(n - 1, 0, mode) * gamma
+
+
 def verify_power_commutator(n, osc):
-    """Residual of the ladder identity for a against the n-th power of a+."""
+    """Residual of the ladder identity for a against the n-th power of a+,
+    computed exactly and returned as its view on the safe columns."""
     if not isinstance(n, int) or n < 1:
         raise ValueError("power commutator checks need n >= 1")
-    alpha, beta, gamma = power_weights(n, osc.mode)
     cols = safe_columns(osc.dim, n + 1, 1)
-    a, ap_n = osc.a, _raising_power(n, osc.dim, range(osc.dim))
-    return (a * ap_n.restrict(cols) * alpha - ap_n * a.restrict(cols) * beta
-            - _raising_power(n - 1, osc.dim, cols) * gamma)
+    return power_residual(n, osc.mode).view(osc.dim, cols)

@@ -69,6 +69,11 @@ GOLDEN = [
      "df6076abd5b9f52f6b43e831d76e29dc9066bd9aaea420fc3bfd80a4e7c58bb2"),
     (["fock", "--dim", "8", "--range", "3", "--format", "json"], 0,
      "0895c9469528c41bd35287f2b4af9242f3e69397026a5175fd3a2febfe9dc954"),
+    # the classical and one-parameter modes: lam_k = k and lam_k = [k]_q
+    (["fock", "--dim", "8", "--range", "3", "--mode", "classical", "--format", "csv"], 0,
+     "9ed2db29b136644d72ec869315410d353cc8424f8f9ccf4f63b498f65198e8ca"),
+    (["fock", "--dim", "8", "--range", "3", "--mode", "one_param", "--format", "json"], 0,
+     "993192eb344042ff7047c75f6e7876305a5ec2bffb7674af33b344a66de2c231"),
     # long products: L(10) at dim 24 has ladder numerators of up to 23 terms
     (["fock", "--dim", "24", "--range", "10", "--format", "json"], 0,
      "f7ebbc5abf7cfafbf0cc515dfce96243579e9ed5cc26c590972c4b8f670b0eaa"),

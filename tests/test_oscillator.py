@@ -1,4 +1,4 @@
-"""Truncated oscillator representation and its guarded verifications."""
+"""The exact oscillator algebra, its truncated matrix views and the guarded verifications."""
 
 import dataclasses
 
@@ -10,16 +10,20 @@ from pqvirasoro import oscillator
 from pqvirasoro.field import ONE, P, Q, RatFunc, ZERO, monomial, pq_int, pq_ladder, q_int
 from pqvirasoro.freealg import AlgebraElement, C, L, T, TINV, bracket_coeff, normalize
 from pqvirasoro.oscillator import (
+    DifferenceOperator,
     FockOperator,
     MODES,
     Oscillator,
+    bracket_residual,
     bracket_weights,
     deformed_commutator,
     element_image,
+    exact_L,
     lowering_coeff,
     lowering_coeff_iterative,
     make_L,
     make_oscillator,
+    power_residual,
     power_weights,
     safe_columns,
     verify_bracket,
@@ -233,10 +237,10 @@ def perturbed(weights, which):
 @pytest.mark.parametrize("mode", ("classical", "two_param"))
 @pytest.mark.parametrize("dim", (9, 14))
 def test_guarded_products_show_wrong_weights(monkeypatch, dim, mode, which):
-    """The checks multiply only the guarded columns; with a wrong weight
-    their residual equals the full products restricted afterwards, and is
-    nonzero unless the guard keeps column 0 alone, which every L_k
-    annihilates."""
+    """The checks return the view of their exact residual on the guarded
+    columns; with a wrong weight it equals the truncated products
+    restricted afterwards, and is nonzero unless the guard keeps column 0
+    alone, which every L_k annihilates."""
     monkeypatch.setattr(oscillator, "bracket_weights",
                         lambda n, m, mode: perturbed(bracket_weights(n, m, mode), which))
     monkeypatch.setattr(oscillator, "power_weights",
@@ -268,6 +272,91 @@ def test_verify_power_commutator_zero():
         osc = make_oscillator(12, mode)
         for n in range(1, 6):
             assert verify_power_commutator(n, osc).is_zero(), (mode, n)
+
+
+EXACT_RANGE = range(-8, 9)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_exact_bracket_residual_vanishes_for_all_indices(mode):
+    """No view and no guard: L_n with n <= -2 has no Fock matrix, yet the
+    relation holds in the algebra for every pair."""
+    for n in EXACT_RANGE:
+        for m in EXACT_RANGE:
+            assert bracket_residual(n, m, mode).is_zero(), (n, m)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_exact_power_residual_vanishes(mode):
+    for n in range(1, 40):
+        assert power_residual(n, mode).is_zero(), n
+
+
+@pytest.mark.parametrize("which", ("alpha", "gamma"))
+@pytest.mark.parametrize("mode", MODES)
+def test_exact_residual_shows_wrong_weights_for_every_pair(monkeypatch, mode, which):
+    """Even where the guard keeps column 0 alone and the view is zero, the
+    exact residual of a wrong weight is not."""
+    monkeypatch.setattr(oscillator, "bracket_weights",
+                        lambda n, m, mode: perturbed(bracket_weights(n, m, mode), which))
+    monkeypatch.setattr(oscillator, "power_weights",
+                        lambda n, mode: perturbed(power_weights(n, mode), which))
+    for n in EXACT_RANGE:
+        for m in EXACT_RANGE:
+            assert not bracket_residual(n, m, mode).is_zero(), (n, m)
+    for n in range(1, 40):
+        assert not power_residual(n, mode).is_zero(), n
+    osc = make_oscillator(9, mode)
+    assert safe_columns(9, 2, 4) == range(1)
+    assert verify_bracket(4, 2, osc).is_zero()
+
+
+def test_exact_generators():
+    for mode in MODES:
+        assert exact_L(3, mode) == DifferenceOperator({(3, 1): ONE}, mode)
+        assert exact_L(-1, mode).view(6) == make_oscillator(6, mode).a
+        # z^-1 sends |0> below the bottom row, and out of the view
+        assert DifferenceOperator.term(-1, 0, mode).view(3) == FockOperator(
+            3, {(0, 1): ONE, (1, 2): ONE})
+    # classical mode is the Weyl algebra: Lam z = z (Lam + 1)
+    lam, z = DifferenceOperator.term(0, 1, "classical"), DifferenceOperator.term(1, 0, "classical")
+    assert lam * z == DifferenceOperator({(1, 1): ONE, (1, 0): ONE}, "classical")
+    # two_param: Lam z = z (1/p + (q/p) Lam)
+    lam, z = DifferenceOperator.term(0, 1, "two_param"), DifferenceOperator.term(1, 0, "two_param")
+    assert lam * z == DifferenceOperator({(1, 0): monomial(1, -1, 0), (1, 1): Q / P}, "two_param")
+    assert str(exact_L(1, "classical").scale(P) + DifferenceOperator.term(0, 0, "classical")) == (
+        "1 + p*z Lam")
+    assert str(lam * z - exact_L(-1, "two_param")) == "-z^-1 Lam + (1/p)*z + (q/p)*z Lam"
+    assert DifferenceOperator.zero("one_param") == power_residual(3, "one_param")
+    with pytest.raises(ValueError, match="mode mismatch"):
+        exact_L(1, "classical") * exact_L(1, "two_param")
+    with pytest.raises(ValueError, match="mode must be one of"):
+        exact_L(1, "quantum")
+
+
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 2), st.integers(-3, 3)),
+                min_size=1, max_size=3),
+       st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 2), st.integers(-3, 3)),
+                min_size=1, max_size=3),
+       st.sampled_from(MODES))
+def test_exact_product_is_the_matrix_product_on_guarded_columns(xs, ys, mode):
+    """The view of a product equals the product of the views wherever no
+    intermediate state leaves the matrix."""
+    x, y = (DifferenceOperator({(a, i): monomial(c, 0, i) for a, i, c in terms}, mode)
+            for terms in (xs, ys))
+    # each factor shifts by at most 3 either way
+    dim = 14
+    cols = range(3, dim - 6)
+    assert (x * y).view(dim, cols) == (x.view(dim) * y.view(dim)).restrict(cols)
+
+
+def test_word_image_is_exact_past_the_guard():
+    """L(5) pushes |1> past the top of a 6 x 6 matrix and L(-1) brings it
+    back: the truncated product drops that entry, the view keeps it."""
+    osc = make_oscillator(6, "two_param")
+    img = word_image((L(-1), L(5)), osc)
+    assert img.column(1) == {5: lowering_coeff(6, "two_param") * lowering_coeff(1, "two_param")}
+    assert (make_L(-1, osc) * make_L(5, osc)).column(1) == {}
 
 
 def test_power_weights_shapes():
