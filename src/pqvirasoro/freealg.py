@@ -192,6 +192,7 @@ class AlgebraElement(LinComb):
 @lru_cache(maxsize=None)
 def bracket_coeff(n, m):
     """Coefficient of L(n+m) in the environment bracket of L(n), L(m)."""
+    n, m = L(n), L(m)
     return pq_ladder(m) - pq_ladder(n)
 
 
@@ -212,7 +213,9 @@ def central_coeff(n):
 def bracket_env(n, m):
     """Environment bracket of L(n) and L(m) as a normalized element:
     bracket_coeff(n,m) * L(n+m) plus, when m == -n, central_coeff(n) * C.
+    Every index is checked before any coefficient is computed.
     """
+    n, m = L(n), L(m)
     terms = {(L(n + m),): bracket_coeff(n, m)}
     if n + m == 0:
         terms[(C,)] = central_coeff(n)

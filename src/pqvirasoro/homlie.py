@@ -22,14 +22,21 @@ but the plain Jacobi identity fails, and the twist is deliberately not
 a bracket homomorphism. The structure constants and twist weights are
 read from the rewriting layer's ``freealg.bracket_env`` and
 ``freealg.twist_weight``, the one table of them, so they
-are not checked against a second copy here, and the inner bracket
-[L_m, L_k] of a Jacobi sum is read from that table as it is. Their
-independent checks are the Fock realization in ``oscillator`` and the
-twisted Jacobi identity, whose central triples test g(n).
+are not checked against a second copy here. ``twisted_env(n, j)`` caches
+[alpha(L_n), L_j] as that table's entry scaled by the twist weight. A
+Jacobi sum reads every bracket from these tables: since C is central,
+the inner bracket [L_m, L_k] contributes only its L_{m+k} term, so
+[alpha(L_n), [L_m, L_k]] = bracket_coeff(m, k) twisted_env(n, m + k),
+and no element is built or bracketed term by term. ``vbracket`` stays the
+general bilinear bracket. The independent checks of the constants are the
+Fock realization in ``oscillator`` and the twisted Jacobi identity, whose
+central triples test g(n).
 """
 
+from functools import lru_cache
+
 from .field import accumulate
-from .freealg import AlgebraElement, C, L, bracket_env, twist_weight
+from .freealg import AlgebraElement, C, L, bracket_coeff, bracket_env, twist_weight
 
 
 def _gen(n):
@@ -68,27 +75,38 @@ def skew_residual(n, m):
     return vbracket(ln, lm) + vbracket(lm, ln)
 
 
-def _jacobi_sum(outer, n, m, k):
-    """Cyclic sum of [outer(L_n), [L_m, L_k]].
+@lru_cache(maxsize=None)
+def twisted_env(n, j):
+    """[alpha(L_n), L_j]: the environment bracket scaled by twist_weight(n)."""
+    return bracket_env(n, j).scale(twist_weight(n))
 
-    The inner bracket of two generators is ``bracket_env`` itself, so
-    only the outer brackets go through ``vbracket``.
+
+def _jacobi_sum(outer_env, n, m, k):
+    """Cyclic sum of bracket_coeff(b, c) * outer_env(a, b + c) over
+    (a, b, c) = (n, m, k), (m, k, n), (k, n, m).
+
+    outer_env(a, j) is the outer bracket of L_a with L_j. The indices are
+    checked before any table is read, since a cache hit checks nothing.
     """
-    return (
-        vbracket(outer(_gen(n)), bracket_env(m, k))
-        + vbracket(outer(_gen(m)), bracket_env(k, n))
-        + vbracket(outer(_gen(k)), bracket_env(n, m))
-    )
+    n, m, k = L(n), L(m), L(k)
+    out = {}
+    for a, b, c in ((n, m, k), (m, k, n), (k, n, m)):
+        env = outer_env(a, b + c)
+        w = bracket_coeff(b, c)
+        if w:
+            for word, coeff in env.terms.items():
+                accumulate(out, word, w * coeff)
+    return AlgebraElement.from_clean(out)
 
 
 def hom_jacobi_residual(n, m, k):
     """Cyclic sum of [alpha(L_n), [L_m, L_k]]; zero for every triple."""
-    return _jacobi_sum(alpha, n, m, k)
+    return _jacobi_sum(twisted_env, n, m, k)
 
 
 def plain_jacobi_residual(n, m, k):
     """The same cyclic sum without the twist; generically nonzero."""
-    return _jacobi_sum(lambda x: x, n, m, k)
+    return _jacobi_sum(bracket_env, n, m, k)
 
 
 def alpha_bracket_gap(n, m):

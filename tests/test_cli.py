@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import example, given
@@ -418,6 +419,30 @@ def test_verify_fock_passes(tmp_path):
                      tmp_path, "f.jsonl")
     assert code == 0
     assert all(json.loads(line)["status"] == "ok" for line in text.splitlines())
+
+
+def test_verify_fock_takes_its_verdict_from_the_exact_residual(monkeypatch, tmp_path, capsys):
+    # at dim 3 the guard keeps column 0 alone, which every L_k annihilates,
+    # so a wrong bracket weight leaves every truncated view zero
+    weights = pqvirasoro.oscillator.bracket_weights
+
+    def wrong_weights(n, m, mode):
+        alpha, beta, gamma = weights(n, m, mode)
+        return alpha, beta, gamma + 1
+
+    monkeypatch.setattr(pqvirasoro.oscillator, "bracket_weights", wrong_weights)
+    code, text = run(["verify", "--suite", "fock", "--dim", "3"], tmp_path, "f.jsonl")
+    assert code == 1
+    failing = [r for r in map(json.loads, text.splitlines()) if r["status"] == "fail"]
+    assert len(failing) == 2 * 9 and {r["check"] for r in failing} == {"bracket"}
+    assert "18 failing (bracket)" in capsys.readouterr().err
+
+
+def test_bracket_past_the_letter_bound_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    assert main(["bracket", str(INDEX_BOUND), "-1"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "out of range" in capsys.readouterr().err
 
 
 def test_verify_confluence_reports_failures(tmp_path):

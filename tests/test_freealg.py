@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import time
 from itertools import groupby
 
 import pytest
@@ -174,6 +175,17 @@ def test_central_coeff_vanishes_near_zero():
     assert not central_coeff(2).is_zero()
     for n in range(1, 9):
         assert central_coeff(-n) == -central_coeff(n)
+
+
+def test_structure_constants_check_both_indices_before_computing():
+    # only n + m was checked, so L(2^28) with L(-1) built pq_ladder(2^28)
+    bound = freealg.INDEX_BOUND
+    start = time.perf_counter()
+    for n, m in ((bound, -1), (-1, bound), (-bound, 1), (1, -bound)):
+        for table in (bracket_env, bracket_coeff):
+            with pytest.raises(ValueError, match="out of range"):
+                table(n, m)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_bracket_env_antisymmetric():

@@ -1,13 +1,22 @@
 """Twisted bracket, central extension, and the twisted Jacobi identity."""
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from pqvirasoro.field import ONE, P, Q, monomial
-from pqvirasoro.freealg import AlgebraElement, C, L, bracket_coeff, central_coeff
+from pqvirasoro.freealg import (
+    INDEX_BOUND,
+    AlgebraElement,
+    C,
+    L,
+    bracket_coeff,
+    central_coeff,
+    twist_weight,
+)
 from pqvirasoro import homlie
 from pqvirasoro.homlie import (
     alpha,
@@ -15,6 +24,7 @@ from pqvirasoro.homlie import (
     hom_jacobi_residual,
     plain_jacobi_residual,
     skew_residual,
+    twisted_env,
     vbracket,
 )
 
@@ -125,8 +135,8 @@ def _all_vbracket_jacobi_sum(outer, n, m, k):
     (plain_jacobi_residual, lambda x: x),
 ])
 def test_jacobi_residuals_match_the_all_vbracket_sum(monkeypatch, residual, outer):
-    """Reading inner brackets from the table changes no residual, and each
-    residual makes one vbracket call per outer bracket."""
+    """Reading every bracket from the tables changes no residual, and no
+    residual calls vbracket."""
     calls = []
 
     def spy(x, y):
@@ -137,12 +147,35 @@ def test_jacobi_residuals_match_the_all_vbracket_sum(monkeypatch, residual, oute
     assert sum(n + m + k == 0 for n, m, k in triples) == 61
     for n, m, k in triples:
         expected = _all_vbracket_jacobi_sum(outer, n, m, k)
-        calls.clear()
         with monkeypatch.context() as patch:
             patch.setattr(homlie, "vbracket", spy)
             got = residual(n, m, k)
         assert got == expected, (n, m, k)
-        assert len(calls) == 3, (n, m, k)
+    assert calls == []
+
+
+def test_twisted_env_is_the_twisted_bracket():
+    for n in range(-13, 14):
+        for j in range(-13, 14):
+            assert twisted_env(n, j) == vbracket(alpha(gen(n)), gen(j)), (n, j)
+        assert twisted_env(n, -n).coefficient((C,)) == \
+            twist_weight(n) * central_coeff(n)
+
+
+@pytest.mark.parametrize("residual", [hom_jacobi_residual, plain_jacobi_residual])
+def test_jacobi_residuals_check_indices_on_a_warm_table(residual):
+    # with the tables warm, lru_cache would answer a float key such as
+    # twisted_env(1.0, 5) from the int key (1, 5) and check nothing
+    residual(1, 2, 3)
+    bound = INDEX_BOUND
+    for args in ((1.0, 2, 3), (1, 2.0, 3), (1, 2, 3.0)):
+        with pytest.raises(TypeError):
+            residual(*args)
+    start = time.perf_counter()
+    for args in ((bound, 0, 0), (0, bound, -1), (0, 0, -bound)):
+        with pytest.raises(ValueError, match="out of range"):
+            residual(*args)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_plain_jacobi_fails_without_the_twist():
