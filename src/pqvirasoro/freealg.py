@@ -199,12 +199,14 @@ def bracket_coeff(n, m):
 @lru_cache(maxsize=None)
 def twist_weight(n):
     """The weight 1 + (q/p)^n by which the Hom-Lie twist scales L(n)."""
+    n = L(n)
     return ONE + monomial(1, -n, n)
 
 
 @lru_cache(maxsize=None)
 def central_coeff(n):
     """Coefficient of C in the environment bracket of L(n), L(-n)."""
+    n = L(n)
     return (monomial(1, n, -n) / (6 * twist_weight(n))) \
         * pq_ladder(n - 1) * pq_ladder(n) * pq_ladder(n + 1)
 

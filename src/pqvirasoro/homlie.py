@@ -27,9 +27,12 @@ are not checked against a second copy here. ``twisted_env(n, j)`` caches
 Jacobi sum reads every bracket from these tables: since C is central,
 the inner bracket [L_m, L_k] contributes only its L_{m+k} term, so
 [alpha(L_n), [L_m, L_k]] = bracket_coeff(m, k) twisted_env(n, m + k),
-and no element is built or bracketed term by term. ``vbracket`` stays the
-general bilinear bracket. The independent checks of the constants are the
-Fock realization in ``oscillator`` and the twisted Jacobi identity, whose
+and no element is built or bracketed term by term. The skew residual and
+the twist's gap read the same tables: [L_n, L_m] + [L_m, L_n] is the sum
+of two entries, and [alpha(L_n), alpha(L_m)] is twisted_env(n, m) scaled
+by the twist weight of m. ``vbracket`` and ``alpha`` stay the general
+element maps. The independent checks of the constants are the Fock
+realization in ``oscillator`` and the twisted Jacobi identity, whose
 central triples test g(n).
 """
 
@@ -37,10 +40,6 @@ from functools import lru_cache
 
 from .field import accumulate
 from .freealg import AlgebraElement, C, L, bracket_coeff, bracket_env, twist_weight
-
-
-def _gen(n):
-    return AlgebraElement.from_word((L(n),))
 
 
 def vbracket(x, y):
@@ -71,8 +70,8 @@ def alpha(x):
 
 def skew_residual(n, m):
     """[L_n, L_m] + [L_m, L_n]; zero including the central component."""
-    ln, lm = _gen(n), _gen(m)
-    return vbracket(ln, lm) + vbracket(lm, ln)
+    n, m = L(n), L(m)
+    return bracket_env(n, m) + bracket_env(m, n)
 
 
 @lru_cache(maxsize=None)
@@ -114,5 +113,5 @@ def alpha_bracket_gap(n, m):
 
     Nonzero in general: the twist is not a bracket homomorphism.
     """
-    ln, lm = _gen(n), _gen(m)
-    return vbracket(alpha(ln), alpha(lm)) - alpha(vbracket(ln, lm))
+    n, m = L(n), L(m)
+    return twisted_env(n, m).scale(twist_weight(m)) - alpha(bracket_env(n, m))

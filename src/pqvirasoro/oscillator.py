@@ -33,16 +33,17 @@ through the distinct values lam_k, so they are linearly independent: an
 operator is zero exactly when each of its coefficients is. The bracket
 and power identities are therefore decided in this algebra, for every
 index and with no truncation; ``bracket_residual`` even takes L_n with
-n <= -2, which has no Fock image.
+n <= -2, which has no Fock image. ``verify_bracket`` and
+``verify_power_commutator`` return that exact residual, with
+``safe_columns`` as the bound on their input.
 
 A matrix is only an output view: ``DifferenceOperator.view`` puts each
-term's c lam_k^i at (k + a, k) for the columns k asked, keeping rows
-0..dim-1. The oscillator pair, ``make_L``, ``word_image`` and
-``element_image`` are such views, and the checks return their residual's
-view on the columns of ``safe_columns``, the guard under which a product
-of truncated matrices computes what the untruncated operators would.
-``FockOperator``'s own product stays as the truncated reference the
-tests compare these views against.
+term's c lam_k^i at (k + a, k) within rows and columns 0..dim-1. The
+oscillator pair, ``make_L``, ``word_image`` and ``element_image`` are
+such views. ``FockOperator``'s own product stays as the truncated
+reference the tests compare them against, on the columns of
+``safe_columns``, where a product of truncated matrices computes what
+the untruncated operators would.
 """
 
 from dataclasses import dataclass
@@ -50,7 +51,7 @@ from functools import lru_cache
 from math import comb
 
 from .field import ZERO, ONE, P, Q, LinComb, accumulate, monomial, pq_int, pq_ladder, substitute
-from .freealg import C, bracket_coeff, t_degree
+from .freealg import C, L, bracket_coeff, t_degree
 
 # the point (p, q) of each mode, None leaving a parameter free
 _POINTS = {"classical": (1, 1), "one_param": (1, None), "two_param": (None, None)}
@@ -90,10 +91,6 @@ class FockOperator(LinComb):
         return self.terms
 
     @classmethod
-    def zero(cls, dim):
-        return cls(dim)
-
-    @classmethod
     def identity(cls, dim):
         return cls(dim, {(k, k): ONE for k in range(dim)})
 
@@ -111,18 +108,6 @@ class FockOperator(LinComb):
             for j, v in by_row.get(k, ()):
                 accumulate(out, (i, j), u * v)
         return FockOperator.from_clean(out, self.shape)
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("operator powers must be nonnegative integers")
-        out = FockOperator.identity(self.dim)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
 
     def column(self, k):
         """The image of |k> as a map row -> coefficient."""
@@ -226,15 +211,15 @@ class DifferenceOperator(LinComb):
                     accumulate(out, (a + b, l + j), cd * e)
         return DifferenceOperator.from_clean(out, self.shape)
 
-    def view(self, dim, cols=None):
-        """The truncated dim x dim matrix, on the columns cols (all by default).
+    def view(self, dim):
+        """The truncated dim x dim matrix.
 
         The term c z^a Lam^i sends |k> to c lam_k^i |k+a>, which lands in
         the matrix when 0 <= k + a < dim.
         """
         out = {}
         for (a, i), c in self.terms.items():
-            for k in range(dim) if cols is None else cols:
+            for k in range(dim):
                 if 0 <= k + a < dim:
                     lam = _eigenvalue(k, i, self.shape)
                     if lam:
@@ -248,8 +233,8 @@ class DifferenceOperator(LinComb):
 
 
 def exact_L(n, mode):
-    """The generator L_n = z^n Lam, for every integer n, as an exact operator."""
-    return DifferenceOperator.term(n, 1, mode)
+    """The generator L_n = z^n Lam, for every L index n, as an exact operator."""
+    return DifferenceOperator.term(L(n), 1, mode)
 
 
 @dataclass(frozen=True)
@@ -302,13 +287,6 @@ def make_L(n, osc):
     return exact_L(n, osc.mode).view(osc.dim)
 
 
-def deformed_commutator(A, B, alpha, beta):
-    """alpha*A*B - beta*B*A, exactly."""
-    if A.dim != B.dim:
-        raise ValueError("dimension mismatch")
-    return A * B * alpha - B * A * beta
-
-
 def bracket_weights(n, m, mode):
     """Coefficients (alpha, beta, gamma) of the mode's bracket relation.
 
@@ -327,16 +305,16 @@ def bracket_residual(n, m, mode):
 
 
 def verify_bracket(n, m, osc):
-    """Residual of the bracket relation for the oscillator's mode.
+    """Exact residual of the bracket relation in the oscillator's mode.
 
-    The residual alpha L_n L_m - beta L_m L_n - gamma L_{m+n} is computed
-    exactly, and returned as its matrix view on the safe columns of
-    osc.dim; the realization is centerless, so it must vanish.
+    The realization is centerless, so alpha L_n L_m - beta L_m L_n
+    - gamma L_{m+n} must vanish. n and m must have Fock images, and the
+    safe columns of osc.dim bound them.
     """
     if n < -1 or m < -1:
         raise ValueError("bracket checks need n, m >= -1")
-    cols = safe_columns(osc.dim, 2, max(n, m, 1))
-    return bracket_residual(n, m, osc.mode).view(osc.dim, cols)
+    safe_columns(osc.dim, 2, max(n, m, 1))
+    return bracket_residual(n, m, osc.mode)
 
 
 def _word_operator(word, mode):
@@ -366,10 +344,11 @@ def word_image(word, osc):
 
 
 def element_image(x, osc):
-    """Matrix image of a linear combination of words, term by term."""
+    """Matrix image of a linear combination of words, term by term, each
+    coefficient substituted at the oscillator's mode."""
     out = DifferenceOperator.zero(osc.mode)
     for word, coeff in x.terms.items():
-        out = out + _word_operator(word, osc.mode).scale(coeff)
+        out = out + _word_operator(word, osc.mode).scale(_at_mode(osc.mode, coeff)[0])
     return out.view(osc.dim)
 
 
@@ -380,15 +359,15 @@ def power_weights(n, mode):
 
 def power_residual(n, mode):
     """alpha a (a+)^n - beta (a+)^n a - gamma (a+)^(n-1) in the exact algebra."""
-    alpha, beta, gamma = power_weights(n, mode)
+    alpha, beta, gamma = power_weights(L(n), mode)
     a, up = exact_L(-1, mode), DifferenceOperator.term(n, 0, mode)
     return a * up * alpha - up * a * beta - DifferenceOperator.term(n - 1, 0, mode) * gamma
 
 
 def verify_power_commutator(n, osc):
-    """Residual of the ladder identity for a against the n-th power of a+,
-    computed exactly and returned as its view on the safe columns."""
+    """Exact residual of the ladder identity for a against the n-th power
+    of a+; the safe columns of osc.dim bound n."""
     if not isinstance(n, int) or n < 1:
         raise ValueError("power commutator checks need n >= 1")
-    cols = safe_columns(osc.dim, n + 1, 1)
-    return power_residual(n, osc.mode).view(osc.dim, cols)
+    safe_columns(osc.dim, n + 1, 1)
+    return power_residual(n, osc.mode)

@@ -423,7 +423,8 @@ def test_verify_fock_passes(tmp_path):
 
 def test_verify_fock_takes_its_verdict_from_the_exact_residual(monkeypatch, tmp_path, capsys):
     # at dim 3 the guard keeps column 0 alone, which every L_k annihilates,
-    # so a wrong bracket weight leaves every truncated view zero
+    # so a wrong bracket weight leaves every guarded view zero, while the
+    # exact residual each record prints is not
     weights = pqvirasoro.oscillator.bracket_weights
 
     def wrong_weights(n, m, mode):
@@ -435,6 +436,7 @@ def test_verify_fock_takes_its_verdict_from_the_exact_residual(monkeypatch, tmp_
     assert code == 1
     failing = [r for r in map(json.loads, text.splitlines()) if r["status"] == "fail"]
     assert len(failing) == 2 * 9 and {r["check"] for r in failing} == {"bracket"}
+    assert all(r["residual"] != "0" for r in failing)
     assert "18 failing (bracket)" in capsys.readouterr().err
 
 

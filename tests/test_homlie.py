@@ -162,6 +162,31 @@ def test_twisted_env_is_the_twisted_bracket():
             twist_weight(n) * central_coeff(n)
 
 
+def test_skew_and_gap_are_the_element_brackets():
+    """The table forms equal the brackets of built generators, in value
+    and in text."""
+    for n in range(-6, 7):
+        for m in range(-6, 7):
+            skew = vbracket(gen(n), gen(m)) + vbracket(gen(m), gen(n))
+            gap = vbracket(alpha(gen(n)), alpha(gen(m))) - alpha(vbracket(gen(n), gen(m)))
+            assert (skew_residual(n, m), str(skew_residual(n, m))) == (skew, str(skew))
+            assert (alpha_bracket_gap(n, m), str(alpha_bracket_gap(n, m))) == (gap, str(gap))
+
+
+@pytest.mark.parametrize("check", [skew_residual, alpha_bracket_gap])
+def test_pair_checks_reject_indices_first(check, monkeypatch):
+    # they read the tables alone, so a vbracket call would fail here
+    monkeypatch.setattr(homlie, "vbracket", None)
+    check(1, 2)
+    with pytest.raises(TypeError):
+        check(1.0, 2)
+    start = time.perf_counter()
+    for args in ((INDEX_BOUND, 0), (0, -INDEX_BOUND), (INDEX_BOUND - 1, 1)):
+        with pytest.raises(ValueError, match="out of range"):
+            check(*args)
+    assert time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize("residual", [hom_jacobi_residual, plain_jacobi_residual])
 def test_jacobi_residuals_check_indices_on_a_warm_table(residual):
     # with the tables warm, lru_cache would answer a float key such as

@@ -1,14 +1,20 @@
 """The exact oscillator algebra, its truncated matrix views and the guarded verifications."""
 
 import dataclasses
+import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from pqvirasoro import oscillator
-from pqvirasoro.field import ONE, P, Q, RatFunc, ZERO, monomial, pq_int, pq_ladder, q_int
-from pqvirasoro.freealg import AlgebraElement, C, L, T, TINV, bracket_coeff, normalize
+from pqvirasoro.field import (
+    ONE, P, PoleError, Q, RatFunc, ZERO, monomial, pq_int, pq_ladder, q_int,
+)
+from pqvirasoro.freealg import (
+    INDEX_BOUND, AlgebraElement, C, L, T, TINV, bracket_coeff, central_coeff, normalize,
+    relation_elements, twist_weight,
+)
 from pqvirasoro.oscillator import (
     DifferenceOperator,
     FockOperator,
@@ -16,7 +22,6 @@ from pqvirasoro.oscillator import (
     Oscillator,
     bracket_residual,
     bracket_weights,
-    deformed_commutator,
     element_image,
     exact_L,
     lowering_coeff,
@@ -30,6 +35,19 @@ from pqvirasoro.oscillator import (
     verify_power_commutator,
     word_image,
 )
+
+
+def deformed_commutator(A, B, alpha, beta):
+    """alpha A B - beta B A, from the truncated product."""
+    return A * B * alpha - B * A * beta
+
+
+def fock_power(x, n):
+    """x^n as n truncated products."""
+    out = FockOperator.identity(x.dim)
+    for _ in range(n):
+        out = out * x
+    return out
 
 
 def test_mode_list():
@@ -111,8 +129,6 @@ def test_operator_arithmetic():
     assert (osc.a.scale(ZERO)).is_zero()
     two = osc.a.scale(ONE + ONE)
     assert two == osc.a + osc.a
-    assert osc.a ** 0 == FockOperator.identity(5)
-    assert osc.a ** 2 == osc.a * osc.a
 
 
 def test_dimension_mismatch_rejected():
@@ -140,15 +156,17 @@ def test_make_L_is_the_defining_product(mode, dim):
     """The entries of a, shifted up by n + 1 rows, are (a+)^(n+1) a,
     which is zero exactly when n >= dim - 1."""
     osc = make_oscillator(dim, mode)
+    raising = FockOperator.identity(dim)  # (a+)^(n+1)
     for n in range(-1, dim + 3):
         gen = make_L(n, osc)
-        assert gen == (osc.a_plus ** (n + 1)) * osc.a, n
+        assert gen == raising * osc.a, n
         assert gen.is_zero() == (n >= dim - 1), n
+        raising = raising * osc.a_plus
 
 
 def test_changing_a_returned_generator_leaves_later_results_intact():
     osc = make_oscillator(6, "two_param")
-    expected = (osc.a_plus ** 3) * osc.a
+    expected = fock_power(osc.a_plus, 3) * osc.a
     make_L(2, osc).terms.clear()
     assert make_L(2, osc) == expected
     make_L(2, osc).terms[(0, 0)] = ONE
@@ -202,6 +220,24 @@ def test_element_image_is_linear():
     assert img == expected
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_element_image_substitutes_coefficients_at_the_mode(mode):
+    """Every oscillator realizes R4 at its own point, so the images of its
+    relation elements vanish once their coefficients are substituted."""
+    osc = make_oscillator(12, mode)
+    for n in range(-1, 5):
+        for m in range(-1, 5):
+            (rel,) = relation_elements("R4", n, m)
+            assert element_image(rel, osc).is_zero(), (n, m)
+    pole = {"classical": ONE / (P - Q), "one_param": ONE / (P - ONE), "two_param": ONE / P}[mode]
+    x = AlgebraElement.from_word((L(1),)) * pole
+    if mode == "two_param":
+        assert element_image(x, osc) == make_L(1, osc).scale(pole)
+    else:
+        with pytest.raises(PoleError, match="denominator vanishes at p = 1"):
+            element_image(x, osc)
+
+
 def test_bracket_weights_degenerations():
     for n in range(-1, 4):
         for m in range(-1, 4):
@@ -237,10 +273,10 @@ def perturbed(weights, which):
 @pytest.mark.parametrize("mode", ("classical", "two_param"))
 @pytest.mark.parametrize("dim", (9, 14))
 def test_guarded_products_show_wrong_weights(monkeypatch, dim, mode, which):
-    """The checks return the view of their exact residual on the guarded
-    columns; with a wrong weight it equals the truncated products
-    restricted afterwards, and is nonzero unless the guard keeps column 0
-    alone, which every L_k annihilates."""
+    """With a wrong weight, the view of the exact residual equals the
+    truncated products on the guarded columns, and is nonzero there unless
+    the guard keeps column 0 alone, which every L_k annihilates. The
+    checks return the exact residual itself."""
     monkeypatch.setattr(oscillator, "bracket_weights",
                         lambda n, m, mode: perturbed(bracket_weights(n, m, mode), which))
     monkeypatch.setattr(oscillator, "power_weights",
@@ -255,16 +291,21 @@ def test_guarded_products_show_wrong_weights(monkeypatch, dim, mode, which):
             if not gamma.is_zero():
                 full = full - make_L(m + n, osc).scale(gamma)
             cols = safe_columns(dim, 2, max(n, m, 1))
-            res = verify_bracket(n, m, osc)
-            assert res == full.restrict(cols), (n, m)
-            assert res.is_zero() == (len(cols) == 1), (n, m)
+            res = bracket_residual(n, m, mode)
+            view = res.view(dim).restrict(cols)
+            assert view == full.restrict(cols), (n, m)
+            assert view.is_zero() == (len(cols) == 1), (n, m)
+            assert verify_bracket(n, m, osc) == res and not res.is_zero(), (n, m)
         if n >= 1:
             alpha, beta, gamma = oscillator.power_weights(n, mode)
-            full = (deformed_commutator(osc.a, osc.a_plus ** n, alpha, beta)
-                    - (osc.a_plus ** (n - 1)).scale(gamma))
-            res = verify_power_commutator(n, osc)
-            assert res == full.restrict(safe_columns(dim, n + 1, 1)), n
-            assert not res.is_zero(), n
+            full = (deformed_commutator(osc.a, fock_power(osc.a_plus, n), alpha, beta)
+                    - fock_power(osc.a_plus, n - 1).scale(gamma))
+            cols = safe_columns(dim, n + 1, 1)
+            res = power_residual(n, mode)
+            view = res.view(dim).restrict(cols)
+            assert view == full.restrict(cols), n
+            assert not view.is_zero(), n
+            assert verify_power_commutator(n, osc) == res, n
 
 
 def test_verify_power_commutator_zero():
@@ -308,7 +349,45 @@ def test_exact_residual_shows_wrong_weights_for_every_pair(monkeypatch, mode, wh
         assert not power_residual(n, mode).is_zero(), n
     osc = make_oscillator(9, mode)
     assert safe_columns(9, 2, 4) == range(1)
-    assert verify_bracket(4, 2, osc).is_zero()
+    assert not verify_bracket(4, 2, osc).is_zero()
+    # lie_fock's shape
+    osc = make_oscillator(40, mode)
+    assert safe_columns(40, 2, 19) == range(2)
+    assert not verify_bracket(19, 19, osc).is_zero()
+    assert not verify_power_commutator(38, osc).is_zero()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_checks_return_the_exact_residual(mode):
+    """The checks are the exact residuals, bounded as before: n, m >= -1,
+    n >= 1 and the safe columns of the oscillator's dimension."""
+    osc = make_oscillator(9, mode)
+    for n in range(-1, 5):
+        for m in range(-1, 5):
+            res = verify_bracket(n, m, osc)
+            assert isinstance(res, DifferenceOperator) and res == bracket_residual(n, m, mode)
+    for n in range(1, 8):
+        assert verify_power_commutator(n, osc) == power_residual(n, mode)
+    with pytest.raises(ValueError, match="bracket checks need n, m >= -1"):
+        verify_bracket(-2, 1, osc)
+    with pytest.raises(ValueError, match="no safe columns: dim 9 too small"):
+        verify_bracket(5, 1, osc)
+    with pytest.raises(ValueError, match="power commutator checks need n >= 1"):
+        verify_power_commutator(0, osc)
+    with pytest.raises(ValueError, match="no safe columns: dim 9 too small"):
+        verify_power_commutator(8, osc)
+
+
+@pytest.mark.parametrize("compute", (
+    twist_weight, central_coeff,
+    lambda n: exact_L(n, "two_param"), lambda n: power_residual(n, "two_param"),
+), ids=("twist_weight", "central_coeff", "exact_L", "power_residual"))
+@pytest.mark.parametrize("n", (INDEX_BOUND, -INDEX_BOUND, 2 ** 40))
+def test_structure_constants_check_their_index_first(compute, n):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="L index .* is out of range"):
+        compute(n)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_exact_generators():
@@ -347,7 +426,7 @@ def test_exact_product_is_the_matrix_product_on_guarded_columns(xs, ys, mode):
     # each factor shifts by at most 3 either way
     dim = 14
     cols = range(3, dim - 6)
-    assert (x * y).view(dim, cols) == (x.view(dim) * y.view(dim)).restrict(cols)
+    assert (x * y).view(dim).restrict(cols) == (x.view(dim) * y.view(dim)).restrict(cols)
 
 
 def test_word_image_is_exact_past_the_guard():
