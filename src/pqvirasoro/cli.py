@@ -12,14 +12,18 @@ coefficients, with juxtaposition or * for products, ^ for powers, and
 parentheses. Negative powers are only meaningful on T and on scalar
 coefficients; a zero to a negative power is a division by zero.
 
-The parser reads a product of numbers, p, q and letters as one integer
-monomial c * p^a * q^b * w: c stays an int until a factor is a general
-scalar such as a parenthesized sum, and a value becomes an AlgebraElement
-only when it has several words. A sum adds the int monomials of each
-word into one {(a, b): c} map and builds one RatFunc per word at the end,
-so parsing is linear in the number of terms. A power of several words
-may have at most 65,536 words, and no power may have more than 2^20
-letters over all its words, which is checked before each product.
+The tokenizer reads each run of factors that the descent reads as one
+term, such as 3*p^5*q^4 or T^-2 L(-6)^3, as one token, but not after / or
+where the grammar reads an int, nor before a ^. The parser reads a
+product of numbers, p, q and letters as one integer monomial
+c * p^a * q^b * w: c stays an int until a factor is a general scalar
+such as a parenthesized sum, and a value becomes an AlgebraElement only
+when it has several words. A sum adds the int monomials of each word
+into one {(a, b): c} map and builds one RatFunc per word at the end, so
+parsing is linear in the number of terms. A power of several words may
+have at most 65,536 words, and no power may have more than 2^20 letters
+over all its words, which is checked before each product. Only a
+word-free +-p^a q^b takes an exponent past 4,096, up to degree 2^20.
 
 Verification records are JSON lines with a stable field order; the
 process exits 0 when every gated record is ok, 1 when some gated
@@ -31,7 +35,9 @@ excluded from gating unless requested.
 import argparse
 import json
 import random
+import re
 import sys
+from functools import lru_cache
 
 from .field import RatFunc, accumulate, monomial
 from .freealg import (
@@ -68,6 +74,26 @@ _SYMBOLS = set("+-*/^()")
 _MAX_EXPONENT = 4096
 
 
+# a run of factors that the descent reads as one term, joined by * or single
+# spaces, ending neither in a word nor before a ^: ints, p^a, q^b, L(n)^k, C^k
+# and T^k (k < 0 only on T) in ASCII digits too few to reach a bound of int(), k or n
+_FACTOR = r"(?:[0-9]{1,640}+|(?:[pqC]|L\(-?[0-9]{1,8}+\))(?:\^[0-9]{1,3}+)?|T(?:\^-?[0-9]{1,3}+)?)"
+_TERM = re.compile(rf"{_FACTOR}(?:[* ]{_FACTOR})*(?!\w|\s*\^)")
+_FACTORS = re.compile(r"([0-9]+)|([pqCT]|L\((-?[0-9]+)\))(?:\^(-?[0-9]+))?")
+
+
+@lru_cache(maxsize=1 << 12)
+def _term_value(text):
+    """The term of a span that _TERM matched, cached as monomials recur."""
+    value = (1, 0, 0, ())
+    for digits, name, n, k in _FACTORS.findall(text):
+        k = int(k or 1)
+        c, a, b, w = ((int(digits), 0, 0, ()) if digits
+                      else _NAMES.get(name) or (1, 0, 0, (L(int(n)),)))
+        value = _mul(value, (c, a * k, b * k, t_word(k) if name == "T" else w * k))
+    return value
+
+
 def _tokenize(src):
     tokens = []
     i = 0
@@ -81,6 +107,19 @@ def _tokenize(src):
             tokens.append((ch, ch, i))
             i += 1
             continue
+        m = _TERM.match(src, i)
+        if m and not m[0].isdecimal():  # a bare int stays an int token
+            # no term after /, which divides by one factor, nor where the
+            # grammar reads an int: after ^ or L( and an optional sign
+            last = [tok[1] for tok in tokens[-3:]]
+            if last[-1:] in (["+"], ["-"]):
+                last.pop()
+            value = (last[-1:] not in (["/"], ["^"]) and last[-2:] != ["L", "("]
+                     and _term_value(m[0]))
+            if value:
+                tokens.append(("term", value, i))
+                i = m.end()
+                continue
         # isdecimal accepts exactly the digits int() reads, such as '٣' but not '²'
         if ch.isdecimal():
             j = i
@@ -107,8 +146,11 @@ def _tokenize(src):
     return tokens
 
 
-def _describe(tok):
-    """A token as an error message names it."""
+def _describe(tok, src):
+    """A token as an error message names it, a term by its first fine token."""
+    if tok[0] == "term":
+        m = _FACTORS.match(src, tok[2])
+        return repr(int(m[1]) if m[1] else m[2][0])
     return "end of input" if tok[0] == "end" else repr(tok[1])
 
 
@@ -123,7 +165,8 @@ _NAMES = {"p": (1, 1, 0, ()), "q": (1, 0, 1, ()), "T": (1, 0, 0, (T,)),
 _MAX_POWER_WORDS = 1 << 16
 
 # the most letters, summed over its words, that a power may have: nested
-# powers multiply their exponents past what _MAX_EXPONENT bounds
+# powers multiply their exponents past what _MAX_EXPONENT bounds; also the
+# highest degree in p or q of a power of +-p^a q^b past _MAX_EXPONENT
 _MAX_POWER_LETTERS = 1 << 20
 _TOO_LONG = f"the power could have more than {_MAX_POWER_LETTERS} letters"
 
@@ -194,14 +237,14 @@ class _Parser:
     def expect(self, kind):
         tok = self.next()
         if tok[0] != kind:
-            raise ExpressionError(f"expected {kind!r}, found {_describe(tok)}", tok[2])
+            raise ExpressionError(f"expected {kind!r}, found {_describe(tok, self.src)}", tok[2])
         return tok
 
     def parse(self):
         value = self.expr()
         tok = self.peek()
         if tok[0] != "end":
-            raise ExpressionError(f"unexpected {_describe(tok)}", tok[2])
+            raise ExpressionError(f"unexpected {_describe(tok, self.src)}", tok[2])
         return _element(value)
 
     def expr(self):
@@ -256,7 +299,7 @@ class _Parser:
                 if c not in (1, -1):
                     c = _rat(c).inverse()
                 value = _mul(value, (c, -a, -b, ()))
-            elif kind in ("int", "name", "("):
+            elif kind in ("term", "int", "name", "("):
                 value = _mul(value, self.factor())
             else:
                 return value
@@ -281,7 +324,12 @@ class _Parser:
         kind, _, pos = self.peek()
         k = self._signed_int("exponent")
         if abs(k) > _MAX_EXPONENT:
-            raise ExpressionError(f"exponent {k} is out of range: |k| <= {_MAX_EXPONENT}", pos)
+            # a word-free +-p^a q^b grows no word: only its degrees bound k
+            if type(value) is not tuple or value[0] not in (1, -1) or value[3]:
+                raise ExpressionError(f"exponent {k} is out of range: |k| <= {_MAX_EXPONENT}", pos)
+            if max(map(abs, value[1:3])) * abs(k) > _MAX_POWER_LETTERS:
+                raise ExpressionError(
+                    f"the power has degree over {_MAX_POWER_LETTERS} in p or q", pos)
         if type(value) is tuple:
             c, a, b, w = value
             if len(w) * abs(k) > _MAX_POWER_LETTERS:
@@ -314,6 +362,8 @@ class _Parser:
     def atom(self):
         tok = self.next()
         kind, val, pos = tok
+        if kind == "term":
+            return val
         if kind == "int":
             return (val, 0, 0, ())
         if kind == "(":
@@ -334,7 +384,7 @@ class _Parser:
                 self.expect(")")
                 return (1, 0, 0, (letter,))
             raise ExpressionError(f"unknown symbol {val!r}", pos)
-        raise ExpressionError(f"unexpected {_describe(tok)}", pos)
+        raise ExpressionError(f"unexpected {_describe(tok, self.src)}", pos)
 
 
 def parse_expression(src):

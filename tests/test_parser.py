@@ -3,11 +3,13 @@ its error messages, and the integer-monomial path of long sums."""
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from pqvirasoro import cli
 from pqvirasoro.cli import ExpressionError, main, parse_expression
 from pqvirasoro.field import P, Q, RatFunc, monomial
 from pqvirasoro.freealg import AlgebraElement, C, L, T, TINV, t_degree, t_word
@@ -187,6 +189,16 @@ REFUSED = [
     ("(1/(p + q) L(1) - L(1)/(p + q))^-1", "division by zero", 32),
     ("(T - T + 2)^-1 / (L(1) T)", "can only divide by a scalar coefficient", 15),
     ("-(q/p)^-2 (L(0) + C)^-1", "negative exponent requires an invertible factor", 21),
+    # where a run of factors would span an int the grammar reads, or a ^
+    ("L(1 p^2)", "expected ')', found 'p'", 4),
+    ("L(-2*p)", "expected ')', found '*'", 4),
+    ("3*p^2^x", "exponent must be an integer", 6),
+    # past 4,096 only a word-free +-p^a q^b takes an exponent, up to degree 2^20
+    ("2^999999999", "exponent 999999999 is out of range: |k| <= 4096", 2),
+    ("L(1)^100000000", "exponent 100000000 is out of range: |k| <= 4096", 5),
+    ("T^-999999999", "exponent -999999999 is out of range: |k| <= 4096", 2),
+    ("p^1048577", "the power has degree over 1048576 in p or q", 2),
+    ("(p/q^2)^-524289", "the power has degree over 1048576 in p or q", 8),
 ]
 
 
@@ -290,3 +302,63 @@ def test_powers_of_sums_equal_repeated_products():
         for k in range(k_max + 1):
             assert parse_expression(f"({base})^{k}") == expected, (base, k)
             expected = expected * factor
+
+
+# ---------------------------------------------------------------------------
+# runs of factors as one token
+
+def test_a_rendered_term_is_one_token_per_run_of_factors():
+    kinds = [tok[0] for tok in cli._tokenize("-3*p^5*q^4*T^-2 L(-6)^3 C^2 + (p^2 - 7)/q^2")]
+    assert kinds == ["-", "term", "+", "(", "term", "-", "int", ")", "/", "name", "^", "int",
+                     "end"]
+
+
+@pytest.mark.parametrize("src, word, coeff", [
+    ("(T)^2*p", (T, T), monomial(1, 1, 0)),
+    ("L(1)/2*p^3", (L(1),), monomial(1, 3, 0) * RatFunc(2).inverse()),
+    ("2*p^2^3", (), monomial(2, 6, 0)),
+    ("3*p ^2", (), monomial(3, 2, 0)),
+    ("T L(1)(p + q)", (T, L(1)), P + Q),
+])
+def test_a_run_of_factors_next_to_a_power_or_quotient_keeps_its_value(src, word, coeff):
+    assert parse_expression(src) == AlgebraElement.from_word(word, coeff)
+
+
+def test_rendered_powers_of_p_and_q_past_the_exponent_bound_read_back(capsys):
+    for src in ("L(500) T^10", "L(5000) T"):
+        assert main(["normalize", src]) == 0
+        out = capsys.readouterr().out
+        assert "^50" in out
+        assert main(["normalize", out.rstrip("\n")]) == 0
+        assert capsys.readouterr().out == out
+    assert parse_expression("p^1048576") == AlgebraElement({(): monomial(1, 1 << 20, 0)})
+    assert parse_expression("(-q/p)^-5001") == AlgebraElement({(): monomial(-1, 5001, -5001)})
+
+
+def _outcome(src):
+    try:
+        return parse_expression(src)
+    except ExpressionError as exc:
+        return str(exc), exc.pos
+
+
+# pieces that put a run of factors in every context: after ^, L( and /,
+# each with or without a sign; before a ^ across spaces; next to words,
+# underscores and non-ASCII digits; and with exponents, indices and
+# literals past what a run may hold
+PIECES = ["p", "q", "T", "C", "L", "L(", "(", ")", "Tinv", "T2", "x", "_", "\u0663", "\u00b2",
+          "0", "2", "12", "999", "1000", "4097", "99999999", "L(268435456)", "9" * 641, "9" * 4301,
+          "*", "/", "^", "^-", "+", "-", " ", " ", "  ", "\t",
+          "p^2", "q^3", "L(1)", "L(-2)", "T^-2", "C^2", " L(0)^2", "*p", "3*p", " ^2"]
+
+
+@settings(max_examples=1000)
+@given(st.lists(st.sampled_from(PIECES), min_size=1, max_size=12))
+def test_runs_of_factors_parse_as_their_fine_tokens_do(pieces):
+    # the same text with no runs, each factor its own tokens, gives the same
+    # element, or the same message at the same position
+    src = "".join(pieces)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_TERM", re.compile("(?!)"))
+        fine = _outcome(src)
+    assert _outcome(src) == fine
