@@ -12,18 +12,18 @@ coefficients, with juxtaposition or * for products, ^ for powers, and
 parentheses. Negative powers are only meaningful on T and on scalar
 coefficients; a zero to a negative power is a division by zero.
 
-The tokenizer reads each run of factors that the descent reads as one
-term, such as 3*p^5*q^4 or T^-2 L(-6)^3, as one token, but not after / or
-where the grammar reads an int, nor before a ^. The parser reads a
-product of numbers, p, q and letters as one integer monomial
-c * p^a * q^b * w: c stays an int until a factor is a general scalar
-such as a parenthesized sum, and a value becomes an AlgebraElement only
-when it has several words. A sum adds the int monomials of each word
-into one {(a, b): c} map and builds one RatFunc per word at the end, so
-parsing is linear in the number of terms. A power of several words may
-have at most 65,536 words, and no power may have more than 2^20 letters
-over all its words, which is checked before each product. Only a
-word-free +-p^a q^b takes an exponent past 4,096, up to degree 2^20.
+The tokenizer reads a run of factors such as 3*p^5*q^4 T^-2 L(-6)^3 as
+one token of cached value, but no run after / or where the grammar reads
+an int, nor before a ^. The parser reads a product of numbers, p, q and
+letters as one integer monomial c * p^a * q^b * w: c stays an int until
+a factor is a general scalar such as a parenthesized sum, and a value
+becomes an AlgebraElement only when it has several words. A sum adds the
+int monomials of each word into one {(a, b): c} map and builds one
+RatFunc per word at the end, so parsing is linear in the number of
+terms. A power of several words may have at most 65,536 words, and no
+power may have more than 2^20 letters over all its words, which is
+checked before each product. Only a word-free +-p^a q^b takes an
+exponent past 4,096, and then only up to degree 2^20.
 
 Verification records are JSON lines with a stable field order; the
 process exits 0 when every gated record is ok, 1 when some gated
@@ -37,7 +37,7 @@ import json
 import random
 import re
 import sys
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .field import RatFunc, accumulate, monomial
 from .freealg import (
@@ -74,24 +74,40 @@ _SYMBOLS = set("+-*/^()")
 _MAX_EXPONENT = 4096
 
 
-# a run of factors that the descent reads as one term, joined by * or single
-# spaces, ending neither in a word nor before a ^: ints, p^a, q^b, L(n)^k, C^k
-# and T^k (k < 0 only on T) in ASCII digits too few to reach a bound of int(), k or n
-_FACTOR = r"(?:[0-9]{1,640}+|(?:[pqC]|L\(-?[0-9]{1,8}+\))(?:\^[0-9]{1,3}+)?|T(?:\^-?[0-9]{1,3}+)?)"
-_TERM = re.compile(rf"{_FACTOR}(?:[* ]{_FACTOR})*(?!\w|\s*\^)")
-_FACTORS = re.compile(r"([0-9]+)|([pqCT]|L\((-?[0-9]+)\))(?:\^(-?[0-9]+))?")
+# a run of at most 16 factors that the descent reads as one term, joined by *
+# or single spaces, ending neither in a word nor before a ^: ints, p^a, q^b,
+# L(n)^k, C^k and T^k (k < 0 only on T) in ASCII digits too few to reach a
+# bound of int(), a or n; one-digit k keeps a cached run's word short
+_FACTOR = r"(?:[0-9]{1,20}|[pq](?:\^[0-9]{1,3})?|(?:C|L\(-?[0-9]{1,8}\))(?:\^[0-9])?|T(?:\^-?[0-9])?)"
+_TERM = re.compile(rf"{_FACTOR}(?:[* ]{_FACTOR}){{0,15}}(?!\w|\s*\^)")
 
 
-@lru_cache(maxsize=1 << 12)
-def _term_value(text):
-    """The term of a span that _TERM matched, cached as monomials recur."""
-    value = (1, 0, 0, ())
-    for digits, name, n, k in _FACTORS.findall(text):
-        k = int(k or 1)
-        c, a, b, w = ((int(digits), 0, 0, ()) if digits
-                      else _NAMES.get(name) or (1, 0, 0, (L(int(n)),)))
-        value = _mul(value, (c, a * k, b * k, t_word(k) if name == "T" else w * k))
-    return value
+def _fine_token(src, i, tokens):
+    """Append the token that starts at src[i], not a space; return its end."""
+    ch = src[i]
+    if ch in _SYMBOLS:
+        tokens.append((ch, ch, i))
+        return i + 1
+    # isdecimal accepts exactly the digits int() reads, such as '٣' but not '²'
+    if ch.isdecimal():
+        j = i
+        while j < len(src) and src[j].isdecimal():
+            j += 1
+        try:
+            value = int(src[i:j])
+        except ValueError:  # longer than sys.get_int_max_str_digits()
+            raise ExpressionError(
+                f"integer literal of {j - i} digits is too long: at most "
+                f"{sys.get_int_max_str_digits()} digits", i) from None
+        tokens.append(("int", value, i))
+        return j
+    if ch.isalpha():
+        j = i
+        while j < len(src) and src[j].isalnum():
+            j += 1
+        tokens.append(("name", src[i:j], i))
+        return j
+    raise ExpressionError(f"unexpected character {ch!r}", i)
 
 
 def _tokenize(src):
@@ -99,58 +115,42 @@ def _tokenize(src):
     i = 0
     n = len(src)
     while i < n:
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _SYMBOLS:
-            tokens.append((ch, ch, i))
+        if src[i].isspace():
             i += 1
             continue
         m = _TERM.match(src, i)
         if m and not m[0].isdecimal():  # a bare int stays an int token
-            # no term after /, which divides by one factor, nor where the
-            # grammar reads an int: after ^ or L( and an optional sign
+            # no run after /, which takes one factor, nor where an int goes: after ^ or L(, signed or not
             last = [tok[1] for tok in tokens[-3:]]
-            if last[-1:] in (["+"], ["-"]):
-                last.pop()
-            value = (last[-1:] not in (["/"], ["^"]) and last[-2:] != ["L", "("]
-                     and _term_value(m[0]))
-            if value:
-                tokens.append(("term", value, i))
+            last = last[:-1] if last[-1:] in (["+"], ["-"]) else last
+            if last[-1:] not in (["/"], ["^"]) and last[-2:] != ["L", "("]:
+                tokens.append(("term", _term_value(m[0]), i))
                 i = m.end()
                 continue
-        # isdecimal accepts exactly the digits int() reads, such as '٣' but not '²'
-        if ch.isdecimal():
-            j = i
-            while j < n and src[j].isdecimal():
-                j += 1
-            try:
-                value = int(src[i:j])
-            except ValueError:  # longer than sys.get_int_max_str_digits()
-                raise ExpressionError(
-                    f"integer literal of {j - i} digits is too long: at most "
-                    f"{sys.get_int_max_str_digits()} digits", i) from None
-            tokens.append(("int", value, i))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and src[j].isalnum():
-                j += 1
-            tokens.append(("name", src[i:j], i))
-            i = j
-            continue
-        raise ExpressionError(f"unexpected character {ch!r}", i)
+        i = _fine_token(src, i, tokens)
     tokens.append(("end", None, n))
     return tokens
 
 
+@lru_cache(maxsize=1 << 12)
+def _term_value(run):
+    """The term that the descent reads from a run, cached as runs and factors recur."""
+    factors = run.replace("*", " ").split(" ")
+    if len(factors) > 1:
+        return reduce(_mul, map(_term_value, factors))
+    tokens = []
+    i = 0
+    while i < len(run):
+        i = _fine_token(run, i, tokens)
+    tokens.append(("end", None, i))
+    return _Parser(run, tokens).factor()
+
+
 def _describe(tok, src):
-    """A token as an error message names it, a term by its first fine token."""
+    """A token as an error message names it, a run by its first fine token."""
     if tok[0] == "term":
-        m = _FACTORS.match(src, tok[2])
-        return repr(int(m[1]) if m[1] else m[2][0])
+        _fine_token(src, tok[2], first := [])
+        tok = first[0]
     return "end of input" if tok[0] == "end" else repr(tok[1])
 
 
@@ -221,9 +221,9 @@ class _Parser:
     """Recursive descent over the tokens.  A parsed value is a term while
     it has at most one word, and an AlgebraElement of several words else."""
 
-    def __init__(self, src):
+    def __init__(self, src, tokens):
         self.src = src
-        self.tokens = _tokenize(src)
+        self.tokens = tokens
         self.k = 0
 
     def peek(self):
@@ -389,7 +389,7 @@ class _Parser:
 
 def parse_expression(src):
     """Parse a textual expression into an (unnormalized) AlgebraElement."""
-    return _Parser(src).parse()
+    return _Parser(src, _tokenize(src)).parse()
 
 
 def render_element(x):

@@ -335,6 +335,17 @@ def test_rendered_powers_of_p_and_q_past_the_exponent_bound_read_back(capsys):
     assert parse_expression("(-q/p)^-5001") == AlgebraElement({(): monomial(-1, 5001, -5001)})
 
 
+def test_only_exponents_past_the_bound_are_checked_for_degree(capsys):
+    # nested powers within 4,096 multiply past degree 2^20, as they always did
+    assert parse_expression("(p^4096)^4096") == AlgebraElement({(): monomial(1, 1 << 24, 0)})
+    # so a normal form of degree past 2^20 prints, but does not read back
+    assert main(["normalize", "L(1000000) T^2"]) == 0
+    out = capsys.readouterr().out.rstrip("\n")
+    assert out == "q^2000002/p^2000002*T^2 L(1000000)"
+    assert main(["normalize", out]) == 2
+    assert "the power has degree over 1048576 in p or q (at position 2)" in capsys.readouterr().err
+
+
 def _outcome(src):
     try:
         return parse_expression(src)
@@ -344,12 +355,13 @@ def _outcome(src):
 
 # pieces that put a run of factors in every context: after ^, L( and /,
 # each with or without a sign; before a ^ across spaces; next to words,
-# underscores and non-ASCII digits; and with exponents, indices and
-# literals past what a run may hold
+# underscores and non-ASCII digits; with exponents, indices and literals
+# past what a run may hold; and with more factors than one run holds
 PIECES = ["p", "q", "T", "C", "L", "L(", "(", ")", "Tinv", "T2", "x", "_", "\u0663", "\u00b2",
-          "0", "2", "12", "999", "1000", "4097", "99999999", "L(268435456)", "9" * 641, "9" * 4301,
-          "*", "/", "^", "^-", "+", "-", " ", " ", "  ", "\t",
-          "p^2", "q^3", "L(1)", "L(-2)", "T^-2", "C^2", " L(0)^2", "*p", "3*p", " ^2"]
+          "0", "2", "12", "999", "1000", "4097", "99999999", "L(268435456)", "9" * 20, "9" * 21,
+          "9" * 4301, "*", "/", "^", "^-", "+", "-", " ", " ", "  ", "\t",
+          "p^2", "q^3", "L(1)", "L(-2)", "T^-2", "C^2", " L(0)^2", "*p", "3*p", " ^2",
+          "T^-10", "L(1)^12", " p q 2 T C L(3) p^2 q^2", "*p*q*2*T*C*L(3)*p^2*q^2"]
 
 
 @settings(max_examples=1000)
