@@ -740,9 +740,25 @@ def build_parser():
     return parser
 
 
+def _expression_last(argv):
+    """argv with a normalize expression that starts with "-" moved behind "--".
+
+    argparse reads a token that starts with "-" as an option unless it
+    follows "--", so ``normalize -q^5/p^5`` would be a usage error.
+    normalize has no single-dash option but -h, so the first other token
+    of the form -x is its expression, and its options still work.
+    """
+    if argv[:1] != ["normalize"] or "--" in argv:
+        return argv
+    for i, arg in enumerate(argv[1:], 1):
+        if arg[:1] == "-" and arg[1:2] not in ("", "-") and arg != "-h":
+            return argv[:i] + argv[i + 1:] + ["--", arg]
+    return argv
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_expression_last(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.fn(args)
     except ValueError as exc:  # ExpressionError is one too

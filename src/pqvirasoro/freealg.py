@@ -78,6 +78,7 @@ __all__ = [
     "find_redex",
     "rewrite_once",
     "normalize",
+    "normal_pairs",
     "multiply",
     "bracket_coeff",
     "central_coeff",
@@ -235,11 +236,39 @@ def bracket_env(n, m):
 VARIANTS = ("r5-8.11", "strict-typos")
 
 
+# Bounds of a presentation's tables: the words each stores, and the terms
+# of one entry (a larger entry is returned but not stored).
+_MEMO_MAX_WORDS = 2048
+_MEMO_ENTRY_MAX_TERMS = 8
+
+
+class _Table(OrderedDict):
+    """A bounded memo of per-word results, least recently used first."""
+
+    __slots__ = ()
+
+    def lookup(self, key, compute, *args):
+        """The entry of key, or the tuple of compute(*args), stored if it
+        has at most _MEMO_ENTRY_MAX_TERMS pairs; past _MEMO_MAX_WORDS
+        entries the least recently used one is dropped."""
+        pairs = self.get(key)
+        if pairs is not None:
+            self.move_to_end(key)
+            return pairs
+        pairs = tuple(compute(*args))
+        if len(pairs) <= _MEMO_ENTRY_MAX_TERMS:
+            self[key] = pairs
+            if len(self) > _MEMO_MAX_WORDS:
+                self.popitem(last=False)
+        return pairs
+
+
 @dataclass(frozen=True)
 class Presentation:
     """The algebra's conventions: the set of VARIANTS it departs by, stored
-    as a frozenset so that it can key the rule table.  Its normal-form memo
-    is not a field, so equality and hashing ignore it."""
+    as a frozenset so that it can key the rule table.  Its tables of
+    normal forms and of coproducts are not fields, so equality and hashing
+    ignore them."""
 
     variants: frozenset = frozenset()
 
@@ -254,8 +283,14 @@ class Presentation:
     @cached_property
     def _memo(self):
         """(word, strategy) -> normal form of the word as a tuple of
-        (word, coefficient) pairs; least recently used first."""
-        return OrderedDict()
+        (word, coefficient) pairs."""
+        return _Table()
+
+    @cached_property
+    def _coproducts(self):
+        """word -> normalized coproduct of the word as a tuple of
+        ((left, right), coefficient) pairs, filled by ``hopf``."""
+        return _Table()
 
 
 DEFAULT_CONFIG = Presentation()
@@ -336,12 +371,6 @@ def rewrite_once(word, strategy="leftmost", cfg=DEFAULT_CONFIG):
         [(c, head + repl + tail) for c, repl in sides]
 
 
-# Bounds of a presentation's normal-form memo: the words it stores, and
-# the terms of one entry (a larger normal form is returned but not stored).
-_MEMO_MAX_WORDS = 2048
-_MEMO_ENTRY_MAX_TERMS = 8
-
-
 def _reduce(coeffs, cfg, strategy):
     """Reduction of the word -> coefficient map coeffs, a length at a time.
 
@@ -399,35 +428,33 @@ def normalize(x, cfg=DEFAULT_CONFIG, strategy="leftmost"):
     chosen by the word, the strategy and the rule table of cfg.variants
     alone, so the reduction is a linear map and the normal form of x is
     the sum of c * NF(w) over its terms, the same value in Q(p, q) as
-    reducing all of x at once.  Each word is reduced on its own.  A normal
-    word is its own normal form.  Any other word is a hit in cfg's memo,
-    keyed by (word, strategy), or is reduced and stored if NF(w) has at
-    most _MEMO_ENTRY_MAX_TERMS terms.  The memo keeps the _MEMO_MAX_WORDS
-    (2,048) most recently used words, so at most 16,384 terms.  It
-    outlives the call: cleared before each of 8,325 Hopf-sweep ops, it
-    took them 0.95-0.96 s against 0.87-0.88 s.
+    reducing all of x at once.  Each word is reduced on its own, by
+    ``normal_pairs``.  A normal word is its own normal form.  Any other
+    word is a hit in cfg's memo, keyed by (word, strategy), or is reduced
+    and stored if NF(w) has at most _MEMO_ENTRY_MAX_TERMS terms.  The memo
+    keeps the _MEMO_MAX_WORDS (2,048) most recently used words, so at most
+    16,384 terms.  It outlives the call: cleared before each of 8,325
+    Hopf-sweep ops, it took them 0.95-0.96 s against 0.87-0.88 s.
     """
-    memo = cfg._memo
     terms = ((x, ONE),) if isinstance(x, tuple) else x.terms.items()
     result = {}
     for word, coeff in terms:
-        if find_redex(word, strategy) is None:
-            pairs = ((word, ONE),)
-        else:
-            key = (word, strategy)
-            pairs = memo.get(key)
-            if pairs is not None:
-                memo.move_to_end(key)
-            else:
-                nf = _reduce({word: ONE}, cfg, strategy)
-                pairs = nf.items()
-                if len(nf) <= _MEMO_ENTRY_MAX_TERMS:
-                    memo[key] = pairs = tuple(pairs)
-                    if len(memo) > _MEMO_MAX_WORDS:
-                        memo.popitem(last=False)
-        for w, c in pairs:
+        for w, c in normal_pairs(word, cfg, strategy):
             accumulate(result, w, c if coeff is ONE else coeff * c)
     return AlgebraElement.from_clean(result)
+
+
+def normal_pairs(word, cfg=DEFAULT_CONFIG, strategy="leftmost"):
+    """The normal form of one word as (word, coefficient) pairs:
+    ((word, ONE),) for a normal word, else cfg's memo entry, made on a miss
+    and stored unless it has more than _MEMO_ENTRY_MAX_TERMS terms."""
+    if find_redex(word, strategy) is None:
+        return ((word, ONE),)
+    return cfg._memo.lookup((word, strategy), _reduce_word, word, cfg, strategy)
+
+
+def _reduce_word(word, cfg, strategy):
+    return _reduce({word: ONE}, cfg, strategy).items()
 
 
 def multiply(x, y, cfg=DEFAULT_CONFIG):

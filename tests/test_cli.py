@@ -307,6 +307,36 @@ def test_main_calls_share_the_default_presentation(monkeypatch, capsys):
     assert capsys.readouterr().out.count("\n") == 3
 
 
+def test_normal_forms_that_start_with_a_minus_read_back(tmp_path, capsys):
+    # argparse takes a leading "-" for an option; normalize reads it as the
+    # expression, wherever its options stand
+    assert main(["normalize", "(-p/q)^-5001"]) == 0
+    rendered = capsys.readouterr().out.rstrip("\n")
+    assert rendered == "-q^5001/p^5001"
+    assert main(["normalize", rendered]) == 0
+    assert capsys.readouterr() == (rendered + "\n", "")
+    code, text = run(["normalize", "--format", "json", rendered], tmp_path)
+    assert code == 0 and json.loads(text)["input"] == rendered
+    assert json.loads(text)["normal_form"] == rendered
+    code, text = run(["normalize", "-L(1)", "--variant", "r5-8.11", "--format", "text"],
+                     tmp_path)
+    assert (code, text) == (0, "-L(1)\n")
+    assert main(["normalize", "--", "-L(1)"]) == 0
+    assert capsys.readouterr() == ("-L(1)\n", "")
+    done = run_module("pqvirasoro", "normalize", rendered, "--format", "text")
+    assert (done.returncode, done.stdout, done.stderr) == (0, rendered + "\n", "")
+    # a parse error still names its position in the expression as given
+    assert main(["normalize", "-L(", "--format", "json"]) == 2
+    assert capsys.readouterr().err == "error: index of L must be an integer (at position 3)\n"
+    # -h is still help, and a second dash token is still refused
+    with pytest.raises(SystemExit) as exc:
+        main(["normalize", "-h"])
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: ")
+    with pytest.raises(SystemExit) as exc:
+        main(["normalize", "-L(1)", "-L(2)"])
+    assert exc.value.code == 2 and "unrecognized arguments: -L(2)" in capsys.readouterr().err
+
+
 def test_normalize_parse_error_exit_code(capsys):
     assert main(["normalize", "L("]) == 2
     assert "error" in capsys.readouterr().err

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from pqvirasoro import freealg
 from pqvirasoro.field import ONE, ZERO, substitute
 from pqvirasoro.freealg import (
     AlgebraElement,
@@ -36,6 +37,7 @@ from pqvirasoro.hopf import (
     generators,
     tau_swap,
     tensor_multiply,
+    tensor_normalize,
     _images,
 )
 
@@ -433,3 +435,93 @@ def test_invalid_map_name_rejected():
 def test_invalid_config_rejected():
     with pytest.raises(ValueError, match="unknown variant 'fixed'"):
         Presentation({"fixed"})
+
+
+# ---------------------------------------------------------------------------
+# the per-word maps against the formulation that expands every call anew
+
+
+def add(store, key, coeff):
+    store[key] = store.get(key, ZERO) + coeff
+
+
+def expanded_coproduct(x, cfg):
+    """delta(x) with each word expanded letter by letter and its slots
+    normalized by one tensor_normalize of its own."""
+    total = TensorElement.zero(2)
+    for word, coeff in x.terms.items():
+        raw = raw_coproduct_terms(AlgebraElement.from_word(word, coeff), cfg)
+        total = total + tensor_normalize(TensorElement(2, raw), cfg)
+    return total
+
+
+def expanded_check_coassoc(x, cfg):
+    left, right = {}, {}
+    for (w1, w2), c in expanded_coproduct(x, cfg).terms.items():
+        for (u, v), c2 in expanded_coproduct(elem(*w1), cfg).terms.items():
+            add(left, (u, v, w2), c * c2)
+        for (u, v), c2 in expanded_coproduct(elem(*w2), cfg).terms.items():
+            add(right, (w1, u, v), c * c2)
+    return TensorElement(3, left) - TensorElement(3, right)
+
+
+def expanded_check_counit(x, cfg):
+    keep_first, keep_second = {}, {}
+    for (w1, w2), c in expanded_coproduct(x, cfg).terms.items():
+        if all(map(t_degree, w2)):
+            add(keep_first, w1, c)
+        if all(map(t_degree, w1)):
+            add(keep_second, w2, c)
+    base = normalize(x, cfg)
+    return AlgebraElement(keep_first) - base, AlgebraElement(keep_second) - base
+
+
+def expanded_check_antipode(x, cfg):
+    """Both residuals from one multiply(S(w1), w2) (or w1 S(w2)) per term."""
+    left = right = AlgebraElement.zero()
+    for (w1, w2), c in expanded_coproduct(x, cfg).terms.items():
+        x1, x2 = elem(*w1), elem(*w2)
+        s1, s2 = normalize(raw_antipode(x1), cfg), normalize(raw_antipode(x2), cfg)
+        left = left + c * multiply(s1, x2, cfg)
+        right = right + c * multiply(x1, s2, cfg)
+    target = AlgebraElement.unit() * counit(x)
+    return left - target, right - target
+
+
+@pytest.mark.parametrize("variants", [(), ("r5-8.11",), ("strict-typos",)])
+def test_hopf_maps_equal_the_expanded_formulation(variants):
+    cfg = Presentation(variants)
+    gens = [g for _, g in generators(4)]
+    pool = gens + [multiply(g1, g2, cfg) for g1 in gens for g2 in gens]
+    for x in pool:
+        assert coproduct(x, cfg) == expanded_coproduct(x, cfg), x
+        assert antipode(x, cfg) == normalize(raw_antipode(x), cfg), x
+        assert check_coassoc(x, cfg) == expanded_check_coassoc(x, cfg), x
+        assert check_counit(x, cfg) == expanded_check_counit(x, cfg), x
+        assert check_antipode(x, cfg) == expanded_check_antipode(x, cfg), x
+    assert cfg._coproducts
+
+
+def test_coproduct_table_is_bounded():
+    cap, max_terms = freealg._MEMO_MAX_WORDS, freealg._MEMO_ENTRY_MAX_TERMS
+    cfg = Presentation()
+    table = cfg._coproducts
+    letters = [T, TINV, C] + [L(n) for n in range(-24, 25)]
+    words = [w for length in (1, 2) for w in itertools.product(letters, repeat=length)]
+    assert len(words) > cap
+    first = {}
+    for w in words:
+        first[w] = coproduct(elem(*w), cfg)
+        assert len(table) <= cap
+    assert len(table) == cap
+    assert all(len(pairs) <= max_terms for pairs in table.values())
+    # least recently used out first: the last words swept are the ones kept
+    assert list(table)[-1] == words[-1] and words[0] not in table
+    big = (L(3), L(2), L(1), L(0))
+    d = coproduct(elem(*big), cfg)
+    assert len(d.terms) > max_terms and big not in table
+    assert d == expanded_coproduct(elem(*big), cfg)
+    table.clear()
+    for w in words:
+        assert coproduct(elem(*w), cfg) == first[w], w
+    assert len(table) == cap
