@@ -1,6 +1,7 @@
 """Exact arithmetic in the rational function field in p and q."""
 
 import copy
+import operator
 import pickle
 from fractions import Fraction
 
@@ -798,6 +799,30 @@ def test_bools_are_not_int_coefficients():
     assert RatFunc._coerce(True) is None
     assert RatFunc(1) != True and RatFunc(0) != False  # noqa: E712
     assert RatFunc(1) == 1 and hash(RatFunc(1)) == hash(1)
+
+
+@pytest.mark.parametrize("x", [ZERO, ONE, P - Q, (P + Q) / 6, monomial(-3, 2, -1),
+                               (P + 1) / (Q ** 2 - P)])
+@pytest.mark.parametrize("scalar", [0, 1, -7, Fraction(-3, 4), RatFunc(5, 2), P * Q])
+def test_int_and_fraction_operands_agree_with_ratfunc_operands(x, scalar):
+    """An int, Fraction or RatFunc on either side of + - * / gives the value
+    and the parts of the all-RatFunc expression; a float or a str operand,
+    on either side, is a TypeError."""
+    s = RatFunc._coerce(scalar)
+    pairs = [(x + scalar, x + s), (scalar + x, s + x), (x - scalar, x - s),
+             (scalar - x, s - x), (x * scalar, x * s), (scalar * x, s * x)]
+    if s:
+        pairs.append((x / scalar, x / s))
+    if x:
+        pairs.append((scalar / x, s / x))
+    for mixed, pure in pairs:
+        assert type(mixed) is RatFunc and mixed == pure and parts_of(mixed) == parts_of(pure)
+    for bad in (1.5, "2"):
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(TypeError):
+                op(x, bad)
+            with pytest.raises(TypeError):
+                op(bad, x)
 
 
 @pytest.mark.parametrize("scalar", [Fraction(1, 2), 3, RatFunc(1, 2) * P])
