@@ -23,7 +23,10 @@ RatFunc per word at the end, so parsing is linear in the number of
 terms. A power of several words may have at most 65,536 words, and no
 power may have more than 2^20 letters over all its words, which is
 checked before each product. Only a word-free +-p^a q^b takes an
-exponent past 4,096, and then only up to degree 2^20.
+exponent past 4,096, and then only up to degree 2^20. A power of an int
+or constant coefficient may have at most 2^20 bits, counted as the
+base's bits times |k| before the power is taken, and parentheses nest
+at most 200 deep.
 
 Verification records are JSON lines with a stable field order; the
 process exits 0 when every gated record is ok, 1 when some gated
@@ -72,6 +75,9 @@ _SYMBOLS = set("+-*/^()")
 
 # largest |k| accepted in x^k: the power of a word is a word k times as long
 _MAX_EXPONENT = 4096
+
+# the most parentheses open at once: each level takes four frames of the descent
+_MAX_DEPTH = 200
 
 
 # a run of at most 16 factors that the descent reads as one term, joined by *
@@ -171,6 +177,17 @@ _MAX_POWER_LETTERS = 1 << 20
 _TOO_LONG = f"the power could have more than {_MAX_POWER_LETTERS} letters"
 
 
+def _bits(c):
+    """The bits that the k-th power of a term coefficient has at most k times:
+    an int's, or a constant RatFunc's num's or den's; 0 for a unit."""
+    if type(c) is not int:
+        num, den = c.num, c.den
+        if c.shift != (0, 0) or num.keys() != {(0, 0)} or den.keys() != {(0, 0)}:
+            return 0  # p or q in c: not bounded here
+        c = max(abs(num[0, 0]), den[0, 0])
+    return 0 if c in (1, -1) else c.bit_length()
+
+
 def _rat(c):
     """A term coefficient as a RatFunc."""
     return monomial(c) if type(c) is int else c
@@ -225,6 +242,7 @@ class _Parser:
         self.src = src
         self.tokens = tokens
         self.k = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.k]
@@ -334,6 +352,10 @@ class _Parser:
             c, a, b, w = value
             if len(w) * abs(k) > _MAX_POWER_LETTERS:
                 raise ExpressionError(_TOO_LONG, pos)
+            # a chain of powers would square a number's bits at each ^
+            if _bits(c) * abs(k) > _MAX_POWER_LETTERS:
+                raise ExpressionError(
+                    f"the power's coefficient could have more than {_MAX_POWER_LETTERS} bits", pos)
             if k >= 0:  # _ZERO^0 is 1
                 return (c ** k, a * k, b * k, w * k)
             if not c:
@@ -367,8 +389,12 @@ class _Parser:
         if kind == "int":
             return (val, 0, 0, ())
         if kind == "(":
+            if self.depth == _MAX_DEPTH:
+                raise ExpressionError(f"parentheses nest deeper than {_MAX_DEPTH}", pos)
+            self.depth += 1
             value = self.expr()
             self.expect(")")
+            self.depth -= 1
             return value
         if kind == "name":
             if val in _NAMES:

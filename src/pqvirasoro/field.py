@@ -140,8 +140,7 @@ def _u_run_mul(F, c, k):
 
 
 def _u_mul(F, G):
-    if not F or not G:
-        return ()
+    # F and G are nonzero: every caller has tested its operands
     if len(F) < len(G):
         F, G = G, F
     if len(G) == 1:
@@ -231,17 +230,14 @@ def _u_cofactors(F, G):
     c = _int_gcd(cf, cg)
     A = _u_exquo(F, cf)
     B = _u_exquo(G, cg)
-    if len(A) == 1 or len(B) == 1:  # a constant primitive part, such as a den 6's, is 1
-        return (c,), _u_exquo(F, c), _u_exquo(G, c)
     # the shorter operand is usually the den, whose norm is the cheaper one
     xi = 2 * max(map(abs, B if len(B) <= len(A) else A)) + 29
     while True:
         digits = _digits(_int_gcd(_u_eval(A, xi), _u_eval(B, xi)), xi)
         if len(digits) == 1:
             return (c,), _u_exquo(F, c), _u_exquo(G, c)
+        # h > 0, so its top symmetric digit, the lead of g, is positive
         g = _u_exquo(tuple(digits), _content(digits))
-        if g[-1] < 0:
-            g = _u_neg(g)
         try:
             qa = _u_divexact(A, g)
             qb = _u_divexact(B, g)
@@ -326,13 +322,6 @@ def _p_exquo(f, c):
 
 
 def _p_mul(f, g):
-    if not f or not g:
-        return {}
-    if len(f) == 1:
-        ((i0, j0), c0), = f.items()
-        return {(i0 + i, j0 + j): c0 * c for (i, j), c in g.items()}
-    if len(g) == 1:
-        return _p_mul(g, f)
     out = {}
     for (i1, j1), c1 in f.items():
         for (i2, j2), c2 in g.items():
@@ -380,8 +369,7 @@ def _p_dense(f):
 
 def _p_terms(f, i0, j0):
     # (i, j, c) in graded-lex order, p > q, of p^i0 q^j0 f
-    return sorted(((i + i0, j + j0, c) for (i, j), c in f.items()),
-                  key=lambda t: (t[0] + t[1], t[0]), reverse=True)
+    return sorted(((i + i0, j + j0, c) for (i, j), c in f.items()), key=_grlex, reverse=True)
 
 
 def _p_divexact(f, g):
@@ -625,10 +613,6 @@ class RatFunc:
             if not den:
                 raise ZeroDivisionError("zero denominator in Q(p,q)")
             return _canonical((num,) if num else (), (den,), shift, _Graded)
-        if type(num) is dict and len(num) == 1 and type(den) is int and den == 1:
-            # one term c p^a q^b is already canonical as a monomial
-            ((a, b), c), = num.items()
-            return monomial(c, a + shift[0], b + shift[1])
         den = _as_poly(den)
         if not den:
             raise ZeroDivisionError("zero denominator in Q(p,q)")
@@ -707,27 +691,23 @@ class RatFunc:
         return None
 
     def __add__(self, other):
-        if type(other) is RatFunc:
-            o = other
-            if self._den is _ONE_T and o._den is _ONE_T:
-                n1, n2 = self._num, o._num
-                (a1, b1), (a2, b2) = self.shift, o.shift
-                # Laurent polynomials of one degree: no den to meet in
-                if n1 and n2 and a1 + b1 + len(n1) == a2 + b2 + len(n2):
-                    a, b = min(a1, a2), min(b1, b2)
-                    num = _h_add(n1, (a1 - a, b1 - b), n2, (a2 - a, b2 - b))
-                    if not num:
-                        return ZERO
-                    num, i, j = _h_strip(num)
-                    return RatFunc._raw((a + i, b + j), num, _ONE_T)
-        else:
-            o = self._coerce(other)
-            if o is None:
-                return NotImplemented
-        if not self._num:
+        o = other if type(other) is RatFunc else self._coerce(other)
+        if o is None:
+            return NotImplemented
+        n1, n2 = self._num, o._num
+        if not n1:
             return o
-        if not o._num:
+        if not n2:
             return self
+        (a1, b1), (a2, b2) = self.shift, o.shift
+        a, b = min(a1, a2), min(b1, b2)
+        # Laurent polynomials of one degree: no den to meet in
+        if self._den is _ONE_T and o._den is _ONE_T and a1 + b1 + len(n1) == a2 + b2 + len(n2):
+            num = _h_add(n1, (a1 - a, b1 - b), n2, (a2 - a, b2 - b))
+            if not num:
+                return ZERO
+            num, i, j = _h_strip(num)
+            return RatFunc._raw((a + i, b + j), num, _ONE_T)
         ops, n1, d1, n2, d2 = _common(self, o, same_degree=True)
         den = d1
         if d1 != d2:
@@ -735,8 +715,6 @@ class RatFunc:
             n1 = ops.mul(n1, d2)
             n2 = ops.mul(n2, d1)
             den = ops.mul(den, d2)
-        (a1, b1), (a2, b2) = self.shift, o.shift
-        a, b = min(a1, a2), min(b1, b2)
         num = ops.add(n1, (a1 - a, b1 - b), n2, (a2 - a, b2 - b))
         return _canonical(num, den, (a, b), ops)
 
@@ -754,10 +732,8 @@ class RatFunc:
         return self + (-o)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        # __add__ coerces other, or returns NotImplemented
+        return (-self).__add__(other)
 
     def times_monomial(self, c, a, b):
         """The product with the monomial c * p^a * q^b, for an int c."""
@@ -772,22 +748,17 @@ class RatFunc:
         return ops.make(shift, ops.scale(self._num, c // g), ops.exquo(self._den, g))
 
     def __mul__(self, other):
-        if type(other) is RatFunc:
-            o = other
-            n1, n2 = self._num, o._num
-            # Laurent polynomials: the product of two canonical numerators
-            # is canonical, and a den of 1 needs no GCD
-            if self._den is _ONE_T and o._den is _ONE_T and n1 and n2:
-                return RatFunc._raw((self.shift[0] + o.shift[0], self.shift[1] + o.shift[1]),
-                                    _u_mul(n1, n2), _ONE_T)
-        else:
-            o = self._coerce(other)
-            if o is None:
-                return NotImplemented
-            n1, n2 = self._num, o._num
+        o = other if type(other) is RatFunc else self._coerce(other)
+        if o is None:
+            return NotImplemented
+        n1, n2 = self._num, o._num
         if not n1 or not n2:
             return ZERO
         shift = (self.shift[0] + o.shift[0], self.shift[1] + o.shift[1])
+        # Laurent polynomials: the product of two canonical numerators is
+        # canonical, and a den of 1 needs no GCD
+        if self._den is _ONE_T and o._den is _ONE_T:
+            return RatFunc._raw(shift, _u_mul(n1, n2), _ONE_T)
         ops, n1, d1, n2, d2 = _common(self, o)
         # a GCD against a denominator of 1 is 1
         if d2 != ops.one:

@@ -12,6 +12,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import pqvirasoro
+from pqvirasoro import freealg, homlie
 from pqvirasoro.cli import ExpressionError, main, parse_expression, render_element
 from pqvirasoro.field import ONE, RatFunc, ZERO, monomial
 from pqvirasoro.freealg import (
@@ -442,6 +443,20 @@ def test_verify_homlie_passes(tmp_path):
     records = [json.loads(line) for line in text.splitlines()]
     assert records and all(r["status"] == "ok" for r in records)
     assert all(r["gated"] for r in records)
+
+
+def test_a_failing_hom_jacobi_record_names_its_first_three_triples(tmp_path, monkeypatch, capsys):
+    """With the untwisted bracket in place of the twisted one, Hom-Jacobi
+    fails, and the record pins the residuals of the first three triples."""
+    monkeypatch.setattr(homlie, "twisted_env", freealg.bracket_env)
+    code, text = run(["verify", "--suite", "homlie", "--range", "1"], tmp_path, "h.jsonl")
+    assert code == 1
+    [record] = [json.loads(line) for line in text.splitlines() if '"hom_jacobi"' in line]
+    d = "((p^2 - q^2)/(p^2*q^2))*L(0)"
+    assert record == {"suite": "homlie", "check": "hom_jacobi", "window": 1, "triples": 27,
+                      "status": "fail", "gated": True,
+                      "residual": f"(-1, 0, 1): -{d}; (-1, 1, 0): {d}; (0, -1, 1): {d}"}
+    assert "1 failing (hom_jacobi)" in capsys.readouterr().err
 
 
 def test_verify_fock_passes(tmp_path):

@@ -103,6 +103,9 @@ def test_from_fraction():
 
 def test_integer_powers():
     assert P ** 0 == ONE
+    for k in (0.5, Fraction(1, 2), P):
+        with pytest.raises(TypeError):
+            P ** k
     assert (P + Q) ** 2 == P * P + monomial(2, 1, 1) + Q * Q
     assert (P * Q) ** -2 == monomial(1, -2, -2)
     x = (P + Q) / (P - Q)
@@ -132,6 +135,9 @@ def test_division_by_zero_rejected():
         ONE / ZERO
     with pytest.raises(ZeroDivisionError):
         ZERO.inverse()
+    for num, den in ((1, 0), ({(1, 0): 1}, 0), (P.num, {(0, 0): 0})):
+        with pytest.raises(ZeroDivisionError, match="zero denominator"):
+            RatFunc(num, den)
 
 
 def test_string_forms():
@@ -496,6 +502,8 @@ sparse_polys = st.dictionaries(st.tuples(ints(0, 4), ints(0, 4)), ints(-9, 9).fi
 @example({(0, 1): 1, (0, 0): 1}, {(1, 0): 1, (0, 0): 2}, {(1, 0): 1, (0, 1): 3})
 # q - 31 vanishes at the first point, so that point gives no image
 @example({(0, 0): 1}, {(0, 1): 1, (0, 0): -31}, {(0, 0): 1, (1, 0): 1})
+# the first point's candidate, p q + 1 times a constant, divides neither
+@example({(1, 2): 31, (0, 1): 35}, {(0, 0): 33, (2, 2): -2}, {(0, 2): 33})
 def test_p_cofactors_of_products_agree_with_sympy(h, a, b):
     check_p_cofactors(field._p_mul(h, a), field._p_mul(h, b))
 
@@ -823,6 +831,29 @@ def test_int_and_fraction_operands_agree_with_ratfunc_operands(x, scalar):
                 op(x, bad)
             with pytest.raises(TypeError):
                 op(bad, x)
+
+
+class Named(field.LinComb):
+    """A combination of named keys, each rendered as its name."""
+
+    __slots__ = ()
+    _PAREN_CHARS = "+"
+
+    @staticmethod
+    def _key_str(key, latex):
+        return key
+
+
+def test_lincombs_hash_by_value_and_repr_as_their_type_and_text():
+    x = Named({"a": P + Q, "b": 0, "c": Fraction(1, 2)})
+    y = Named({"c": RatFunc(1, 2), "a": Q + P})
+    assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+    assert x != Named({"a": P + Q}, shape=2) and x != {"a": P + Q}
+    for other in (1, P, {"a": P + Q}, AlgebraElement()):
+        for op in (operator.add, operator.sub):
+            with pytest.raises(TypeError):
+                op(x, other)
+    assert repr(x) == "Named((p + q)*a + 1/2*c)"
 
 
 @pytest.mark.parametrize("scalar", [Fraction(1, 2), 3, RatFunc(1, 2) * P])

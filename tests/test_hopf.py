@@ -143,6 +143,21 @@ def test_tensor_multiply_matches_coproduct_of_product():
         assert lhs == rhs
 
 
+def test_arities_are_checked():
+    """A tensor has two or three slots, each key as many as its arity; the
+    slot swap and the slotwise product refuse other arities."""
+    for arity in (1, 4):
+        with pytest.raises(ValueError, match="arity must be 2 or 3"):
+            TensorElement(arity)
+    with pytest.raises(ValueError, match="does not match arity"):
+        TensorElement(3, {((L(1),), ()): 1})
+    triple = TensorElement(3, {((L(1),), (), ()): 1})
+    with pytest.raises(ValueError, match="arity 2"):
+        tau_swap(triple)
+    with pytest.raises(ValueError, match="arity mismatch"):
+        tensor_multiply(triple, coproduct(elem(L(1))))
+
+
 # ---------------------------------------------------------------------------
 # structure maps on generators
 

@@ -475,6 +475,20 @@ def test_normal_forms_agree_with_direct_products(indices):
         assert (img - direct).is_zero_on(cols), strategy
 
 
+def test_bad_dimensions_and_modes_are_refused_and_zero_prints_as_0():
+    for make in (lambda: FockOperator(0), lambda: FockOperator(2.0)):
+        with pytest.raises(ValueError, match="positive integer"):
+            make()
+    with pytest.raises(ValueError, match="integer >= 3"):
+        make_oscillator(2)
+    with pytest.raises(ValueError, match="unknown mode 'quantum'"):
+        lowering_coeff_iterative(3, "quantum")
+    zero = FockOperator(3)
+    assert (str(zero), repr(zero)) == ("0", "FockOperator(dim=3, nnz=0)")
+    one = FockOperator(2, {(0, 1): ONE})
+    assert (str(one), repr(one)) == ("{(0,1): 1}", "FockOperator(dim=2, nnz=1)")
+
+
 def test_entries_outside_the_matrix_are_rejected():
     for pos in ((0, 5), (-1, 0), (3, 3), (2, -1), (0.5, 1)):
         with pytest.raises(ValueError, match="outside a 3 x 3 matrix"):

@@ -4,6 +4,7 @@ its error messages, and the integer-monomial path of long sums."""
 import math
 import random
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -199,6 +200,14 @@ REFUSED = [
     ("T^-999999999", "exponent -999999999 is out of range: |k| <= 4096", 2),
     ("p^1048577", "the power has degree over 1048576 in p or q", 2),
     ("(p/q^2)^-524289", "the power has degree over 1048576 in p or q", 8),
+    # deep parentheses would exhaust the descent's stack, and a chain of
+    # powers would square a number's bits at each ^
+    ("(" * 201 + "1" + ")" * 201, "parentheses nest deeper than 200", 200),
+    ("(" * 300 + "1" + ")" * 300, "parentheses nest deeper than 200", 200),
+    ("2" + "^2" * 29, "the power's coefficient could have more than 1048576 bits", 40),
+    ("(2 T)^-2" + "^2" * 29, "the power's coefficient could have more than 1048576 bits", 45),
+    ("(p/3)" + "^2" * 29, "the power's coefficient could have more than 1048576 bits", 44),
+    ("(5/7)^4096^128", "the power's coefficient could have more than 1048576 bits", 11),
 ]
 
 
@@ -210,6 +219,16 @@ def test_refused_expressions_keep_their_message_and_position(capsys, src, messag
     assert exc.value.pos == pos
     assert main(["normalize", src]) == 2
     assert capsys.readouterr().err == f"error: {message} (at position {pos})\n"
+
+
+def test_inputs_within_the_depth_and_bit_bounds_still_parse():
+    one = AlgebraElement.from_word(())
+    assert parse_expression("(" * 200 + "1" + ")" * 200) == one
+    assert parse_expression("(" * 150 + "2 T" + ")" * 150) == 2 * AlgebraElement.from_word((T,))
+    # 2^2^...^2 with 19 powers has 2^19 + 1 bits; a unit's powers grow nothing
+    assert parse_expression("2" + "^2" * 19) == (2 ** 2 ** 19) * one
+    assert parse_expression("(-1)^4096^4096 (1/1)^4096^4096") == one
+    assert parse_expression("(5/7)^4096^64") == Fraction(5, 7) ** (4096 * 64) * one
 
 
 def test_a_sum_of_integer_monomials_adds_and_multiplies_no_ratfunc(monkeypatch):
