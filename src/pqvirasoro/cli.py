@@ -172,7 +172,8 @@ _MAX_POWER_WORDS = 1 << 16
 
 # the most letters, summed over its words, that a power may have: nested
 # powers multiply their exponents past what _MAX_EXPONENT bounds; also the
-# highest degree in p or q of a power of +-p^a q^b past _MAX_EXPONENT
+# highest degree in p or q of a power of +-p^a q^b past _MAX_EXPONENT, and
+# the most bits of a power of an int or constant coefficient
 _MAX_POWER_LETTERS = 1 << 20
 _TOO_LONG = f"the power could have more than {_MAX_POWER_LETTERS} letters"
 

@@ -35,9 +35,10 @@ with no remainder sequence whose coefficients swell with the degree.
 
 Almost every structure constant is a Laurent polynomial: graded with den
 1, which is always the one shared tuple ``_ONE_T``.  Products of two such
-values, and sums of two of one degree, take a path of their own that
-convolves or adds the numerators and skips the GCD; the central weight's
-den 6 (1 + (q/p)^n) is the common exception.
+values, and sums of two of one degree, take a path of their own, right
+after the one coercion entry of ``__add__`` and ``__mul__``, that convolves
+or adds the numerators and skips the GCD; the central weight's den 6
+(1 + (q/p)^n) is the common exception.
 
 All values are immutable; every function here except ``accumulate`` (which
 adds into the caller's dict) is pure, so instances can be shared freely

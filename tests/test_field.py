@@ -502,7 +502,8 @@ sparse_polys = st.dictionaries(st.tuples(ints(0, 4), ints(0, 4)), ints(-9, 9).fi
 @example({(0, 1): 1, (0, 0): 1}, {(1, 0): 1, (0, 0): 2}, {(1, 0): 1, (0, 1): 3})
 # q - 31 vanishes at the first point, so that point gives no image
 @example({(0, 0): 1}, {(0, 1): 1, (0, 0): -31}, {(0, 0): 1, (1, 0): 1})
-# the first point's candidate, p q + 1 times a constant, divides neither
+# the first point's candidate, 33 p q^2 + 10 p q^3 + 12 q^2 - 33 q, divides
+# neither, so the GCD moves to a larger point
 @example({(1, 2): 31, (0, 1): 35}, {(0, 0): 33, (2, 2): -2}, {(0, 2): 33})
 def test_p_cofactors_of_products_agree_with_sympy(h, a, b):
     check_p_cofactors(field._p_mul(h, a), field._p_mul(h, b))
