@@ -23,9 +23,10 @@ RatFunc per word at the end, so parsing is linear in the number of
 terms. A power of several words may have at most 65,536 words, and no
 power may have more than 2^20 letters over all its words, which is
 checked before each product. Only a word-free +-p^a q^b takes an
-exponent past 4,096, and then only up to degree 2^20. A power of an int
-or constant coefficient may have at most 2^20 bits, counted as the
-base's bits times |k| before the power is taken, and parentheses nest
+exponent past 4,096, and then only up to degree 2^20. The coefficient
+of a power may have at most 2^20 bits over all its terms, a bound taken
+before the power is: the bits of an int base times |k|, and for a base
+with p or q its power's terms times the bits of each. Parentheses nest
 at most 200 deep.
 
 Verification records are JSON lines with a stable field order; the
@@ -41,6 +42,7 @@ import random
 import re
 import sys
 from functools import lru_cache, reduce
+from math import comb
 
 from .field import RatFunc, accumulate, monomial
 from .freealg import (
@@ -173,20 +175,30 @@ _MAX_POWER_WORDS = 1 << 16
 # the most letters, summed over its words, that a power may have: nested
 # powers multiply their exponents past what _MAX_EXPONENT bounds; also the
 # highest degree in p or q of a power of +-p^a q^b past _MAX_EXPONENT, and
-# the most bits of a power of an int or constant coefficient
+# the most bits, summed over its terms, of the coefficient of a power
 _MAX_POWER_LETTERS = 1 << 20
 _TOO_LONG = f"the power could have more than {_MAX_POWER_LETTERS} letters"
 
 
-def _bits(c):
-    """The bits that the k-th power of a term coefficient has at most k times:
-    an int's, or a constant RatFunc's num's or den's; 0 for a unit."""
-    if type(c) is not int:
-        num, den = c.num, c.den
-        if c.shift != (0, 0) or num.keys() != {(0, 0)} or den.keys() != {(0, 0)}:
-            return 0  # p or q in c: not bounded here
-        c = max(abs(num[0, 0]), den[0, 0])
-    return 0 if c in (1, -1) else c.bit_length()
+def _power_bits(c, k):
+    """A bound on the bits of c^k, summed over its terms, for a term
+    coefficient c and k >= 0; 0 for a unit. An int's is its bits times k.
+    A RatFunc takes the larger bound of its num and den: for a polynomial
+    of t terms whose |coefficients| sum to s, each coefficient of its k-th
+    power is at most s^k, and the power has at most comb(t + k - 1, k)
+    terms, and at most as many as there are points (i + j, i - j) in k
+    times the ranges of those of its terms (one row when homogeneous)."""
+    if type(c) is int:
+        return 0 if c in (1, -1) else c.bit_length() * k
+    bits = 0
+    for poly in (c.num, c.den):
+        norm = sum(map(abs, poly.values()))
+        if norm > 1:
+            sums, diffs = [i + j for i, j in poly], [i - j for i, j in poly]
+            terms = min(comb(len(poly) + k - 1, k),
+                        (k * (max(sums) - min(sums)) + 1) * (k * (max(diffs) - min(diffs)) + 1))
+            bits = max(bits, terms * norm.bit_length() * k)
+    return bits
 
 
 def _rat(c):
@@ -353,8 +365,8 @@ class _Parser:
             c, a, b, w = value
             if len(w) * abs(k) > _MAX_POWER_LETTERS:
                 raise ExpressionError(_TOO_LONG, pos)
-            # a chain of powers would square a number's bits at each ^
-            if _bits(c) * abs(k) > _MAX_POWER_LETTERS:
+            # a chain of powers would square a coefficient's size at each ^
+            if _power_bits(c, abs(k)) > _MAX_POWER_LETTERS:
                 raise ExpressionError(
                     f"the power's coefficient could have more than {_MAX_POWER_LETTERS} bits", pos)
             if k >= 0:  # _ZERO^0 is 1

@@ -80,16 +80,6 @@ class PoleError(ValueError):
     """Raised when a substitution point hits a zero of the denominator."""
 
 
-def _content(coeffs):
-    # gcd of integer coefficients
-    c = 0
-    for v in coeffs:
-        c = _int_gcd(c, v)
-        if c == 1:
-            break
-    return c
-
-
 # ---------------------------------------------------------------------------
 # dense univariate integer polynomials (c_0, ..., c_d): the num and den of a
 # graded value (c_i is the coefficient of p^i q^(d-i)), and the images in
@@ -226,8 +216,8 @@ def _u_cofactors(F, G):
       divides their resultant, a nonzero integer fixed by F and G, so once
       xi is large enough the digits of h are g's coefficients times it.
     """
-    cf = _content(F)
-    cg = _content(G)
+    cf = _int_gcd(*F)
+    cg = _int_gcd(*G)
     c = _int_gcd(cf, cg)
     A = _u_exquo(F, cf)
     B = _u_exquo(G, cg)
@@ -238,7 +228,7 @@ def _u_cofactors(F, G):
         if len(digits) == 1:
             return (c,), _u_exquo(F, c), _u_exquo(G, c)
         # h > 0, so its top symmetric digit, the lead of g, is positive
-        g = _u_exquo(tuple(digits), _content(digits))
+        g = _u_exquo(tuple(digits), _int_gcd(*digits))
         try:
             qa = _u_divexact(A, g)
             qb = _u_divexact(B, g)
@@ -413,8 +403,8 @@ def _p_cofactors(f, g):
     symmetric base xi, are polynomials in q and give a candidate, whose
     primitive part is checked by exact division.  The same two facts hold:
     a candidate that divides both is the GCD, and the loop ends."""
-    cf = _content(f.values())
-    cg = _content(g.values())
+    cf = _int_gcd(*f.values())
+    cg = _int_gcd(*g.values())
     c = _int_gcd(cf, cg)
     A = _p_exquo(f, cf)
     B = _p_exquo(g, cg)
@@ -428,7 +418,7 @@ def _p_cofactors(f, g):
                  for j, d in enumerate(_digits(v, xi)) if d}
             if len(h) == 1 and (0, 0) in h:
                 return {(0, 0): c}, _p_exquo(f, c), _p_exquo(g, c)
-            h = _p_exquo(h, _content(h.values()))
+            h = _p_exquo(h, _int_gcd(*h.values()))
             if _p_lead_coeff(h) < 0:
                 h = _p_neg(h)
             try:
@@ -455,7 +445,6 @@ class _Graded:
     mul = staticmethod(_u_mul)
     scale = staticmethod(_u_scale)
     exquo = staticmethod(_u_exquo)
-    content = staticmethod(_content)
     cofactors = staticmethod(_u_cofactors)
     strip = staticmethod(_h_strip)
     terms = staticmethod(_h_terms)
@@ -482,10 +471,6 @@ class _Sparse:
     strip = staticmethod(_p_strip)
     terms = staticmethod(_p_terms)
     lead = staticmethod(_p_lead_coeff)
-
-    @staticmethod
-    def content(f):
-        return _content(f.values())
 
     @staticmethod
     def make(shift, num, den):
@@ -743,10 +728,10 @@ class RatFunc:
         shift = (self.shift[0] + a, self.shift[1] + b)
         if c == 1:
             return RatFunc._raw(shift, self._num, self._den)
-        ops = self._ops()
-        g = _int_gcd(c, ops.content(self._den))
+        ops, den = self._ops(), self._den
+        g = _int_gcd(c, *(den.values() if type(den) is dict else den))
         # make: a den that g divides down to 1 is the shared _ONE_T
-        return ops.make(shift, ops.scale(self._num, c // g), ops.exquo(self._den, g))
+        return ops.make(shift, ops.scale(self._num, c // g), ops.exquo(den, g))
 
     def __mul__(self, other):
         o = other if type(other) is RatFunc else self._coerce(other)
@@ -833,9 +818,10 @@ class RatFunc:
         return hash((self.shift, num, den))
 
     def __reduce__(self):
-        # a copy or an unpickled value is rebuilt from its parts: the
-        # default would set them on the shared ZERO that __new__() returns
-        return _restored, (self.shift, self._num, self._den)
+        # a copy or an unpickled value is rebuilt through the canonical
+        # constructor: the default would set its parts on the shared ZERO
+        # that __new__() returns
+        return RatFunc, (self.num, self.den, self.shift)
 
     # -- display ---------------------------------------------------------
 
@@ -892,13 +878,6 @@ def monomial(c=1, a=0, b=0):
     if c == 0:
         return ZERO
     return RatFunc._raw((a, b), (c,), _ONE_T)
-
-
-def _restored(shift, num, den):
-    """The value of canonical parts, with ZERO and den 1 the shared ones."""
-    if not num:
-        return ZERO
-    return RatFunc._raw(shift, num, _ONE_T if den == _ONE_T else den)
 
 
 ZERO = RatFunc._raw((0, 0), (), _ONE_T)

@@ -32,8 +32,9 @@ the twist's gap read the same tables: [L_n, L_m] + [L_m, L_n] is the sum
 of two entries, and [alpha(L_n), alpha(L_m)] is twisted_env(n, m) scaled
 by the twist weight of m. ``vbracket`` and ``alpha`` stay the general
 element maps. The independent checks of the constants are the Fock
-realization in ``oscillator`` and the twisted Jacobi identity, whose
-central triples test g(n).
+realization in ``oscillator``, which realizes R4 as
+``freealg.relation_elements`` states it, from this table, and the
+twisted Jacobi identity, whose central triples test g(n).
 """
 
 from functools import lru_cache

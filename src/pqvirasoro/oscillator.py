@@ -32,10 +32,14 @@ For fixed a, the terms z^a Lam^i act on infinitely many states |k>
 through the distinct values lam_k, so they are linearly independent: an
 operator is zero exactly when each of its coefficients is. The bracket
 and power identities are therefore decided in this algebra, for every
-index and with no truncation; ``bracket_residual`` even takes L_n with
-n <= -2, which has no Fock image. ``verify_bracket`` and
-``verify_power_commutator`` return that exact residual, with
-``safe_columns`` as the bound on their input.
+index and with no truncation. ``realize`` is the one map from the
+rewriting layer: L(n) goes to z^n Lam, C to zero, and each coefficient
+to its value at the mode's point. The bracket check realizes R4 as
+``freealg.relation_elements`` states it, the relation every rewrite rule
+is solved from, so no weight of it is written here a second time;
+``bracket_residual`` even takes L_n with n <= -2, which has no Fock
+image. ``verify_bracket`` and ``verify_power_commutator`` return the
+exact residual, with ``safe_columns`` as the bound on their input.
 
 A matrix is only an output view: ``DifferenceOperator.view`` puts each
 term's c lam_k^i at (k + a, k) within rows and columns 0..dim-1. The
@@ -51,7 +55,7 @@ from functools import lru_cache
 from math import comb
 
 from .field import ZERO, ONE, P, Q, LinComb, accumulate, monomial, pq_int, pq_ladder, substitute
-from .freealg import C, L, bracket_coeff, t_degree
+from .freealg import C, L, AlgebraElement, relation_elements, t_degree
 
 # the point (p, q) of each mode, None leaving a parameter free
 _POINTS = {"classical": (1, 1), "one_param": (1, None), "two_param": (None, None)}
@@ -287,51 +291,46 @@ def make_L(n, osc):
     return exact_L(n, osc.mode).view(osc.dim)
 
 
-def bracket_weights(n, m, mode):
-    """Coefficients (alpha, beta, gamma) of the mode's bracket relation.
+def realize(x, mode):
+    """The exact image of an element of the rewriting layer in the mode.
 
-    The relation checked is alpha L_n L_m - beta L_m L_n = gamma L_{m+n};
-    in two-parameter form alpha = (q/p)^n and beta = (q/p)^m.
+    The letter L(n), the int n, maps to L_n = z^n Lam and C to zero (the
+    realization is centerless), and each coefficient is taken at the
+    mode's point. T has no Fock image, so a word containing it is refused.
     """
-    return _at_mode(mode, monomial(1, -n, n), monomial(1, -m, m), bracket_coeff(n, m))
+    out = {}
+    for word, coeff in x.terms.items():
+        if any(map(t_degree, word)):
+            raise ValueError("T has no Fock image")
+        if C not in word:
+            # c z^n Lam for the first letter L(n), or c for the empty word
+            c = _at_mode(mode, coeff)[0]
+            image = DifferenceOperator({(word[0], 1) if word else (0, 0): c}, mode)
+            for letter in word[1:]:
+                image = image * exact_L(letter, mode)
+            for key, d in image.terms.items():
+                accumulate(out, key, d)
+    return DifferenceOperator(out, mode)
 
 
 def bracket_residual(n, m, mode):
-    """alpha L_n L_m - beta L_m L_n - gamma L_{m+n} in the exact algebra,
-    for any integers n and m."""
-    alpha, beta, gamma = bracket_weights(n, m, mode)
-    Ln, Lm = exact_L(n, mode), exact_L(m, mode)
-    return Ln * Lm * alpha - Lm * Ln * beta - exact_L(n + m, mode) * gamma
+    """The image of R4(n, m), as ``relation_elements`` states it, in the
+    exact algebra, for any integers n and m."""
+    (rel,) = relation_elements("R4", n, m)
+    return realize(rel, mode)
 
 
 def verify_bracket(n, m, osc):
-    """Exact residual of the bracket relation in the oscillator's mode.
+    """Exact residual of the bracket relation R4 in the oscillator's mode.
 
-    The realization is centerless, so alpha L_n L_m - beta L_m L_n
-    - gamma L_{m+n} must vanish. n and m must have Fock images, and the
-    safe columns of osc.dim bound them.
+    The realization is centerless, so the image of
+    (q/p)^n L_n L_m - (q/p)^m L_m L_n - [L_n, L_m] must vanish. n and m
+    must have Fock images, and the safe columns of osc.dim bound them.
     """
     if n < -1 or m < -1:
         raise ValueError("bracket checks need n, m >= -1")
     safe_columns(osc.dim, 2, max(n, m, 1))
     return bracket_residual(n, m, osc.mode)
-
-
-def _word_operator(word, mode):
-    """Exact image of a word of letters from the rewriting layer.
-
-    The letter L(n), the int n, maps to L_n = z^n Lam and C to zero (the
-    realization is centerless). T has no Fock image, so words containing
-    it are rejected.
-    """
-    if any(map(t_degree, word)):
-        raise ValueError("T has no Fock image")
-    if C in word:
-        return DifferenceOperator.zero(mode)
-    out = DifferenceOperator.term(0, 0, mode)
-    for letter in word:
-        out = out * exact_L(letter, mode)
-    return out
 
 
 def word_image(word, osc):
@@ -340,16 +339,13 @@ def word_image(word, osc):
     Every column is exact, including those on which a product of
     truncated matrices loses a state pushed past the top row and back.
     """
-    return _word_operator(word, osc.mode).view(osc.dim)
+    return realize(AlgebraElement.from_word(word), osc.mode).view(osc.dim)
 
 
 def element_image(x, osc):
-    """Matrix image of a linear combination of words, term by term, each
-    coefficient substituted at the oscillator's mode."""
-    out = DifferenceOperator.zero(osc.mode)
-    for word, coeff in x.terms.items():
-        out = out + _word_operator(word, osc.mode).scale(_at_mode(osc.mode, coeff)[0])
-    return out.view(osc.dim)
+    """Matrix image of a linear combination of words: the view at osc.dim
+    of its exact image."""
+    return realize(x, osc.mode).view(osc.dim)
 
 
 def power_weights(n, mode):

@@ -466,23 +466,32 @@ def test_verify_fock_passes(tmp_path):
     assert all(json.loads(line)["status"] == "ok" for line in text.splitlines())
 
 
-def test_verify_fock_takes_its_verdict_from_the_exact_residual(monkeypatch, tmp_path, capsys):
+def test_verify_fock_takes_its_verdict_from_the_exact_residual(perturb_r4, tmp_path, capsys):
     # at dim 3 the guard keeps column 0 alone, which every L_k annihilates,
-    # so a wrong bracket weight leaves every guarded view zero, while the
-    # exact residual each record prints is not
-    weights = pqvirasoro.oscillator.bracket_weights
-
-    def wrong_weights(n, m, mode):
-        alpha, beta, gamma = weights(n, m, mode)
-        return alpha, beta, gamma + 1
-
-    monkeypatch.setattr(pqvirasoro.oscillator, "bracket_weights", wrong_weights)
+    # so a wrong bracket weight (gamma + 1 in R4) leaves every guarded view
+    # zero, while the exact residual each record prints is not
+    perturb_r4(lambda n, m: AlgebraElement({(L(n + m),): -ONE}))
     code, text = run(["verify", "--suite", "fock", "--dim", "3"], tmp_path, "f.jsonl")
     assert code == 1
     failing = [r for r in map(json.loads, text.splitlines()) if r["status"] == "fail"]
     assert len(failing) == 2 * 9 and {r["check"] for r in failing} == {"bracket"}
     assert all(r["residual"] != "0" for r in failing)
     assert "18 failing (bracket)" in capsys.readouterr().err
+
+
+def test_verify_fock_checks_r4_as_the_rewriting_states_it(perturb_r4, tmp_path, capsys):
+    # R4's L(n) L(m) coefficient (q/p)^n times p: the one-parameter mode,
+    # at p = 1, cannot see it, and every two-parameter bracket record fails
+    perturb_r4(lambda n, m: AlgebraElement(
+        {(L(n), L(m)): monomial(1, 1 - n, n) - monomial(1, -n, n)}))
+    code, text = run(["verify", "--suite", "fock"], tmp_path, "f.jsonl")
+    assert code == 1
+    records = [json.loads(line) for line in text.splitlines()]
+    failing = [r for r in records if r["status"] == "fail"]
+    assert len(records) == 143 and failing == [
+        r for r in records if r["check"] == "bracket" and r["mode"] == "two_param"]
+    assert all(r["residual"] != "0" for r in failing)
+    assert f"{len(failing)} failing (bracket)" in capsys.readouterr().err
 
 
 def test_bracket_past_the_letter_bound_exits_2_at_once(capsys):

@@ -21,7 +21,6 @@ from pqvirasoro.oscillator import (
     MODES,
     Oscillator,
     bracket_residual,
-    bracket_weights,
     element_image,
     exact_L,
     lowering_coeff,
@@ -40,6 +39,28 @@ from pqvirasoro.oscillator import (
 def deformed_commutator(A, B, alpha, beta):
     """alpha A B - beta B A, from the truncated product."""
     return A * B * alpha - B * A * beta
+
+
+def truncated_image(x, osc):
+    """The image of x through products of truncated matrices, C going to
+    zero and each coefficient taken at the mode's point."""
+    out = FockOperator(osc.dim)
+    for word, coeff in x.terms.items():
+        if C not in word:
+            image = FockOperator.identity(osc.dim).scale(oscillator._at_mode(osc.mode, coeff)[0])
+            for letter in word:
+                image = image * make_L(letter, osc)
+            out = out + image
+    return out
+
+
+def r4_weights(n, m, mode):
+    """(alpha, beta, gamma) of R4 = alpha L(n) L(m) - beta L(m) L(n)
+    - gamma L(n+m) - ..., read from relation_elements at the mode's point,
+    for n != m."""
+    (rel,) = relation_elements("R4", n, m)
+    return oscillator._at_mode(mode, rel.coefficient((L(n), L(m))),
+                               -rel.coefficient((L(m), L(n))), -rel.coefficient((L(n + m),)))
 
 
 def fock_power(x, n):
@@ -69,7 +90,8 @@ def test_lowering_coeff_matches_recurrence_oracle():
 
 def test_mode_constants_match_hand_written_forms():
     """The per-mode constants as they were once written out by hand, kept
-    as the reference for their derivation from the two-parameter ones."""
+    as the reference for their derivation from the two-parameter ones:
+    R4's weights at the mode's point are the mode's bracket weights."""
     lowering = {
         "classical": lambda k: RatFunc(k),
         "one_param": q_int,
@@ -91,8 +113,9 @@ def test_mode_constants_match_hand_written_forms():
         for n in range(-1, 9):
             assert power_weights(n, mode) == power[mode](n), (mode, n)
             for m in range(-1, 9):
-                assert bracket_weights(n, m, mode) == bracket[mode](n, m), (mode, n, m)
-    for fn, args in ((lowering_coeff, (3,)), (bracket_weights, (1, 2)), (power_weights, (3,))):
+                if m != n:
+                    assert r4_weights(n, m, mode) == bracket[mode](n, m), (mode, n, m)
+    for fn, args in ((lowering_coeff, (3,)), (r4_weights, (1, 2)), (power_weights, (3,))):
         with pytest.raises(ValueError, match="unknown mode 'quantum'"):
             fn(*args, "quantum")
 
@@ -238,14 +261,6 @@ def test_element_image_substitutes_coefficients_at_the_mode(mode):
             element_image(x, osc)
 
 
-def test_bracket_weights_degenerations():
-    for n in range(-1, 4):
-        for m in range(-1, 4):
-            alpha, beta, gamma = bracket_weights(n, m, "classical")
-            assert (alpha, beta) == (ONE, ONE)
-            assert gamma == ZERO + (m - n)
-
-
 def test_verify_bracket_zero_on_window():
     for mode in ("one_param", "two_param"):
         osc = make_oscillator(14, mode)
@@ -254,17 +269,29 @@ def test_verify_bracket_zero_on_window():
                 assert verify_bracket(n, m, osc).is_zero(), (mode, n, m)
 
 
-def test_verify_bracket_detects_wrong_weights():
+def test_verify_bracket_detects_wrong_weights(perturb_r4):
     osc = make_oscillator(12, "two_param")
     l1, l2 = make_L(1, osc), make_L(2, osc)
     # wrong twist: plain commutator does not close on L_3
-    alpha, beta, gamma = bracket_weights(1, 2, "two_param")
+    alpha, beta, gamma = r4_weights(1, 2, "two_param")
     wrong = deformed_commutator(l1, l2, ONE, ONE) - make_L(3, osc).scale(gamma)
     assert not wrong.is_zero_on(safe_columns(12, 2, 2))
+    # and with R4's twist taken out, the check fails on the same columns
+    perturb_r4(lambda n, m: AlgebraElement({(L(n), L(m)): ONE - monomial(1, -n, n),
+                                            (L(m), L(n)): monomial(1, -m, m) - ONE}))
+    assert not verify_bracket(1, 2, osc).view(12).is_zero_on(safe_columns(12, 2, 2))
+
+
+def wrong_r4(which):
+    """What perturbs R4(n, m): its L(n) L(m) weight alpha doubled, or its
+    L(n+m) weight gamma plus 1."""
+    if which == "alpha":
+        return lambda n, m: AlgebraElement({(L(n), L(m)): monomial(1, -n, n)})
+    return lambda n, m: AlgebraElement({(L(n + m),): -ONE})
 
 
 def perturbed(weights, which):
-    """The weights (alpha, beta, gamma) with alpha times p, or gamma plus 1."""
+    """The power weights (alpha, beta, gamma) with alpha times p, or gamma plus 1."""
     alpha, beta, gamma = weights
     return (alpha * P, beta, gamma) if which == "alpha" else (alpha, beta, gamma + ONE)
 
@@ -272,13 +299,12 @@ def perturbed(weights, which):
 @pytest.mark.parametrize("which", ("alpha", "gamma"))
 @pytest.mark.parametrize("mode", ("classical", "two_param"))
 @pytest.mark.parametrize("dim", (9, 14))
-def test_guarded_products_show_wrong_weights(monkeypatch, dim, mode, which):
+def test_guarded_products_show_wrong_weights(monkeypatch, perturb_r4, dim, mode, which):
     """With a wrong weight, the view of the exact residual equals the
     truncated products on the guarded columns, and is nonzero there unless
     the guard keeps column 0 alone, which every L_k annihilates. The
     checks return the exact residual itself."""
-    monkeypatch.setattr(oscillator, "bracket_weights",
-                        lambda n, m, mode: perturbed(bracket_weights(n, m, mode), which))
+    perturb_r4(wrong_r4(which))
     monkeypatch.setattr(oscillator, "power_weights",
                         lambda n, mode: perturbed(power_weights(n, mode), which))
     osc = make_oscillator(dim, mode)
@@ -286,10 +312,8 @@ def test_guarded_products_show_wrong_weights(monkeypatch, dim, mode, which):
         for m in range(-1, 5):
             if which == "gamma" and n + m < -1:
                 continue  # L_{-2} has no image to weigh
-            alpha, beta, gamma = oscillator.bracket_weights(n, m, mode)
-            full = deformed_commutator(make_L(n, osc), make_L(m, osc), alpha, beta)
-            if not gamma.is_zero():
-                full = full - make_L(m + n, osc).scale(gamma)
+            (rel,) = oscillator.relation_elements("R4", n, m)
+            full = truncated_image(rel, osc)
             cols = safe_columns(dim, 2, max(n, m, 1))
             res = bracket_residual(n, m, mode)
             view = res.view(dim).restrict(cols)
@@ -335,11 +359,10 @@ def test_exact_power_residual_vanishes(mode):
 
 @pytest.mark.parametrize("which", ("alpha", "gamma"))
 @pytest.mark.parametrize("mode", MODES)
-def test_exact_residual_shows_wrong_weights_for_every_pair(monkeypatch, mode, which):
+def test_exact_residual_shows_wrong_weights_for_every_pair(monkeypatch, perturb_r4, mode, which):
     """Even where the guard keeps column 0 alone and the view is zero, the
     exact residual of a wrong weight is not."""
-    monkeypatch.setattr(oscillator, "bracket_weights",
-                        lambda n, m, mode: perturbed(bracket_weights(n, m, mode), which))
+    perturb_r4(wrong_r4(which))
     monkeypatch.setattr(oscillator, "power_weights",
                         lambda n, mode: perturbed(power_weights(n, mode), which))
     for n in EXACT_RANGE:

@@ -208,6 +208,11 @@ REFUSED = [
     ("(2 T)^-2" + "^2" * 29, "the power's coefficient could have more than 1048576 bits", 45),
     ("(p/3)" + "^2" * 29, "the power's coefficient could have more than 1048576 bits", 44),
     ("(5/7)^4096^128", "the power's coefficient could have more than 1048576 bits", 11),
+    # a coefficient with p or q: its power's terms times the bits of each
+    ("(p + q)" + "^2" * 13, "the power's coefficient could have more than 1048576 bits", 26),
+    ("(1000 p + 999 q)^2000", "the power's coefficient could have more than 1048576 bits", 17),
+    ("(p + q)^-1024", "the power's coefficient could have more than 1048576 bits", 8),
+    ("(p + 2 q + 3)^100", "the power's coefficient could have more than 1048576 bits", 14),
 ]
 
 
@@ -229,6 +234,9 @@ def test_inputs_within_the_depth_and_bit_bounds_still_parse():
     assert parse_expression("2" + "^2" * 19) == (2 ** 2 ** 19) * one
     assert parse_expression("(-1)^4096^4096 (1/1)^4096^4096") == one
     assert parse_expression("(5/7)^4096^64") == Fraction(5, 7) ** (4096 * 64) * one
+    # the bound counts a power's terms, not its degree
+    assert parse_expression("(p + q)^512") == (P + Q) ** 512 * one
+    assert parse_expression("(p^64 + q)^64^2") == (P ** 64 + Q) ** 128 * one
 
 
 def test_a_sum_of_integer_monomials_adds_and_multiplies_no_ratfunc(monkeypatch):
