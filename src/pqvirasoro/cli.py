@@ -26,8 +26,10 @@ checked before each product. Only a word-free +-p^a q^b takes an
 exponent past 4,096, and then only up to degree 2^20. The coefficient
 of a power may have at most 2^20 bits over all its terms, a bound taken
 before the power is: the bits of an int base times |k|, and for a base
-with p or q its power's terms times the bits of each. Parentheses nest
-at most 200 deep.
+with p or q its power's terms times the bits of each. A power of several
+words takes it before each product, over its pairs of coefficients: the
+product of their terms times the sum of their bits. Parentheses nest at
+most 200 deep.
 
 Verification records are JSON lines with a stable field order; the
 process exits 0 when every gated record is ok, 1 when some gated
@@ -178,6 +180,7 @@ _MAX_POWER_WORDS = 1 << 16
 # the most bits, summed over its terms, of the coefficient of a power
 _MAX_POWER_LETTERS = 1 << 20
 _TOO_LONG = f"the power could have more than {_MAX_POWER_LETTERS} letters"
+_TOO_MANY_BITS = f"the power's coefficient could have more than {_MAX_POWER_LETTERS} bits"
 
 
 def _power_bits(c, k):
@@ -199,6 +202,19 @@ def _power_bits(c, k):
                         (k * (max(sums) - min(sums)) + 1) * (k * (max(diffs) - min(diffs)) + 1))
             bits = max(bits, terms * norm.bit_length() * k)
     return bits
+
+
+def _bit_sums(x):
+    """Over the words of the element x, the sums of each coefficient's terms
+    and of its terms times the bits of its |coefficients|' sum, taking the
+    larger of its num's and den's for each."""
+    terms = bits = 0
+    for c in x.terms.values():
+        polys = c.num, c.den
+        t = max(map(len, polys))
+        terms += t
+        bits += t * max(sum(map(abs, poly.values())) for poly in polys).bit_length()
+    return terms, bits
 
 
 def _rat(c):
@@ -367,8 +383,7 @@ class _Parser:
                 raise ExpressionError(_TOO_LONG, pos)
             # a chain of powers would square a coefficient's size at each ^
             if _power_bits(c, abs(k)) > _MAX_POWER_LETTERS:
-                raise ExpressionError(
-                    f"the power's coefficient could have more than {_MAX_POWER_LETTERS} bits", pos)
+                raise ExpressionError(_TOO_MANY_BITS, pos)
             if k >= 0:  # _ZERO^0 is 1
                 return (c ** k, a * k, b * k, w * k)
             if not c:
@@ -382,11 +397,16 @@ class _Parser:
         elif k >= 0:
             out = AlgebraElement.unit()
             words, letters = len(value.terms), sum(map(len, value.terms))
+            terms, bits = _bit_sums(value)
             for _ in range(k):
                 # each word of the product is one of out's and one of value's
                 if (words * sum(map(len, out.terms)) + len(out.terms) * letters
                         > _MAX_POWER_LETTERS):
                     raise ExpressionError(_TOO_LONG, pos)
+                # so each coefficient is a sum of products of t1 t2 terms of b1 + b2 bits
+                out_terms, out_bits = _bit_sums(out)
+                if out_terms * bits + out_bits * terms > _MAX_POWER_LETTERS:
+                    raise ExpressionError(_TOO_MANY_BITS, pos)
                 out = out * value
                 if len(out.terms) > _MAX_POWER_WORDS:
                     raise ExpressionError(

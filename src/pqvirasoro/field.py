@@ -953,6 +953,7 @@ class LinComb:
     """
 
     __slots__ = ("terms", "shape")
+    _PAREN_CHARS = "+-/ "
 
     def __init__(self, terms=None, shape=None):
         clean = {}

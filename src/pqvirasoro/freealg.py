@@ -24,12 +24,13 @@ of int letters.  Every rewrite thus lowers the word in length-then-
 lexicographic order, and reduction terminates: the length never rises,
 and while it stays fixed the letters only permute, so the word can fall
 only finitely often.  Each rule is compiled once per letter pair into a
-_Rule.  ``_reduce`` follows this order: it takes words a length at a
-time, longest first and largest first within a length, and rewrites
-each word in place along its main terms, summing their exponents into
-one shift; side terms wait in the map of their own, shorter length.
-The system is not confluent: the two strategies reduce some words to
-different normal forms, and the confluence suite counts those words.
+triple (shift, main, sides).  ``_reduce`` follows this order: it takes
+words a length at a time, longest first and largest first within a
+length, and rewrites each word in place along its main terms, summing
+their exponents into one shift; side terms wait in the map of their own,
+shorter length.  The system is not confluent: the two strategies reduce
+some words to different normal forms, and the confluence suite counts
+those words.
 
 A letter is an int whose natural order is the normal-form letter order:
 L(n) is the int n, for |n| < INDEX_BOUND (2^28), T and T^-1 are the
@@ -56,7 +57,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import groupby
 from operator import index
-from typing import NamedTuple
 
 from .field import ONE, ZERO, LinComb, accumulate, monomial, pq_ladder
 
@@ -248,14 +248,14 @@ class _Table(OrderedDict):
     __slots__ = ()
 
     def lookup(self, key, compute, *args):
-        """The entry of key, or the tuple of compute(*args), stored if it
-        has at most _MEMO_ENTRY_MAX_TERMS pairs; past _MEMO_MAX_WORDS
-        entries the least recently used one is dropped."""
+        """The entry of key, or the items of the map compute(*args) as a
+        tuple of pairs, stored if it has at most _MEMO_ENTRY_MAX_TERMS pairs;
+        past _MEMO_MAX_WORDS entries the least recently used one is dropped."""
         pairs = self.get(key)
         if pairs is not None:
             self.move_to_end(key)
             return pairs
-        pairs = tuple(compute(*args))
+        pairs = tuple(compute(*args).items())
         if len(pairs) <= _MEMO_ENTRY_MAX_TERMS:
             self[key] = pairs
             if len(self) > _MEMO_MAX_WORDS:
@@ -319,26 +319,15 @@ def find_redex(word, strategy="leftmost", start=None):
     return None
 
 
-class _Rule(NamedTuple):
-    """The rule for the redex (a, b): a b -> p^s q^t * main + sides.
-
-    main is the word the defining relation solves a b into, two letters
-    long (none for R1), and its coefficient is exactly p^s q^t with
-    (s, t) = shift.  sides are R4's other terms as (coefficient, letters)
-    pairs, each one letter long.
-    """
-
-    shift: tuple
-    main: tuple
-    sides: tuple
-
-
 @lru_cache(maxsize=None)
 def _rule(a, b, variants):
-    """The _Rule of the redex (a, b), compiled once per pair.
+    """The rule a b -> p^s q^t * main + sides of the redex (a, b), compiled
+    once per pair into the triple (shift, main, sides).
 
     The defining relation that contains the word (a, b), solved for it;
-    its longest other term is the main term.
+    its longest other term is main, two letters long (none for R1), of
+    coefficient exactly p^s q^t with (s, t) = shift.  sides are R4's other
+    terms as (coefficient, letters) pairs, each one letter long.
     """
     if t_degree(a):
         name, n, m = "R1", 0, 1
@@ -356,7 +345,7 @@ def _rule(a, b, variants):
             if coeff != monomial(1, *coeff.shift):
                 raise ValueError("the rule for %s has main coefficient %s, not p^s q^t"
                                  % (word_str((a, b)), coeff))
-            return _Rule(coeff.shift, main, tuple(term for term in terms if term[1] != main))
+            return coeff.shift, main, tuple(term for term in terms if term[1] != main)
 
 
 def rewrite_once(word, strategy="leftmost", cfg=DEFAULT_CONFIG):
@@ -450,11 +439,7 @@ def normal_pairs(word, cfg=DEFAULT_CONFIG, strategy="leftmost"):
     and stored unless it has more than _MEMO_ENTRY_MAX_TERMS terms."""
     if find_redex(word, strategy) is None:
         return ((word, ONE),)
-    return cfg._memo.lookup((word, strategy), _reduce_word, word, cfg, strategy)
-
-
-def _reduce_word(word, cfg, strategy):
-    return _reduce({word: ONE}, cfg, strategy).items()
+    return cfg._memo.lookup((word, strategy), _reduce, {word: ONE}, cfg, strategy)
 
 
 def multiply(x, y, cfg=DEFAULT_CONFIG):

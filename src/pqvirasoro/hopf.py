@@ -16,15 +16,15 @@ normal-form words; products are taken slotwise and re-normalized.
 The maps work a word at a time on normal forms, which is exact because
 reduction is linear.  ``normal_pairs`` gives a word's normal form from the
 presentation's memo, so no slot word becomes an element of its own.  The
-coproduct of a word, expanded letter by letter and normalized slotwise,
-is computed once per presentation: its table ``_coproducts`` sits next to
-the normal-form memo and has the same bounds: at most 2,048 words, least
-recently used out first, and no entry of more than 8 terms.  It holds
-2,023 words in 2.2 MB after every op of perfbench's hopf_sweep, and 2,048
-words in 4.3 MB when full of the words of up to 2 letters over T, T^-1,
-C and L(-24..24).  coproduct(x) is the sum of c * delta(w) over the terms of x,
-and check_coassoc reads its inner coproducts from the same table.  Each
-side of check_antipode is normalized once, as one sum of concatenations.
+coproduct of a word, expanded letter by letter and normalized slotwise, is
+computed once per presentation, in a table ``_coproducts`` with the memo's
+bounds: at most 2,048 words, least recently used out first, and no entry
+of more than 8 terms.  It holds 2,023 words in 2.2 MB after every op of
+perfbench's hopf_sweep, and 2,048 words in 4.3 MB when full of the words
+of up to 2 letters over T, T^-1, C and L(-24..24).  check_coassoc reads
+its inner coproducts from the same table.  S(w) is normalized word by
+word, by ``_scaled_antipode``, in antipode and in check_antipode, which
+then normalizes each of its sides once, as one sum of concatenations.
 
 The variant ``strict-typos`` of a Presentation takes the printed coproduct
 delta(C) = C (x) 1 + 1 (x) T, which breaks the counit and antipode
@@ -60,7 +60,6 @@ class TensorElement(LinComb):
     """Linear combination of slot tuples of words (arity 2 or 3)."""
 
     __slots__ = ()
-    _PAREN_CHARS = "+-/ "
 
     def __init__(self, arity, terms=None):
         if arity not in (2, 3):
@@ -147,7 +146,7 @@ def _expand_coproduct(word, cfg):
     for choice in product(*[_images(letter, cfg.variants)[0] for letter in word]):
         slots = (sum([u for u, _ in choice], ()), sum([v for _, v in choice], ()))
         accumulate(out, slots, ONE)
-    return tensor_normalize(TensorElement.from_clean(out, 2), cfg).terms.items()
+    return tensor_normalize(TensorElement.from_clean(out, 2), cfg).terms
 
 
 def _is_t_power(word):
@@ -163,23 +162,14 @@ def counit(x):
     return total
 
 
-def _word_antipode(word, variants):
-    """S(word) before normalization, as (sign, letters)."""
-    sign, letters = 1, ()
-    for letter in reversed(word):
-        s, image = _images(letter, variants)[1]
-        sign *= s
-        letters += image
-    return sign, letters
-
-
 def antipode(x, cfg=DEFAULT_CONFIG):
-    """Anti-homomorphic extension of the generator antipodes."""
+    """Anti-homomorphic extension of the generator antipodes: the sum of
+    c * S(w) over the terms of x, each S(w) in normal form."""
     out = {}
     for word, coeff in x.terms.items():
-        sign, letters = _word_antipode(word, cfg.variants)
-        accumulate(out, letters, coeff if sign > 0 else -coeff)
-    return normalize(AlgebraElement.from_clean(out), cfg)
+        for w, c in _scaled_antipode(word, coeff, cfg):
+            accumulate(out, w, c)
+    return AlgebraElement.from_clean(out)
 
 
 def tau_swap(t):
@@ -257,7 +247,11 @@ def check_antipode(x, cfg=DEFAULT_CONFIG):
 
 def _scaled_antipode(word, coeff, cfg):
     """coeff * S(word) in normal form, as (word, coefficient) pairs."""
-    sign, letters = _word_antipode(word, cfg.variants)
+    sign, letters = 1, ()
+    for letter in reversed(word):
+        s, image = _images(letter, cfg.variants)[1]
+        sign *= s
+        letters += image
     if sign < 0:
         coeff = -coeff
     return [(w, coeff if c is ONE else coeff * c) for w, c in normal_pairs(letters, cfg)]

@@ -185,7 +185,6 @@ class DifferenceOperator(LinComb):
     """
 
     __slots__ = ()
-    _PAREN_CHARS = "+-/ "
 
     def __init__(self, terms, mode):
         if mode not in MODES:

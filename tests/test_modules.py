@@ -1,5 +1,6 @@
-"""Module hygiene: every public name resolves, and src imports no name it
-does not use, so a deletion leaves no stale import behind."""
+"""Module hygiene: every public name resolves, src imports no name it
+does not use, and every private module-level name is read in its module,
+so a deletion leaves no stale import or helper behind."""
 
 import ast
 import importlib
@@ -44,3 +45,25 @@ def test_src_imports_no_name_it_does_not_use(stem):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = imported - used - set(_all(tree))
     assert unused == {name for module, name in UNUSED_BY_DESIGN if module == stem}
+
+
+def _private_names(tree):
+    """The module-level functions, classes and constants whose names start
+    with one underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from (name for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+@pytest.mark.parametrize("stem", TREES)
+def test_every_private_module_name_is_read_in_its_module(stem):
+    tree = TREES[stem]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert sorted(set(_private_names(tree)) - read) == []

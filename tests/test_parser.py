@@ -213,6 +213,9 @@ REFUSED = [
     ("(1000 p + 999 q)^2000", "the power's coefficient could have more than 1048576 bits", 17),
     ("(p + q)^-1024", "the power's coefficient could have more than 1048576 bits", 8),
     ("(p + 2 q + 3)^100", "the power's coefficient could have more than 1048576 bits", 14),
+    # a power of several words: before each product, its pairs of terms
+    ("(T + 1000 p + 999 q)^400", "the power's coefficient could have more than 1048576 bits", 21),
+    ("(T + 1000 p + 999 q)^800", "the power's coefficient could have more than 1048576 bits", 21),
 ]
 
 
@@ -237,6 +240,9 @@ def test_inputs_within_the_depth_and_bit_bounds_still_parse():
     # the bound counts a power's terms, not its degree
     assert parse_expression("(p + q)^512") == (P + Q) ** 512 * one
     assert parse_expression("(p^64 + q)^64^2") == (P ** 64 + Q) ** 128 * one
+    # 21 words whose coefficients hold 35k bits
+    assert parse_expression("(T + 1000 p + 999 q)^20") == AlgebraElement({
+        (T,) * j: math.comb(20, j) * (1000 * P + 999 * Q) ** (20 - j) for j in range(21)})
 
 
 def test_a_sum_of_integer_monomials_adds_and_multiplies_no_ratfunc(monkeypatch):
