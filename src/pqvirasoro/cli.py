@@ -210,10 +210,10 @@ def _bit_sums(x):
     larger of its num's and den's for each."""
     terms = bits = 0
     for c in x.terms.values():
-        polys = c.num, c.den
-        t = max(map(len, polys))
+        (num_terms, num_norm), (den_terms, den_norm) = c.sizes()
+        t = max(num_terms, den_terms)
         terms += t
-        bits += t * max(sum(map(abs, poly.values())) for poly in polys).bit_length()
+        bits += t * max(num_norm, den_norm).bit_length()
     return terms, bits
 
 

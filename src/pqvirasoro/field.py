@@ -53,9 +53,9 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate as _running_sums
+from itertools import accumulate as _running_sums, compress
 from math import gcd as _int_gcd
-from operator import sub as _sub
+from operator import neg as _neg, sub as _sub
 
 __all__ = [
     "RatFunc",
@@ -267,12 +267,6 @@ def _h_dict(F):
     return {(i, d - i): c for i, c in enumerate(F) if c}
 
 
-def _h_terms(F, i0, j0):
-    # (i, j, c) in graded-lex order, p > q, of p^i0 q^j0 F; c may be 0
-    d = len(F) - 1
-    return zip(range(i0 + d, i0 - 1, -1), range(j0, j0 + d + 1), reversed(F))
-
-
 # ---------------------------------------------------------------------------
 # sparse integer polynomials in p and q: {(i, j): c} with c != 0
 # ---------------------------------------------------------------------------
@@ -356,11 +350,6 @@ def _p_dense(f):
     for (i, _), c in f.items():
         out[i] = c
     return tuple(out)
-
-
-def _p_terms(f, i0, j0):
-    # (i, j, c) in graded-lex order, p > q, of p^i0 q^j0 f
-    return sorted(((i + i0, j + j0, c) for (i, j), c in f.items()), key=_grlex, reverse=True)
 
 
 def _p_divexact(f, g):
@@ -447,7 +436,6 @@ class _Graded:
     exquo = staticmethod(_u_exquo)
     cofactors = staticmethod(_u_cofactors)
     strip = staticmethod(_h_strip)
-    terms = staticmethod(_h_terms)
 
     @staticmethod
     def lead(F):
@@ -469,7 +457,6 @@ class _Sparse:
     exquo = staticmethod(_p_exquo)
     cofactors = staticmethod(_p_cofactors)
     strip = staticmethod(_p_strip)
-    terms = staticmethod(_p_terms)
     lead = staticmethod(_p_lead_coeff)
 
     @staticmethod
@@ -515,47 +502,78 @@ def _common(x, y, same_degree=False):
 # ---------------------------------------------------------------------------
 
 
-# p^k and q^k are read from tables for k < _POWER_BOUND; a larger exponent
-# is formatted in the term that has it
+# p^k and q^k are read from tables for k < _POWER_BOUND, and a term's sign
+# and coefficient for |c| < _COEFF_BOUND; past either bound the text is
+# formatted in the term that has it and not kept
 _POWER_BOUND = 128
+_COEFF_BOUND = 1024
 
 
-def _powers(var, power):
-    return ("", var) + tuple(var + power % k for k in range(2, _POWER_BOUND))
+class _Coefficients(dict):
+    """The start of a term's text by its coefficient c: the separator, then
+    |c| and the product sign unless |c| is 1, as in " - 3*"."""
+
+    def __init__(self, times):
+        super().__init__()
+        self.times = times
+
+    def __missing__(self, c):
+        text = (" - " if c < 0 else " + ") + ("" if c in (1, -1) else str(abs(c)) + self.times)
+        if -_COEFF_BOUND < c < _COEFF_BOUND:
+            self[c] = text
+        return text
 
 
-# (p^k table, q^k table, exponent format, product sign): text, then LaTeX
-_NOTATION = tuple((_powers("p", power), _powers("q", power), power, times)
+def _powers(var, power, times=""):
+    return ("", var + times) + tuple(var + power % k + times for k in range(2, _POWER_BOUND))
+
+
+# (coefficients, p^k, p^k before a power of q, q^k, exponent format,
+# product sign): text, then LaTeX
+_NOTATION = tuple((_Coefficients(times), _powers("p", power), _powers("p", power, times),
+                   _powers("q", power), power, times)
                   for power, times in (("^%d", "*"), ("^{%d}", " ")))
 
 
-def _poly_str(terms, latex=False, negate=False):
-    # terms: (i, j, c) in graded-lex order, zero c skipped; negate renders
-    # -f, and the leading term, after negate, is positive.  Each term is one
-    # piece with its separator in front; the leading one is dropped.
-    p_pow, q_pow, power, times = _NOTATION[latex]
-    plus, minus = (" - ", " + ") if negate else (" + ", " - ")
-    pieces = []
-    try:
-        for i, j, c in terms:
-            if not c:
-                continue
-            if c < 0:
-                sep, c = minus, -c
-            else:
-                sep = plus
-            ps = p_pow[i] if i < _POWER_BOUND else "p" + power % i
-            qs = q_pow[j] if j < _POWER_BOUND else "q" + power % j
-            mono = ps + times + qs if ps and qs else ps or qs
-            if c != 1:
-                pieces.append(sep + str(c) + times + mono if mono else sep + str(c))
-            else:
-                pieces.append(sep + (mono or "1"))
-    except ValueError:  # str(c) refuses an int past Python's digit limit
-        raise ValueError("a coefficient has more than %d digits and is too long to print"
-                         % sys.get_int_max_str_digits()) from None
+def _term(note, c, i, j):
+    # the text of c p^i q^j with its separator in front
+    coeffs, p_pow, p_mid, q_pow, power, times = note
+    if j:
+        ps = p_mid[i] if i < _POWER_BOUND else "p" + power % i + times
+        return coeffs[c] + ps + (q_pow[j] if j < _POWER_BOUND else "q" + power % j)
+    if i:
+        return coeffs[c] + (p_pow[i] if i < _POWER_BOUND else "p" + power % i)
+    return (" - " if c < 0 else " + ") + str(abs(c))
+
+
+def _poly_str(f, i0, j0, latex=False):
+    """(negative, text) for a nonzero f in either form: whether its leading
+    term is negative, and the text of p^i0 q^j0 f, negated if it is.  The
+    terms come in graded-lex order, p > q, each the texts of its sign and
+    coefficient, of p^i and of q^j, read from the tables."""
+    note = coeffs, _, p_mid, q_pow, _, _ = _NOTATION[latex]
+    if type(f) is tuple and max(i0, j0) + len(f) > _POWER_BOUND:
+        f = _h_dict(f)  # its powers past the tables are formatted term by term
+    if type(f) is dict:
+        terms = sorted([(i + j, i, j, c) for (i, j), c in f.items()], reverse=True)
+        negative = terms[0][3] < 0
+        pieces = [_term(note, -c if negative else c, i + i0, j + j0) for _, i, j, c in terms]
+    else:
+        # below the lead term every power of q is positive, so each term is
+        # its coefficient's text, then p^i followed by times, then q^j
+        d = len(f) - 1
+        negative = f[d] < 0
+        cs = f[-2::-1]
+        ps = p_mid[i0:i0 + d][::-1]
+        qs = q_pow[j0 + 1:j0 + d + 1]
+        if 0 in cs:
+            ps, qs, cs = tuple(compress(ps, cs)), tuple(compress(qs, cs)), tuple(compress(cs, cs))
+        pieces = [_term(note, -f[d] if negative else f[d], i0 + d, j0)] * (3 * len(cs) + 1)
+        pieces[1::3] = map(coeffs.__getitem__, map(_neg, cs) if negative else cs)
+        pieces[2::3] = ps
+        pieces[3::3] = qs
     pieces[0] = pieces[0][3:]
-    return "".join(pieces)
+    return negative, "".join(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -631,6 +649,12 @@ class RatFunc:
         """The denominator as a new {(i, j): c} dict."""
         d = self._den
         return dict(d) if type(d) is dict else _h_dict(d)
+
+    def sizes(self):
+        """((terms, norm) of num, (terms, norm) of den): each one's count of
+        nonzero terms and sum of |coefficients|, read without a copy."""
+        return tuple((len(f), sum(map(abs, f.values()))) if type(f) is dict
+                     else (len(f) - f.count(0), sum(map(abs, f))) for f in (self._num, self._den))
 
     def _ops(self):
         return _Graded if type(self._den) is tuple else _Sparse
@@ -831,28 +855,27 @@ class RatFunc:
         num = self._num
         if not num:
             return False, "0"
-        ops = self._ops()
         den = self._den
         a, b = self.shift
         da, db = max(-a, 0), max(-b, 0)
-        negative = ops.lead(num) < 0
-        ns = _poly_str(ops.terms(num, max(a, 0), max(b, 0)), latex, negative)
-        if len(den) == 1:
-            c = ops.lead(den)
+        # a den of one term has its coefficient c > 0 and is one term's text
+        c = self._ops().lead(den) if len(den) == 1 else 0
+        try:
+            negative, ns = _poly_str(num, max(a, 0), max(b, 0), latex)
             if c == 1 and not da and not db:
                 if negative and len(num) > 1:
                     return True, ("\\left(%s\\right)" if latex else "(%s)") % ns
                 return negative, ns
-            # an integer, or a bare power of p or of q
-            atomic = not da and not db or c == 1 and not (da and db)
-        else:
-            atomic = False
-        ds = _poly_str(ops.terms(den, da, db), latex)
+            ds = _term(_NOTATION[latex], c, da, db)[3:] if c else _poly_str(den, da, db, latex)[1]
+        except ValueError:  # str(c) refuses an int past Python's digit limit
+            raise ValueError("a coefficient has more than %d digits and is too long to print"
+                             % sys.get_int_max_str_digits()) from None
         if latex:
             return negative, "\\frac{%s}{%s}" % (ns, ds)
         if len(num) > 1:
             ns = "(%s)" % ns
-        if not atomic:
+        # an integer, or a bare power of p or of q, stays bare
+        if not c or da and db or c != 1 and (da or db):
             ds = "(%s)" % ds
         return negative, "%s/%s" % (ns, ds)
 

@@ -3,6 +3,7 @@
 import copy
 import operator
 import pickle
+import sys
 from fractions import Fraction
 
 import pytest
@@ -631,6 +632,12 @@ def test_rendering_agrees_with_a_reference(drawn):
     assert (-x).latex() == reference_render(-x, latex=True)
 
 
+@given(ratfuncs())
+@example(RatFunc({(2, 0): 3, (0, 2): -4}, {(2, 0): 1, (0, 2): 1}))
+def test_sizes_count_the_terms_and_norms_of_num_and_den(x):
+    assert x.sizes() == tuple((len(f), sum(map(abs, f.values()))) for f in (x.num, x.den))
+
+
 def test_rendering_of_a_negated_sum_in_an_element():
     c = -(P ** 130 + 12 * Q ** 130)
     x = AlgebraElement({(L(1),): c, (L(2),): c / Q ** 140})
@@ -638,6 +645,76 @@ def test_rendering_of_a_negated_sum_in_an_element():
                       " - ((p^130 + 12*q^130)/q^140)*L(2)")
     assert x.latex() == ("-\\left(p^{130} + 12 q^{130}\\right)\\, L_{1}"
                          " - \\frac{p^{130} + 12 q^{130}}{q^{140}}\\, L_{2}")
+
+
+def assert_renders_as_reference(x):
+    for y in (x, -x):
+        assert str(y) == reference_render(y)
+        assert y.latex() == reference_render(y, latex=True)
+
+
+# the power tables stop at 128 and the coefficient table at |c| = 1024
+EDGE_EXPONENTS = range(126, 130)
+EDGE_COEFFICIENTS = [1023, 1024, 1025, 2047, 10 ** 30]
+
+
+@pytest.mark.parametrize("k", EDGE_EXPONENTS)
+def test_rendering_of_exponents_at_the_power_table_bound(k):
+    # p^k at the lead end (j0 = 0) and q^k at the tail end (i0 = 0) of one
+    # numerator, then each end moved off 0 by a shift, over den 1 and over
+    # monomial and polynomial denominators
+    values = [P ** k + 3 * Q ** k, P ** k - 5 * P ** (k - 1) * Q + Q ** k,
+              P ** k * (P - 3 * Q), Q ** k * (4 * P + Q), P ** 2 * Q ** (k - 2) + Q ** k,
+              P ** k + P * Q ** (k - 1), (P ** k + 2 * Q ** k) / (P + Q),
+              (P - Q) / P ** k, (P - Q) / Q ** k, 7 * Q / (2 * P ** k * Q ** k),
+              P ** k + 1, (Q ** k - P + 3) / P ** k]
+    for x in values:
+        assert_renders_as_reference(x)
+
+
+def test_rendering_of_interior_zero_coefficients():
+    for x in [P ** 5 - 2 * P ** 3 * Q ** 2 + Q ** 5, P ** 4 * Q + 9 * Q ** 5,
+              P ** 130 + 6 * P ** 64 * Q ** 66 - Q ** 130, (P ** 3 + Q ** 3) / Q ** 2,
+              (P ** 3 - P * Q ** 2 + 1024 * Q ** 3) / (P ** 2 + Q ** 2), P ** 3 + P + 1]:
+        assert_renders_as_reference(x)
+
+
+@pytest.mark.parametrize("c", [1, 7, RatFunc(2, 3), RatFunc(1, 12)] + EDGE_COEFFICIENTS)
+def test_rendering_of_constants_and_coefficients_at_the_table_bound(c):
+    for x in [RatFunc(1) * c, c * P, c * Q ** 3, c * P ** 2 * Q, P + c * Q, c * P - Q,
+              P ** 2 - c * P * Q + c * Q ** 2, c * P ** 2 + Q, (P + Q) / c, c / P,
+              c / (P * Q ** 2), c / (P ** 3 + 1), P ** 2 + c]:
+        assert_renders_as_reference(x)
+
+
+def test_rendering_of_monomial_denominators():
+    for x in [1 / P, 1 / Q, 1 / (P * Q), 5 / P ** 3, 5 / Q ** 3, RatFunc(5, 6) / (P * Q ** 2),
+              (P + Q) / P, (P + Q) / Q ** 2, (P + Q) / (P ** 2 * Q), (P - 2 * Q) / (3 * P),
+              (P ** 2 + Q) / Q, Q / (6 * P ** 4 * Q ** 4)]:
+        assert_renders_as_reference(x)
+
+
+def test_text_tables_hold_at_most_their_bounds():
+    # a graded and a sparse numerator of 4,001 distinct coefficients, each
+    # term rendered as the reference renders it, and exponents up to 4,000
+    graded = RatFunc({(k, 4000 - k): k - 2000 or 1 for k in range(4001)})
+    sparse = RatFunc({(k, 0): 3 * k - 6000 or 1 for k in range(4001)})
+    for x in (graded, sparse, graded / Q ** 3000, sparse / (P + 1)):
+        assert_renders_as_reference(x)
+    for coeffs, p_pow, p_mid, q_pow, _, _ in field._NOTATION:
+        assert len(coeffs) < 2 * field._COEFF_BOUND
+        assert len(p_pow) == len(p_mid) == len(q_pow) == field._POWER_BOUND
+
+
+def test_rendering_of_a_coefficient_past_the_digit_limit_is_refused():
+    limit = sys.get_int_max_str_digits()
+    huge = 10 ** (limit + 1)
+    message = "a coefficient has more than %d digits and is too long to print" % limit
+    for x in [P ** 3 + huge * P * Q ** 2 + Q ** 3, (P + Q) / (huge * P), P + huge]:
+        with pytest.raises(ValueError, match=message):
+            str(x)
+        with pytest.raises(ValueError, match=message):
+            x.latex()
 
 
 # ---------------------------------------------------------------------------

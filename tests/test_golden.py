@@ -40,6 +40,8 @@ EQ811_EXPR = "C^2 L(2) L(-1) T"
 # denominators such as 6*p^2*q^53 + 6*q^55
 BIG_C_EXPR = "L(2) L(3) L(-3) L(-2) C L(-5) L(4) L(-4)"
 BIG_TINV_EXPR = "L(-2) L(5) L(6) L(-1) T^-1 L(-4) L(-6) L(-3)"
+# one with T: 154 terms and about 53k characters of text per normal form
+BIG_T_EXPR = "L(5) L(3) L(6) L(-2) T L(0) L(-5) L(1)"
 
 # the expression grammar: scalar powers of either sign, nested parentheses,
 # sums that mix scalars and words, and sums whose word part cancels
@@ -122,6 +124,8 @@ GOLDEN = [
      "69a10701a56c720f72c73710b6da6a21f67b7cd9646fd5887a3c909b2a4d300f"),
     (["normalize", BIG_TINV_EXPR, "--format", "latex"], 0,
      "12a3651ac96e57e83a744edd7ef015f6b10869a143a3e4adac057986099bc425"),
+    (["normalize", BIG_T_EXPR, "--format", "latex"], 0,
+     "6747b32352effabb0eabdc0da82117c40114574bf9bb721b17c9a263d303a3af"),
     (["normalize", SCALAR_POWER_EXPR, "--format", "text"], 0,
      "bc28f20223b1ab226f3812852ab917bbc6d40458ff4bc195b51f41deb99d6587"),
     (["normalize", SCALAR_POWER_EXPR, "--format", "json"], 0,
@@ -205,15 +209,18 @@ def test_cli_output_matches_recorded_digest(capsys, argv, code, digest):
 # the CLI prints leftmost normal forms only; these pin the rightmost ones,
 # whose rewrite steps resume each scan leftward from the last rewrite
 RIGHTMOST_DIGESTS = [
-    (BIG_C_EXPR, "ef5a820131da9d2fd22f270869957700df5c58e4f1d77880467cec7deb82b375"),
-    (BIG_TINV_EXPR, "215fba08576cd8af3e346f1adf6932346babfcf413508e0766c9c7020d0ac3d9"),
+    (BIG_C_EXPR, False, "ef5a820131da9d2fd22f270869957700df5c58e4f1d77880467cec7deb82b375"),
+    (BIG_TINV_EXPR, False, "215fba08576cd8af3e346f1adf6932346babfcf413508e0766c9c7020d0ac3d9"),
+    (BIG_T_EXPR, False, "8327ece28672a7832d56aae9e58465e55a49520425ca27e81956c8edd85bd09e"),
+    (BIG_T_EXPR, True, "5b4fe37299229e62d3f758170adca5fc07318e424c968455582adc7b4e2c9c0e"),
 ]
 
 
-@pytest.mark.parametrize("expr, digest", RIGHTMOST_DIGESTS,
-                         ids=[expr for expr, _ in RIGHTMOST_DIGESTS])
-def test_rightmost_normal_form_matches_recorded_digest(expr, digest):
-    text = str(normalize(parse_expression(expr), strategy="rightmost"))
+@pytest.mark.parametrize("expr, latex, digest", RIGHTMOST_DIGESTS,
+                         ids=[expr + " latex" * latex for expr, latex, _ in RIGHTMOST_DIGESTS])
+def test_rightmost_normal_form_matches_recorded_digest(expr, latex, digest):
+    x = normalize(parse_expression(expr), strategy="rightmost")
+    text = x.latex() if latex else str(x)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 

@@ -1,6 +1,7 @@
 """The expression grammar against plain RatFunc/AlgebraElement arithmetic,
 its error messages, and the integer-monomial path of long sums."""
 
+import itertools
 import math
 import random
 import re
@@ -306,6 +307,28 @@ def test_a_power_past_the_letter_bound_is_refused_before_it_is_built(monkeypatch
         parse_expression(text)
     assert str(exc.value) == f"the power could have more than 1048576 letters (at position {pos})"
     assert all(n <= 1 << 20 for n in products)
+
+
+def test_the_coefficient_bound_of_a_power_reads_sizes_in_place(monkeypatch):
+    # (L(1) + L(2))^16 is every word of 16 letters L(1) and L(2), with
+    # coefficient 1, and (T + 1000 p + 999 q)^400 is refused after the 44
+    # products its coefficients' sizes allow, without copying a num or den
+    words = itertools.product((L(1), L(2)), repeat=16)
+    assert parse_expression("(L(1) + L(2))^16") == AlgebraElement({w: 1 for w in words})
+    products = []
+
+    def spy(self, other, op=AlgebraElement.__mul__):
+        products.append(len(self.terms))
+        return op(self, other)
+
+    monkeypatch.setattr(AlgebraElement, "__mul__", spy)
+    monkeypatch.setattr(RatFunc, "num", property(lambda self: pytest.fail("num copied")))
+    monkeypatch.setattr(RatFunc, "den", property(lambda self: pytest.fail("den copied")))
+    with pytest.raises(ExpressionError) as exc:
+        parse_expression("(T + 1000 p + 999 q)^400")
+    assert str(exc.value) == (
+        "the power's coefficient could have more than 1048576 bits (at position 21)")
+    assert products == list(range(1, 45))
 
 
 def test_a_power_past_the_word_bound_is_refused_before_a_larger_product(monkeypatch):
