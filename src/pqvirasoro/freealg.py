@@ -125,29 +125,29 @@ def word_sort_key(word):
 
 # (T, L(n), power) notation: text first, then LaTeX
 _NOTATION = (("T", "L(%d)", "^%d"), ("\\mathcal{T}", "L_{%d}", "^{%d}"))
-# the text of each letter L(n) with |n| < _LETTER_BOUND, T, T^-1 and C
-_LETTER_BOUND = 64
-_LETTERS = tuple({**{n: l_fmt % n for n in range(1 - _LETTER_BOUND, _LETTER_BOUND)},
-                  T: t_sym, TINV: t_sym + power % -1, C: "C"} for t_sym, l_fmt, power in _NOTATION)
 
 
 def word_str(word, latex=False):
     """Render a word as text or LaTeX, merging runs of equal letters into
     powers (a run of T^-1 becomes a negative power of T)."""
-    if len(set(word)) == len(word):  # no letter twice, so no run
-        try:
-            return " ".join(map(_LETTERS[latex].__getitem__, word)) or "1"
-        except KeyError:  # an L index past the table
-            pass
     t_sym, l_fmt, power = _NOTATION[latex]
     parts = []
-    for letter, run in groupby(word):
-        k = len(list(run))
-        if letter == TINV:
-            base, k = t_sym, -k
+    count = 0
+    last = len(word) - 1
+    for i, letter in enumerate(word):
+        count += 1
+        if i < last and word[i + 1] == letter:
+            continue
+        if letter == T:
+            base = t_sym
+        elif letter == TINV:
+            base, count = t_sym, -count
+        elif letter == C:
+            base = "C"
         else:
-            base = t_sym if letter == T else "C" if letter == C else l_fmt % letter
-        parts.append(base if k == 1 else base + power % k)
+            base = l_fmt % letter
+        parts.append(base if count == 1 else base + power % count)
+        count = 0
     return " ".join(parts) or "1"
 
 

@@ -95,22 +95,6 @@ def test_word_str_matches_a_groupby_reference(word):
         assert word_str(word, latex) == groupby_word_str(word, latex)
 
 
-@given(st.lists(st.sampled_from((T, TINV, C, L(-64), L(-63), L(0), L(63), L(64), L(10 ** 6))),
-                max_size=6))
-@example([L(63), L(64), L(-64), T])
-def test_word_str_past_the_letter_table_matches_the_reference(word):
-    # distinct letters are joined from the table, which stops at |n| < 64
-    for latex in (False, True):
-        assert word_str(tuple(word), latex) == groupby_word_str(word, latex)
-
-
-def test_letter_tables_hold_at_most_their_bound():
-    for latex in (False, True):
-        for n in range(-300, 300):
-            assert word_str((T, L(n), C), latex) == groupby_word_str((T, L(n), C), latex)
-        assert len(freealg._LETTERS[latex]) <= 2 * freealg._LETTER_BOUND + 2
-
-
 def test_t_word():
     assert t_word(0) == ()
     assert t_word(2) == (T, T)
