@@ -14,7 +14,11 @@ coefficients; a zero to a negative power is a division by zero.
 
 The tokenizer reads a run of factors such as 3*p^5*q^4 T^-2 L(-6)^3 as
 one token of cached value, but no run after / or where the grammar reads
-an int, nor before a ^. The parser reads a product of numbers, p, q and
+an int, nor before a ^. It reads a parenthesized sum of two or more runs,
+such as (7*p^9*q^4 - p^8*q^5 + 3), as one token too: an atom that counts
+as one level of parentheses, may follow / and precede ^, is not read as
+the ( after L, and whose value the parser's own summation of a sum adds
+up, uncached. The parser reads a product of numbers, p, q and
 letters as one integer monomial c * p^a * q^b * w: c stays an int until
 a factor is a general scalar such as a parenthesized sum, and a value
 becomes an AlgebraElement only when it has several words. A sum adds the
@@ -82,6 +86,7 @@ _MAX_EXPONENT = 4096
 
 # the most parentheses open at once: each level takes four frames of the descent
 _MAX_DEPTH = 200
+_TOO_DEEP = f"parentheses nest deeper than {_MAX_DEPTH}"
 
 
 # a run of at most 16 factors that the descent reads as one term, joined by *
@@ -89,7 +94,11 @@ _MAX_DEPTH = 200
 # L(n)^k, C^k and T^k (k < 0 only on T) in ASCII digits too few to reach a
 # bound of int(), a or n; one-digit k keeps a cached run's word short
 _FACTOR = r"(?:[0-9]{1,20}|[pq](?:\^[0-9]{1,3})?|(?:C|L\(-?[0-9]{1,8}\))(?:\^[0-9])?|T(?:\^-?[0-9])?)"
-_TERM = re.compile(rf"{_FACTOR}(?:[* ]{_FACTOR}){{0,15}}(?!\w|\s*\^)")
+_RUN = rf"{_FACTOR}(?:[* ]{_FACTOR}){{0,15}}"
+# or a parenthesized sum of two or more runs, the first with an optional -,
+# joined by " + " or " - ", as a rendered numerator is: one atom
+_TERM = re.compile(rf"\(-?{_RUN}(?: [+-] {_RUN})+\)|{_RUN}(?!\w|\s*\^)")
+_SIGN = re.compile(" ([+-]) ")
 
 
 def _fine_token(src, i, tokens):
@@ -129,14 +138,22 @@ def _tokenize(src):
             i += 1
             continue
         m = _TERM.match(src, i)
-        if m and not m[0].isdecimal():  # a bare int stays an int token
-            # no run after /, which takes one factor, nor where an int goes: after ^ or L(, signed or not
-            last = [tok[1] for tok in tokens[-3:]]
-            last = last[:-1] if last[-1:] in (["+"], ["-"]) else last
-            if last[-1:] not in (["/"], ["^"]) and last[-2:] != ["L", "("]:
-                tokens.append(("term", _term_value(m[0]), i))
-                i = m.end()
-                continue
+        if m:
+            text = m[0]
+            if text[0] == "(":
+                # a sum is one atom, read anywhere but as the ( of L(n)
+                if not tokens or tokens[-1][:2] != ("name", "L"):
+                    tokens.append(("term", _sum_value(text), i))
+                    i = m.end()
+                    continue
+            elif not text.isdecimal():  # a bare int stays an int token
+                # no run after /, which takes one factor, nor where an int goes: after ^ or L(, signed or not
+                last = [tok[1] for tok in tokens[-3:]]
+                last = last[:-1] if last[-1:] in (["+"], ["-"]) else last
+                if last[-1:] not in (["/"], ["^"]) and last[-2:] != ["L", "("]:
+                    tokens.append(("term", _term_value(text), i))
+                    i = m.end()
+                    continue
         i = _fine_token(src, i, tokens)
     tokens.append(("end", None, n))
     return tokens
@@ -156,8 +173,17 @@ def _term_value(run):
     return _Parser(run, tokens).factor()
 
 
+def _sum_value(text):
+    """The value of a sum token, its runs added as the descent adds them."""
+    negate = text[1] == "-"
+    parts = _SIGN.split(text[1 + negate:-1])
+    signs = ["-" if negate else "+"] + parts[1::2]
+    return _sum([_neg(_term_value(run)) if sign == "-" else _term_value(run)
+                 for sign, run in zip(signs, parts[::2])])
+
+
 def _describe(tok, src):
-    """A token as an error message names it, a run by its first fine token."""
+    """A token as an error message names it, a run or sum by its first fine token."""
     if tok[0] == "term":
         _fine_token(src, tok[2], first := [])
         tok = first[0]
@@ -263,6 +289,28 @@ def _neg(x):
     return -x
 
 
+def _sum(values):
+    """The sum of parsed values. Int-coefficient terms add into one
+    {(a, b): c} map per word, which becomes one RatFunc at the end; other
+    coefficients add as RatFuncs."""
+    sums = {}
+    terms = {}
+    for value in values:
+        if type(value) is tuple:
+            c, a, b, w = value
+            if type(c) is int:
+                mono = sums.setdefault(w, {})
+                mono[a, b] = mono.get((a, b), 0) + c
+            else:
+                accumulate(terms, w, c.times_monomial(1, a, b))
+        else:
+            for word, coeff in value.terms.items():
+                accumulate(terms, word, coeff)
+    for w, mono in sums.items():
+        accumulate(terms, w, RatFunc(mono))
+    return _value(AlgebraElement.from_clean(terms))
+
+
 class _Parser:
     """Recursive descent over the tokens.  A parsed value is a term while
     it has at most one word, and an AlgebraElement of several words else."""
@@ -295,38 +343,24 @@ class _Parser:
         return _element(value)
 
     def expr(self):
-        kind, _, _ = self.peek()
-        negate = False
+        kind = self.peek()[0]
         if kind in ("+", "-"):
-            negate = self.next()[0] == "-"
+            self.next()
         value = self.term()
         if self.peek()[0] not in ("+", "-"):
-            return _neg(value) if negate else value
-        # int-coefficient terms add into one {(a, b): c} map per word, which
-        # becomes one RatFunc at the end; other coefficients add as RatFuncs
-        sums = {}
-        terms = {}
+            return _neg(value) if kind == "-" else value
+        return _sum(self._signed_terms(kind, value))
+
+    def _signed_terms(self, kind, value):
+        """Each term of a sum with its sign, from its first on, parsed as
+        the sum consumes them."""
         while True:
-            if negate:
-                value = _neg(value)
-            if type(value) is tuple:
-                c, a, b, w = value
-                if type(c) is int:
-                    mono = sums.setdefault(w, {})
-                    mono[a, b] = mono.get((a, b), 0) + c
-                else:
-                    accumulate(terms, w, c.times_monomial(1, a, b))
-            else:
-                for word, coeff in value.terms.items():
-                    accumulate(terms, word, coeff)
-            kind, _, _ = self.peek()
+            yield _neg(value) if kind == "-" else value
+            kind = self.peek()[0]
             if kind not in ("+", "-"):
-                break
-            negate = self.next()[0] == "-"
+                return
+            self.next()
             value = self.term()
-        for w, mono in sums.items():
-            accumulate(terms, w, RatFunc(mono))
-        return _value(AlgebraElement.from_clean(terms))
 
     def term(self):
         value = self.factor()
@@ -418,12 +452,15 @@ class _Parser:
         tok = self.next()
         kind, val, pos = tok
         if kind == "term":
+            # a sum token is one level of parentheses
+            if self.depth == _MAX_DEPTH and self.src[pos] == "(":
+                raise ExpressionError(_TOO_DEEP, pos)
             return val
         if kind == "int":
             return (val, 0, 0, ())
         if kind == "(":
             if self.depth == _MAX_DEPTH:
-                raise ExpressionError(f"parentheses nest deeper than {_MAX_DEPTH}", pos)
+                raise ExpressionError(_TOO_DEEP, pos)
             self.depth += 1
             value = self.expr()
             self.expect(")")

@@ -365,8 +365,7 @@ def test_powers_of_sums_equal_repeated_products():
 
 def test_a_rendered_term_is_one_token_per_run_of_factors():
     kinds = [tok[0] for tok in cli._tokenize("-3*p^5*q^4*T^-2 L(-6)^3 C^2 + (p^2 - 7)/q^2")]
-    assert kinds == ["-", "term", "+", "(", "term", "-", "int", ")", "/", "name", "^", "int",
-                     "end"]
+    assert kinds == ["-", "term", "+", "term", "/", "name", "^", "int", "end"]
 
 
 @pytest.mark.parametrize("src, word, coeff", [
@@ -430,3 +429,98 @@ def test_runs_of_factors_parse_as_their_fine_tokens_do(pieces):
         mp.setattr(cli, "_TERM", re.compile("(?!)"))
         fine = _outcome(src)
     assert _outcome(src) == fine
+
+
+# ---------------------------------------------------------------------------
+# parenthesized sums of runs as one token
+
+def _fine_outcome(src):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_TERM", re.compile("(?!)"))
+        return _outcome(src)
+
+
+def _sum_tokens(src):
+    return [tok for tok in cli._tokenize(src) if tok[0] == "term" and src[tok[2]] == "("]
+
+
+def test_a_parenthesized_sum_of_runs_is_one_token():
+    src = "-((2*p^6*q + 5*p^4))*T^2 L(-5)^3 C"
+    assert [tok[0] for tok in cli._tokenize(src)] == ["-", "(", "term", ")", "*", "term", "end"]
+    assert [tok[2] for tok in _sum_tokens(src)] == [2]
+    assert parse_expression(src) == AlgebraElement.from_word(
+        (T, T) + (L(-5),) * 3 + (C,), -(2 * P ** 6 * Q + 5 * P ** 4))
+
+
+def test_with_the_run_pattern_off_no_sum_is_one_token():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_TERM", re.compile("(?!)"))
+        tokens = cli._tokenize("(p + q)*(L(1) + L(2))/(-T + 1)^2")
+    assert "term" not in [tok[0] for tok in tokens]
+    assert len(_sum_tokens("(p + q)*(L(1) + L(2))/(-T + 1)^2")) == 3
+
+
+@pytest.mark.parametrize("src, outcome", [
+    # the sum is the 201st level, refused where its ( opens
+    ("(" * 200 + "(p + q)" + ")" * 200, ("parentheses nest deeper than 200 (at position 200)", 200)),
+    ("(" * 199 + "(p + q)" + ")" * 199, AlgebraElement.from_word((), P + Q)),
+    # no sum where L( opens an index
+    ("L(1 + 2)", ("expected ')', found '+' (at position 4)", 4)),
+    ("2^(1 + 1)", ("exponent must be an integer (at position 2)", 2)),
+    ("x/(p + q)^2", ("unknown symbol 'x' (at position 0)", 0)),
+    ("(p + q2)", ("unknown symbol 'q2' (at position 5)", 5)),
+    ("(p + q", ("expected ')', found end of input (at position 6)", 6)),
+])
+def test_a_sum_token_gives_the_value_or_error_of_its_fine_tokens(src, outcome):
+    assert _outcome(src) == _fine_outcome(src) == outcome
+
+
+def test_where_a_sum_is_read_as_one_token():
+    for src in ("(" * 200 + "(p + q)" + ")" * 200, "(" * 199 + "(p + q)" + ")" * 199,
+                "2^(1 + 1)", "x/(p + q)^2"):
+        assert len(_sum_tokens(src)) == 1, src
+    for src in ("L(1 + 2)", "(p + q2)", "(p + q"):
+        assert _sum_tokens(src) == [], src
+
+
+SUM_PIECES = PIECES + ["(p + q)", "(2*p - 3)", "(-T + 1)", "(L(1) + L(2))", " + ", " - "]
+
+
+@settings(max_examples=1000)
+@given(st.lists(st.sampled_from(SUM_PIECES), min_size=1, max_size=12))
+def test_sums_of_runs_parse_as_their_fine_tokens_do(pieces):
+    src = "".join(pieces)
+    assert _outcome(src) == _fine_outcome(src)
+
+
+def _roundtrip_element():
+    """100 terms shaped like a rendered parse_roundtrip element: numerators
+    of 1 to 10 monomials of degree at most 8, every 20th coefficient over a
+    polynomial den, each shifted by p^a q^b."""
+    rng = random.Random(40)
+    monomials = [(i, j) for i in range(9) for j in range(9 - i)]
+    dens = [P + Q, P - Q, P ** 2 + Q ** 2, P ** 2 + P * Q + Q ** 2]
+    terms = {}
+    while len(terms) < 100:
+        word = (t_word(rng.randint(-2, 2))
+                + sum(((L(n),) * rng.randint(1, 3) for n in sorted(rng.sample(range(-6, 7), 3))), ())
+                + (C,) * rng.randint(0, 2))
+        num = RatFunc({m: rng.choice([-9, -4, -1, 1, 2, 7]) for m in rng.sample(monomials, rng.randint(1, 10))})
+        coeff = num * monomial(1, rng.randint(-3, 3), rng.randint(-3, 3))
+        terms[word] = coeff / rng.choice(dens) if len(terms) % 20 == 19 else coeff
+    return AlgebraElement(terms)
+
+
+def test_a_rendered_element_reads_one_token_per_parenthesized_sum():
+    x = _roundtrip_element()
+    src = str(x)
+    sums = sum((num_terms > 1) + (den_terms > 1) for (num_terms, _), (den_terms, _) in
+               (c.sizes() for c in x.terms.values()))
+    assert sums >= 90
+    assert len(_sum_tokens(src)) == sums
+    # so every + and - left is one between terms, outside all parentheses
+    depth = 0
+    for kind, _, _ in cli._tokenize(src):
+        depth += (kind == "(") - (kind == ")")
+        assert depth == 0 or kind not in ("+", "-")
+    assert parse_expression(src) == x
