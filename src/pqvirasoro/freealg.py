@@ -28,9 +28,15 @@ triple (shift, main, sides).  ``_reduce`` follows this order: it takes
 words a length at a time, longest first and largest first within a
 length, and rewrites each word in place along its main terms, summing
 their exponents into one shift; side terms wait in the map of their own,
-shorter length.  The system is not confluent: the two strategies reduce
-some words to different normal forms, and the confluence suite counts
-those words.
+shorter length.  A side-free step whose next letter repeats is taken
+with the whole run of that letter at once: R1 cancels all the pairs of
+T^r T^-k it can, a rightmost move carries its letter across the run,
+and a leftmost move carries a run of T^+-1 across the L and C letters
+before it.  These are the steps the strategy takes next anyway, since
+everything right of a rightmost redex, and left of a leftmost one, is
+normal, so every normal form stays the same.  The system is not
+confluent: the two strategies reduce some words to different normal
+forms, and the confluence suite counts those words.
 
 A letter is an int whose natural order is the normal-form letter order:
 L(n) is the int n, for |n| < INDEX_BOUND (2^28), T and T^-1 are the
@@ -360,6 +366,51 @@ def rewrite_once(word, strategy="leftmost", cfg=DEFAULT_CONFIG):
         [(c, head + repl + tail) for c, repl in sides]
 
 
+def _run_step(w, i, ds, dt, main, rightmost, variants):
+    """Take the side-free step at the redex (a, b) = w[i:i + 2] together
+    with the steps the strategy takes next on the run of b that starts at
+    i + 1; w[i + 2] is b too.  (ds, dt) and main are the rule of (a, b).
+    w is rewritten in place, and (s, t, start) is returned: the summed
+    shift, and the index where the next redex scan resumes.
+
+    Everything right of a rightmost redex, and left of a leftmost one, is
+    normal, so the strategy's next steps are these:
+
+    - R1 (main is empty), at a^r b^k with b = a^-1: after each
+      cancellation the pair at i - 1 is a b again, so min(r, k) pairs go;
+    - a rightmost move: after each swap a meets b again at i + 1, so a
+      crosses all of b^k;
+    - a leftmost move of b = T or T^-1: the normal prefix w[:i + 1] is
+      T^d and then a block of L and C letters, each of which b crosses.
+      So each b of b^k crosses the whole block, and if d has b's inverse
+      sign the first min(k, |d|) of them then cancel against T^d.
+    """
+    b = w[i + 1]
+    k = 2
+    while i + k + 1 < len(w) and w[i + k + 1] == b:
+        k += 1
+    if not main:
+        r = 1
+        while r <= i and w[i - r] == w[i]:
+            r += 1
+        m = min(r, k)
+        del w[i - m + 1:i + m + 1]
+        return m * ds, m * dt, i - m
+    if rightmost:
+        w[i:i + k + 1] = [b] * k + [w[i]]
+        return k * ds, k * dt, i + k
+    j = i
+    while j and w[j - 1] > TINV:
+        j -= 1
+    for x in w[j:i]:
+        (xs, xt), _, _ = _rule(x, b, variants)
+        ds, dt = ds + xs, dt + xt
+    # w[:j] is T^d, so it cancels b^k when its letter is not b
+    m = min(k, j) if j and w[j - 1] != b else 0
+    w[j - m:i + k + 1] = [b] * (k - m) + w[j:i + 1]
+    return k * ds, k * dt, i + k - 2 * m
+
+
 def _reduce(coeffs, cfg, strategy):
     """Reduction of the word -> coefficient map coeffs, a length at a time.
 
@@ -374,6 +425,12 @@ def _reduce(coeffs, cfg, strategy):
     later in the order: the chain stops there and adds its coefficient to
     that word's.  Otherwise its normal end goes to the result.  Each
     distinct word taken is rewritten once.
+
+    A side-free step (R1, R2, R3 or R5) whose next letter repeats takes
+    the run of that letter in one ``_run_step``: R1 at T^r T^-k, a
+    rightmost move with the run on its right, and a leftmost move of a
+    run of T or T^-1.  Each is the strategy's own sequence of steps, so
+    the result is the same; a run of one letter keeps the single step.
     """
     variants = cfg.variants
     rightmost = strategy == "rightmost"
@@ -391,6 +448,12 @@ def _reduce(coeffs, cfg, strategy):
             w, s, t = list(word), 0, 0
             while i is not None:
                 (ds, dt), main, sides = _rule(w[i], w[i + 1], variants)
+                if not sides and i + 2 < len(w) and w[i + 2] == w[i + 1] \
+                        and (rightmost or w[i + 1] <= TINV):
+                    ds, dt, start = _run_step(w, i, ds, dt, main, rightmost, variants)
+                    s, t = s + ds, t + dt
+                    i = find_redex(w, strategy, start)
+                    continue
                 if sides:
                     c = coeff.times_monomial(1, s, t)
                     head, tail = tuple(w[:i]), tuple(w[i + 2:])
@@ -549,26 +612,33 @@ def relation_elements(name, n=0, m=1, cfg=DEFAULT_CONFIG):
     R3: q^m T^m C = p^m C T^m
     R4: q^n p^-n L(n) L(m) - q^m p^-m L(m) L(n) = bracket_env(n, m)
     R5: q^n L(n) C = p^n C L(n)   [variant "r5-8.11": q^n L(n) C = C L(n)]
+
+    Each term map is built directly, in the order of lhs - rhs, so
+    ``_rule`` lists R4's side terms in that order.
     """
     if name == "R1":
-        unit = AlgebraElement.unit()
-        return [AlgebraElement.from_word((T, TINV)) - unit,
-                AlgebraElement.from_word((TINV, T)) - unit]
+        return [AlgebraElement.from_clean({(T, TINV): ONE, (): -ONE}),
+                AlgebraElement.from_clean({(TINV, T): ONE, (): -ONE})]
+    terms = {}
     if name == "R2":
-        lhs = AlgebraElement.from_word(t_word(m) + (L(n),))
-        rhs = AlgebraElement.from_word((L(n),) + t_word(m),
-                                       monomial(1, m * (n + 1), -m * (n + 1)))
-        return [lhs - rhs]
-    if name == "R3":
-        lhs = AlgebraElement.from_word(t_word(m) + (C,), monomial(1, 0, m))
-        rhs = AlgebraElement.from_word((C,) + t_word(m), monomial(1, m, 0))
-        return [lhs - rhs]
-    if name == "R4":
-        lhs = AlgebraElement({(L(n), L(m)): monomial(1, -n, n)}) \
-            + AlgebraElement({(L(m), L(n)): -monomial(1, -m, m)})
-        return [lhs - bracket_env(n, m)]
-    if name == "R5":
-        lhs = AlgebraElement.from_word((L(n), C), monomial(1, 0, n))
+        w, n = t_word(m), L(n)
+        accumulate(terms, w + (n,), ONE)
+        accumulate(terms, (n,) + w, -monomial(1, m * (n + 1), -m * (n + 1)))
+    elif name == "R3":
+        w = t_word(m)
+        accumulate(terms, w + (C,), monomial(1, 0, m))
+        accumulate(terms, (C,) + w, -monomial(1, m, 0))
+    elif name == "R4":
+        n, m = L(n), L(m)
+        accumulate(terms, (n, m), monomial(1, -n, n))
+        accumulate(terms, (m, n), -monomial(1, -m, m))
+        for word, c in bracket_env(n, m).terms.items():
+            accumulate(terms, word, -c)
+    elif name == "R5":
+        n = L(n)
         weight = 0 if "r5-8.11" in cfg.variants else n
-        return [lhs - AlgebraElement.from_word((C, L(n)), monomial(1, weight, 0))]
-    raise ValueError("unknown relation %r" % (name,))
+        accumulate(terms, (n, C), monomial(1, 0, n))
+        accumulate(terms, (C, n), -monomial(1, weight, 0))
+    else:
+        raise ValueError("unknown relation %r" % (name,))
+    return [AlgebraElement.from_clean(terms)]

@@ -258,6 +258,35 @@ def test_relations_reduce_to_zero():
                     assert normalize(el).is_zero(), (name, n, m)
 
 
+def _relation_by_arithmetic(name, n, m, cfg):
+    """The docstring's lhs - rhs of ``relation_elements``, by LinComb sums."""
+    word = AlgebraElement.from_word
+    if name == "R1":
+        return [word((T, TINV)) - AlgebraElement.unit(), word((TINV, T)) - AlgebraElement.unit()]
+    if name == "R2":
+        return [word(t_word(m) + (L(n),)) - word((L(n),) + t_word(m),
+                                                 monomial(1, m * (n + 1), -m * (n + 1)))]
+    if name == "R3":
+        return [word(t_word(m) + (C,), monomial(1, 0, m)) - word((C,) + t_word(m), monomial(1, m, 0))]
+    if name == "R4":
+        return [word((L(n), L(m)), monomial(1, -n, n)) - word((L(m), L(n)), monomial(1, -m, m))
+                - bracket_env(n, m)]
+    weight = 0 if "r5-8.11" in cfg.variants else n
+    return [word((L(n), C), monomial(1, 0, n)) - word((C, L(n)), monomial(1, weight, 0))]
+
+
+@pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, EQ811], ids=["standard", "eq811"])
+def test_relation_elements_equal_their_lhs_minus_rhs(cfg):
+    for name in RELATION_NAMES:
+        for n in range(-13, 14):
+            for m in range(-13, 14):
+                got = relation_elements(name, n, m, cfg)
+                expected = _relation_by_arithmetic(name, n, m, cfg)
+                # the same terms in the same order, so _rule reads the same sides
+                assert [list(x.terms.items()) for x in got] == \
+                    [list(x.terms.items()) for x in expected], (name, n, m)
+
+
 def test_eq811_variant_sound_under_its_own_rewrite():
     for n in range(-4, 5):
         for m in range(-4, 5):
@@ -375,13 +404,69 @@ def test_reduce_equals_the_stepwise_reduction_on_long_t_runs(word, setting):
 
 
 @pytest.mark.parametrize("word", [
-    (L(5), L(-6), L(3)), (L(-4), T, L(6), C, L(-5)), (L(6), TINV, L(-3), L(4), T, T)])
+    (L(5), L(-6), L(3)), (L(-4), T, L(6), C, L(-5)), (L(6), TINV, L(-3), L(4), T, T),
+    (L(12),), (L(-12),), (L(12), C, L(-12)), (L(-12), T, L(12))])
 def test_reduce_equals_the_stepwise_reduction_on_double_antipode_images(word):
     image = _raw_antipode(_raw_antipode(word))
     assert len(image) >= 40
     for cfg, strategy in SETTINGS:
         assert freealg._reduce({image: ONE}, cfg, strategy) == \
             _stepwise_reduce(image, cfg, strategy)
+
+
+@st.composite
+def single_letter_run_words(draw):
+    """Words of runs of one letter each, 1-30 long, around up to four L
+    letters: T, T^-1, C, or the L letter just before the run, repeated.
+    A word with a run of an L letter keeps its L letters in order, as R4
+    steps across a long run make the stepwise reduction too slow."""
+    letters = draw(st.lists(st.integers(-4, 4).map(L), max_size=4))
+    kinds = st.sampled_from((T, TINV, C, None))
+    gaps = draw(st.lists(st.lists(st.tuples(kinds, st.integers(1, 30)), max_size=2),
+                         min_size=len(letters) + 1, max_size=len(letters) + 1))
+    if any(kind is None for gap in gaps for kind, _ in gap):
+        letters.sort()
+    word = ()
+    for gap, letter in zip(gaps, [None] + letters):
+        for kind, size in gap:
+            word += (letter if kind is None else kind,) * size
+        word += (letter,) if letter is not None else ()
+    return tuple(letter for letter in word if letter is not None)
+
+
+@given(single_letter_run_words())
+@example(t_word(-11) + (L(-7),) + t_word(29) + (L(-11),))
+@example(t_word(12) + (L(5), C) + t_word(-20) + (L(-3),) + t_word(7))
+@example((C,) * 9 + (L(2),) * 30 + t_word(-17) + (L(4),))
+def test_reduce_equals_the_stepwise_reduction_on_single_letter_runs(word):
+    for cfg, strategy in SETTINGS:
+        assert freealg._reduce({word: ONE}, cfg, strategy) == _stepwise_reduce(word, cfg, strategy)
+
+
+def _t_runs_scaled(f):
+    """Two words whose T runs are f times hopf_sweep's and a mixed one's."""
+    return [t_word(-11 * f) + (L(-7),) + t_word(29 * f) + (L(-11),),
+            t_word(12 * f) + (L(5), C) + t_word(-20 * f) + (L(-3),) + t_word(7 * f)]
+
+
+@pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
+def test_rule_lookups_do_not_grow_with_the_t_runs(monkeypatch, strategy):
+    # a run of letters is rewritten in one step, so doubling every T run
+    # adds no rule lookup; one lookup per letter crossed would double them
+    lookups = []
+
+    def rule(a, b, variants, compiled=freealg._rule):
+        lookups.append((a, b))
+        return compiled(a, b, variants)
+
+    monkeypatch.setattr(freealg, "_rule", rule)
+    for word, doubled in zip(_t_runs_scaled(1), _t_runs_scaled(2)):
+        counts = []
+        for w in (word, doubled):
+            lookups.clear()
+            freealg._reduce({w: ONE}, DEFAULT_CONFIG, strategy)
+            counts.append(len(lookups))
+        assert 0 < counts[1] <= counts[0] <= 12, (word_str(word), counts)
 
 
 def _stepwise_sum(coeffs, cfg, strategy):

@@ -42,6 +42,9 @@ BIG_C_EXPR = "L(2) L(3) L(-3) L(-2) C L(-5) L(4) L(-4)"
 BIG_TINV_EXPR = "L(-2) L(5) L(6) L(-1) T^-1 L(-4) L(-6) L(-3)"
 # one with T: 154 terms and about 53k characters of text per normal form
 BIG_T_EXPR = "L(5) L(3) L(6) L(-2) T L(0) L(-5) L(1)"
+# long runs of T and T^-1 around L and C letters; its two strategies'
+# normal forms differ
+T_RUNS_EXPR = "T^-9 L(4) T^13 C L(-2) T^-15 L(3) T^6"
 
 # the expression grammar: scalar powers of either sign, nested parentheses,
 # sums that mix scalars and words, and sums whose word part cancels
@@ -62,6 +65,10 @@ GOLDEN = [
     # the default window: every Hopf axiom on the generators and their products
     (["verify", "--suite", "hopf"], 1,
      "5b7c04f93f7f9f7842de7215d15424be072d59bb2a4da8ca261d695889417be3"),
+    # the window -12..12, where S(L(n)) = -T^-n L(n) T^-n puts runs of up
+    # to 12 T letters on each side of an L letter
+    (["verify", "--suite", "hopf", "--range", "12"], 1,
+     "81f30d8d2146842c757de7d01b634edd0e3002780beaafa1a3fbbde32855c6ec"),
     (["table", "--kind", "structure_constants", "--range", "2", "--format", "json"], 0,
      "689d0619fe3325f8c8d93a8493b341ad1595d851386dc6dbf14316d508fd0df3"),
     (["table", "--kind", "structure_constants", "--range", "2", "--format", "latex"], 0,
@@ -182,6 +189,8 @@ confluence      6 records  6 failing (strategy_agreement, summary)
     ("--suite", "homlie"): "homlie        181 records  all ok\n",
     ("--suite", "hopf"): (
         "hopf         3383 records  300 failing (antipode, antipode_preserves_R4)\n"),
+    ("--suite", "hopf", "--range", "12"): (
+        "hopf        11867 records  1176 failing (antipode, antipode_preserves_R4)\n"),
     ("--suite", "fock", "--range", "6", "--dim", "24"): "fock          143 records  all ok\n",
     ("--suite", "hopf", "--range", "2", "--variant", "r5-8.11"): (
         "hopf          607 records  84 failing (antipode, antipode_preserves_R4,"
@@ -213,6 +222,7 @@ RIGHTMOST_DIGESTS = [
     (BIG_TINV_EXPR, False, "215fba08576cd8af3e346f1adf6932346babfcf413508e0766c9c7020d0ac3d9"),
     (BIG_T_EXPR, False, "8327ece28672a7832d56aae9e58465e55a49520425ca27e81956c8edd85bd09e"),
     (BIG_T_EXPR, True, "5b4fe37299229e62d3f758170adca5fc07318e424c968455582adc7b4e2c9c0e"),
+    (T_RUNS_EXPR, False, "2370fc6b899a8427748175a7292196e1e7b1e5a71b3aef7d0527ccdff0c2c184"),
 ]
 
 
