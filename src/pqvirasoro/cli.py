@@ -24,16 +24,15 @@ a factor is a general scalar such as a parenthesized sum, and a value
 becomes an AlgebraElement only when it has several words. A sum adds the
 int monomials of each word into one {(a, b): c} map and builds one
 RatFunc per word at the end, so parsing is linear in the number of
-terms. A power of several words may have at most 65,536 words, and no
-power may have more than 2^20 letters over all its words, which is
-checked before each product. Only a word-free +-p^a q^b takes an
-exponent past 4,096, and then only up to degree 2^20. The coefficient
-of a power may have at most 2^20 bits over all its terms, a bound taken
-before the power is: the bits of an int base times |k|, and for a base
-with p or q its power's terms times the bits of each. A power of several
-words takes it before each product, over its pairs of coefficients: the
-product of their terms times the sum of their bits. Parentheses nest at
-most 200 deep.
+terms. A product or power with several words may have at most 65,536
+words; before each product, 2^20 letters over its words and 2^20 bits
+over its coefficients' terms (each factor's terms times the other's
+bits) bound it too, so (L(1)^4096 + L(2)) written eight times is refused
+as its eighth power is. A power of one word takes both bounds before it
+is taken: its letters times |k|, and the bits of an int base times |k|
+or, with p or q, its power's terms times the bits of each. Only a
+word-free +-p^a q^b takes an exponent past 4,096, up to degree 2^20.
+Parentheses nest at most 200 deep.
 
 Verification records are JSON lines with a stable field order; the
 process exits 0 when every gated record is ok, 1 when some gated
@@ -197,16 +196,15 @@ _ZERO = (0, 0, 0, ())
 _NAMES = {"p": (1, 1, 0, ()), "q": (1, 0, 1, ()), "T": (1, 0, 0, (T,)),
           "Tinv": (1, 0, 0, (TINV,)), "C": (1, 0, 0, (C,))}
 
-# the most words that a power of a sum of several words may have
-_MAX_POWER_WORDS = 1 << 16
-
-# the most letters, summed over its words, that a power may have: nested
-# powers multiply their exponents past what _MAX_EXPONENT bounds; also the
-# highest degree in p or q of a power of +-p^a q^b past _MAX_EXPONENT, and
-# the most bits, summed over its terms, of the coefficient of a power
-_MAX_POWER_LETTERS = 1 << 20
-_TOO_LONG = f"the power could have more than {_MAX_POWER_LETTERS} letters"
-_TOO_MANY_BITS = f"the power's coefficient could have more than {_MAX_POWER_LETTERS} bits"
+# the most words that a product or power of several words may have, and the
+# most letters, summed over its words, of any: nested powers multiply their
+# exponents past what _MAX_EXPONENT bounds; also the highest degree in p or q
+# of a power of +-p^a q^b past _MAX_EXPONENT, and the most bits, summed over
+# its terms, of a coefficient; the messages name the product or the power
+_MAX_WORDS = 1 << 16
+_MAX_LETTERS = 1 << 20
+_TOO_LONG = f"{{}} could have more than {_MAX_LETTERS} letters"
+_TOO_MANY_BITS = f"{{}}'s coefficient could have more than {_MAX_LETTERS} bits"
 
 
 def _power_bits(c, k):
@@ -273,14 +271,28 @@ def _value(x):
     return _ZERO
 
 
-def _mul(x, y):
-    """The product of two parsed values; a term times a term stays one."""
+def _mul(x, y, pos=None, whole="the product"):
+    """The product of two parsed values; a term times a term stays one. One
+    with several words is bounded in letters and coefficient bits before it
+    is taken and in words after; past a bound, the error at pos names it whole."""
     if type(x) is tuple and type(y) is tuple:
         c = _times(x[0], y[0])
         if not c:
             return _ZERO
         return (c, x[1] + y[1], x[2] + y[2], x[3] + y[3])
-    return _value(_element(x) * _element(y))
+    x, y = _element(x), _element(y)
+    # each word of the product is one of x's and one of y's
+    if (len(x.terms) * sum(map(len, y.terms)) + len(y.terms) * sum(map(len, x.terms))
+            > _MAX_LETTERS):
+        raise ExpressionError(_TOO_LONG.format(whole), pos)
+    # so each coefficient is a sum of products of t1 t2 terms of b1 + b2 bits
+    (x_terms, x_bits), (y_terms, y_bits) = _bit_sums(x), _bit_sums(y)
+    if x_terms * y_bits + x_bits * y_terms > _MAX_LETTERS:
+        raise ExpressionError(_TOO_MANY_BITS.format(whole), pos)
+    out = x * y
+    if len(out.terms) > _MAX_WORDS:
+        raise ExpressionError(f"{whole} has more than {_MAX_WORDS} words", pos)
+    return _value(out)
 
 
 def _neg(x):
@@ -368,7 +380,7 @@ class _Parser:
             kind, _, pos = self.peek()
             if kind == "*":
                 self.next()
-                value = _mul(value, self.factor())
+                value = _mul(value, self.factor(), pos)
             elif kind == "/":
                 self.next()
                 d = self.factor()
@@ -379,9 +391,9 @@ class _Parser:
                     raise ExpressionError("division by zero", pos)
                 if c not in (1, -1):
                     c = _rat(c).inverse()
-                value = _mul(value, (c, -a, -b, ()))
+                value = _mul(value, (c, -a, -b, ()), pos)
             elif kind in ("term", "int", "name", "("):
-                value = _mul(value, self.factor())
+                value = _mul(value, self.factor(), pos)
             else:
                 return value
 
@@ -408,16 +420,15 @@ class _Parser:
             # a word-free +-p^a q^b grows no word: only its degrees bound k
             if type(value) is not tuple or value[0] not in (1, -1) or value[3]:
                 raise ExpressionError(f"exponent {k} is out of range: |k| <= {_MAX_EXPONENT}", pos)
-            if max(map(abs, value[1:3])) * abs(k) > _MAX_POWER_LETTERS:
-                raise ExpressionError(
-                    f"the power has degree over {_MAX_POWER_LETTERS} in p or q", pos)
+            if max(map(abs, value[1:3])) * abs(k) > _MAX_LETTERS:
+                raise ExpressionError(f"the power has degree over {_MAX_LETTERS} in p or q", pos)
         if type(value) is tuple:
             c, a, b, w = value
-            if len(w) * abs(k) > _MAX_POWER_LETTERS:
-                raise ExpressionError(_TOO_LONG, pos)
+            if len(w) * abs(k) > _MAX_LETTERS:
+                raise ExpressionError(_TOO_LONG.format("the power"), pos)
             # a chain of powers would square a coefficient's size at each ^
-            if _power_bits(c, abs(k)) > _MAX_POWER_LETTERS:
-                raise ExpressionError(_TOO_MANY_BITS, pos)
+            if _power_bits(c, abs(k)) > _MAX_LETTERS:
+                raise ExpressionError(_TOO_MANY_BITS.format("the power"), pos)
             if k >= 0:  # _ZERO^0 is 1
                 return (c ** k, a * k, b * k, w * k)
             if not c:
@@ -429,23 +440,10 @@ class _Parser:
             if C in w:
                 raise ExpressionError("exponent on C must be nonnegative", pos)
         elif k >= 0:
-            out = AlgebraElement.unit()
-            words, letters = len(value.terms), sum(map(len, value.terms))
-            terms, bits = _bit_sums(value)
+            out = (1, 0, 0, ())
             for _ in range(k):
-                # each word of the product is one of out's and one of value's
-                if (words * sum(map(len, out.terms)) + len(out.terms) * letters
-                        > _MAX_POWER_LETTERS):
-                    raise ExpressionError(_TOO_LONG, pos)
-                # so each coefficient is a sum of products of t1 t2 terms of b1 + b2 bits
-                out_terms, out_bits = _bit_sums(out)
-                if out_terms * bits + out_bits * terms > _MAX_POWER_LETTERS:
-                    raise ExpressionError(_TOO_MANY_BITS, pos)
-                out = out * value
-                if len(out.terms) > _MAX_POWER_WORDS:
-                    raise ExpressionError(
-                        f"the power has more than {_MAX_POWER_WORDS} words", pos)
-            return _value(out)
+                out = _mul(out, value, pos, "the power")
+            return out
         raise ExpressionError("negative exponent requires an invertible factor", pos)
 
     def atom(self):

@@ -283,6 +283,13 @@ def test_the_power_of_a_sum_is_bounded_by_its_real_size(capsys):
     # 2^100 would pass the bound, and the 101 words of the power do not
     x = parse_expression("(1 + T)^100")
     assert len(x.terms) == 101 and x.coefficient((T,) * 50) == RatFunc(math.comb(100, 50))
+    # the square written out is a product with the same bound
+    written = f"the product has more than 65536 words (at position {len(SUM_300) + 1})"
+    with pytest.raises(ExpressionError) as exc:
+        parse_expression(SUM_300 + " " + SUM_300)
+    assert str(exc.value) == written
+    assert main(["normalize", SUM_300 + " " + SUM_300]) == 2
+    assert capsys.readouterr().err == f"error: {written}\n"
 
 
 @pytest.mark.parametrize("text, pos", [
@@ -349,6 +356,14 @@ def test_a_power_past_the_word_bound_is_refused_before_a_larger_product(monkeypa
         with pytest.raises(ExpressionError) as exc:
             parse_expression(text)
         assert str(exc.value) == f"the power {bound} (at position {pos})"
+    # written out, the factors of 13 characters and a space: the 17th is refused
+    for text, base_words, pos, bound in (
+            (" ".join(["(L(1) + L(2))"] * 32), 2, 14 * 16, "could have more than 1048576 letters"),
+            (" ".join([SUM_300] * 3), 300, len(SUM_300) + 1, "has more than 65536 words")):
+        budget[:] = [(1 << 16) * base_words]
+        with pytest.raises(ExpressionError) as exc:
+            parse_expression(text)
+        assert str(exc.value) == f"the product {bound} (at position {pos})"
 
 
 def test_powers_of_sums_equal_repeated_products():
@@ -357,7 +372,70 @@ def test_powers_of_sums_equal_repeated_products():
         expected, factor = AlgebraElement.unit(), parse_expression(base)
         for k in range(k_max + 1):
             assert parse_expression(f"({base})^{k}") == expected, (base, k)
+            for joint in ("*", " ") if k else ():
+                written = joint.join([f"({base})"] * k)
+                assert parse_expression(written) == expected, (base, k, joint)
             expected = expected * factor
+
+
+# eight or sixteen of these side by side: the sixth power times the seventh
+# factor, at 19 x 6, could have 1,835,456 letters, so it is refused
+# before it is built, as the power is at its exponent
+@pytest.mark.parametrize("copies", [8, 16])
+def test_a_product_written_out_is_refused_before_it_passes_the_letter_bound(monkeypatch, copies):
+    def spy(self, other, op=AlgebraElement.__mul__):
+        letters = (len(self.terms) * sum(map(len, other.terms))
+                   + len(other.terms) * sum(map(len, self.terms)))
+        assert letters <= 1 << 20, "a product over 2^20 letters"
+        return op(self, other)
+
+    monkeypatch.setattr(AlgebraElement, "__mul__", spy)
+    base = "(L(1)^4096 + L(2))"
+    for text, whole, pos in ((" ".join([base] * copies), "the product", 114),
+                             (f"{base}^{copies}", "the power", 19)):
+        with pytest.raises(ExpressionError) as exc:
+            parse_expression(text)
+        assert str(exc.value) == f"{whole} could have more than 1048576 letters (at position {pos})"
+
+
+def test_a_product_written_out_is_refused_before_it_passes_the_bit_bound(capsys, monkeypatch):
+    # 400 factors of 20 characters joined by *: as (T + 1000 p + 999 q)^400
+    # is, the product of 44 factors is refused at the * before the 45th, at
+    # 21 x 44 - 1, after the 43 products that made it
+    text = "*".join(["(T + 1000 p + 999 q)"] * 400)
+    message = "the product's coefficient could have more than 1048576 bits (at position 923)"
+    products = []
+
+    def spy(self, other, op=AlgebraElement.__mul__):
+        products.append(len(self.terms))
+        assert len(products) <= 43, "a product past the bit bound"
+        return op(self, other)
+
+    monkeypatch.setattr(AlgebraElement, "__mul__", spy)
+    with pytest.raises(ExpressionError) as exc:
+        parse_expression(text)
+    assert str(exc.value) == message
+    assert products == list(range(2, 45))
+    monkeypatch.undo()
+    assert main(["normalize", text]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_the_product_bounds_hold_at_their_edge():
+    # (L(1) + L(2))^16 has exactly 2^20 letters: a scalar keeps them, and
+    # the letter of the next factor, at position 17, passes the bound
+    words = itertools.product((L(1), L(2)), repeat=16)
+    assert parse_expression("(L(1) + L(2))^16/(p + q)") == AlgebraElement(
+        {w: (P + Q).inverse() for w in words})
+    with pytest.raises(ExpressionError) as exc:
+        parse_expression("(L(1) + L(2))^16 T")
+    assert str(exc.value) == "the product could have more than 1048576 letters (at position 17)"
+    # (1000 p + 999 q)^300 has 990,290 bits, each word of T + 1 as many
+    for op in "*/":
+        with pytest.raises(ExpressionError) as exc:
+            parse_expression(f"(T + 1){op}(1000 p + 999 q)^300")
+        assert str(exc.value) == (
+            "the product's coefficient could have more than 1048576 bits (at position 7)")
 
 
 # ---------------------------------------------------------------------------
