@@ -28,10 +28,13 @@ terms. A product or power with several words may have at most 65,536
 words; before each product, 2^20 letters over its words and 2^20 bits
 over its coefficients' terms (each factor's terms times the other's
 bits) bound it too, so (L(1)^4096 + L(2)) written eight times is refused
-as its eighth power is. A power of one word takes both bounds before it
-is taken: its letters times |k|, and the bits of an int base times |k|
-or, with p or q, its power's terms times the bits of each. Only a
-word-free +-p^a q^b takes an exponent past 4,096, up to degree 2^20.
+as its eighth power is. A product of two one-word factors takes the
+same letter and bit bounds (none on bits by a unit +-1), so four
+(L(1)^4096)^256 side by side are refused at the second. A power of one
+word takes both bounds before it is taken: its letters times |k|, and
+the bits of an int base times |k| or, with p or q, its power's terms
+times the bits of each. Only a word-free +-p^a q^b takes an exponent
+past 4,096, up to degree 2^20.
 Parentheses nest at most 200 deep.
 
 Verification records are JSON lines with a stable field order; the
@@ -228,16 +231,24 @@ def _power_bits(c, k):
     return bits
 
 
+def _bit_size(c):
+    """A term coefficient's terms and its terms times the bits of its
+    |coefficients|' sum, taking the larger of its num's and den's; an int
+    is one term of its bits."""
+    if type(c) is int:
+        return 1, c.bit_length()
+    (num_terms, num_norm), (den_terms, den_norm) = c.sizes()
+    t = max(num_terms, den_terms)
+    return t, t * max(num_norm, den_norm).bit_length()
+
+
 def _bit_sums(x):
-    """Over the words of the element x, the sums of each coefficient's terms
-    and of its terms times the bits of its |coefficients|' sum, taking the
-    larger of its num's and den's for each."""
+    """The sums of _bit_size over the coefficients of the element x."""
     terms = bits = 0
     for c in x.terms.values():
-        (num_terms, num_norm), (den_terms, den_norm) = c.sizes()
-        t = max(num_terms, den_terms)
+        t, b = _bit_size(c)
         terms += t
-        bits += t * max(num_norm, den_norm).bit_length()
+        bits += b
     return terms, bits
 
 
@@ -272,11 +283,21 @@ def _value(x):
 
 
 def _mul(x, y, pos=None, whole="the product"):
-    """The product of two parsed values; a term times a term stays one. One
-    with several words is bounded in letters and coefficient bits before it
-    is taken and in words after; past a bound, the error at pos names it whole."""
+    """The product of two parsed values; a term times a term stays one. It
+    is bounded in letters and coefficient bits before it is taken, and one
+    with several words in words after; past a bound, the error at pos names
+    it whole."""
     if type(x) is tuple and type(y) is tuple:
-        c = _times(x[0], y[0])
+        c1, c2 = x[0], y[0]
+        if len(x[3]) + len(y[3]) > _MAX_LETTERS:
+            raise ExpressionError(_TOO_LONG.format(whole), pos)
+        # a unit coefficient adds no bits; the int test first, since a
+        # RatFunc compares with 1 by building RatFunc(1)
+        if not (type(c1) is int and c1 in (1, -1) or type(c2) is int and c2 in (1, -1)):
+            (t1, b1), (t2, b2) = _bit_size(c1), _bit_size(c2)
+            if t1 * b2 + b1 * t2 > _MAX_LETTERS:
+                raise ExpressionError(_TOO_MANY_BITS.format(whole), pos)
+        c = _times(c1, c2)
         if not c:
             return _ZERO
         return (c, x[1] + y[1], x[2] + y[2], x[3] + y[3])

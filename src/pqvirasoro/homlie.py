@@ -27,7 +27,15 @@ are not checked against a second copy here. ``twisted_env(n, j)`` caches
 Jacobi sum reads every bracket from these tables: since C is central,
 the inner bracket [L_m, L_k] contributes only its L_{m+k} term, so
 [alpha(L_n), [L_m, L_k]] = bracket_coeff(m, k) twisted_env(n, m + k),
-and no element is built or bracketed term by term. The skew residual and
+and no element is built or bracketed term by term. The triples (n, m, k),
+(m, k, n) and (k, n, m) sum the same three products, so each sum is
+taken once and kept in ``_sums`` under its outer table and the least
+rotation of its triple: twisted and plain sums, or a table a test
+substitutes, never share an entry. The other three permutations would
+share one only if B(b, c) = -B(c, b), which ``skew_residual`` tests, so
+they keep their own and a table that is not skew is not hidden. The
+table holds one entry per class asked for, 6,579 over the triples of
+-13..13, and every zero sum is one shared element. The skew residual and
 the twist's gap read the same tables: [L_n, L_m] + [L_m, L_n] is the sum
 of two entries, and [alpha(L_n), alpha(L_m)] is twisted_env(n, m) scaled
 by the twist weight of m. ``vbracket`` and ``alpha`` stay the general
@@ -81,6 +89,11 @@ def twisted_env(n, j):
     return bracket_env(n, j).scale(twist_weight(n))
 
 
+# each cyclic sum asked for, under (outer table, least rotation of its triple)
+_sums = {}
+_ZERO_SUM = AlgebraElement.zero()
+
+
 def _jacobi_sum(outer_env, n, m, k):
     """Cyclic sum of bracket_coeff(b, c) * outer_env(a, b + c) over
     (a, b, c) = (n, m, k), (m, k, n), (k, n, m).
@@ -89,14 +102,19 @@ def _jacobi_sum(outer_env, n, m, k):
     checked before any table is read, since a cache hit checks nothing.
     """
     n, m, k = L(n), L(m), L(k)
-    out = {}
-    for a, b, c in ((n, m, k), (m, k, n), (k, n, m)):
-        env = outer_env(a, b + c)
-        w = bracket_coeff(b, c)
-        if w:
-            for word, coeff in env.terms.items():
-                accumulate(out, word, w * coeff)
-    return AlgebraElement.from_clean(out)
+    n, m, k = min((n, m, k), (m, k, n), (k, n, m))
+    key = (outer_env, n, m, k)
+    total = _sums.get(key)
+    if total is None:
+        out = {}
+        for a, b, c in ((n, m, k), (m, k, n), (k, n, m)):
+            env = outer_env(a, b + c)
+            w = bracket_coeff(b, c)
+            if w:
+                for word, coeff in env.terms.items():
+                    accumulate(out, word, w * coeff)
+        total = _sums[key] = AlgebraElement.from_clean(out) if out else _ZERO_SUM
+    return total
 
 
 def hom_jacobi_residual(n, m, k):

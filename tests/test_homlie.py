@@ -150,8 +150,35 @@ def test_jacobi_residuals_match_the_all_vbracket_sum(monkeypatch, residual, oute
         with monkeypatch.context() as patch:
             patch.setattr(homlie, "vbracket", spy)
             got = residual(n, m, k)
-        assert got == expected, (n, m, k)
+        assert (got, str(got)) == (expected, str(expected)), (n, m, k)
     assert calls == []
+
+
+def test_each_cyclic_class_reads_the_outer_table_once_per_rotation():
+    """A sum is taken once per class of rotations, under its own table: a
+    substituted table is read although the real one is warm."""
+    reads = []
+
+    def spy(a, j):
+        reads.append((a, j))
+        return twisted_env(a, j)
+
+    triples = list(itertools.product(range(-13, 14), repeat=3))
+    classes = {min((n, m, k), (m, k, n), (k, n, m)) for n, m, k in triples}
+    assert (len(triples), len(classes)) == (19683, 6579)
+    for n, m, k in triples:
+        expected = hom_jacobi_residual(n, m, k)
+        got = homlie._jacobi_sum(spy, n, m, k)
+        assert (got, str(got)) == (expected, str(expected)), (n, m, k)
+    assert sorted(reads) == sorted(
+        (a, b + c) for n, m, k in classes for a, b, c in ((n, m, k), (m, k, n), (k, n, m)))
+
+
+def test_twisted_and_plain_sums_keep_their_own_entries():
+    hom_jacobi_residual(1, 2, 4)
+    res = plain_jacobi_residual(2, 4, 1)
+    assert not res.is_zero()
+    assert res == plain_jacobi_residual(1, 2, 4)
 
 
 def test_twisted_env_is_the_twisted_bracket():
@@ -190,14 +217,15 @@ def test_pair_checks_reject_indices_first(check, monkeypatch):
 @pytest.mark.parametrize("residual", [hom_jacobi_residual, plain_jacobi_residual])
 def test_jacobi_residuals_check_indices_on_a_warm_table(residual):
     # with the tables warm, lru_cache would answer a float key such as
-    # twisted_env(1.0, 5) from the int key (1, 5) and check nothing
+    # twisted_env(1.0, 5) from the int key (1, 5) and check nothing, and
+    # the table of sums would answer (2.0, 3, 1) from (1, 2, 3) alike
     residual(1, 2, 3)
     bound = INDEX_BOUND
-    for args in ((1.0, 2, 3), (1, 2.0, 3), (1, 2, 3.0)):
+    for args in ((1.0, 2, 3), (1, 2.0, 3), (1, 2, 3.0), (2.0, 3, 1), (3, 1, 2.0)):
         with pytest.raises(TypeError):
             residual(*args)
     start = time.perf_counter()
-    for args in ((bound, 0, 0), (0, bound, -1), (0, 0, -bound)):
+    for args in ((bound, 0, 0), (0, bound, -1), (0, 0, -bound), (2, 3, bound), (3, -bound, 2)):
         with pytest.raises(ValueError, match="out of range"):
             residual(*args)
     assert time.perf_counter() - start < 1.0

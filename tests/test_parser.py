@@ -217,6 +217,9 @@ REFUSED = [
     # a power of several words: before each product, its pairs of terms
     ("(T + 1000 p + 999 q)^400", "the power's coefficient could have more than 1048576 bits", 21),
     ("(T + 1000 p + 999 q)^800", "the power's coefficient could have more than 1048576 bits", 21),
+    # a product of one-word factors, each within the power's bounds
+    (" ".join(["(L(1)^4096)^256"] * 4), "the product could have more than 1048576 letters", 16),
+    (" ".join(["(2^4095)^256"] * 4), "the product's coefficient could have more than 1048576 bits", 13),
 ]
 
 
@@ -436,6 +439,11 @@ def test_the_product_bounds_hold_at_their_edge():
             parse_expression(f"(T + 1){op}(1000 p + 999 q)^300")
         assert str(exc.value) == (
             "the product's coefficient could have more than 1048576 bits (at position 7)")
+    # two one-word factors of 2^19 letters, or of 2^19 bits by the estimate
+    assert parse_expression("(L(1)^4096)^128 (L(1)^4096)^128") == AlgebraElement.from_word(
+        (L(1),) * (1 << 20))
+    assert parse_expression("(2^4095)^128 (2^4095)^128") == (
+        2 ** (4095 * 256) * AlgebraElement.from_word(()))
 
 
 # ---------------------------------------------------------------------------
