@@ -29,12 +29,12 @@ words; before each product, 2^20 letters over its words and 2^20 bits
 over its coefficients' terms (each factor's terms times the other's
 bits) bound it too, so (L(1)^4096 + L(2)) written eight times is refused
 as its eighth power is. A product of two one-word factors takes the
-same letter and bit bounds (none on bits by a unit +-1), so four
-(L(1)^4096)^256 side by side are refused at the second. A power of one
-word takes both bounds before it is taken: its letters times |k|, and
-the bits of an int base times |k| or, with p or q, its power's terms
-times the bits of each. Only a word-free +-p^a q^b takes an exponent
-past 4,096, up to degree 2^20.
+same letter and bit bounds (none on bits by a unit +-1), its num's and
+den's bits counted apart, so four (L(1)^4096)^256 side by side are
+refused at the second. A power of one word takes both bounds before it
+is taken: its letters times |k|, and the bits of an int base times |k|
+or, with p or q, its power's terms times the bits of each. Only a
+word-free +-p^a q^b takes an exponent past 4,096, up to degree 2^20.
 Parentheses nest at most 200 deep.
 
 Verification records are JSON lines with a stable field order; the
@@ -232,23 +232,25 @@ def _power_bits(c, k):
 
 
 def _bit_size(c):
-    """A term coefficient's terms and its terms times the bits of its
-    |coefficients|' sum, taking the larger of its num's and den's; an int
-    is one term of its bits."""
+    """((terms, bits), (terms, bits)) of a term coefficient's num and den:
+    each one's terms and the bits of its |coefficients|' sum; an int is one
+    term of its bits over a den of 1."""
     if type(c) is int:
-        return 1, c.bit_length()
-    (num_terms, num_norm), (den_terms, den_norm) = c.sizes()
-    t = max(num_terms, den_terms)
-    return t, t * max(num_norm, den_norm).bit_length()
+        return (1, c.bit_length()), (1, 1)
+    return tuple((terms, norm.bit_length()) for terms, norm in c.sizes())
 
 
 def _bit_sums(x):
-    """The sums of _bit_size over the coefficients of the element x."""
+    """The terms of the coefficients of the element x, and their terms
+    times bits, summed. Num and den are counted jointly, each coefficient
+    as the larger of their terms times the larger of their bits: the den
+    of a sum of products can be the lcm of all their dens."""
     terms = bits = 0
     for c in x.terms.values():
-        t, b = _bit_size(c)
+        (num_terms, num_norm), (den_terms, den_norm) = c.sizes()
+        t = max(num_terms, den_terms)
         terms += t
-        bits += b
+        bits += t * max(num_norm, den_norm).bit_length()
     return terms, bits
 
 
@@ -294,8 +296,10 @@ def _mul(x, y, pos=None, whole="the product"):
         # a unit coefficient adds no bits; the int test first, since a
         # RatFunc compares with 1 by building RatFunc(1)
         if not (type(c1) is int and c1 in (1, -1) or type(c2) is int and c2 in (1, -1)):
-            (t1, b1), (t2, b2) = _bit_size(c1), _bit_size(c2)
-            if t1 * b2 + b1 * t2 > _MAX_LETTERS:
+            # num1 num2 over den1 den2: each has t1 t2 terms of b1 + b2 bits
+            (tn1, bn1), (td1, bd1) = _bit_size(c1)
+            (tn2, bn2), (td2, bd2) = _bit_size(c2)
+            if tn1 * tn2 * (bn1 + bn2) + td1 * td2 * (bd1 + bd2) > _MAX_LETTERS:
                 raise ExpressionError(_TOO_MANY_BITS.format(whole), pos)
         c = _times(c1, c2)
         if not c:

@@ -38,7 +38,11 @@ Almost every structure constant is a Laurent polynomial: graded with den
 values, and sums of two of one degree, take a path of their own, right
 after the one coercion entry of ``__add__`` and ``__mul__``, that convolves
 or adds the numerators and skips the GCD; the central weight's den 6
-(1 + (q/p)^n) is the common exception.
+(1 + (q/p)^n) is the common exception.  A sparse den of 1, as of a parsed
+p + 1, is likewise always the one shared dict ``_ONE_P``: den 1 is one
+object in each form, so a predicate finds it by identity, and no sparse
+value holds a den dict of its own that only repeats {(0, 0): 1}.  Nothing
+may mutate it; ``num`` and ``den`` return copies.
 
 All values are immutable; every function here except ``accumulate`` (which
 adds into the caller's dict) is pure, so instances can be shared freely
@@ -466,7 +470,7 @@ class _Sparse:
             dense_den = _p_dense(den)
             if dense_den is not None:
                 return _Graded.make(shift, dense_num, dense_den)
-        return RatFunc._raw(shift, num, den)
+        return RatFunc._raw(shift, num, _ONE_P if den == _ONE_P else den)
 
 
 def _canonical(num, den, shift, ops):
@@ -617,7 +621,8 @@ class RatFunc:
             if not den:
                 raise ZeroDivisionError("zero denominator in Q(p,q)")
             return _canonical((num,) if num else (), (den,), shift, _Graded)
-        den = _as_poly(den)
+        # an int den of 1 is the shared _ONE_P, which _canonical keeps
+        den = _ONE_P if type(den) is int and den == 1 else _as_poly(den)
         if not den:
             raise ZeroDivisionError("zero denominator in Q(p,q)")
         return _canonical(_as_poly(num), den, shift, _Sparse)
@@ -674,16 +679,17 @@ class RatFunc:
     def is_zero(self):
         return not self._num
 
+    # a stored den of 1 is _ONE_T or _ONE_P, and 1 and a monomial are graded
     def is_one(self):
-        return self.shift == (0, 0) and self._num == _ONE_T and self._den == _ONE_T
+        return self._den is _ONE_T and self.shift == (0, 0) and self._num == _ONE_T
 
     def is_monomial(self):
         """True when the value is c * p^a * q^b with integer c."""
-        return len(self._num) == 1 and self._den == _ONE_T
+        return self._den is _ONE_T and len(self._num) == 1
 
     def is_laurent_polynomial(self):
         """True when den is 1, so the value is a polynomial times p^a q^b."""
-        return self._den == _ONE_T or self._den == _ONE_P
+        return self._den is _ONE_T or self._den is _ONE_P
 
     def __bool__(self):
         return bool(self._num)
@@ -754,7 +760,7 @@ class RatFunc:
             return RatFunc._raw(shift, self._num, self._den)
         ops, den = self._ops(), self._den
         g = _int_gcd(c, *(den.values() if type(den) is dict else den))
-        # make: a den that g divides down to 1 is the shared _ONE_T
+        # make: a den that g divides down to 1 is the shared _ONE_T or _ONE_P
         return ops.make(shift, ops.scale(self._num, c // g), ops.exquo(den, g))
 
     def __mul__(self, other):

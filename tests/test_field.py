@@ -754,6 +754,13 @@ def parts_of(x):
     return x.num, x.den, x.shift
 
 
+def assert_den_one_is_shared(value):
+    """A den of 1 is the one shared object of its form: the tuple (1,) when
+    graded, the dict {(0, 0): 1} when sparse."""
+    if value.den == {(0, 0): 1}:
+        assert value._den is (field._ONE_T if type(value._den) is tuple else field._ONE_P), value
+
+
 @st.composite
 def laurent_pairs(draw):
     """(x, y) as (num, den, shift) dicts: x a graded Laurent polynomial and y
@@ -789,18 +796,20 @@ def laurent_pairs(draw):
 # (p + q) / 6 against 6: the product's den divides down to 1
 @example((({(1, 0): 6}, {(0, 0): 1}, (0, 0)),
           ({(1, 0): 1, (0, 1): 1}, {(0, 0): 6}, (0, 0))), False)
+# p + 1: a sum of two degrees is sparse, over den 1
+@example((({(1, 0): 1}, {(0, 0): 1}, (0, 0)), ({(0, 0): 1}, {(0, 0): 1}, (0, 0))), False)
 def test_den_one_paths_agree_with_the_general_path(pair, swap):
     """x * y and x + y, with or without the den-1 path, equal the value
     rebuilt from dicts, in the same form: graded tuples whenever the value
-    is homogeneous, and a graded den of 1 the shared (1,)."""
+    is homogeneous, and a den of 1 the shared (1,) or {(0, 0): 1}."""
     xs, ys = (pair[1], pair[0]) if swap else pair
     x, y = RatFunc(*xs), RatFunc(*ys)
     for value, expected in ((x * y, rebuilt_product(xs, ys)), (x + y, rebuilt_sum(xs, ys))):
         assert parts_of(value) == parts_of(expected)
         assert value == expected and hash(value) == hash(expected)
         assert type(value._num) is type(expected._num)
-        if type(expected._den) is tuple and expected.is_laurent_polynomial():
-            assert value._den is field._ONE_T
+        assert_den_one_is_shared(value)
+        assert_den_one_is_shared(expected)
         if not value:
             assert value is ZERO
 
@@ -810,19 +819,23 @@ def test_den_one_paths_agree_with_the_general_path(pair, swap):
 # ((p + q)/6).times_monomial(6, 0, 0): a den that g divides down to 1
 @example(({(1, 0): 1, (0, 1): 1}, {(0, 0): 6}, (0, 0)), ({(0, 0): 1}, {(0, 0): 1}, (0, 0)),
          6, 0, 0, 1)
+# (p + 1) / 6 times 6, and p + 1 to a power: sparse, over den 1
+@example(({(1, 0): 1, (0, 0): 1}, {(0, 0): 6}, (0, 0)), ({(1, 0): 1, (0, 0): 1}, {(0, 0): 1},
+                                                          (0, 0)), 6, 0, 0, 2)
 def test_den_one_is_always_the_shared_tuple(xs, ys, c, a, b, k):
-    """Every graded result whose den is 1, of a product, a quotient, a sum,
-    a power or times_monomial, holds the one shared tuple (1,), so the den-1
-    path can test it by identity."""
+    """Every result whose den is 1, of a product, a quotient, a sum, a power
+    or times_monomial, holds the one shared den of its form, the tuple (1,)
+    or the dict {(0, 0): 1}, so a predicate can test it by identity; so
+    does the value the constructor makes."""
     x, y = RatFunc(*xs), RatFunc(*ys)
-    results = [x * y, x + y, x - y, -x, x.times_monomial(c, a, b), x ** abs(k)]
+    results = [x, y, x * y, x + y, x - y, -x, x.times_monomial(c, a, b), x ** abs(k)]
     if y:
         results += [x / y, y.inverse()]
         if k:
             results.append(y ** k)
     for value in results:
-        if type(value._den) is tuple and value.is_laurent_polynomial():
-            assert value._den is field._ONE_T, value
+        assert_den_one_is_shared(value)
+        assert value.is_laurent_polynomial() == (value.den == {(0, 0): 1})
 
 
 @given(ints(-9, 9), ints(-4, 4), ints(-4, 4), st.tuples(ints(-3, 3), ints(-3, 3)))
@@ -841,18 +854,42 @@ def test_one_entry_maps_are_monomials(c, a, b, shift):
 
 
 @pytest.mark.parametrize("value", [ZERO, ONE, P + Q, (P + Q) / 6, monomial(-3, 2, -1),
-                                   (P + 1) / (Q ** 2 - P)])
+                                   (P + 1) / (Q ** 2 - P), P + 1])
 def test_copies_and_pickles_are_equal_values_and_leave_zero_alone(value):
     """A copied or unpickled value equals the original in its parts, keeps
-    den 1 the shared tuple and zero the shared ZERO, and changes neither."""
+    den 1 the shared tuple or dict and zero the shared ZERO, and changes
+    neither."""
+    assert_den_one_is_shared(value)
     for twin in (copy.copy(value), copy.deepcopy(value),
                  pickle.loads(pickle.dumps(value)), pickle.loads(pickle.dumps(value, 2))):
         assert parts_of(twin) == parts_of(value) and twin == value
         assert type(twin._num) is type(value._num)
-        if type(value._den) is tuple and value.is_laurent_polynomial():
-            assert twin._den is field._ONE_T
+        assert_den_one_is_shared(twin)
         assert (twin is ZERO) == (not value)
     assert ZERO.is_zero() and ZERO.shift == (0, 0) and ZERO._den is field._ONE_T
+
+
+@pytest.mark.parametrize("make", [lambda d: RatFunc(d), lambda d: RatFunc(d, 1),
+                                  lambda d: RatFunc(d, {(0, 0): 1}), lambda d: RatFunc(d) * 1])
+def test_no_caller_can_mutate_a_value_or_the_shared_den(make):
+    """num and den return new dicts, and the constructor keeps no dict it
+    was given: mutating any of them changes no value, and the shared den
+    of 1 stays {(0, 0): 1}."""
+    given_num = {(1, 0): 1, (0, 0): 1}
+    value = make(given_num)
+    others = [P + 1, (P + 1) / (Q ** 2 - P), P + Q, ONE]
+    texts = [str(x) for x in [value] + others]
+    for x in [value] + others:
+        for part in (x.num, x.den):
+            part[(0, 0)] = 7
+            part[(5, 5)] = 3
+            del part[(0, 0)]
+    given_num[(0, 0)] = 5
+    given_num.clear()
+    assert [str(x) for x in [value] + others] == texts
+    assert value == P + 1 and value.den == {(0, 0): 1}
+    assert value._den is field._ONE_P
+    assert field._ONE_P == {(0, 0): 1} and field._ONE_T == (1,)
 
 
 def test_float_and_fraction_coefficients_and_exponents_are_refused():

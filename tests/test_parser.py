@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pqvirasoro import cli
+from pqvirasoro import cli, field
 from pqvirasoro.cli import ExpressionError, main, parse_expression
 from pqvirasoro.field import P, Q, RatFunc, monomial
 from pqvirasoro.freealg import AlgebraElement, C, L, T, TINV, t_degree, t_word
@@ -220,6 +220,8 @@ REFUSED = [
     # a product of one-word factors, each within the power's bounds
     (" ".join(["(L(1)^4096)^256"] * 4), "the product could have more than 1048576 letters", 16),
     (" ".join(["(2^4095)^256"] * 4), "the product's coefficient could have more than 1048576 bits", 13),
+    # its num has 2 terms of 1,048,321 bits
+    ("(2^4095)^256 (p + q)", "the product's coefficient could have more than 1048576 bits", 13),
 ]
 
 
@@ -241,6 +243,8 @@ def test_inputs_within_the_depth_and_bit_bounds_still_parse():
     assert parse_expression("2" + "^2" * 19) == (2 ** 2 ** 19) * one
     assert parse_expression("(-1)^4096^4096 (1/1)^4096^4096") == one
     assert parse_expression("(5/7)^4096^64") == Fraction(5, 7) ** (4096 * 64) * one
+    # a product's num and den are counted apart: 1,048,321 bits over p + q
+    assert parse_expression("(2^4095)^256/(p + q)") == 2 ** (4095 * 256) / (P + Q) * one
     # the bound counts a power's terms, not its degree
     assert parse_expression("(p + q)^512") == (P + Q) ** 512 * one
     assert parse_expression("(p^64 + q)^64^2") == (P ** 64 + Q) ** 128 * one
@@ -269,6 +273,9 @@ def test_a_sum_of_integer_monomials_adds_and_multiplies_no_ratfunc(monkeypatch):
     monkeypatch.undo()
     assert calls == []
     assert x == expected and len(x.terms) == 20
+    # a sum of several degrees is sparse, over the one shared den of 1
+    (coeff,) = parse_expression("(p + 1)*L(1)").terms.values()
+    assert coeff == P + 1 and coeff._den is field._ONE_P
 
 
 # a sum of 300 one-letter words: its square has 90,000 words of 2 letters
