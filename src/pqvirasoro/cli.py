@@ -14,28 +14,32 @@ coefficients; a zero to a negative power is a division by zero.
 
 The tokenizer reads a run of factors such as 3*p^5*q^4 T^-2 L(-6)^3 as
 one token of cached value, but no run after / or where the grammar reads
-an int, nor before a ^. It reads a parenthesized sum of two or more runs,
-such as (7*p^9*q^4 - p^8*q^5 + 3), as one token too: an atom that counts
-as one level of parentheses, may follow / and precede ^, is not read as
-the ( after L, and whose value the parser's own summation of a sum adds
-up, uncached. The parser reads a product of numbers, p, q and
-letters as one integer monomial c * p^a * q^b * w: c stays an int until
-a factor is a general scalar such as a parenthesized sum, and a value
-becomes an AlgebraElement only when it has several words. A sum adds the
-int monomials of each word into one {(a, b): c} map and builds one
-RatFunc per word at the end, so parsing is linear in the number of
-terms. A product or power with several words may have at most 65,536
-words; before each product, 2^20 letters over its words and 2^20 bits
-over its coefficients' terms (each factor's terms times the other's
-bits) bound it too, so (L(1)^4096 + L(2)) written eight times is refused
-as its eighth power is. A product of two one-word factors takes the
-same letter and bit bounds (none on bits by a unit +-1), its num's and
-den's bits counted apart, so four (L(1)^4096)^256 side by side are
-refused at the second. A power of one word takes both bounds before it
-is taken: its letters times |k|, and the bits of an int base times |k|
-or, with p or q, its power's terms times the bits of each. Only a
-word-free +-p^a q^b takes an exponent past 4,096, up to degree 2^20.
-Parentheses nest at most 200 deep.
+an int, nor before a ^. A run's value multiplies its factors' cached
+terms in one pass, with no bound checked: a run holds at most 16
+factors, each an int of at most 20 digits (67 bits) or at most 9
+letters, so at most 1,072 bits and 144 letters. It reads a parenthesized
+sum of two or more runs, such as (7*p^9*q^4 - p^8*q^5 + 3), as one token
+too: an atom that counts as one level of parentheses, may follow / and
+precede ^, is not read as the ( after L, and whose value the parser's
+one summation adds up, uncached. The parser reads a product of numbers,
+p, q and letters as one integer monomial c * p^a * q^b * w: c stays an
+int until a factor is a general scalar such as a parenthesized sum, and
+a value becomes an AlgebraElement only when it has several words. A sum
+adds the int monomials of each word, each with its sign, into one
+{(a, b): c} map and builds one RatFunc per word at the end; a sum of one
+word stays a term. So parsing is linear in the number of terms, and
+each coefficient is built once. A product or power with several words may
+have at most 65,536 words; before each product, 2^20 letters over its
+words and 2^20 bits over its coefficients' terms (each factor's terms
+times the other's bits) bound it too, so (L(1)^4096 + L(2)) written
+eight times is refused as its eighth power is. A product of two one-word
+factors takes the same letter and bit bounds (none on bits by a unit
++-1), its num's and den's bits counted apart, so four (L(1)^4096)^256
+side by side are refused at the second. A power of one word takes both
+bounds before it is taken: its letters times |k|, and the bits of an int
+base times |k| or, with p or q, its power's terms times the bits of
+each. Only a word-free +-p^a q^b takes an exponent past 4,096, up to
+degree 2^20. Parentheses nest at most 200 deep.
 
 Verification records are JSON lines with a stable field order; the
 process exits 0 when every gated record is ok, 1 when some gated
@@ -49,7 +53,7 @@ import json
 import random
 import re
 import sys
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import comb
 
 from .field import RatFunc, accumulate, monomial
@@ -150,9 +154,9 @@ def _tokenize(src):
                     continue
             elif not text.isdecimal():  # a bare int stays an int token
                 # no run after /, which takes one factor, nor where an int goes: after ^ or L(, signed or not
-                last = [tok[1] for tok in tokens[-3:]]
-                last = last[:-1] if last[-1:] in (["+"], ["-"]) else last
-                if last[-1:] not in (["/"], ["^"]) and last[-2:] != ["L", "("]:
+                k = len(tokens) - (len(tokens) > 0 and tokens[-1][0] in ("+", "-"))
+                kind = tokens[k - 1][0] if k else None
+                if kind not in ("/", "^") and (kind != "(" or k < 2 or tokens[k - 2][:2] != ("name", "L")):
                     tokens.append(("term", _term_value(text), i))
                     i = m.end()
                     continue
@@ -166,7 +170,12 @@ def _term_value(run):
     """The term that the descent reads from a run, cached as runs and factors recur."""
     factors = run.replace("*", " ").split(" ")
     if len(factors) > 1:
-        return reduce(_mul, map(_term_value, factors))
+        # no bound of _mul can trip inside a run: its at most 16 factors of 20
+        # digits (67 bits) or 9 letters hold at most 1,072 bits and 144 letters
+        c, a, b, w = 1, 0, 0, ()
+        for fc, fa, fb, fw in map(_term_value, factors):
+            c, a, b, w = c * fc, a + fa, b + fb, w + fw
+        return (c, a, b, w) if c else _ZERO
     tokens = []
     i = 0
     while i < len(run):
@@ -177,11 +186,8 @@ def _term_value(run):
 
 def _sum_value(text):
     """The value of a sum token, its runs added as the descent adds them."""
-    negate = text[1] == "-"
-    parts = _SIGN.split(text[1 + negate:-1])
-    signs = ["-" if negate else "+"] + parts[1::2]
-    return _sum([_neg(_term_value(run)) if sign == "-" else _term_value(run)
-                 for sign, run in zip(signs, parts[::2])])
+    parts = _SIGN.split(" - " + text[2:-1] if text[1] == "-" else " + " + text[1:-1])
+    return _sum(zip(parts[1::2], map(_term_value, parts[2::2])))
 
 
 def _describe(tok, src):
@@ -275,11 +281,11 @@ def _element(x):
     return AlgebraElement.from_clean({w: coeff} if c else {})
 
 
-def _value(x):
-    """An AlgebraElement as a parsed value: a term unless it has several words."""
-    if len(x.terms) > 1:
-        return x
-    for w, coeff in x.terms.items():
+def _value(terms):
+    """A clean term map as a parsed value: a term unless it has several words."""
+    if len(terms) > 1:
+        return AlgebraElement.from_clean(terms)
+    for w, coeff in terms.items():
         return (coeff, 0, 0, w)
     return _ZERO
 
@@ -317,35 +323,29 @@ def _mul(x, y, pos=None, whole="the product"):
     out = x * y
     if len(out.terms) > _MAX_WORDS:
         raise ExpressionError(f"{whole} has more than {_MAX_WORDS} words", pos)
-    return _value(out)
+    return _value(out.terms)
 
 
-def _neg(x):
-    if type(x) is tuple:
-        return (-x[0],) + x[1:]
-    return -x
-
-
-def _sum(values):
-    """The sum of parsed values. Int-coefficient terms add into one
-    {(a, b): c} map per word, which becomes one RatFunc at the end; other
-    coefficients add as RatFuncs."""
+def _sum(signed):
+    """The sum of (sign, parsed value) pairs, each value negated where its
+    sign is "-". Int-coefficient terms add into one {(a, b): c} map per
+    word, which becomes one RatFunc at the end; others add as RatFuncs."""
     sums = {}
     terms = {}
-    for value in values:
+    for sign, value in signed:
         if type(value) is tuple:
             c, a, b, w = value
             if type(c) is int:
                 mono = sums.setdefault(w, {})
-                mono[a, b] = mono.get((a, b), 0) + c
+                mono[a, b] = mono.get((a, b), 0) + (-c if sign == "-" else c)
             else:
-                accumulate(terms, w, c.times_monomial(1, a, b))
+                accumulate(terms, w, (-c if sign == "-" else c).times_monomial(1, a, b))
         else:
             for word, coeff in value.terms.items():
-                accumulate(terms, word, coeff)
+                accumulate(terms, word, -coeff if sign == "-" else coeff)
     for w, mono in sums.items():
         accumulate(terms, w, RatFunc(mono))
-    return _value(AlgebraElement.from_clean(terms))
+    return _value(terms)
 
 
 class _Parser:
@@ -385,14 +385,16 @@ class _Parser:
             self.next()
         value = self.term()
         if self.peek()[0] not in ("+", "-"):
-            return _neg(value) if kind == "-" else value
+            if kind == "-":  # a lone term keeps its int coefficient
+                return (-value[0],) + value[1:] if type(value) is tuple else -value
+            return value
         return _sum(self._signed_terms(kind, value))
 
     def _signed_terms(self, kind, value):
-        """Each term of a sum with its sign, from its first on, parsed as
-        the sum consumes them."""
+        """(kind, term) for each term of a sum, from its first on, parsed as
+        the sum consumes them: kind is "-" after a minus sign."""
         while True:
-            yield _neg(value) if kind == "-" else value
+            yield kind, value
             kind = self.peek()[0]
             if kind not in ("+", "-"):
                 return

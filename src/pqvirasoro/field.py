@@ -755,6 +755,8 @@ class RatFunc:
         """The product with the monomial c * p^a * q^b, for an int c."""
         if not c or not self._num:
             return ZERO
+        if c == 1 and not a and not b:  # values are immutable: no copy
+            return self
         shift = (self.shift[0] + a, self.shift[1] + b)
         if c == 1:
             return RatFunc._raw(shift, self._num, self._den)

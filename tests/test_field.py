@@ -340,6 +340,16 @@ def test_times_monomial_is_the_product_with_a_monomial(parts, c, a, b):
     assert x * monomial(c, a, b) == expected == monomial(c, a, b) * x
 
 
+def test_times_monomial_by_one_returns_the_value_itself():
+    # values are immutable, so the identity product copies nothing
+    graded, sparse, rational = P + Q, P + 1, (P + 1) / (Q + 2)
+    assert type(graded._den) is tuple and type(sparse._den) is dict
+    assert not rational.is_laurent_polynomial()
+    for x in (graded, sparse, rational):
+        assert x.times_monomial(1, 0, 0) is x
+    assert ZERO.times_monomial(5, 1, 1) is ZERO
+
+
 @given(value_parts(pq_ints=True), value_parts(pq_ints=True),
        value_parts(homogeneous=True, pq_ints=True),
        st.sampled_from(("independent", "sum is homogeneous", "sum is zero")))

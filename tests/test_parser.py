@@ -5,10 +5,11 @@ import itertools
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pqvirasoro import cli, field
@@ -278,6 +279,21 @@ def test_a_sum_of_integer_monomials_adds_and_multiplies_no_ratfunc(monkeypatch):
     assert coeff == P + 1 and coeff._den is field._ONE_P
 
 
+def test_each_parsed_coefficient_is_built_once(monkeypatch):
+    # a product by the unit and a coefficient with no shift keep the value
+    # they have, and a one-word sum is a term: with one copy per product
+    # by 1 and per shift of (0, 0), this parse made 8 RatFuncs
+    made = []
+    raw = RatFunc._raw.__func__
+    monkeypatch.setattr(RatFunc, "_raw",
+                        classmethod(lambda cls, *parts: made.append(parts) or raw(cls, *parts)))
+    cli._term_value.cache_clear()
+    x = parse_expression("(p + 1)*L(1) - (2*p - q)/q^2*T")
+    monkeypatch.undo()
+    assert x == AlgebraElement({(L(1),): P + 1, (T,): -(2 * P - Q) / Q ** 2})
+    assert len(made) <= 4
+
+
 # a sum of 300 one-letter words: its square has 90,000 words of 2 letters
 SUM_300 = "(" + " + ".join(f"L({i})" for i in range(300)) + ")"
 
@@ -461,6 +477,32 @@ def test_a_rendered_term_is_one_token_per_run_of_factors():
     assert kinds == ["-", "term", "+", "term", "/", "name", "^", "int", "end"]
 
 
+def test_the_largest_runs_stay_far_below_the_product_bounds():
+    # a run's factor terms multiply unchecked, so the grammar itself bounds
+    # a run: at most 16 factors, each an int of at most 20 digits (67 bits)
+    # or at most 9 letters, so at most 1,072 bits and 144 letters
+    digits, letters = "9" * 20, "L(-99999999)^9"
+    assert int(digits).bit_length() == 67
+    mixed = [digits, "p^999", letters, "T^-9"] * 4
+    for factors in ([digits] * 16, [letters] * 16, mixed):
+        for joint in ("*", " "):
+            run = joint.join(factors)
+            assert cli._TERM.fullmatch(run), run
+            assert [tok[0] for tok in cli._tokenize(run)] == ["term", "end"]
+            c, a, b, w = cli._term_value(run)
+            assert c.bit_length() <= 16 * 67 < cli._MAX_LETTERS
+            assert len(w) <= 16 * 9 < cli._MAX_LETTERS
+            assert parse_expression(run) == AlgebraElement.from_word(w, monomial(c, a, b))
+            # a 17th factor, or a 21st digit, ends the run
+            assert not cli._TERM.fullmatch(run + joint + "p")
+            assert not cli._TERM.fullmatch(joint.join(factors[1:] + [digits + "9"]))
+    assert cli._term_value("*".join(mixed)) == (
+        int(digits) ** 4, 4 * 999, 0, ((L(-99999999),) * 9 + (TINV,) * 9) * 4)
+    # and no factor holds more than 9 letters
+    for factor in ("L(1)^10", "C^10", "T^10", "T^-10"):
+        assert not cli._TERM.fullmatch(factor), factor
+
+
 @pytest.mark.parametrize("src, word, coeff", [
     ("(T)^2*p", (T, T), monomial(1, 1, 0)),
     ("L(1)/2*p^3", (L(1),), monomial(1, 3, 0) * RatFunc(2).inverse()),
@@ -509,7 +551,9 @@ PIECES = ["p", "q", "T", "C", "L", "L(", "(", ")", "Tinv", "T2", "x", "_", "\u06
           "0", "2", "12", "999", "1000", "4097", "99999999", "L(268435456)", "9" * 20, "9" * 21,
           "9" * 4301, "*", "/", "^", "^-", "+", "-", " ", " ", "  ", "\t",
           "p^2", "q^3", "L(1)", "L(-2)", "T^-2", "C^2", " L(0)^2", "*p", "3*p", " ^2",
-          "T^-10", "L(1)^12", " p q 2 T C L(3) p^2 q^2", "*p*q*2*T*C*L(3)*p^2*q^2"]
+          "T^-10", "L(1)^12", " p q 2 T C L(3) p^2 q^2", "*p*q*2*T*C*L(3)*p^2*q^2",
+          # runs with a zero factor, and letters that cancel only on rewriting
+          "0*", "2*0*p L(1)", "T^-2 T^2 L(1)"]
 
 
 @settings(max_examples=1000)
@@ -576,11 +620,18 @@ def test_where_a_sum_is_read_as_one_token():
         assert _sum_tokens(src) == [], src
 
 
-SUM_PIECES = PIECES + ["(p + q)", "(2*p - 3)", "(-T + 1)", "(L(1) + L(2))", " + ", " - "]
+SUM_PIECES = PIECES + ["(p + q)", "(2*p - 3)", "(-T + 1)", "(L(1) + L(2))", " + ", " - ",
+                       "(p*p*q - 3*2*q^2)", "(0*p + q)"]
 
 
 @settings(max_examples=1000)
 @given(st.lists(st.sampled_from(SUM_PIECES), min_size=1, max_size=12))
+# a sum token that cancels to zero, and one of several words with one
+# negative element, each also raised to a power
+@example(["(2*p*q - q*p - p*q)"])
+@example(["(2*p*q - q*p - p*q)", "^", "2"])
+@example(["(L(1) - 2*T + L(1) L(2))"])
+@example(["(L(1) - 2*T + L(1) L(2))", "^", "2"])
 def test_sums_of_runs_parse_as_their_fine_tokens_do(pieces):
     src = "".join(pieces)
     assert _outcome(src) == _fine_outcome(src)
@@ -617,3 +668,20 @@ def test_a_rendered_element_reads_one_token_per_parenthesized_sum():
         depth += (kind == "(") - (kind == ")")
         assert depth == 0 or kind not in ("+", "-")
     assert parse_expression(src) == x
+
+
+def test_a_run_multiplies_its_factors_without_a_checked_product(monkeypatch):
+    # the values of a run's factors multiply in _term_value's own loop, and
+    # _mul guards the products that the descent reads between tokens
+    callers = []
+
+    def spy(*args, mul=cli._mul):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return mul(*args)
+
+    x = _roundtrip_element()
+    monkeypatch.setattr(cli, "_mul", spy)
+    cli._term_value.cache_clear()
+    assert parse_expression(str(x)) == x
+    assert cli._term_value.cache_info().misses > 0
+    assert "term" in callers and "_term_value" not in callers
