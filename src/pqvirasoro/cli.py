@@ -43,9 +43,9 @@ degree 2^20. Parentheses nest at most 200 deep.
 
 Verification records are JSON lines with a stable field order; the
 process exits 0 when every gated record is ok, 1 when some gated
-residual is nonzero, and 2 on usage errors. Variant modes (the printed
-coproduct of C, the alternative C-commutation form) are reported but
-excluded from gating unless requested.
+residual is nonzero, and 2 on usage errors. Under a variant (the printed
+coproduct of C, the alternative C-commutation form), records that read the
+presentation name it and are excluded from gating unless requested.
 """
 
 import argparse
@@ -53,7 +53,7 @@ import json
 import random
 import re
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb
 
 from .field import RatFunc, accumulate, monomial
@@ -69,6 +69,7 @@ from .freealg import (
     normalize,
     random_word,
     RELATION_NAMES,
+    VARIANTS,
     central_coeff,
     t_degree,
     t_word,
@@ -441,7 +442,7 @@ class _Parser:
         return sign * tok[1]
 
     def _power(self, value):
-        kind, _, pos = self.peek()
+        pos = self.peek()[2]
         k = self._signed_int("exponent")
         if abs(k) > _MAX_EXPONENT:
             # a word-free +-p^a q^b grows no word: only its degrees bound k
@@ -526,37 +527,28 @@ def _emit(lines, out_path):
         sys.stdout.write(text)
 
 
-def _variant_names(args):
-    names = []
-    if args.variant:
-        names.append(args.variant)
-    if args.strict_typos:
-        names.append("strict-typos")
-    return names
-
-
 def _config(args):
     # the default presentation is the shared one, so that every call of
     # main in a process reads and fills one normal-form memo
-    names = _variant_names(args)
+    names = {args.variant, "strict-typos" if args.strict_typos else None} - {None}
     return Presentation(names) if names else DEFAULT_CONFIG
 
 
 class _Report:
     """Collects records and tracks the gated pass/fail outcome."""
 
-    def __init__(self, gate_variants=False, variants=()):
+    def __init__(self, gate_variants=False):
         self.records = []
         self.failed = False
         self.gate_variants = gate_variants
-        self.variants = list(variants)
 
-    def add(self, suite, check, ok, residual=None, **params):
-        gated = not self.variants or self.gate_variants
+    def add(self, suite, variants, check, ok, residual=None, **params):
+        """Append a record; one labelled with variants is gated only on request."""
+        gated = not variants or self.gate_variants
         fields = {"suite": suite, "check": check}
         fields.update(params)
-        if self.variants:
-            fields["variants"] = self.variants
+        if variants:
+            fields["variants"] = variants
         fields["status"] = "ok" if ok else "fail"
         fields["gated"] = gated
         if not ok and residual is not None:
@@ -577,30 +569,31 @@ class _Report:
         return lines
 
 
-def _suite_fock(report, window, dim):
+def _suite_fock(add, args):
     for mode in ("one_param", "two_param"):
-        o = osc.make_oscillator(dim, mode)
-        for n in range(1, min(6, dim - 2) + 1):
+        o = osc.make_oscillator(args.dim, mode)
+        for n in range(1, min(6, args.dim - 2) + 1):
             res = osc.verify_power_commutator(n, o)
-            report.add("fock", "power_commutator", res.is_zero(), res, mode=mode, n=n, dim=dim)
-        top = min(window, dim // 3)
+            add("power_commutator", res.is_zero(), res, mode=mode, n=n, dim=args.dim)
+        top = min(args.range, args.dim // 3)
         for n in range(-1, top + 1):
             for m in range(-1, top + 1):
                 res = osc.verify_bracket(n, m, o)
-                report.add("fock", "bracket", res.is_zero(), res, mode=mode, n=n, m=m, dim=dim)
+                add("bracket", res.is_zero(), res, mode=mode, n=n, m=m, dim=args.dim)
     for mode in osc.MODES:
         ok = all(
             osc.lowering_coeff(k, mode) == osc.lowering_coeff_iterative(k, mode)
             for k in range(31)
         )
-        report.add("fock", "lowering_oracle", ok, mode=mode, k_max=30)
+        add("lowering_oracle", ok, mode=mode, k_max=30)
 
 
-def _suite_homlie(report, window):
+def _suite_homlie(add, args):
+    window = args.range
     for n in range(-window, window + 1):
         for m in range(-window, window + 1):
             res = homlie.skew_residual(n, m)
-            report.add("homlie", "skew", res.is_zero(), res, n=n, m=m)
+            add("skew", res.is_zero(), res, n=n, m=m)
     jwin = min(window, 5)
     bad = []
     for n in range(-jwin, jwin + 1):
@@ -609,57 +602,55 @@ def _suite_homlie(report, window):
                 res = homlie.hom_jacobi_residual(n, m, k)
                 if not res.is_zero():
                     bad.append((n, m, k, str(res)))
-    report.add(
-        "homlie", "hom_jacobi", not bad,
+    add(
+        "hom_jacobi", not bad,
         residual="; ".join(f"{t[:3]}: {t[3]}" for t in bad[:3]) if bad else None,
         window=jwin, triples=(2 * jwin + 1) ** 3,
     )
     for n in range(1, 11):
         ok = central_coeff(-n) == -central_coeff(n)
-        report.add("homlie", "central_reflection", ok, n=n)
+        add("central_reflection", ok, n=n)
     gap = homlie.alpha_bracket_gap(1, 2)
-    report.add(
-        "homlie", "twist_not_bracket_map", not gap.is_zero(),
+    add(
+        "twist_not_bracket_map", not gap.is_zero(),
         residual="unexpectedly multiplicative" if gap.is_zero() else None,
         n=1, m=2, gap=str(gap),
     )
 
 
-def _hopf_axioms(report, x, label, cfg):
+def _hopf_axioms(add, x, label, cfg):
     """The coassociativity, counit and antipode records of x, in that order."""
     res = hopfmod.check_coassoc(x, cfg)
-    report.add("hopf", "coassoc", res.is_zero(), res, x=label)
+    add("coassoc", res.is_zero(), res, x=label)
     for check, fn in (("counit", hopfmod.check_counit), ("antipode", hopfmod.check_antipode)):
         r1, r2 = fn(x, cfg)
-        report.add("hopf", check, r1.is_zero() and r2.is_zero(),
-                   r1 if not r1.is_zero() else r2, x=label)
+        add(check, r1.is_zero() and r2.is_zero(), r1 if not r1.is_zero() else r2, x=label)
 
 
-def _suite_hopf(report, window, cfg):
+def _suite_hopf(add, args, cfg):
+    window = args.range
     gens = hopfmod.generators(window)
     for name, g in gens:
-        _hopf_axioms(report, g, name, cfg)
+        _hopf_axioms(add, g, name, cfg)
         res = hopfmod.cocommutativity_residual(g, cfg)
-        report.add("hopf", "cocommutative", res.is_zero(), res, x=name)
+        add("cocommutative", res.is_zero(), res, x=name)
     for name1, g1 in gens:
         for name2, g2 in gens:
-            _hopf_axioms(report, g1 * g2, f"{name1}*{name2}", cfg)
+            _hopf_axioms(add, g1 * g2, f"{name1}*{name2}", cfg)
     for mapname in ("delta", "antipode", "counit"):
         for rel in RELATION_NAMES:
             for n in range(-window, window + 1):
                 for m in range(-window, window + 1):
                     residuals = hopfmod.check_relation_preservation(mapname, rel, n, m, cfg)
                     bad = [r for r in residuals if not r.is_zero()]
-                    report.add(
-                        "hopf", f"{mapname}_preserves_{rel}", not bad,
-                        bad[0] if bad else None, n=n, m=m,
-                    )
+                    add(f"{mapname}_preserves_{rel}", not bad, bad[0] if bad else None, n=n, m=m)
     for name, g in gens:
         res = hopfmod.antipode_squared(g, cfg)
-        report.add("hopf", "antipode_squared", res.is_zero(), res, x=name)
+        add("antipode_squared", res.is_zero(), res, x=name)
 
 
-def _suite_confluence(report, seed, count, cfg):
+def _suite_confluence(add, args, cfg):
+    seed, count = args.seed, args.words
     rng = random.Random(seed)
     mismatches = 0
     for idx in range(count):
@@ -670,31 +661,37 @@ def _suite_confluence(report, seed, count, cfg):
         if a != b:
             mismatches += 1
             if mismatches <= 5:
-                report.add(
-                    "confluence", "strategy_agreement", False,
-                    a - b, word=word_str(word), seed=seed, index=idx,
-                )
-    report.add(
-        "confluence", "summary", mismatches == 0,
+                add("strategy_agreement", False, a - b,
+                    word=word_str(word), seed=seed, index=idx)
+    add(
+        "summary", mismatches == 0,
         None if mismatches == 0 else f"{mismatches}/{count} words disagree",
         seed=seed, words=count, mismatches=mismatches,
     )
 
 
+# each suite: its function of (add, args), and whether its records read the
+# presentation, which is then given too and labels them with its variants
+_SUITES = {
+    "fock": (_suite_fock, False),
+    "homlie": (_suite_homlie, False),
+    "hopf": (_suite_hopf, True),
+    "confluence": (_suite_confluence, True),
+}
+# all is the four suites its golden bytes pin: one outside it changes none
+_GROUPS = {"all": ("fock", "homlie", "hopf", "confluence")}
+
+
 def _cmd_verify(args):
-    variants = _variant_names(args)
-    report = _Report(gate_variants=args.gate_variants, variants=variants)
     cfg = _config(args)
-    suites = [args.suite] if args.suite != "all" else ["fock", "homlie", "hopf", "confluence"]
-    for suite in suites:
-        if suite == "fock":
-            _suite_fock(report, args.range, args.dim)
-        elif suite == "homlie":
-            _suite_homlie(report, args.range)
-        elif suite == "hopf":
-            _suite_hopf(report, args.range, cfg)
-        elif suite == "confluence":
-            _suite_confluence(report, args.seed, args.words, cfg)
+    report = _Report(args.gate_variants)
+    suites = _GROUPS.get(args.suite, (args.suite,))
+    for name in suites:
+        suite, reads_presentation = _SUITES[name]
+        if reads_presentation:
+            suite(partial(report.add, name, sorted(cfg.variants)), args, cfg)
+        else:
+            suite(partial(report.add, name, []), args)
     _emit([json.dumps(r) for r in report.records], args.out)
     for line in report.summary_lines(suites):
         print(line, file=sys.stderr)
@@ -733,15 +730,24 @@ def _hopf_maps_lines(window, fmt, cfg):
     return lines
 
 
+# each table kind: its lines of (window, format), and whether they read the
+# presentation, which is then given too; one that does not refuses variants
+_TABLES = {
+    "structure_constants": (_structure_constants_lines, False),
+    "hopf_maps": (_hopf_maps_lines, True),
+}
+
+
 def _cmd_table(args):
-    if args.kind == "hopf_maps":
-        lines = _hopf_maps_lines(args.range, args.format, _config(args))
+    lines_of, reads_presentation = _TABLES[args.kind]
+    cfg = _config(args)
+    if reads_presentation:
+        lines = lines_of(args.range, args.format, cfg)
+    elif cfg.variants:
+        flag = "--variant" if args.variant else "--strict-typos"
+        raise ValueError(f"table --kind {args.kind} does not take {flag}")
     else:
-        # the structure constants depend on neither the rewrite rules nor delta(C)
-        flag = "--variant" if args.variant else "--strict-typos" if args.strict_typos else None
-        if flag:
-            raise ValueError(f"table --kind structure_constants does not take {flag}")
-        lines = _structure_constants_lines(args.range, args.format)
+        lines = lines_of(args.range, args.format)
     if args.format == "latex":
         lines = ["\\begin{align*}"] + lines + ["\\end{align*}"]
     _emit(lines, args.out)
@@ -810,15 +816,21 @@ def build_parser():
         p.add_argument("--format", choices=fmt_choices, default=fmt_choices[0])
         p.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
-    def variant(p):
-        p.add_argument("--variant", choices=["r5-8.11"], default=None,
-                       help="use the alternative form of the C commutation relation")
+    def variant(p, strict_typos=True):
+        # --strict-typos changes only delta(C): only verbs of the Hopf maps take it
+        p.add_argument("--variant", choices=[v for v in VARIANTS if v != "strict-typos"],
+                       default=None, help="use the alternative form of the C commutation relation")
+        if strict_typos:
+            p.add_argument("--strict-typos", action="store_true",
+                           help="use the printed form of the coproduct of C")
+        else:
+            p.set_defaults(strict_typos=False)
 
     p = sub.add_parser("normalize", help="rewrite an expression to normal form")
     p.add_argument("expr")
     common(p)
-    variant(p)
-    p.set_defaults(fn=_cmd_normalize, strict_typos=False)
+    variant(p, strict_typos=False)
+    p.set_defaults(fn=_cmd_normalize)
 
     p = sub.add_parser("bracket", help="bracket environment element B(n, m)")
     p.add_argument("n", type=int)
@@ -827,35 +839,29 @@ def build_parser():
     p.set_defaults(fn=_cmd_bracket)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", choices=["fock", "homlie", "hopf", "confluence", "all"],
-                   default="all")
+    p.add_argument("--suite", choices=[*_SUITES, *_GROUPS], default="all")
     p.add_argument("--range", type=count, default=6, help="index window half-width")
     p.add_argument("--dim", type=int, default=20, help="Fock truncation dimension")
     p.add_argument("--seed", type=int, default=0, help="seed for random words")
     p.add_argument("--words", type=count, default=500, help="random words for the confluence suite")
     variant(p)
-    p.add_argument("--strict-typos", action="store_true",
-                   help="use the printed form of the coproduct of C")
     p.add_argument("--gate-variants", action="store_true",
                    help="let variant-mode records affect the exit status")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("table", help="export structure constants or Hopf maps")
-    p.add_argument("--kind", choices=["structure_constants", "hopf_maps"],
-                   default="structure_constants")
+    p.add_argument("--kind", choices=list(_TABLES), default="structure_constants")
     p.add_argument("--range", type=count, default=3)
-    common(p, fmt_choices=("json", "latex"))
+    common(p, ("json", "latex"))
     variant(p)
-    p.add_argument("--strict-typos", action="store_true")
     p.set_defaults(fn=_cmd_table)
 
     p = sub.add_parser("fock", help="dump truncated oscillator matrices")
     p.add_argument("--dim", type=int, default=8)
     p.add_argument("--range", type=count, default=3)
     p.add_argument("--mode", choices=list(osc.MODES), default="two_param")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--out", default=None)
+    common(p, ("json", "csv"))
     p.set_defaults(fn=_cmd_fock)
 
     return parser

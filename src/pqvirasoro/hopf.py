@@ -270,17 +270,11 @@ def check_relation_preservation(map_name, relation, n=0, m=1, cfg=DEFAULT_CONFIG
     antipode lands in the opposite algebra, which word reversal
     already accounts for.
     """
-    residuals = []
-    for elem in relation_elements(relation, n, m, cfg):
-        if map_name == "delta":
-            residuals.append(coproduct(elem, cfg))
-        elif map_name == "antipode":
-            residuals.append(antipode(elem, cfg))
-        elif map_name == "counit":
-            residuals.append(counit(elem))
-        else:
-            raise ValueError("map_name must be delta, antipode, or counit")
-    return residuals
+    # built at each call, as perfbench's tracer rebinds coproduct and antipode
+    maps = {"delta": coproduct, "antipode": antipode, "counit": lambda x, _: counit(x)}
+    if map_name not in maps:
+        raise ValueError("map_name must be delta, antipode, or counit")
+    return [maps[map_name](elem, cfg) for elem in relation_elements(relation, n, m, cfg)]
 
 
 def generators(window):

@@ -12,8 +12,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import pqvirasoro
-from pqvirasoro import freealg, homlie
-from pqvirasoro.cli import ExpressionError, main, parse_expression, render_element
+from pqvirasoro import cli, freealg, homlie
+from pqvirasoro.cli import ExpressionError, build_parser, main, parse_expression, render_element
 from pqvirasoro.field import ONE, RatFunc, ZERO, monomial
 from pqvirasoro.freealg import (
     AlgebraElement,
@@ -534,6 +534,48 @@ def test_verify_strict_typos_gated_on_request(tmp_path):
     code, _ = run(["verify", "--suite", "hopf", "--range", "0", "--strict-typos",
                    "--gate-variants"], tmp_path, "g.jsonl")
     assert code == 1
+
+
+@pytest.mark.parametrize("flags, labels", [
+    (["--variant", "r5-8.11"], ["r5-8.11"]),
+    (["--strict-typos"], ["strict-typos"]),
+    (["--strict-typos", "--variant", "r5-8.11"], ["r5-8.11", "strict-typos"]),
+])
+def test_only_the_suites_that_read_the_presentation_are_labelled_with_variants(
+        flags, labels, tmp_path):
+    # fock and homlie read no presentation, so a variant leaves their
+    # records unlabelled and gated
+    code, text = run(["verify", "--suite", "all", "--range", "1", "--dim", "8", "--words", "2"]
+                     + flags, tmp_path, "v.jsonl")
+    assert code == 0
+    records = [json.loads(line) for line in text.splitlines()]
+    assert [r["suite"] for r in records if r["suite"] in ("fock", "homlie")]
+    for r in records:
+        if r["suite"] in ("hopf", "confluence"):
+            assert (r["variants"], r["gated"]) == (labels, False)
+        else:
+            assert "variants" not in r and r["gated"] is True
+
+
+def test_a_failing_homlie_record_stays_gated_under_a_variant(tmp_path, monkeypatch):
+    monkeypatch.setattr(homlie, "twisted_env", freealg.bracket_env)
+    code, text = run(["verify", "--suite", "homlie", "--range", "1", "--variant", "r5-8.11"],
+                     tmp_path, "h.jsonl")
+    assert code == 1
+    [record] = [json.loads(line) for line in text.splitlines() if '"hom_jacobi"' in line]
+    assert record["status"] == "fail" and record["gated"] is True and "variants" not in record
+
+
+@pytest.mark.parametrize("verb", [["normalize", "L(1)"], ["verify"], ["table"]])
+def test_variant_choices_follow_the_library(verb, monkeypatch, capsys):
+    # strict-typos is a flag of its own, and every other variant a choice
+    names = [name for name in freealg.VARIANTS if name != "strict-typos"]
+    monkeypatch.setattr(cli, "VARIANTS", freealg.VARIANTS + ("a-later-variant",))
+    for name in names + ["a-later-variant"]:
+        assert build_parser().parse_args(verb + ["--variant", name]).variant == name
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(verb + ["--variant", "strict-typos"])
+    assert "invalid choice: 'strict-typos'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args", [

@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from pqvirasoro import cli
 from pqvirasoro.cli import main, parse_expression, render_element
 from pqvirasoro.field import ONE, P, Q, RatFunc
 from pqvirasoro.freealg import AlgebraElement, C, L, NormalWord, T, normalize
@@ -213,6 +214,23 @@ def test_cli_output_matches_recorded_digest(capsys, argv, code, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     # verify reports one summary line per suite on stderr, off the record stream
     assert err == (VERIFY_SUMMARY[tuple(argv[1:])] if argv[0] == "verify" else "")
+
+
+def test_a_suite_outside_all_runs_by_name_and_changes_no_byte_of_all(monkeypatch, capsys):
+    def dummy(add, args):
+        add("ran", True, range=args.range)
+
+    monkeypatch.setitem(cli._SUITES, "dummy", (dummy, False))
+    assert main(["verify", "--suite", "dummy", "--range", "3"]) == 0
+    assert capsys.readouterr() == (
+        '{"suite": "dummy", "check": "ran", "range": 3, "status": "ok", "gated": true}\n',
+        "dummy           1 records  all ok\n")
+    argv, code, digest = GOLDEN[0]
+    assert argv[1:3] == ["--suite", "all"]
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert err == VERIFY_SUMMARY[tuple(argv[1:])]
 
 
 # the CLI prints leftmost normal forms only; these pin the rightmost ones,

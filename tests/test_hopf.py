@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from pqvirasoro import freealg
+from pqvirasoro import freealg, hopf
 from pqvirasoro.field import ONE, ZERO, substitute
 from pqvirasoro.freealg import (
     AlgebraElement,
@@ -445,6 +445,19 @@ def test_eq811_variant_changes_delta_preservation_of_r5():
 def test_invalid_map_name_rejected():
     with pytest.raises(ValueError):
         check_relation_preservation("comultiply", "R1")
+
+
+def test_relation_preservation_calls_the_maps_bound_at_each_call(monkeypatch):
+    # perfbench's tracer counts calls by rebinding hopf.coproduct and hopf.antipode
+    seen = []
+    for name in ("coproduct", "antipode"):
+        def traced(x, cfg, inner=getattr(hopf, name), name=name):
+            seen.append(name)
+            return inner(x, cfg)
+        monkeypatch.setattr(hopf, name, traced)
+    delta = check_relation_preservation("delta", "R4", 2, 1)
+    s = check_relation_preservation("antipode", "R4", 2, 1)
+    assert seen == ["coproduct"] * len(delta) + ["antipode"] * len(s) and delta and s
 
 
 def test_invalid_config_rejected():

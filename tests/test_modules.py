@@ -1,6 +1,7 @@
 """Module hygiene: every public name resolves, src imports no name it
-does not use, and every private module-level name is read in its module,
-so a deletion leaves no stale import or helper behind."""
+does not use, every private module-level name is read in its module, and
+every local name a function binds is read in it, so a deletion leaves no
+stale import, helper or variable behind."""
 
 import ast
 import importlib
@@ -67,3 +68,32 @@ def test_every_private_module_name_is_read_in_its_module(stem):
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     assert sorted(set(_private_names(tree)) - read) == []
+
+
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _own_nodes(fn):
+    """The nodes of a function outside the functions and classes it nests."""
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, SCOPES + (ast.ClassDef,)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+@pytest.mark.parametrize("stem", TREES)
+def test_every_local_name_a_function_binds_is_read_in_it(stem):
+    # a name bound in a function may be read by a function it nests; _ is
+    # the name of what is bound on purpose to be dropped
+    unread = []
+    for fn in ast.walk(TREES[stem]):
+        if isinstance(fn, SCOPES):
+            bound = {node.id for node in _own_nodes(fn)
+                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+            read = {node.id for node in ast.walk(fn)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            unread += [(getattr(fn, "name", "lambda"), fn.lineno, name)
+                       for name in sorted(bound - read - {"_"})]
+    assert unread == []
